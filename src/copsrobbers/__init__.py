@@ -43,28 +43,28 @@ from .solver import (
 )
 from .play import CopPolicy, PlayTranscript, RobberPolicy, play, worst_case_capture_round
 from .strategies import (
+    GreedyRobber,
+    PigeonholeGridRobber,
+    RandomWalkRobber,
+    RetractPartitionPolicy,
+    StayFarRobber,
+    TreePolicy,
     grid_cover_policy,
-    greedy_robber,
-    pigeonhole_grid_robber,
-    random_walk_robber,
-    retract_partition_policy,
-    stay_far_robber,
     subcube_partition_policy,
-    tree_policy,
 )
 from .sphere_trap import (
+    SphereTrapPolicy,
     layers,
     net_radius,
-    sphere_trap_policy,
     thresholds,
     tighten_step,
     trap_matching,
 )
 from .planar import (
     SeparatorResult,
+    SeparatorSweepPolicy,
+    ThreeCopPlanarPolicy,
     separator,
-    separator_sweep_policy,
-    three_cop_planar_policy,
     verify_separator,
 )
 from .experiments import (

@@ -1,8 +1,9 @@
 """Command-line surface.
 
 Subcommands: gen, solve, kcenter, simulate, verify, mc, regime, thresholds.
-Exit codes: 0 success, 1 validation/usage error, 2 runtime error, 3 suite
-failure (some bound report failed).
+Exit codes: 0 success, 1 validation/usage error, 2 runtime error (for `mc`:
+some trial row carries an error; the summary is still written in full), 3
+suite failure (some bound report failed).
 
 Output is deterministic: JSON keys sorted, floats fixed to six decimals, and
 timing fields are zero unless --timings is passed.
@@ -157,12 +158,10 @@ def build_parser() -> _Parser:
     p.add_argument("--csv", help="write the report CSV here (default stdout)")
     p.add_argument("--json", action="store_true", help="emit JSON instead of CSV")
     p.add_argument("--timings", action="store_true")
-    p.add_argument("--threads", type=int, default=1, help="accepted for interface parity; suites are deterministic at any value")
 
     p = sub.add_parser("mc", help="Monte Carlo batch from a JSON config")
     p.add_argument("config", help="JSON file with graph/k/cop/robber/trials fields")
     p.add_argument("--csv", help="write per-trial rows as CSV here")
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("-o", "--output", help="summary JSON file (default stdout)")
 
     p = sub.add_parser("regime", help="cube capture-time regime for (n, k)")
@@ -244,8 +243,6 @@ def _cmd_mc(args) -> int:
 
     with open(args.config, encoding="utf-8") as fh:
         raw = json.load(fh)
-    if args.threads is not None:
-        raw["threads"] = args.threads
     raw.setdefault("cop_params", {})
     raw.setdefault("robber_params", {})
     if "seeds" in raw and raw["seeds"] is not None:
@@ -255,7 +252,7 @@ def _cmd_mc(args) -> int:
     if args.csv:
         _emit(summary.to_csv(), args.csv)
     _emit(summary.to_json(indent=2) + "\n", args.output)
-    return 0
+    return 2 if any(row.get("error") for row in summary.rows) else 0
 
 
 def _cmd_regime(args) -> int:

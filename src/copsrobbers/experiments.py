@@ -26,7 +26,7 @@ from .generators import (
     from_spec,
 )
 from .graphs import MAXDIST, Graph, domination_number, k_center, metrics
-from .planar import separator_sweep_policy, three_cop_planar_policy
+from .planar import SeparatorSweepPolicy, ThreeCopPlanarPolicy
 from .play import play, worst_case_capture_round
 from .solver import capture_time, cop_number, estimate_cost, extract_policies, solve
 from .sphere_trap import SphereTrapPolicy, counting_cop_bound, net_radius
@@ -37,9 +37,9 @@ from .strategies import (
     RandomWalkRobber,
     StayFarRobber,
     StaticCopPolicy,
+    TreePolicy,
     grid_cover_policy,
     subcube_partition_policy,
-    tree_policy,
 )
 from .serialize import csv_lines, stable_json
 from . import sphere_trap as st
@@ -411,7 +411,7 @@ def _suite_strategy_audits(params):
             rad = k_center(g, k).radius
             table = solve(g, k)
             _, robber = extract_policies(table)
-            pol = tree_policy(g, k)
+            pol = TreePolicy(g, k)
             t = play(g, k, pol, robber, max_rounds=4 * g.n)
             reports.append(
                 BoundReport(
@@ -548,7 +548,7 @@ def _suite_separator_sweep(params):
     bound = 6 * met.radius * math.log2(n)
     reports = []
     for fast in (False, True):
-        pol = separator_sweep_policy(g, k, fast_robber=fast)
+        pol = SeparatorSweepPolicy(g, k)
         robber = GreedyFastRobber() if fast else GreedyRobber()
         t = play(g, k, pol, robber, max_rounds=int(bound) + 50, fast_robber=fast)
         label = "fast" if fast else "normal"
@@ -587,7 +587,7 @@ def _suite_planar_3cop(params):
         if table is not None:
             robbers.append(("optimal", extract_policies(table)[1]))
         for rname, robber in robbers:
-            pol = three_cop_planar_policy(g)
+            pol = ThreeCopPlanarPolicy(g)
             t = play(g, 3, pol, robber, max_rounds=bound + 50)
             captured = t.capture_round is not None
             reports.append(
@@ -722,7 +722,6 @@ class MCConfig:
     seeds: tuple | None = None
     max_rounds: int = 1000
     fast_robber: bool = False
-    threads: int = 1
 
 
 def make_cop_policy(name: str, params: dict, g: Graph, codec, k: int, seed):
@@ -731,7 +730,7 @@ def make_cop_policy(name: str, params: dict, g: Graph, codec, k: int, seed):
     if name == "solver":
         return extract_policies(solve(g, k))[0]
     if name == "tree":
-        return tree_policy(g, k)
+        return TreePolicy(g, k)
     if name == "grid_cover":
         return grid_cover_policy(g, codec, k)
     if name == "subcube_partition":
@@ -747,9 +746,9 @@ def make_cop_policy(name: str, params: dict, g: Graph, codec, k: int, seed):
             seed=seed,
         )
     if name == "separator_sweep":
-        return separator_sweep_policy(g, k)
+        return SeparatorSweepPolicy(g, k)
     if name == "three_cop_planar":
-        return three_cop_planar_policy(g)
+        return ThreeCopPlanarPolicy(g)
     if name == "static":
         return StaticCopPolicy([int(v) for v in params["positions"]])
     raise UnknownPolicy(f"unknown cop policy {name!r}")
@@ -838,13 +837,7 @@ def mc_run(config: MCConfig) -> MCSummary:
     if len(seeds) != config.trials:
         raise ValueError("seed list length must equal trials")
 
-    if config.threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=config.threads) as ex:
-            rows = list(ex.map(lambda a: _mc_trial(config, *a), enumerate(seeds)))
-    else:
-        rows = [_mc_trial(config, i, s) for i, s in enumerate(seeds)]
+    rows = [_mc_trial(config, i, s) for i, s in enumerate(seeds)]
 
     captured_rounds = sorted(
         r["capture_round"] for r in rows if r["capture_round"] is not None

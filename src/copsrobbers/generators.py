@@ -11,7 +11,7 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import BadBox, NonSymmetricInput, ParseError, SizeCap
-from .graphs import Graph, RetractMap, verify_retract
+from .graphs import Graph, RetractMap
 from .rng import make_rng, rand_below
 
 MAX_VERTICES = 1_000_000
@@ -271,13 +271,6 @@ def parse_graph_text(text: str) -> Graph:
     if len(edges) != expected:
         raise ParseError(f"header promises {expected} edges, found {len(edges)}")
     return Graph.from_edges(n, sorted(edges))
-
-
-def assert_valid_retract(g: Graph, r: RetractMap) -> RetractMap:
-    ok, violation = verify_retract(g, r)
-    if not ok:
-        raise ValueError(f"invalid retract: {violation}")
-    return r
 
 
 def from_spec(spec: str):

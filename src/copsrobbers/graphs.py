@@ -2,6 +2,12 @@
 metric machinery: BFS distances, radius/diameter, metric k-centers,
 domination numbers, and retract maps.
 
+Every graph walk of the game code goes through three pieces here:
+`bfs_distances` is the one BFS (multi-source, optionally confined to an
+allowed vertex set), `step_toward` the one shortest-path step rule (the
+smallest-id neighbour one BFS layer closer, with `walk_toward` as its path
+form), and `Graph.masks` the one bitmask adjacency table.
+
 Reflexivity (players may pass) is a movement rule, never stored loops: the
 closed neighbourhood N[v] = {v} | adj(v) is what game code consumes.
 """
@@ -29,7 +35,7 @@ class Graph:
     construction. Instances are safe for concurrent shared reads.
     """
 
-    __slots__ = ("n", "adj", "_closed", "m")
+    __slots__ = ("n", "adj", "_closed", "_masks", "m")
 
     def __init__(self, n: int, adjacency):
         if n < 0:
@@ -58,6 +64,7 @@ class Graph:
         self.adj = tuple(adj)
         self.m = sum(len(a) for a in adj) // 2
         self._closed = None
+        self._masks = None
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -79,6 +86,20 @@ class Graph:
                 tuple(sorted((v, *self.adj[v]))) for v in range(self.n)
             )
         return self._closed
+
+    @property
+    def masks(self):
+        """Open neighbourhoods as bitmasks (bit u of masks[v] set iff u ~ v),
+        computed once."""
+        if self._masks is None:
+            masks = []
+            for nbrs in self.adj:
+                m = 0
+                for u in nbrs:
+                    m |= 1 << u
+                masks.append(m)
+            self._masks = tuple(masks)
+        return self._masks
 
     def edges(self):
         for u in range(self.n):
@@ -119,66 +140,60 @@ def graph_digest(g: Graph) -> bytes:
     return hashlib.sha256(text.encode()).digest()
 
 
-def bfs_distances(g: Graph, source: int) -> list[int]:
-    if not 0 <= source < g.n:
-        raise ValueError(f"source {source} out of range")
-    dist = [MAXDIST] * g.n
-    dist[source] = 0
-    q = deque([source])
-    while q:
-        v = q.popleft()
-        d = dist[v] + 1
-        for u in g.adj[v]:
-            if dist[u] == MAXDIST:
-                dist[u] = d
-                q.append(u)
-    return dist
+def bfs_distances(g: Graph, sources, allowed=None) -> list[int]:
+    """BFS distance from each vertex to the nearest source (MAXDIST if none).
 
-
-def bfs_multi(g: Graph, sources) -> list[int]:
-    """Distance to the nearest of several sources (MAXDIST if none given)."""
-    dist = [MAXDIST] * g.n
+    `sources` is one vertex id (range-checked) or an iterable of ids. With
+    `allowed`, the search stays inside that vertex set: sources outside it
+    are ignored and every vertex outside it reads MAXDIST.
+    """
+    if isinstance(sources, int):
+        if not 0 <= sources < g.n:
+            raise ValueError(f"source {sources} out of range")
+        sources = (sources,)
+    if allowed is None:
+        dist = [MAXDIST] * g.n
+    else:
+        # -1 marks a blocked vertex as already seen, keeping the edge loop test-free
+        dist = [-1] * g.n
+        for v in allowed:
+            dist[v] = MAXDIST
     q = deque()
     for s in sources:
-        if dist[s] != 0:
+        if dist[s] == MAXDIST:
             dist[s] = 0
             q.append(s)
+    adj = g.adj
     while q:
         v = q.popleft()
         d = dist[v] + 1
-        for u in g.adj[v]:
+        for u in adj[v]:
             if dist[u] == MAXDIST:
                 dist[u] = d
                 q.append(u)
+    if allowed is not None:
+        dist = [MAXDIST if d < 0 else d for d in dist]
     return dist
 
 
-def bfs_parents(g: Graph, source: int):
-    """BFS tree (dist, parent) from source; parents pick the smallest id."""
-    dist = [MAXDIST] * g.n
-    parent = [-1] * g.n
-    dist[source] = 0
-    q = deque([source])
-    while q:
-        v = q.popleft()
-        d = dist[v] + 1
-        for u in g.adj[v]:
-            if dist[u] == MAXDIST:
-                dist[u] = d
-                parent[u] = v
-                q.append(u)
-    return dist, parent
+def step_toward(g: Graph, dist, v: int) -> int:
+    """The smallest-id neighbour of v one step closer to the sources of the
+    BFS that produced `dist`."""
+    want = dist[v] - 1
+    for u in g.adj[v]:
+        if dist[u] == want:
+            return u
+    raise DisconnectedGraph(f"no step from {v} toward the BFS sources")
 
 
-def shortest_path(g: Graph, src: int, dst: int) -> list[int]:
-    """One shortest src-dst path, deterministic (smallest-id parents)."""
-    dist, parent = bfs_parents(g, src)
-    if dist[dst] == MAXDIST:
-        raise DisconnectedGraph(f"no path {src} -> {dst}")
-    path = [dst]
-    while path[-1] != src:
-        path.append(parent[path[-1]])
-    path.reverse()
+def walk_toward(g: Graph, dist, v: int) -> list[int]:
+    """Shortest path from v to the nearest BFS source, by repeated step_toward."""
+    if dist[v] == MAXDIST:
+        raise DisconnectedGraph(f"{v} is not reachable from the BFS sources")
+    path = [v]
+    while dist[v]:
+        v = step_toward(g, dist, v)
+        path.append(v)
     return path
 
 
@@ -188,17 +203,8 @@ def all_pairs_distances(g: Graph) -> list[list[int]]:
 
 def component_of(g: Graph, start: int, blocked=frozenset()) -> set[int]:
     """Vertices reachable from start in g minus the blocked vertex set."""
-    if start in blocked:
-        return set()
-    seen = {start}
-    q = deque([start])
-    while q:
-        v = q.popleft()
-        for u in g.adj[v]:
-            if u not in seen and u not in blocked:
-                seen.add(u)
-                q.append(u)
-    return seen
+    allowed = set(range(g.n)).difference(blocked)
+    return {v for v, d in enumerate(bfs_distances(g, (start,), allowed)) if d != MAXDIST}
 
 
 def is_tree(g: Graph) -> bool:
@@ -291,12 +297,7 @@ def domination_number(g: Graph, *, max_n: int = 40) -> int:
     if g.n == 0:
         return 0
     n = g.n
-    masks = []
-    for v in range(n):
-        m = 1 << v
-        for u in g.adj[v]:
-            m |= 1 << u
-        masks.append(m)
+    masks = [m | 1 << v for v, m in enumerate(g.masks)]
     full = (1 << n) - 1
 
     # greedy cover as the initial incumbent

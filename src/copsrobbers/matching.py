@@ -7,7 +7,6 @@ no set iteration feeds a tie-sensitive choice.
 
 from __future__ import annotations
 
-import sys
 from collections import deque
 
 
@@ -38,28 +37,43 @@ def hopcroft_karp(adj, n_right: int):
                     q.append(w)
         return found
 
-    def dfs(u):
-        for v in adj[u]:
-            w = pair_right[v]
-            if w == -1 or (dist[w] == dist[u] + 1 and dfs(w)):
-                pair_left[u] = v
-                pair_right[v] = u
-                return True
-        dist[u] = -1
+    def augment(root):
+        # Depth-first search for an augmenting path along the BFS layers, on
+        # an explicit stack so chains of any depth need no recursion: scan
+        # neighbours in list order, descend into the first matched partner
+        # one layer down, retire dead ends (dist -1), flip the path found.
+        path, nxt = [root], [0]  # left vertices on the path; next adj index of each
+        while path:
+            u = path[-1]
+            nbrs = adj[u]
+            i = nxt[-1]
+            while i < len(nbrs):
+                w = pair_right[nbrs[i]]
+                i += 1
+                if w == -1:
+                    nxt[-1] = i
+                    for x, j in zip(path, nxt):
+                        v = adj[x][j - 1]
+                        pair_left[x] = v
+                        pair_right[v] = x
+                    return True
+                if dist[w] == dist[u] + 1:
+                    break
+            else:
+                dist[u] = -1
+                path.pop()
+                nxt.pop()
+                continue
+            nxt[-1] = i
+            path.append(w)
+            nxt.append(0)
         return False
 
-    # Alternating paths are short (phased BFS layers), but the recursion can
-    # still chain through many matched pairs on dense instances.
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, n_left + n_right + 1000))
     size = 0
-    try:
-        while bfs():
-            for u in range(n_left):
-                if pair_left[u] == -1 and dfs(u):
-                    size += 1
-    finally:
-        sys.setrecursionlimit(old_limit)
+    while bfs():
+        for u in range(n_left):
+            if pair_left[u] == -1 and augment(u):
+                size += 1
     return size, pair_left, pair_right
 
 

@@ -2,12 +2,12 @@
 
 Two cop strategies live here:
 
-* separator_sweep_policy: stationed teams occupy balanced separators of the
+* SeparatorSweepPolicy: stationed teams occupy balanced separators of the
   robber's shrinking territory until nothing is left. Works against the
   ordinary robber and the infinitely-fast variant (territory is recomputed
   from scratch every phase, so robber speed never enters the bookkeeping).
 
-* three_cop_planar_policy: the three-cop phase machine. One cop guards an
+* ThreeCopPlanarPolicy: the three-cop phase machine. One cop guards an
   isometric path by holding the robber's shadow (image under the path
   retract); phases repeatedly wall off the robber's component with a new
   guarded path and then release every guard whose path no longer bounds the
@@ -19,7 +19,6 @@ Two cop strategies live here:
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -29,7 +28,7 @@ from .errors import (
     SearchSpaceTooLarge,
     TeamBudgetExceeded,
 )
-from .graphs import MAXDIST, Graph, bfs_distances, component_of, metrics
+from .graphs import Graph, bfs_distances, component_of, metrics, step_toward, walk_toward
 from .play import CopPolicy
 
 
@@ -85,9 +84,10 @@ def _split_components(sizes, n):
     return chosen
 
 
-def _components_masks(n, nbr_masks, removed_mask):
-    """Connected components of the graph minus `removed_mask`, as bitmasks."""
-    todo = ((1 << n) - 1) & ~removed_mask
+def _components_masks(g: Graph, removed_mask):
+    """Connected components of g minus `removed_mask`, as bitmasks."""
+    masks = g.masks
+    todo = ((1 << g.n) - 1) & ~removed_mask
     comps = []
     while todo:
         start = todo & -todo
@@ -99,7 +99,7 @@ def _components_masks(n, nbr_masks, removed_mask):
             while f:
                 bit = f & -f
                 f ^= bit
-                grow |= nbr_masks[bit.bit_length() - 1]
+                grow |= masks[bit.bit_length() - 1]
             grow &= todo & ~comp
             comp |= grow
             frontier = grow
@@ -137,10 +137,6 @@ def separator(g: Graph, mode: str = "bfs_level", *, exact_max_n: int = 25,
         if g.n > exact_max_n:
             raise SearchSpaceTooLarge(f"exact separator capped at n <= {exact_max_n}")
         n = g.n
-        nbr_masks = [0] * n
-        for u, v in g.edges():
-            nbr_masks[u] |= 1 << v
-            nbr_masks[v] |= 1 << u
         budget = subset_cap
         for size in range(n + 1):
             best = None  # (maxside, combo, comps, chosen)
@@ -151,7 +147,7 @@ def separator(g: Graph, mode: str = "bfs_level", *, exact_max_n: int = 25,
                 removed = 0
                 for v in combo:
                     removed |= 1 << v
-                comps = _components_masks(n, nbr_masks, removed)
+                comps = _components_masks(g, removed)
                 sizes = [c.bit_count() for c in comps]
                 chosen = _split_components(sizes, n)
                 if chosen is None:
@@ -273,8 +269,7 @@ class SeparatorSweepPolicy(CopPolicy):
             c = w["cop"]
             pos = cops[c]
             if pos != w["target"]:
-                d = w["dist"]
-                pos = min(u for u in g.adj[pos] if d[u] == d[pos] - 1)
+                pos = step_toward(g, w["dist"], pos)
                 out[c] = pos
             if pos == w["target"]:
                 arrived.append(w)
@@ -282,13 +277,6 @@ class SeparatorSweepPolicy(CopPolicy):
             self.stationed[w["cop"]] = w["target"]
             self.walkers.remove(w)
         return tuple(out)
-
-
-def separator_sweep_policy(g: Graph, k: int, fast_robber: bool = False,
-                           *, sep_mode: str = "bfs_level") -> SeparatorSweepPolicy:
-    # fast_robber changes only the referee's legality rule; the policy's
-    # bookkeeping is already per-phase and speed-agnostic.
-    return SeparatorSweepPolicy(g, k, sep_mode=sep_mode)
 
 
 # ---------------------------------------------------------------------------
@@ -333,44 +321,19 @@ def guard_path_moves(guard: GuardedPath, robber: int) -> int:
     return guard.path[guard.index]
 
 
-def _restricted_dist(g: Graph, allowed, source: int, forbidden_edge=None):
-    dist = [MAXDIST] * g.n
-    if source not in allowed:
-        return dist
-    dist[source] = 0
-    q = deque([source])
-    fe = frozenset(forbidden_edge) if forbidden_edge else None
-    while q:
-        v = q.popleft()
-        for u in g.adj[v]:
-            if u not in allowed or dist[u] != MAXDIST:
-                continue
-            if fe and {u, v} == fe:
-                continue
-            dist[u] = dist[v] + 1
-            q.append(u)
-    return dist
+def _path(g: Graph, src: int, dst: int, allowed=None) -> list[int]:
+    """Shortest src -> dst path inside `allowed`: BFS from src, then the
+    step rule from dst back to src."""
+    return walk_toward(g, bfs_distances(g, src, allowed), dst)[::-1]
 
 
-def _restricted_path(g: Graph, allowed, src: int, dst: int, forbidden_edge=None):
-    dist = _restricted_dist(g, allowed, src, forbidden_edge)
-    if dist[dst] == MAXDIST:
-        raise DisconnectedGraph(f"no path {src} -> {dst} in restricted graph")
-    fe = frozenset(forbidden_edge) if forbidden_edge else None
-    path = [dst]
-    while path[-1] != src:
-        v = path[-1]
-        path.append(
-            min(
-                u
-                for u in g.adj[v]
-                if u in allowed
-                and dist[u] == dist[v] - 1
-                and not (fe and {u, v} == fe)
-            )
-        )
-    path.reverse()
-    return path
+def _join_path(g: Graph, territory, v1: int, v2: int) -> list[int]:
+    """Shortest v1 -> v2 path whose inner vertices all lie in `territory`,
+    never using a direct v1-v2 edge: BFS from v1 over the territory, then
+    enter v2 from its nearest territory neighbour (smallest id on ties)."""
+    dist = bfs_distances(g, v1, set(territory) | {v1})
+    _, u = min((dist[u], u) for u in g.adj[v2] if u in territory)
+    return walk_toward(g, dist, u)[::-1] + [v2]
 
 
 # ---------------------------------------------------------------------------
@@ -412,9 +375,7 @@ class ThreeCopPlanarPolicy(CopPolicy):
                     break
             if pair:
                 break
-        self.init_path = tuple(
-            _restricted_path(g, set(range(g.n)), pair[0], pair[1])
-        )
+        self.init_path = tuple(_path(g, pair[0], pair[1]))
         self.guards: list[GuardedPath] = []
         self.pending: dict | None = None
         self.free: list[int] = []
@@ -473,11 +434,10 @@ class ThreeCopPlanarPolicy(CopPolicy):
             if b not in self.g.adj[a]:
                 return False
         allowed = set(territory) | set(pprime)
-        dist = _restricted_dist(self.g, allowed, pprime[0])
+        dist = bfs_distances(self.g, pprime[0], allowed)
         if dist[pprime[-1]] != len(pprime) - 1:
             # asserted shortest path is not isometric here; take a real one
-            pprime = _restricted_path(self.g, allowed, pprime[0], pprime[-1])
-            dist = _restricted_dist(self.g, allowed, pprime[0])
+            pprime = walk_toward(self.g, dist, pprime[-1])[::-1]
             new_guard.note["extension_recomputed"] = True
         cop_v = new_guard.path[new_guard.index]
         if cop_v not in pprime:
@@ -528,10 +488,10 @@ class ThreeCopPlanarPolicy(CopPolicy):
         if len(all_atts) == 1:
             v = all_atts[0]
             allowed = set(territory) | {v}
-            dist = _restricted_dist(g, allowed, v)
+            dist = bfs_distances(g, v, allowed)
             far = max(dist[u] for u in allowed)
             u = min(w for w in allowed if dist[w] == far)
-            newpath = _restricted_path(g, allowed, u, v)
+            newpath = _path(g, u, v, allowed)
             case, home_allowed = "III", allowed
         elif len(guarding) == 1:
             gd = guarding[0]
@@ -539,27 +499,26 @@ class ThreeCopPlanarPolicy(CopPolicy):
             v1, v2 = att[0], att[-1]
             u1 = min(u for u in g.adj[v1] if u in territory)
             u2 = min(u for u in g.adj[v2] if u in territory)
-            newpath = [u1] if u1 == u2 else _restricted_path(g, set(territory), u1, u2)
+            newpath = _path(g, u1, u2, territory)
             case, home_allowed = "I", set(territory)
         else:
             a1, a2 = atts[id(guarding[0])], atts[id(guarding[1])]
             if len(a1) == 1 and len(a2) == 1:
                 v1, v2 = a1[0], a2[0]
-                allowed = set(territory) | {v1, v2}
-                newpath = _restricted_path(g, allowed, v1, v2, forbidden_edge=(v1, v2))
-                case, home_allowed = "II-join", allowed
+                newpath = _join_path(g, territory, v1, v2)
+                case, home_allowed = "II-join", set(territory) | {v1, v2}
             else:
                 split = guarding[0] if len(a1) >= 2 else guarding[1]
                 att = atts[id(split)]
                 v1, v2 = att[0], att[-1]
                 u1 = min(u for u in g.adj[v1] if u in territory)
                 u2 = min(u for u in g.adj[v2] if u in territory)
-                newpath = [u1] if u1 == u2 else _restricted_path(g, set(territory), u1, u2)
+                newpath = _path(g, u1, u2, territory)
                 case, home_allowed = "II-split", set(territory)
                 info.update({"split_guard": split, "v1": v1, "v2": v2, "u1": newpath[0]})
 
         cop = self.free.pop(0)
-        dist = _restricted_dist(g, set(home_allowed) | set(newpath), newpath[0])
+        dist = bfs_distances(g, newpath[0], set(home_allowed) | set(newpath))
         guard = GuardedPath(
             path=tuple(newpath),
             home_dist=tuple(dist),
@@ -568,9 +527,7 @@ class ThreeCopPlanarPolicy(CopPolicy):
             index=len(newpath) // 2,
         )
         centre = newpath[len(newpath) // 2]
-        route = [] if cops[cop] == centre else _restricted_path(
-            g, set(range(g.n)), cops[cop], centre
-        )[1:]
+        route = _path(g, cops[cop], centre)[1:]
         self.pending = {"guard": guard, "route": route}
         info.update({"case": case, "new_guard": guard})
         self._plan_info = info
@@ -579,7 +536,7 @@ class ThreeCopPlanarPolicy(CopPolicy):
         if k != 3:
             raise ValueError("three-cop policy needs exactly k = 3")
         centre = self.init_path[len(self.init_path) // 2]
-        dist0 = _restricted_dist(g, set(range(g.n)), self.init_path[0])
+        dist0 = bfs_distances(g, self.init_path[0])
         guard = GuardedPath(
             path=self.init_path,
             home_dist=tuple(dist0),
@@ -631,7 +588,3 @@ class ThreeCopPlanarPolicy(CopPolicy):
         if self.pending is None and not any(gd.status == "chase" for gd in self.guards):
             self._plan(robber, out)
         return tuple(out)
-
-
-def three_cop_planar_policy(g: Graph) -> ThreeCopPlanarPolicy:
-    return ThreeCopPlanarPolicy(g)

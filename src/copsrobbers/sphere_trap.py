@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DomainError, LayerHallFailure
-from .graphs import Graph, bfs_distances
+from .graphs import Graph, bfs_distances, step_toward, walk_toward
 from .matching import hall_witness, hopcroft_karp
 from .play import CopPolicy
 from .rng import make_rng, sample_distinct, sample_with_replacement
@@ -56,33 +56,17 @@ class HallWitnessResult:
     reachable_cops: tuple
 
 
-def _neighbour_masks(g: Graph):
-    masks = []
-    for v in range(g.n):
-        m = 0
-        for u in g.adj[v]:
-            m |= 1 << u
-        masks.append(m)
-    return masks
-
-
-def _route(g: Graph, src: int, dst: int, masks) -> list[int]:
+def _route(g: Graph, src: int, dst: int) -> list[int]:
     """Deterministic shortest route src -> dst; fast paths for length <= 2."""
     if src == dst:
         return [src]
     if dst in g.adj[src]:
         return [src, dst]
-    common = masks[src] & masks[dst]
+    common = g.masks[src] & g.masks[dst]
     if common:
         mid = (common & -common).bit_length() - 1
         return [src, mid, dst]
-    dist = bfs_distances(g, dst)
-    path = [src]
-    cur = src
-    while cur != dst:
-        cur = min(u for u in g.adj[cur] if dist[u] == dist[cur] - 1)
-        path.append(cur)
-    return path
+    return walk_toward(g, bfs_distances(g, dst), src)
 
 
 def trap_matching(g: Graph, cops, v: int, d: int, reach: int, mode: str = "hypercube"):
@@ -104,12 +88,12 @@ def trap_matching(g: Graph, cops, v: int, d: int, reach: int, mode: str = "hyper
         return TrapAssignment({}, {}, reach)
 
     cops = list(cops)
-    masks = _neighbour_masks(g)
     need = d + 1 if mode == "hypercube" else reach
     adj = []
     if mode == "general" and reach == 2:
         # dist(pos, t) <= 2 iff equal, adjacent, or sharing a neighbour;
         # avoids one BFS per target on dense graphs
+        masks = g.masks
         for t in targets:
             tmask = masks[t]
             adj.append(
@@ -143,7 +127,7 @@ def trap_matching(g: Graph, cops, v: int, d: int, reach: int, mode: str = "hyper
     for i, t in enumerate(targets):
         cop_id = pair_left[i]
         matching[t] = cop_id
-        routes[cop_id] = tuple(_route(g, cops[cop_id], t, masks))
+        routes[cop_id] = tuple(_route(g, cops[cop_id], t))
         if len(routes[cop_id]) - 1 > max(need, reach):
             raise AssertionError("route longer than the admissibility bound")
     return TrapAssignment(matching, routes, reach)
@@ -247,13 +231,7 @@ class SphereTrapPolicy(CopPolicy):
 
         if self._phase == "greedy":
             dist = bfs_distances(g, robber)
-            out = []
-            for c in cops:
-                if dist[c] == 0:
-                    out.append(c)
-                    continue
-                out.append(min(u for u in g.adj[c] if dist[u] == dist[c] - 1))
-            return tuple(out)
+            return tuple(c if dist[c] == 0 else step_toward(g, dist, c) for c in cops)
 
         out = list(cops)
         if self._phase == "route":
@@ -286,10 +264,6 @@ class SphereTrapPolicy(CopPolicy):
                 out[cid] = pos
             self._tighten_layer -= 1
         return tuple(out)
-
-
-def sphere_trap_policy(g, k, d, mode="hypercube", seed=0) -> SphereTrapPolicy:
-    return SphereTrapPolicy(g, k, d, mode=mode, seed=seed)
 
 
 # ---------------------------------------------------------------------------

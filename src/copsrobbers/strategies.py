@@ -24,11 +24,10 @@ from .generators import CubeCodec, GridCodec, box_retract, subcube_partition, su
 from .graphs import (
     Graph,
     bfs_distances,
-    bfs_multi,
-    bfs_parents,
     component_of,
     is_tree,
     k_center,
+    step_toward,
     verify_retract,
 )
 from .play import CopPolicy, RobberPolicy
@@ -51,7 +50,7 @@ class StayFarRobber(RobberPolicy):
     metadata = {"policy": "stay-far"}
 
     def placement(self, g: Graph, cops) -> int:
-        dist = bfs_multi(g, cops)
+        dist = bfs_distances(g, cops)
         best, best_d = 0, -1
         for v in range(g.n):
             if dist[v] > best_d:
@@ -72,7 +71,7 @@ class GreedyRobber(RobberPolicy):
         return StayFarRobber().placement(g, cops)
 
     def move(self, g: Graph, cops, robber: int, rnd: int) -> int:
-        dist = bfs_multi(g, cops)
+        dist = bfs_distances(g, cops)
         best, best_d = robber, dist[robber]
         for v in g.closed[robber]:
             if dist[v] > best_d:
@@ -92,7 +91,7 @@ class GreedyFastRobber(RobberPolicy):
     def move(self, g: Graph, cops, robber: int, rnd: int) -> int:
         reachable = component_of(g, robber, blocked=set(cops))
         reachable.add(robber)
-        dist = bfs_multi(g, cops)
+        dist = bfs_distances(g, cops)
         best, best_d = robber, dist[robber]
         for v in sorted(reachable):
             if dist[v] > best_d:
@@ -204,7 +203,7 @@ class TreePolicy(CopPolicy):
         while len(homes) < k:
             homes.append(homes[0])
         self.homes = tuple(homes)
-        self._home_walk = [bfs_parents(g, h) for h in self.homes]
+        self._home_dist = [bfs_distances(g, h) for h in self.homes]
         self.metadata = {"policy": "tree", "radius": self.radius}
 
     def placement(self, g: Graph, k: int):
@@ -213,11 +212,9 @@ class TreePolicy(CopPolicy):
         return self.homes
 
     def _clamp(self, i: int, v: int) -> int:
-        dist, parent = self._home_walk[i]
-        steps = dist[v] - self.radius
-        while steps > 0:
-            v = parent[v]
-            steps -= 1
+        dist = self._home_dist[i]
+        while dist[v] > self.radius:
+            v = step_toward(self.g, dist, v)
         return v
 
     def move(self, g: Graph, cops, robber: int, rnd: int):
@@ -227,9 +224,7 @@ class TreePolicy(CopPolicy):
             if c == target:
                 out.append(c)
                 continue
-            # first step of the unique tree path from c toward target
-            _, parent = bfs_parents(self.g, target)
-            out.append(parent[c])
+            out.append(step_toward(self.g, bfs_distances(self.g, target), c))
         return tuple(out)
 
 
@@ -314,16 +309,6 @@ class RetractPartitionPolicy(CopPolicy):
         return tuple(out)
 
 
-def tree_policy(g: Graph, k: int) -> TreePolicy:
-    return TreePolicy(g, k)
-
-
-def retract_partition_policy(
-    g: Graph, territories, sub_policy_factory=solver_sub_policy
-) -> RetractPartitionPolicy:
-    return RetractPartitionPolicy(g, territories, sub_policy_factory)
-
-
 def _int_root_floor(t: int, d: int) -> int:
     m = max(1, int(round(t ** (1.0 / d))))
     while m**d > t:
@@ -398,19 +383,3 @@ def subcube_partition_policy(
         retract = subcube_retract(g, codec, fixed)
         territories.append((list(members), retract, c))
     return RetractPartitionPolicy(g, territories, sub_policy_factory)
-
-
-def stay_far_robber() -> StayFarRobber:
-    return StayFarRobber()
-
-
-def greedy_robber() -> GreedyRobber:
-    return GreedyRobber()
-
-
-def random_walk_robber(seed) -> RandomWalkRobber:
-    return RandomWalkRobber(seed)
-
-
-def pigeonhole_grid_robber(g: Graph, codec: GridCodec, k: int) -> PigeonholeGridRobber:
-    return PigeonholeGridRobber(g, codec, k)

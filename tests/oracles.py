@@ -2,10 +2,14 @@
 
 These deliberately use different algorithm families from the package code:
 global relaxation sweeps instead of frontier retrograde analysis, and plain
-subset enumeration instead of pruned or branch-and-bound search.
+subset enumeration instead of pruned or branch-and-bound search. Graph
+walks and matching are checked against straightforward per-purpose versions:
+parent-pointer BFS, edge-forbidding restricted BFS, set-grown components and
+the recursive augmenting DFS.
 """
 
 import itertools
+from collections import deque
 
 INF = float("inf")
 
@@ -98,3 +102,138 @@ def has_cycle(n, edges):
             return True
         parent[ru] = rv
     return False
+
+
+# ---------------------------------------------------------------------------
+# graph walks and matching: references for the BFS kernel, the step rule
+# and the iterative augmenting search
+
+MAXDIST = 2**31 - 1
+
+
+def bfs_parents(g, source):
+    """BFS tree (dist, parent) from source; a parent is the vertex that
+    discovered the child first."""
+    dist = [MAXDIST] * g.n
+    parent = [-1] * g.n
+    dist[source] = 0
+    q = deque([source])
+    while q:
+        v = q.popleft()
+        for u in g.adj[v]:
+            if dist[u] == MAXDIST:
+                dist[u] = dist[v] + 1
+                parent[u] = v
+                q.append(u)
+    return dist, parent
+
+
+def parent_walk(parent, v, steps):
+    """Follow BFS parents from v for `steps` steps."""
+    for _ in range(steps):
+        v = parent[v]
+    return v
+
+
+def restricted_dist(g, allowed, source, forbidden_edge=None):
+    """BFS distances inside `allowed`, optionally never using one edge."""
+    dist = [MAXDIST] * g.n
+    if source not in allowed:
+        return dist
+    dist[source] = 0
+    q = deque([source])
+    fe = frozenset(forbidden_edge) if forbidden_edge else None
+    while q:
+        v = q.popleft()
+        for u in g.adj[v]:
+            if u not in allowed or dist[u] != MAXDIST:
+                continue
+            if fe and {u, v} == fe:
+                continue
+            dist[u] = dist[v] + 1
+            q.append(u)
+    return dist
+
+
+def restricted_path(g, allowed, src, dst, forbidden_edge=None):
+    """Shortest src -> dst path inside `allowed` (BFS from src, then walk
+    back from dst through smallest-id predecessors); None if unreachable."""
+    dist = restricted_dist(g, allowed, src, forbidden_edge)
+    if dist[dst] == MAXDIST:
+        return None
+    fe = frozenset(forbidden_edge) if forbidden_edge else None
+    path = [dst]
+    while path[-1] != src:
+        v = path[-1]
+        path.append(
+            min(
+                u
+                for u in g.adj[v]
+                if u in allowed
+                and dist[u] == dist[v] - 1
+                and not (fe and {u, v} == fe)
+            )
+        )
+    path.reverse()
+    return path
+
+
+def component_of(g, start, blocked=frozenset()):
+    """Vertices reachable from start in g minus `blocked`, grown as a set."""
+    if start in blocked:
+        return set()
+    seen = {start}
+    q = deque([start])
+    while q:
+        v = q.popleft()
+        for u in g.adj[v]:
+            if u not in seen and u not in blocked:
+                seen.add(u)
+                q.append(u)
+    return seen
+
+
+def recursive_hopcroft_karp(adj, n_right):
+    """Hopcroft-Karp with the textbook recursive augmenting DFS; small
+    instances only (recursion depth grows with the augmenting chain)."""
+    n_left = len(adj)
+    pair_left = [-1] * n_left
+    pair_right = [-1] * n_right
+    dist = [-1] * n_left
+
+    def bfs():
+        q = deque()
+        found = False
+        for u in range(n_left):
+            if pair_left[u] == -1:
+                dist[u] = 0
+                q.append(u)
+            else:
+                dist[u] = -1
+        while q:
+            u = q.popleft()
+            for v in adj[u]:
+                w = pair_right[v]
+                if w == -1:
+                    found = True
+                elif dist[w] == -1:
+                    dist[w] = dist[u] + 1
+                    q.append(w)
+        return found
+
+    def dfs(u):
+        for v in adj[u]:
+            w = pair_right[v]
+            if w == -1 or (dist[w] == dist[u] + 1 and dfs(w)):
+                pair_left[u] = v
+                pair_right[v] = u
+                return True
+        dist[u] = -1
+        return False
+
+    size = 0
+    while bfs():
+        for u in range(n_left):
+            if pair_left[u] == -1 and dfs(u):
+                size += 1
+    return size, pair_left, pair_right

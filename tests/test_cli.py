@@ -1,0 +1,120 @@
+"""Golden tests for the command-line surface: byte-stable output and exit codes.
+
+Each case runs ``copsrobbers.cli.main`` in-process and compares what it wrote
+with ``tests/golden/<case>.txt``: stdout, then stderr after a marker line when
+stderr is not empty. Record a golden file again only for an intended output
+change::
+
+    PYTHONPATH=src python tests/test_cli.py CASE [CASE ...]
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from copsrobbers.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+STDERR_MARK = "--- stderr ---\n"
+
+# case -> (argv, exit code); "{config}" stands for the MC_CONFIGS file
+CASES = {
+    "solve_grid3_k1_cop_number": (["solve", "--gen", "grid:d=2,q=3", "-k", "1", "--cop-number"], 0),
+    "solve_q3_k2": (["solve", "--gen", "hypercube:3", "-k", "2"], 0),
+    "kcenter_tree12_k2": (["kcenter", "--gen", "tree:12,3", "-k", "2"], 0),
+    "verify_trees": (["verify", "trees"], 0),
+    "verify_grid_closed_form": (["verify", "grid_closed_form"], 0),
+    "verify_regime": (["verify", "regime"], 0),
+    "regime_n20_k100": (["regime", "-n", "20", "--k", "100"], 0),
+    "regime_n60_k_pow2_30": (["regime", "-n", "60", "--k-pow2", "30"], 0),
+    "simulate_tree": (
+        ["simulate", "--gen", "tree:12,3", "-k", "2", "--cop", "tree", "--robber", "solver"], 0),
+    "simulate_sphere_trap_hypercube_saturated": (
+        ["simulate", "--gen", "hypercube:3", "-k", "4", "--cop", "sphere_trap:d=1",
+         "--robber", "greedy", "--seed", "2"], 0),
+    "simulate_sphere_trap_hypercube_hall_failure": (
+        ["simulate", "--gen", "hypercube:3", "-k", "4", "--cop", "sphere_trap:d=1",
+         "--robber", "greedy", "--seed", "0", "--max-rounds", "20"], 0),
+    "simulate_sphere_trap_general_saturated": (
+        ["simulate", "--gen", "gnp:40,0.12,0", "-k", "24", "--cop", "sphere_trap:d=2,mode=general",
+         "--robber", "stay_far", "--seed", "0"], 0),
+    "simulate_sphere_trap_general_hall_failure": (
+        ["simulate", "--gen", "gnp:40,0.12,0", "-k", "10", "--cop", "sphere_trap:d=2,mode=general",
+         "--robber", "stay_far", "--seed", "0"], 0),
+    "simulate_separator_sweep": (
+        ["simulate", "--gen", "grid:d=2,q=6", "-k", "20", "--cop", "separator_sweep",
+         "--robber", "greedy"], 0),
+    "simulate_separator_sweep_fast_robber": (
+        ["simulate", "--gen", "grid:d=2,q=6", "-k", "20", "--cop", "separator_sweep",
+         "--robber", "greedy_fast", "--fast-robber"], 0),
+    # plans the II-join case (connecting path that ignores a direct edge)
+    "simulate_three_cop_planar_join": (
+        ["simulate", "--gen", "gnp:10,0.3,5", "-k", "3", "--cop", "three_cop_planar",
+         "--robber", "greedy"], 0),
+    "simulate_three_cop_planar_cut_vertex": (
+        ["simulate", "--gen", "tree:17,5", "-k", "3", "--cop", "three_cop_planar",
+         "--robber", "random_walk", "--seed", "1"], 0),
+    # grafts a wall and recomputes it because the graft is not isometric
+    "simulate_three_cop_planar_extension": (
+        ["simulate", "--gen", "gnp:20,0.7,12", "-k", "3", "--cop", "three_cop_planar",
+         "--robber", "random_walk", "--seed", "1"], 0),
+    "simulate_grid_cover": (
+        ["simulate", "--gen", "grid:d=2,q=6", "-k", "4", "--cop", "grid_cover", "--robber", "greedy"], 0),
+    "simulate_subcube_partition": (
+        ["simulate", "--gen", "hypercube:4", "-k", "4", "--cop", "subcube_partition:ell=3",
+         "--robber", "greedy"], 0),
+    "mc_tree": (["mc", "{config}"], 0),
+    "exit1_unknown_suite": (["verify", "nosuch"], 1),
+    "exit1_bad_spec": (["solve", "--gen", "nosuch:3", "-k", "1"], 1),
+    "exit1_usage": (["solve", "--gen", "path:3"], 1),
+    "exit2_domain_error": (["regime", "-n", "1", "--k", "2"], 2),
+    "exit2_mc_errored_trials": (["mc", "{config}"], 2),
+    "exit3_suite_failure": (["verify", "regime", "--set", "eps=0.3"], 3),
+}
+
+MC_CONFIGS = {
+    "mc_tree": {"graph": "tree:10,{seed}", "k": 2, "cop": "tree", "robber": "greedy", "trials": 3},
+    "exit2_mc_errored_trials": {"graph": "path:5", "k": 1, "cop": "nosuch", "trials": 2},
+}
+
+
+def run_case(name, tmp_dir):
+    """Run one case in-process and return its exit code."""
+    argv, _ = CASES[name]
+    if name in MC_CONFIGS:
+        config = Path(tmp_dir) / "config.json"
+        config.write_text(json.dumps(MC_CONFIGS[name]))
+        argv = [str(config) if a == "{config}" else a for a in argv]
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def transcript(out, err):
+    return out + (STDERR_MARK + err if err else "")
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_golden(name, tmp_path, capsys):
+    code = run_case(name, tmp_path)
+    assert code == CASES[name][1]
+    text = transcript(*capsys.readouterr())
+    assert text == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    import contextlib
+    import io
+    import tempfile
+
+    for case in sys.argv[1:]:
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                run_case(case, tmp)
+        text = transcript(out.getvalue(), err.getvalue())
+        (GOLDEN / f"{case}.txt").write_text(text, encoding="utf-8")
+        print(f"recorded {case}")

@@ -146,10 +146,12 @@ def test_tighten_hall_failure_witness():
     g = Graph.from_edges(4, [(0, 1), (1, 2), (1, 3)])
     moves = tighten_step(g, 0, 2, [(0, 2), (1, 3)])
     assert sorted(moves.values()) == [1, 1]
-    # reversed: center 2-vertex layer cannot be covered from a 1-vertex layer
-    g2 = Graph.from_edges(4, [(0, 2), (1, 2), (2, 3)])
-    with pytest.raises(LayerHallFailure):
-        tighten_step(g2, 3, 2, [(0, 0), (1, 1)])
+    # reversed: on the 4-cycle around centre 0, the 2-vertex layer 1 = {1, 2}
+    # cannot be covered from the single occupier of layer 2 = {3}
+    g2 = Graph.from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+    with pytest.raises(LayerHallFailure) as exc:
+        tighten_step(g2, 0, 2, [(0, 3)])
+    assert exc.value.witness == (1, 2)
 
 
 # --- policy

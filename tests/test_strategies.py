@@ -14,19 +14,19 @@ from copsrobbers.generators import (
     gen_path,
     gen_tree,
 )
-from copsrobbers.graphs import Graph, bfs_multi, k_center, path_retract
+from copsrobbers.graphs import Graph, bfs_distances, k_center, path_retract
 from copsrobbers.play import play, worst_case_capture_round
 from copsrobbers.solver import capture_time, extract_policies, solve
 from copsrobbers.strategies import (
     GreedyRobber,
     PigeonholeGridRobber,
     RandomWalkRobber,
+    RetractPartitionPolicy,
     StaticCopPolicy,
     StayFarRobber,
+    TreePolicy,
     grid_cover_policy,
-    retract_partition_policy,
     subcube_partition_policy,
-    tree_policy,
     choose_subcube_dim,
 )
 
@@ -41,27 +41,27 @@ def star(leaves):
 def test_tree_policy_path_vs_optimal_robber():
     g, _ = gen_path(7)
     _, rob = extract_policies(solve(g, 1))
-    t = play(g, 1, tree_policy(g, 1), rob, 50)
+    t = play(g, 1, TreePolicy(g, 1), rob, 50)
     assert t.capture_round == 3  # equals the radius
 
 
 def test_tree_policy_two_cops_matches_rad2():
     g, _ = gen_path(7)
     _, rob = extract_policies(solve(g, 2))
-    t = play(g, 2, tree_policy(g, 2), rob, 50)
+    t = play(g, 2, TreePolicy(g, 2), rob, 50)
     assert t.capture_round is not None and t.capture_round <= 2
 
 
 def test_tree_policy_star_captures_in_one():
     g = star(5)
     _, rob = extract_policies(solve(g, 1))
-    t = play(g, 1, tree_policy(g, 1), rob, 10)
+    t = play(g, 1, TreePolicy(g, 1), rob, 10)
     assert t.capture_round == 1
 
 
 def test_tree_policy_rejects_cycles():
     with pytest.raises(NotATree):
-        tree_policy(gen_cycle(4), 1)
+        TreePolicy(gen_cycle(4), 1)
 
 
 @given(st.integers(0, 20), st.integers(1, 3))
@@ -70,7 +70,7 @@ def test_tree_policy_exhaustive_within_radius(seed, k):
     if k >= g.n:
         return
     rad = k_center(g, k).radius
-    worst = worst_case_capture_round(g, tree_policy(g, k), k, horizon=rad)
+    worst = worst_case_capture_round(g, TreePolicy(g, k), k, horizon=rad)
     assert worst is not None and worst <= rad
 
 
@@ -82,7 +82,7 @@ def test_single_territory_behaves_like_sub_policy():
     from copsrobbers.graphs import RetractMap
 
     identity = RetractMap(frozenset(range(5)), tuple(range(5)))
-    pol = retract_partition_policy(g, [(range(5), identity, 1)])
+    pol = RetractPartitionPolicy(g, [(range(5), identity, 1)])
     _, rob = extract_policies(solve(g, 1))
     t = play(g, 1, pol, rob, 30)
     assert t.capture_round == capture_time(g, 1)
@@ -92,7 +92,7 @@ def test_two_ball_cover_of_path():
     g, _ = gen_path(7)
     left = path_retract(g, [0, 1, 2, 3, 4], 0)
     right = path_retract(g, [6, 5, 4, 3, 2], 6)
-    pol = retract_partition_policy(
+    pol = RetractPartitionPolicy(
         g, [(sorted(left.image), left, 1), (sorted(right.image), right, 1)]
     )
     worst = worst_case_capture_round(g, pol, 2, horizon=2)
@@ -103,7 +103,7 @@ def test_coverage_gap_detected():
     g, _ = gen_path(7)
     left = path_retract(g, [0, 1, 2, 3], 0)
     with pytest.raises(CoverageGap):
-        retract_partition_policy(g, [(sorted(left.image), left, 1)])
+        RetractPartitionPolicy(g, [(sorted(left.image), left, 1)])
 
 
 def test_retract_invalid_detected():
@@ -112,7 +112,7 @@ def test_retract_invalid_detected():
 
     broken = RetractMap(frozenset(range(5)), (0, 0, 0, 0, 0))
     with pytest.raises(RetractInvalid):
-        retract_partition_policy(g, [(range(5), broken, 1)])
+        RetractPartitionPolicy(g, [(range(5), broken, 1)])
 
 
 def test_too_few_cops_at_placement():
@@ -120,7 +120,7 @@ def test_too_few_cops_at_placement():
     from copsrobbers.graphs import RetractMap
 
     identity = RetractMap(frozenset(range(5)), tuple(range(5)))
-    pol = retract_partition_policy(g, [(range(5), identity, 2)])
+    pol = RetractPartitionPolicy(g, [(range(5), identity, 2)])
     with pytest.raises(TooFewCops):
         pol.placement(g, 1)
 
@@ -210,7 +210,7 @@ def test_stay_far_caught_at_placement_when_covered():
 
 def test_stay_far_vs_tree_policy_two_cops():
     g, _ = gen_path(7)
-    t = play(g, 2, tree_policy(g, 2), StayFarRobber(), 50)
+    t = play(g, 2, TreePolicy(g, 2), StayFarRobber(), 50)
     assert t.capture_round is not None and t.capture_round >= 2  # rad_2
 
 
@@ -225,7 +225,7 @@ def test_greedy_never_decreases_distance():
     for g in (gen_path(5)[0], gen_cycle(5), gen_grid(2, 3)[0]):
         rob = GreedyRobber()
         for cops in itertools.combinations(range(g.n), 2):
-            dist = bfs_multi(g, cops)
+            dist = bfs_distances(g, cops)
             for r in range(g.n):
                 chosen = rob.move(g, cops, r, 1)
                 assert dist[chosen] >= dist[r]
@@ -258,7 +258,7 @@ def test_pigeonhole_grid9_survival():
     rob = PigeonholeGridRobber(g, codec, 3)
     assert rob.min_side >= 4
     cops = (0, 8, 72)
-    dist = bfs_multi(g, cops)
+    dist = bfs_distances(g, cops)
     v = rob.placement(g, cops)
     assert dist[v] >= rob.min_side // 2
 
