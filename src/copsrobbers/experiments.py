@@ -724,11 +724,13 @@ class MCConfig:
     fast_robber: bool = False
 
 
-def make_cop_policy(name: str, params: dict, g: Graph, codec, k: int, seed):
+def make_cop_policy(name: str, params: dict, g: Graph, codec, k: int, seed, solved=None):
+    """Build cop policy ``name`` for (g, k). ``solved``, when given, returns
+    the value table of (g, k) in place of a fresh ``solve``."""
     from .errors import UnknownPolicy
 
     if name == "solver":
-        return extract_policies(solve(g, k))[0]
+        return extract_policies(solved() if solved else solve(g, k))[0]
     if name == "tree":
         return TreePolicy(g, k)
     if name == "grid_cover":
@@ -754,7 +756,9 @@ def make_cop_policy(name: str, params: dict, g: Graph, codec, k: int, seed):
     raise UnknownPolicy(f"unknown cop policy {name!r}")
 
 
-def make_robber_policy(name: str, params: dict, g: Graph, codec, k: int, seed):
+def make_robber_policy(name: str, params: dict, g: Graph, codec, k: int, seed, solved=None):
+    """Build robber policy ``name`` for (g, k); ``solved`` as in
+    ``make_cop_policy``."""
     from .errors import UnknownPolicy
 
     if name == "stay_far":
@@ -768,7 +772,7 @@ def make_robber_policy(name: str, params: dict, g: Graph, codec, k: int, seed):
     if name == "pigeonhole_grid":
         return PigeonholeGridRobber(g, codec, k)
     if name == "solver":
-        return extract_policies(solve(g, k))[1]
+        return extract_policies(solved() if solved else solve(g, k))[1]
     raise UnknownPolicy(f"unknown robber policy {name!r}")
 
 
@@ -807,14 +811,26 @@ class MCSummary:
         return csv_lines(header, rows)
 
 
-def _mc_trial(config: MCConfig, trial: int, seed) -> dict:
+def _mc_trial(config: MCConfig, trial: int, seed, tables: dict) -> dict:
+    """One game of ``config``. ``tables`` maps the batch's latest resolved
+    graph spec to its solved value table, so the solver policies solve a
+    graph once for a run of trials on it and keep one table alive."""
     spec = config.graph.replace("{seed}", str(seed))
     row = {"trial": trial, "seed": str(seed), "captured": False, "capture_round": None}
     try:
         g, codec = from_spec(spec)
-        cop = make_cop_policy(config.cop, config.cop_params, g, codec, config.k, f"{seed}:cop")
+
+        def solved():
+            if spec not in tables:
+                tables.clear()
+                tables[spec] = solve(g, config.k)
+            return tables[spec]
+
+        cop = make_cop_policy(
+            config.cop, config.cop_params, g, codec, config.k, f"{seed}:cop", solved
+        )
         rob = make_robber_policy(
-            config.robber, config.robber_params, g, codec, config.k, f"{seed}:robber"
+            config.robber, config.robber_params, g, codec, config.k, f"{seed}:robber", solved
         )
         t = play(g, config.k, cop, rob, config.max_rounds, fast_robber=config.fast_robber)
         row["captured"] = t.capture_round is not None
@@ -837,7 +853,8 @@ def mc_run(config: MCConfig) -> MCSummary:
     if len(seeds) != config.trials:
         raise ValueError("seed list length must equal trials")
 
-    rows = [_mc_trial(config, i, s) for i, s in enumerate(seeds)]
+    tables = {}
+    rows = [_mc_trial(config, i, s, tables) for i, s in enumerate(seeds)]
 
     captured_rounds = sorted(
         r["capture_round"] for r in rows if r["capture_round"] is not None

@@ -14,9 +14,14 @@ State values count the cop moves still needed under optimal play:
 
 Cop teams are multisets (co-location allowed), canonically encoded as
 nondecreasing tuples, which shrinks the configuration space from n^k to
-C(n+k-1, k). The least fixed point is computed by backward induction from
-the capture states with per-state counters, so each state is settled after
-O(out-degree) work. MAXDIST marks robber-win states.
+C(n+k-1, k). The least fixed point is computed level by level (Bonato,
+Golovach, Hahn & Kratochvil, "The capture time of a graph"): W_0 is the
+capture states, R_L adds the states whose every robber move lands in W_L,
+and W_{L+1} adds the states with a joint cop move into R_L. Each config
+keeps its settled robber vertices as two bitmasks, one per mover, so a
+level costs one big-int OR per (config, joint move) pair whose target
+gained robber states, and the robber step tests a whole closed
+neighbourhood with one AND. MAXDIST marks robber-win states.
 """
 
 from __future__ import annotations
@@ -42,9 +47,10 @@ _U32_MAX = 0xFFFFFFFF
 def estimate_cost(g: Graph, k: int):
     """(state count, joint-move work) for solve(g, k).
 
-    The joint-move work is the exact number of per-config move products the
-    retrograde pass enumerates: n times the complete homogeneous symmetric
-    polynomial h_k of the closed-neighbourhood sizes.
+    The joint-move work is n times the complete homogeneous symmetric
+    polynomial h_k of the closed-neighbourhood sizes: the per-cop move
+    products over all configs, once per robber vertex. It is at least n
+    times the number of entries in the joint-move table.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -68,8 +74,8 @@ class ValueTable:
     config_index: dict
     val_cop: list
     val_rob: list
+    moves: tuple = field(repr=False)
     states_visited: int = 0
-    _moves_cache: dict = field(default_factory=dict, repr=False)
 
     def value(self, config, robber: int, mover: int = COP) -> int:
         ci = self.config_index[tuple(sorted(config))]
@@ -100,18 +106,10 @@ class ValueTable:
         return best_cfg, best_val
 
     def joint_moves(self, ci: int):
-        """Canonical configs reachable from configs[ci] in one joint cop move.
-        The move relation is symmetric, so this doubles as the predecessor set."""
-        cached = self._moves_cache.get(ci)
-        if cached is not None:
-            return cached
-        closed = self.graph.closed
-        seen = set()
-        for prod in itertools.product(*(closed[c] for c in self.configs[ci])):
-            seen.add(tuple(sorted(prod)))
-        out = tuple(self.config_index[c] for c in seen)
-        self._moves_cache[ci] = out
-        return out
+        """Indices of the configs reachable from configs[ci] in one joint cop
+        move, ascending (which is lexicographic config order). The move
+        relation is symmetric, so this doubles as the predecessor set."""
+        return self.moves[ci]
 
     def save(self, path) -> None:
         """Binary dump: magic, n, k, graph digest, then u32 values in state
@@ -156,9 +154,37 @@ class ValueTable:
             config_index={c: i for i, c in enumerate(configs)},
             val_cop=val_cop,
             val_rob=val_rob,
+            moves=_move_table(graph, k, configs),
             states_visited=sum(v is not None for v in val_cop)
             + sum(v is not None for v in val_rob),
         )
+
+
+def _move_table(g: Graph, k: int, configs) -> tuple:
+    """moves[ci]: ascending indices of the configs one joint cop move away
+    from configs[ci].
+
+    A multiset C is coded as the sum of (k+1)**c over its cops c, so the
+    codes reachable from C are the iterated set sums of the cops' weighted
+    closed neighbourhoods. Configs come in lexicographic order, so the sums
+    of a shared prefix are kept and only the changed tail is recomputed.
+    """
+    weight = [(k + 1) ** v for v in range(g.n)]
+    wclosed = [tuple(weight[u] for u in nbrs) for nbrs in g.closed]
+    index = {sum(weight[c] for c in cfg): i for i, cfg in enumerate(configs)}
+    sums = [{0}] + [None] * (k - 1)  # sums[j]: codes reachable by cfg[:j]
+    prev = (-1,) * k
+    moves = []
+    for cfg in configs:
+        j = 0
+        while j < k - 1 and cfg[j] == prev[j]:
+            j += 1
+        for t in range(j, k - 1):
+            sums[t + 1] = {a + b for a in sums[t] for b in wclosed[cfg[t]]}
+        last = wclosed[cfg[-1]]
+        moves.append(tuple(sorted(index[c] for c in {a + b for a in sums[-1] for b in last})))
+        prev = cfg
+    return tuple(moves)
 
 
 def solve(
@@ -170,71 +196,82 @@ def solve(
 ) -> ValueTable:
     if k < 1:
         raise ValueError("k must be at least 1")
-    states, moves = estimate_cost(g, k)
+    states, move_work = estimate_cost(g, k)
     if states > state_cap:
         raise StateBudgetExceeded(f"{states} states exceed cap {state_cap}")
-    if moves > move_cap:
-        raise StateBudgetExceeded(f"{moves} joint-move pairs exceed cap {move_cap}")
+    if move_work > move_cap:
+        raise StateBudgetExceeded(f"{move_work} joint-move pairs exceed cap {move_cap}")
 
     n = g.n
-    closed = g.closed
     configs = tuple(itertools.combinations_with_replacement(range(n), k))
-    config_index = {c: i for i, c in enumerate(configs)}
     table = ValueTable(
         graph=g,
         k=k,
         configs=configs,
-        config_index=config_index,
+        config_index={c: i for i, c in enumerate(configs)},
         val_cop=[None] * (len(configs) * n),
         val_rob=[None] * (len(configs) * n),
+        moves=_move_table(g, k, configs),
     )
-    val_cop, val_rob = table.val_cop, table.val_rob
+    val_cop, val_rob, moves = table.val_cop, table.val_rob, table.moves
+    cmask = [m | 1 << v for v, m in enumerate(g.masks)]
 
-    # robber-turn counters: remaining robber moves not yet known to be losing
-    counter = [0] * (len(configs) * n)
-    for r in range(n):
-        c = len(closed[r])
-        for ci in range(len(configs)):
-            counter[ci * n + r] = c
-
-    level = 0
-    cur = []
+    # Level 0: the capture states, settled for both movers. wc[ci] / wr[ci]
+    # hold the robber vertices settled so far with the cops / robber to move.
+    wc = []
     for ci, cfg in enumerate(configs):
         base = ci * n
-        for r in set(cfg):
-            val_cop[base + r] = 0
-            val_rob[base + r] = 0
-            cur.append((ci, r, COP))
-            cur.append((ci, r, ROB))
+        occ = 0
+        for c in cfg:
+            occ |= 1 << c
+            val_cop[base + c] = 0
+            val_rob[base + c] = 0
+        wc.append(occ)
+    wr = list(wc)
+    fresh = list(enumerate(wc))  # (config, robber bits settled at this level)
+    visited = 2 * sum(occ.bit_count() for occ in wc)
 
-    visited = len(cur)
-    while cur:
-        nxt = []
-        i = 0
-        while i < len(cur):
-            ci, r, mover = cur[i]
-            i += 1
-            base = ci * n
-            if mover == COP:
-                # robber-turn predecessors: (ci, r_prev) with r in N[r_prev]
-                for rp in closed[r]:
-                    idx = base + rp
-                    if val_rob[idx] is None:
-                        counter[idx] -= 1
-                        if counter[idx] == 0:
-                            val_rob[idx] = level
-                            cur.append((ci, rp, ROB))
-                            visited += 1
-            else:
-                # cop-turn predecessors: (cj, r) with configs[ci] reachable
-                for cj in table.joint_moves(ci):
-                    idx = cj * n + r
-                    if val_cop[idx] is None:
-                        val_cop[idx] = level + 1
-                        nxt.append((cj, r, COP))
-                        visited += 1
-        cur = nxt
+    level = 0
+    while fresh:
         level += 1
+        # cop step: (ci, r) settles when some joint move reaches a robber
+        # state settled at the previous level
+        acc = [0] * len(configs)
+        for cj, bits in fresh:
+            for ci in moves[cj]:
+                acc[ci] |= bits
+        fresh = []
+        for ci, bits in enumerate(acc):
+            bits &= ~wc[ci]
+            if not bits:
+                continue
+            w = wc[ci] | bits
+            wc[ci] = w
+            visited += bits.bit_count()
+            base = ci * n
+            reach = 0
+            while bits:
+                low = bits & -bits
+                r = low.bit_length() - 1
+                val_cop[base + r] = level
+                reach |= cmask[r]
+                bits ^= low
+            # robber step: a robber vertex next to a new cop state settles
+            # once its whole closed neighbourhood is settled
+            cand = reach & ~wr[ci]
+            unsettled = ~w
+            won = 0
+            while cand:
+                low = cand & -cand
+                r = low.bit_length() - 1
+                if not cmask[r] & unsettled:
+                    won |= low
+                    val_rob[base + r] = level
+                cand ^= low
+            if won:
+                wr[ci] |= won
+                visited += won.bit_count()
+                fresh.append((ci, won))
 
     table.states_visited = visited
     return table
@@ -339,7 +376,7 @@ class SolverCopPolicy:
         n = g.n
         ci = t.config_index[tuple(sorted(cops))]
         best_val, best_cfg = MAXDIST + 1, None
-        for cj in sorted(t.joint_moves(ci), key=lambda j: t.configs[j]):
+        for cj in t.joint_moves(ci):
             v = t.val_rob[cj * n + robber]
             v = MAXDIST if v is None else v
             if v < best_val:

@@ -1,11 +1,11 @@
 """Independent reference implementations used only as test oracles.
 
 These deliberately use different algorithm families from the package code:
-global relaxation sweeps instead of frontier retrograde analysis, and plain
-subset enumeration instead of pruned or branch-and-bound search. Graph
-walks and matching are checked against straightforward per-purpose versions:
-parent-pointer BFS, edge-forbidding restricted BFS, set-grown components and
-the recursive augmenting DFS.
+global relaxation sweeps and per-state counter retrograde analysis instead
+of the bitset level sweep, and plain subset enumeration instead of pruned or
+branch-and-bound search. Graph walks and matching are checked against
+straightforward per-purpose versions: parent-pointer BFS, edge-forbidding
+restricted BFS, set-grown components and the recursive augmenting DFS.
 """
 
 import itertools
@@ -53,6 +53,73 @@ def naive_game_values(g, k):
                     vc[(C, r)] = best
                     changed = True
     return vc, vr
+
+
+def product_moves(g, configs, config_index):
+    """Joint-move sets as config-index sets, one per config, from the full
+    per-cop product of closed neighbourhoods, each product sorted into a
+    canonical multiset."""
+    closed = g.closed
+    out = []
+    for cfg in configs:
+        seen = {tuple(sorted(prod)) for prod in itertools.product(*(closed[c] for c in cfg))}
+        out.append({config_index[c] for c in seen})
+    return out
+
+
+def counter_retrograde(g, k):
+    """Game values by frontier retrograde analysis with per-state counters.
+
+    Returns (val_cop, val_rob, states_visited, moves) in the solver's dense
+    layout (index config_index * n + robber, None for robber-win states);
+    moves[ci] is the set of config indices one joint move away. A robber-turn
+    state keeps a counter of its robber moves not yet known to be losing and
+    settles when it reaches zero; a cop-turn state settles the first time a
+    joint move reaches a settled robber-turn state.
+    """
+    n = g.n
+    closed = g.closed
+    configs = tuple(itertools.combinations_with_replacement(range(n), k))
+    config_index = {c: i for i, c in enumerate(configs)}
+    moves = product_moves(g, configs, config_index)
+    val_cop = [None] * (len(configs) * n)
+    val_rob = [None] * (len(configs) * n)
+    counter = [len(closed[r]) for _ in configs for r in range(n)]
+
+    cur = []
+    for ci, cfg in enumerate(configs):
+        for r in set(cfg):
+            val_cop[ci * n + r] = 0
+            val_rob[ci * n + r] = 0
+            cur.append((ci, r, 0))
+            cur.append((ci, r, 1))
+    visited = len(cur)
+    level = 0
+    while cur:
+        nxt = []
+        i = 0
+        while i < len(cur):
+            ci, r, mover = cur[i]
+            i += 1
+            if mover == 0:
+                for rp in closed[r]:
+                    idx = ci * n + rp
+                    if val_rob[idx] is None:
+                        counter[idx] -= 1
+                        if counter[idx] == 0:
+                            val_rob[idx] = level
+                            cur.append((ci, rp, 1))
+                            visited += 1
+            else:
+                for cj in moves[ci]:
+                    idx = cj * n + r
+                    if val_cop[idx] is None:
+                        val_cop[idx] = level + 1
+                        nxt.append((cj, r, 0))
+                        visited += 1
+        cur = nxt
+        level += 1
+    return val_cop, val_rob, visited, moves
 
 
 def naive_capture_time(g, k):

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from copsrobbers.errors import StateBudgetExceeded
@@ -20,7 +20,7 @@ from copsrobbers.solver import (
     solve,
 )
 
-from oracles import INF, naive_capture_time, naive_game_values
+from oracles import INF, counter_retrograde, naive_capture_time, naive_game_values
 
 
 def assert_matches_oracle(g, k):
@@ -54,6 +54,37 @@ def test_oracle_hypercube():
 def test_oracle_random_graphs(seed, k):
     g = gen_gnp(5, 0.5, seed)
     assert_matches_oracle(g, k)
+
+
+def assert_matches_counter_retrograde(g, k):
+    """The bitset sweep settles the same states at the same levels as the
+    per-state counter pass, with the same joint-move sets, in ascending rows."""
+    table = solve(g, k)
+    val_cop, val_rob, visited, moves = counter_retrograde(g, k)
+    assert table.val_cop == val_cop
+    assert table.val_rob == val_rob
+    assert table.states_visited == visited
+    for ci, want in enumerate(moves):
+        row = table.joint_moves(ci)
+        assert set(row) == want, table.configs[ci]
+        assert all(a < b for a, b in zip(row, row[1:])), table.configs[ci]
+
+
+def test_counter_retrograde_robber_win_and_disconnected():
+    q3, _ = gen_hypercube(3)
+    two_triangles = Graph.from_edges(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    for g, k in (
+        (gen_cycle(4), 1), (gen_cycle(5), 1), (q3, 1), (q3, 2),
+        (two_triangles, 1), (two_triangles, 2), (Graph.from_edges(1, []), 1),
+    ):
+        assert_matches_counter_retrograde(g, k)
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 9), st.sampled_from([0.0, 0.2, 0.4, 0.6, 0.9]), st.integers(0, 10_000),
+       st.integers(1, 3))
+def test_counter_retrograde_random_graphs(n, p, seed, k):
+    assert_matches_counter_retrograde(gen_gnp(n, p, seed), k)
 
 
 # --- value examples
@@ -259,6 +290,13 @@ def test_table_dump_round_trip(tmp_path):
     assert loaded.val_cop == table.val_cop
     assert loaded.val_rob == table.val_rob
     assert loaded.k == 2
+    assert audit_fixed_point(loaded) == []
+    assert [loaded.joint_moves(ci) for ci in range(len(loaded.configs))] == [
+        table.joint_moves(ci) for ci in range(len(table.configs))
+    ]
+    rounds = 4 * g.n
+    replay = play(g, 2, *extract_policies(loaded), max_rounds=rounds)
+    assert replay.to_json() == play(g, 2, *extract_policies(table), max_rounds=rounds).to_json()
 
 
 def test_table_dump_rejects_wrong_graph(tmp_path):

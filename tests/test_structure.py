@@ -1,5 +1,9 @@
-"""Structure guards: graph walks stay behind the one kernel in graphs.py."""
+"""Structure guards: graph walks stay behind the one kernel in graphs.py, and
+the package imports no array library."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import copsrobbers
@@ -16,3 +20,20 @@ def test_bfs_loops_only_in_the_kernel_and_matching():
 def test_no_recursion_limit_changes():
     for path in SRC.glob("*.py"):
         assert "setrecursionlimit" not in path.read_text(encoding="utf-8"), path.name
+
+
+def test_solver_imports_no_array_library():
+    """The package stays pure Python. Importing numpy was measured at +10.5 MB
+    peak RSS and about 0.1-0.2 s, and scipy.sparse at +28 MB: costs a small
+    solve would pay on every fresh process."""
+    code = (
+        "import sys\n"
+        "import copsrobbers\n"
+        "g, _ = copsrobbers.gen_grid_dims([3, 3])\n"
+        "assert copsrobbers.solve(g, 2).capture_time() == 2\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
