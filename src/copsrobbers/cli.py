@@ -36,11 +36,11 @@ from .experiments import (
     make_cop_policy,
     make_robber_policy,
 )
-from .generators import from_spec, load_graph, parse_graph_text, save_graph
+from .generators import from_spec, load_graph, parse_graph_text
 from .graphs import MAXDIST, k_center
 from .play import play
 from .serialize import stable_json
-from .solver import capture_time, cop_number, solve
+from .solver import cop_number, solve
 from .sphere_trap import thresholds
 
 

@@ -97,10 +97,6 @@ class AmbiguousRegime(CopsRobbersError):
     pass
 
 
-class NoBalancedLevel(CopsRobbersError):
-    pass
-
-
 class TeamBudgetExceeded(CopsRobbersError):
     def __init__(self, demand, budget):
         self.demand = demand

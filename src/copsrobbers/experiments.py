@@ -14,11 +14,10 @@ import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .errors import AmbiguousRegime, DomainError, StateBudgetExceeded, UnknownSuite
+from .errors import AmbiguousRegime, DomainError, UnknownPolicy, UnknownSuite
 from .generators import (
     gen_connected_gnp,
     gen_cycle,
-    gen_gnp,
     gen_grid,
     gen_grid_dims,
     gen_hypercube,
@@ -38,11 +37,11 @@ from .strategies import (
     StayFarRobber,
     StaticCopPolicy,
     TreePolicy,
+    choose_subcube_dim,
     grid_cover_policy,
     subcube_partition_policy,
 )
 from .serialize import csv_lines, stable_json
-from . import sphere_trap as st
 
 # ---------------------------------------------------------------------------
 # regime machinery
@@ -90,12 +89,16 @@ _REGIME_ORDERS = {
 }
 
 
-def qn_regime(n: int, k: int, eps: float = 0.05, *, polylog_cap: float = 4.0) -> RegimeResult:
+# Part v holds while f = n - log2(k) is at most this multiple of log2(n).
+POLYLOG_CAP = 4.0
+
+
+def qn_regime(n: int, k: int, eps: float = 0.05) -> RegimeResult:
     """Classify the capture-time order of the n-cube with k cops.
 
     Decision order (boundaries within 1e-9 raise AmbiguousRegime):
     1. x = log2(k)/n in (1 - b + eps, 1 - eps]  -> part iii, Theta(n)
-    2. f = n - log2(k) <= polylog_cap * log2(n) -> part v, O(1)
+    2. f = n - log2(k) <= POLYLOG_CAP * log2(n) -> part v, O(1)
     3. x > 1 - eps                              -> part iv, with omega = n/f
     4. alpha = ln(log2 k)/ln(n) <= 1 - eps      -> part i, Theta(n log n)
     5. otherwise                                -> part ii (both bounds kept)
@@ -118,7 +121,7 @@ def qn_regime(n: int, k: int, eps: float = 0.05, *, polylog_cap: float = 4.0) ->
     for boundary in (band_lo, band_hi):
         if near(x, boundary):
             raise AmbiguousRegime(f"x = {x} sits on a regime boundary {boundary}")
-    if near(f, polylog_cap * math.log2(n)):
+    if near(f, POLYLOG_CAP * math.log2(n)):
         raise AmbiguousRegime(f"f = {f} sits on the polylog boundary")
 
     def done(part):
@@ -126,7 +129,7 @@ def qn_regime(n: int, k: int, eps: float = 0.05, *, polylog_cap: float = 4.0) ->
 
     if band_lo < x <= band_hi:
         return done("iii")
-    if f <= polylog_cap * math.log2(n):
+    if f <= POLYLOG_CAP * math.log2(n):
         return done("v")
     if x > band_hi:
         return done("iv")
@@ -159,8 +162,8 @@ CSV_HEADER = ["suite", "instance", "quantity", "measured", "bound", "pass", "see
 
 
 def _num(value):
-    if value is None:
-        return ""
+    """A report value for CSV and JSON: MAXDIST (robber wins) becomes "inf";
+    None stays None, which CSV writes as an empty cell."""
     if isinstance(value, int) and value >= MAXDIST:
         return "inf"
     return value
@@ -183,12 +186,8 @@ def reports_to_jsonable(reports) -> list:
                 "suite": r.suite,
                 "instance": r.instance,
                 "quantity": r.quantity,
-                "measured": None if r.measured is None else (
-                    "inf" if isinstance(r.measured, int) and r.measured >= MAXDIST else r.measured
-                ),
-                "bound": None if r.bound is None else (
-                    "inf" if isinstance(r.bound, int) and r.bound >= MAXDIST else r.bound
-                ),
+                "measured": _num(r.measured),
+                "bound": _num(r.bound),
                 "pass": r.passed,
                 "seed": r.seed,
                 "rounds": r.rounds,
@@ -215,7 +214,11 @@ def tree_instances(count: int = 20, n_max: int = 12, base_seed: int = 0):
     return out
 
 
-_STUDY_CACHE: dict = {}
+# Joint-move budgets of random_small_study: the sweep over k stops at the
+# first k whose solve exceeds STUDY_MOVE_CAP; k = domination number is
+# solved anyway, up to STUDY_GAMMA_MOVE_CAP.
+STUDY_MOVE_CAP = 1_500_000
+STUDY_GAMMA_MOVE_CAP = 40_000_000
 
 
 def random_small_study(
@@ -224,16 +227,10 @@ def random_small_study(
     n_hi: int = 10,
     ps=(0.3, 0.5),
     base_seed: int = 0,
-    move_cap: int = 1_500_000,
-    gamma_move_cap: int = 40_000_000,
 ):
     """Connected G(n, p) instances with exact capture times for every k the
     move budget admits (always including k = domination number), exact
-    k-center radii, and metrics. Cached per parameter tuple so sibling
-    suites share one computation."""
-    key = (count_per_p, n_lo, n_hi, tuple(ps), base_seed, move_cap, gamma_move_cap)
-    if key in _STUDY_CACHE:
-        return _STUDY_CACHE[key]
+    k-center radii, and metrics."""
     study = []
     for p in ps:
         for i in range(count_per_p):
@@ -242,12 +239,12 @@ def random_small_study(
             capts = {}
             for k in range(1, n):
                 states, mv = estimate_cost(g, k)
-                if mv > move_cap:
+                if mv > STUDY_MOVE_CAP:
                     break
                 capts[k] = solve(g, k).capture_time()
             gamma = domination_number(g)
             if gamma not in capts and gamma < n:
-                capts[gamma] = capture_time(g, gamma, move_cap=gamma_move_cap)
+                capts[gamma] = capture_time(g, gamma, move_cap=STUDY_GAMMA_MOVE_CAP)
             radk = {k: k_center(g, k).radius for k in capts}
             met = metrics(g)
             study.append(
@@ -261,7 +258,6 @@ def random_small_study(
                     "diam": met.diameter,
                 }
             )
-    _STUDY_CACHE[key] = study
     return study
 
 
@@ -727,8 +723,6 @@ class MCConfig:
 def make_cop_policy(name: str, params: dict, g: Graph, codec, k: int, seed, solved=None):
     """Build cop policy ``name`` for (g, k). ``solved``, when given, returns
     the value table of (g, k) in place of a fresh ``solve``."""
-    from .errors import UnknownPolicy
-
     if name == "solver":
         return extract_policies(solved() if solved else solve(g, k))[0]
     if name == "tree":
@@ -738,8 +732,6 @@ def make_cop_policy(name: str, params: dict, g: Graph, codec, k: int, seed, solv
     if name == "subcube_partition":
         ell = params.get("ell")
         if ell is None:
-            from .strategies import choose_subcube_dim
-
             ell = choose_subcube_dim(codec.n_bits, k)
         return subcube_partition_policy(g, codec, k, int(ell))
     if name == "sphere_trap":
@@ -759,8 +751,6 @@ def make_cop_policy(name: str, params: dict, g: Graph, codec, k: int, seed, solv
 def make_robber_policy(name: str, params: dict, g: Graph, codec, k: int, seed, solved=None):
     """Build robber policy ``name`` for (g, k); ``solved`` as in
     ``make_cop_policy``."""
-    from .errors import UnknownPolicy
-
     if name == "stay_far":
         return StayFarRobber()
     if name == "greedy":

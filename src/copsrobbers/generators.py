@@ -156,18 +156,22 @@ def gen_gnp(n: int, p: float, seed) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def gen_connected_gnp(n: int, p: float, seed, *, max_attempts: int = 1000):
+# Seed probes gen_connected_gnp tries before giving up.
+CONNECTED_GNP_ATTEMPTS = 1000
+
+
+def gen_connected_gnp(n: int, p: float, seed):
     """First connected G(n, p) instance along a deterministic seed probe.
 
     Returns (graph, probe_seed_string); the probe string regenerates the
     exact instance via gen_gnp.
     """
-    for attempt in range(max_attempts):
+    for attempt in range(CONNECTED_GNP_ATTEMPTS):
         probe = f"{seed}:{attempt}"
         g = gen_gnp(n, p, probe)
         if g.is_connected():
             return g, probe
-    raise ValueError(f"no connected instance within {max_attempts} attempts")
+    raise ValueError(f"no connected instance within {CONNECTED_GNP_ATTEMPTS} attempts")
 
 
 def box_retract(g: Graph, codec: GridCodec, lo, hi) -> RetractMap:

@@ -18,16 +18,9 @@ Two cop strategies live here:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
-from .errors import (
-    DisconnectedGraph,
-    NoBalancedLevel,
-    ProgressStall,
-    SearchSpaceTooLarge,
-    TeamBudgetExceeded,
-)
+from .errors import DisconnectedGraph, ProgressStall, TeamBudgetExceeded
 from .graphs import Graph, bfs_distances, component_of, metrics, step_toward, walk_toward
 from .play import CopPolicy
 
@@ -56,118 +49,19 @@ def verify_separator(g: Graph, res: SeparatorResult):
     return True, None
 
 
-def _split_components(sizes, n):
-    """Assign component sizes to two sides, each at most 2n/3, minimising the
-    larger side; returns the side-A index set or None when impossible."""
-    if any(3 * s > 2 * n for s in sizes):
-        return None
-    total = sum(sizes)
-    limit = (2 * n) // 3
-    prefix_reach = [1]
-    for s in sizes:
-        prefix_reach.append(prefix_reach[-1] | (prefix_reach[-1] << s))
-    reach = prefix_reach[-1]
-    best_a = None
-    for a in range(total // 2, -1, -1):
-        if (reach >> a) & 1 and total - a <= limit and a <= limit:
-            best_a = a
-            break
-    if best_a is None:
-        return None
-    chosen = set()
-    remaining = best_a
-    for i in range(len(sizes) - 1, -1, -1):
-        s = sizes[i]
-        if s <= remaining and (prefix_reach[i] >> (remaining - s)) & 1:
-            chosen.add(i)
-            remaining -= s
-    return chosen
-
-
-def _components_masks(g: Graph, removed_mask):
-    """Connected components of g minus `removed_mask`, as bitmasks."""
-    masks = g.masks
-    todo = ((1 << g.n) - 1) & ~removed_mask
-    comps = []
-    while todo:
-        start = todo & -todo
-        comp = start
-        frontier = start
-        while frontier:
-            grow = 0
-            f = frontier
-            while f:
-                bit = f & -f
-                f ^= bit
-                grow |= masks[bit.bit_length() - 1]
-            grow &= todo & ~comp
-            comp |= grow
-            frontier = grow
-        comps.append(comp)
-        todo &= ~comp
-    return comps
-
-
-def _mask_vertices(mask):
-    out = []
-    while mask:
-        bit = mask & -mask
-        out.append(bit.bit_length() - 1)
-        mask ^= bit
-    return out
-
-
-def separator(g: Graph, mode: str = "bfs_level", *, exact_max_n: int = 25,
-              subset_cap: int = 2_000_000) -> SeparatorResult:
+def separator(g: Graph) -> SeparatorResult:
     """Balanced vertex separator: S, A, B partition V, no A-B edge, both
     sides at most 2n/3.
 
-    exact: smallest S by subset search, ties by most balanced split then
-    lexicographically smallest S. bfs_level: cheapest single BFS level from
-    a vertex of maximum eccentricity (same tie-break), widening to two
-    consecutive levels only if no single level balances, which cannot happen
-    on a connected input; the fallback stays for safety.
+    S is the cheapest single BFS level from a vertex of maximum eccentricity
+    (ties: most balanced split, then lowest level); A is every level below
+    it and B every level above. On a connected graph one level always
+    balances, so no wider separator is needed.
     """
     if g.n == 0:
         raise DisconnectedGraph("empty graph")
     if not g.is_connected():
         raise DisconnectedGraph("separator needs a connected graph")
-
-    if mode == "exact":
-        if g.n > exact_max_n:
-            raise SearchSpaceTooLarge(f"exact separator capped at n <= {exact_max_n}")
-        n = g.n
-        budget = subset_cap
-        for size in range(n + 1):
-            best = None  # (maxside, combo, comps, chosen)
-            for combo in itertools.combinations(range(n), size):
-                budget -= 1
-                if budget < 0:
-                    raise SearchSpaceTooLarge("separator subset budget exhausted")
-                removed = 0
-                for v in combo:
-                    removed |= 1 << v
-                comps = _components_masks(g, removed)
-                sizes = [c.bit_count() for c in comps]
-                chosen = _split_components(sizes, n)
-                if chosen is None:
-                    continue
-                a_size = sum(sizes[i] for i in chosen)
-                maxside = max(a_size, sum(sizes) - a_size)
-                if best is None or maxside < best[0]:
-                    best = (maxside, combo, comps, chosen)
-            if best is not None:
-                _, combo, comps, chosen = best
-                side_a, side_b = [], []
-                for i, c in enumerate(comps):
-                    (side_a if i in chosen else side_b).extend(_mask_vertices(c))
-                return SeparatorResult(
-                    tuple(combo), tuple(sorted(side_a)), tuple(sorted(side_b))
-                )
-        raise NoBalancedLevel("no balanced separator exists")
-
-    if mode != "bfs_level":
-        raise ValueError(f"unknown separator mode {mode!r}")
 
     ecc_root, best_e = 0, -1
     for v in range(g.n):
@@ -182,32 +76,23 @@ def separator(g: Graph, mode: str = "bfs_level", *, exact_max_n: int = 25,
     for lv in levels:
         prefix.append(prefix[-1] + len(lv))
 
-    def balanced(a, b):
-        return 3 * a <= 2 * g.n and 3 * b <= 2 * g.n
-
+    # Some level balances (Lipton & Tarjan 1979): take the smallest i with
+    # prefix[i+1] >= n/3. Then a = prefix[i] < n/3 by minimality, and
+    # b = n - prefix[i+1] <= 2n/3. Both sides are at most 2n/3, so `best`
+    # is never None on a connected graph.
     best = None  # (|S|, maxside, index)
     for i, lv in enumerate(levels):
         a, b = prefix[i], g.n - prefix[i + 1]
-        if balanced(a, b):
+        if 3 * a <= 2 * g.n and 3 * b <= 2 * g.n:
             cand = (len(lv), max(a, b), i)
             if best is None or cand < best:
                 best = cand
-    if best is not None:
-        i = best[2]
-        return SeparatorResult(
-            tuple(sorted(levels[i])),
-            tuple(sorted(v for lv in levels[:i] for v in lv)),
-            tuple(sorted(v for lv in levels[i + 1 :] for v in lv)),
-        )
-    for i in range(len(levels) - 1):
-        a, b = prefix[i], g.n - prefix[i + 2]
-        if balanced(a, b):
-            return SeparatorResult(
-                tuple(sorted(levels[i] + levels[i + 1])),
-                tuple(sorted(v for lv in levels[:i] for v in lv)),
-                tuple(sorted(v for lv in levels[i + 2 :] for v in lv)),
-            )
-    raise NoBalancedLevel("no one- or two-level separator balances")
+    i = best[2]
+    return SeparatorResult(
+        tuple(sorted(levels[i])),
+        tuple(sorted(v for lv in levels[:i] for v in lv)),
+        tuple(sorted(v for lv in levels[i + 1 :] for v in lv)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -216,13 +101,13 @@ def separator(g: Graph, mode: str = "bfs_level", *, exact_max_n: int = 25,
 
 class SeparatorSweepPolicy(CopPolicy):
     """Stationed cops hold balanced separators of the robber's territory;
-    each phase walks a fresh team onto a separator of the current territory,
-    multiplying it by at most 2/3. Cops never leave a separator once placed."""
+    each phase walks a fresh team onto a BFS-level separator (see
+    `separator`) of the current territory, multiplying it by at most 2/3.
+    Cops never leave a separator once placed."""
 
-    def __init__(self, g: Graph, k: int, *, sep_mode: str = "bfs_level"):
+    def __init__(self, g: Graph, k: int):
         self.g = g
         self.k = k
-        self.sep_mode = sep_mode
         self.stationed: dict[int, int] = {}
         self.walkers: list[dict] = []
         self.used = 0
@@ -231,7 +116,7 @@ class SeparatorSweepPolicy(CopPolicy):
     def placement(self, g: Graph, k: int):
         if k != self.k:
             raise ValueError("policy built for a different k")
-        s0 = separator(g, self.sep_mode).separator
+        s0 = separator(g).separator
         if len(s0) > k:
             raise TeamBudgetExceeded(len(s0), k)
         met = metrics(g)
@@ -247,7 +132,7 @@ class SeparatorSweepPolicy(CopPolicy):
         walls = set(self.stationed.values())
         territory = component_of(g, robber, blocked=walls)
         sub_g, _, to_global = g.induced(sorted(territory))
-        sep = separator(sub_g, self.sep_mode).separator
+        sep = separator(sub_g).separator
         targets = sorted(to_global[v] for v in sep)
         if self.used + len(targets) > self.k:
             raise TeamBudgetExceeded(self.used + len(targets), self.k)

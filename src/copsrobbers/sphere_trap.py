@@ -12,7 +12,7 @@ dense random graphs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, LayerHallFailure
@@ -138,8 +138,9 @@ def tighten_step(g: Graph, v: int, i: int, occupiers):
     fully covered; surplus cops step to their smallest inward neighbour.
 
     occupiers: (cop id, position) pairs, positions on layer i covering it
-    entirely. Returns {cop id: new position}. Raises LayerHallFailure with a
-    deficient inner set when no saturating matching exists.
+    entirely (ValueError otherwise). Returns {cop id: new position}. Raises
+    LayerHallFailure with a deficient inner set when no saturating matching
+    exists.
     """
     if i < 1:
         raise ValueError("i must be at least 1")
@@ -147,8 +148,8 @@ def tighten_step(g: Graph, v: int, i: int, occupiers):
     layer_inner = [u for u in range(g.n) if dist_v[u] == i - 1]
     layer_outer = {u for u in range(g.n) if dist_v[u] == i}
     positions = [pos for _, pos in occupiers]
-    if not layer_outer <= set(positions):
-        raise ValueError("occupiers must cover layer i")
+    if set(positions) != layer_outer:
+        raise ValueError("occupiers must stand on layer i and cover it")
 
     adj = []
     for t in layer_inner:
@@ -162,11 +163,9 @@ def tighten_step(g: Graph, v: int, i: int, occupiers):
     moves = {}
     for t_idx, occ_idx in enumerate(pair_left):
         moves[occupiers[occ_idx][0]] = layer_inner[t_idx]
-    for j, (cop_id, pos) in enumerate(occupiers):
-        if cop_id in moves:
-            continue
-        inward = [u for u in g.adj[pos] if dist_v[u] == i - 1]
-        moves[cop_id] = min(inward) if inward else pos
+    for cop_id, pos in occupiers:
+        if cop_id not in moves:
+            moves[cop_id] = step_toward(g, dist_v, pos)
     return moves
 
 

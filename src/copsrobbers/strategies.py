@@ -232,8 +232,8 @@ class TreePolicy(CopPolicy):
 # territory partitions
 
 
-def solver_sub_policy(sub_g: Graph, k_i: int, **caps):
-    table = solve(sub_g, k_i, **caps)
+def solver_sub_policy(sub_g: Graph, k_i: int):
+    table = solve(sub_g, k_i)
     if table.capture_time() >= MAXDIST:
         raise TooFewCops(f"{k_i} cops cannot win on a {sub_g.n}-vertex territory")
     cop_pol, _ = extract_policies(table)
@@ -241,18 +241,20 @@ def solver_sub_policy(sub_g: Graph, k_i: int, **caps):
 
 
 class RetractPartitionPolicy(CopPolicy):
-    """Territory play: team i runs its sub-policy on territory i against the
-    robber's image under the territory's retract.
+    """Territory play: team i runs the solver's optimal policy on territory i
+    against the robber's image under the territory's retract.
 
     territories: iterable of (vertex set, RetractMap, k_i). The sets must
     cover V(g); each retract must pass verification and have the territory as
-    its image. Surplus cops idle at vertex 0.
+    its image. Surplus cops idle at vertex 0. Territories that induce the
+    same graph with the same team size share one (stateless) sub-policy.
     """
 
-    def __init__(self, g: Graph, territories, sub_policy_factory=solver_sub_policy):
+    def __init__(self, g: Graph, territories):
         self.g = g
         covered = set()
         self.teams = []
+        sub_policies = {}
         for verts, retract, k_i in territories:
             verts = sorted(verts)
             ok, violation = verify_retract(g, retract)
@@ -261,7 +263,8 @@ class RetractPartitionPolicy(CopPolicy):
             if retract.image != frozenset(verts):
                 raise RetractInvalid("retract image differs from territory set")
             sub_g, to_local, to_global = g.induced(verts)
-            sub_policy = sub_policy_factory(sub_g, k_i)
+            if (sub_g, k_i) not in sub_policies:
+                sub_policies[sub_g, k_i] = solver_sub_policy(sub_g, k_i)
             self.teams.append(
                 {
                     "retract": retract,
@@ -269,7 +272,7 @@ class RetractPartitionPolicy(CopPolicy):
                     "sub_g": sub_g,
                     "to_local": to_local,
                     "to_global": to_global,
-                    "policy": sub_policy,
+                    "policy": sub_policies[sub_g, k_i],
                 }
             )
             covered.update(verts)
@@ -318,9 +321,7 @@ def _int_root_floor(t: int, d: int) -> int:
     return m
 
 
-def grid_cover_policy(
-    g: Graph, codec: GridCodec, k: int, sub_policy_factory=solver_sub_policy
-) -> RetractPartitionPolicy:
+def grid_cover_policy(g: Graph, codec: GridCodec, k: int) -> RetractPartitionPolicy:
     """Cover the grid with floor(k/c) boxes of roughly equal side (c = grid
     cop number), one team of c cops per box playing a winning sub-strategy on
     it. Per-axis tiles may clip at the boundary; overlap is allowed."""
@@ -347,7 +348,7 @@ def grid_cover_policy(
         hi = tuple(seg[1] for seg in box)
         retract = box_retract(g, codec, lo, hi)
         territories.append((sorted(retract.image), retract, c))
-    return RetractPartitionPolicy(g, territories, sub_policy_factory)
+    return RetractPartitionPolicy(g, territories)
 
 
 def choose_subcube_dim(n: int, k: int) -> int:
@@ -359,19 +360,17 @@ def choose_subcube_dim(n: int, k: int) -> int:
     return n
 
 
+# Largest subcube dimension the exact solver handles per territory team.
+MAX_SUBCUBE_DIM = 4
+
+
 def subcube_partition_policy(
-    g: Graph,
-    codec: CubeCodec,
-    k: int,
-    ell: int,
-    *,
-    max_ell: int = 4,
-    sub_policy_factory=solver_sub_policy,
+    g: Graph, codec: CubeCodec, k: int, ell: int
 ) -> RetractPartitionPolicy:
     """Partition the cube into 2^(n-ell) subcubes, each a retract, and give
     each a team of ceil((ell+1)/2) cops with a winning sub-strategy."""
-    if ell > max_ell:
-        raise SubcubeTooLarge(f"ell={ell} exceeds solver-friendly cap {max_ell}")
+    if ell > MAX_SUBCUBE_DIM:
+        raise SubcubeTooLarge(f"ell={ell} exceeds solver-friendly cap {MAX_SUBCUBE_DIM}")
     if not 1 <= ell <= codec.n_bits:
         raise ValueError("ell out of range")
     c = (ell + 2) // 2
@@ -382,4 +381,4 @@ def subcube_partition_policy(
     for fixed, members in subcube_partition(codec, ell):
         retract = subcube_retract(g, codec, fixed)
         territories.append((list(members), retract, c))
-    return RetractPartitionPolicy(g, territories, sub_policy_factory)
+    return RetractPartitionPolicy(g, territories)

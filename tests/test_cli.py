@@ -27,6 +27,8 @@ CASES = {
     "verify_trees": (["verify", "trees"], 0),
     "verify_grid_closed_form": (["verify", "grid_closed_form"], 0),
     "verify_regime": (["verify", "regime"], 0),
+    # robber-win instances report "inf" capture times
+    "verify_lower_bounds_json": (["verify", "lower_bounds", "--set", "count_per_p=2", "--json"], 0),
     "regime_n20_k100": (["regime", "-n", "20", "--k", "100"], 0),
     "regime_n60_k_pow2_30": (["regime", "-n", "60", "--k-pow2", "30"], 0),
     "simulate_tree": (

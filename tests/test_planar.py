@@ -1,0 +1,56 @@
+"""Separator contract: S, A, B partition V, no A-B edge, both sides at most
+2n/3; and `verify_separator` names each way a candidate can break it."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from copsrobbers.errors import DisconnectedGraph
+from copsrobbers.generators import gen_connected_gnp, gen_cycle, gen_grid_dims, gen_hypercube, gen_path, gen_tree
+from copsrobbers.graphs import Graph
+from copsrobbers.planar import SeparatorResult, separator, verify_separator
+
+FAMILIES = (
+    [(f"P{q}", gen_path(q)[0]) for q in (1, 2, 3, 4, 7, 10)]
+    + [(f"C{q}", gen_cycle(q)) for q in (3, 4, 5, 9)]
+    + [(f"grid{a}x{b}", gen_grid_dims([a, b])[0]) for a, b in ((2, 2), (3, 3), (4, 6), (5, 5))]
+    + [(f"tree{n}-{s}", gen_tree(n, s)) for n, s in ((5, 0), (12, 3), (20, 7))]
+    + [(f"Q{d}", gen_hypercube(d)[0]) for d in (3, 4)]
+)
+
+
+@pytest.mark.parametrize("name,g", FAMILIES, ids=[name for name, _ in FAMILIES])
+def test_separator_contract_on_families(name, g):
+    assert verify_separator(g, separator(g)) == (True, None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 14), st.sampled_from([0.2, 0.35, 0.5, 0.8]), st.integers(0, 10_000))
+def test_separator_contract_on_random_graphs(n, p, seed):
+    g, _ = gen_connected_gnp(n, p, seed)
+    assert verify_separator(g, separator(g)) == (True, None)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [Graph.from_edges(0, []), Graph.from_edges(4, [(0, 1), (2, 3)])],
+    ids=["empty", "two_edges"],
+)
+def test_separator_rejects_empty_and_disconnected(g):
+    with pytest.raises(DisconnectedGraph):
+        separator(g)
+
+
+@pytest.mark.parametrize(
+    "n,res,reason",
+    [
+        (3, SeparatorResult((0,), (1,), ()), "S, A, B do not partition V"),
+        (3, SeparatorResult((0,), (0, 1), (2,)), "S, A, B do not partition V"),
+        (4, SeparatorResult((0,), (1, 2, 3), ()), "a side exceeds 2n/3"),
+        (3, SeparatorResult((0,), (1,), (2,)), "edge (1,2) joins A and B"),
+    ],
+    ids=["missing_vertex", "overlap", "side_too_large", "a_b_edge"],
+)
+def test_verify_separator_failure_kinds(n, res, reason):
+    g, _ = gen_path(n)
+    assert verify_separator(g, res) == (False, reason)

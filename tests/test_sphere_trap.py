@@ -141,6 +141,13 @@ def test_tighten_requires_cover():
         tighten_step(g, 0, 2, [(0, 3)])
 
 
+def test_tighten_rejects_occupier_off_layer():
+    # layer 2 of Q3 around 0 is {3, 5, 6}; the extra cop at 1 sits on layer 1
+    g, _ = gen_hypercube(3)
+    with pytest.raises(ValueError, match="stand on layer i"):
+        tighten_step(g, 0, 2, [(0, 3), (1, 5), (2, 6), (3, 1)])
+
+
 def test_tighten_hall_failure_witness():
     # two leaves hang off a single middle vertex: layer 1 = {1}, layer 2 = {2, 3}
     g = Graph.from_edges(4, [(0, 1), (1, 2), (1, 3)])

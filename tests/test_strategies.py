@@ -4,7 +4,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from copsrobbers.errors import CoverageGap, NotATree, PackingImpossible, RetractInvalid, TooFewCops
+from copsrobbers import strategies
+from copsrobbers.errors import (
+    CoverageGap,
+    NotATree,
+    PackingImpossible,
+    RetractInvalid,
+    SubcubeTooLarge,
+    TooFewCops,
+)
 from copsrobbers.generators import (
     box_retract,
     gen_cycle,
@@ -180,6 +188,26 @@ def test_subcube_too_few_cops():
     g, codec = gen_hypercube(4)
     with pytest.raises(TooFewCops):
         subcube_partition_policy(g, codec, 3, 3)
+
+
+def test_subcube_dim_capped():
+    g, codec = gen_hypercube(5)
+    with pytest.raises(SubcubeTooLarge):
+        subcube_partition_policy(g, codec, 100, 5)
+
+
+def test_equal_territories_share_one_solve(monkeypatch):
+    """Territories that induce the same graph with the same team size share
+    one solved sub-policy: the four 3x3 boxes of the 6x6 grid solve once, and
+    so do the two 3-subcubes of Q4."""
+    calls = []
+    real_solve = strategies.solve
+    monkeypatch.setattr(strategies, "solve", lambda g, k: calls.append((g.n, k)) or real_solve(g, k))
+    g, codec = gen_grid(2, 6)
+    assert len(grid_cover_policy(g, codec, 8).teams) == 4
+    q4, cube = gen_hypercube(4)
+    assert len(subcube_partition_policy(q4, cube, 4, 3).teams) == 2
+    assert calls == [(9, 2), (8, 2)]
 
 
 def test_choose_subcube_dim_minimality():

@@ -1,6 +1,7 @@
-"""Structure guards: graph walks stay behind the one kernel in graphs.py, and
-the package imports no array library."""
+"""Structure guards: graph walks stay behind the one kernel in graphs.py, the
+package imports no array library, and every module-level import is used."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -37,3 +38,23 @@ def test_solver_imports_no_array_library():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_module_level_imports_are_used():
+    """Each name a module imports at top level is read somewhere in it;
+    ``__init__.py`` re-exports and is exempt."""
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert unused == []
