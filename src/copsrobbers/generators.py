@@ -147,13 +147,15 @@ def gen_gnp(n: int, p: float, seed) -> Graph:
         raise ValueError("n must be nonnegative")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    rng = make_rng(seed)
-    edges = []
+    draw = make_rng(seed).random
+    adj = [[] for _ in range(n)]
     for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < p:
-                edges.append((u, v))
-    return Graph.from_edges(n, edges)
+        # u is appended to adj[v] before any later vertex, so rows ascend.
+        later = [v for v in range(u + 1, n) if draw() < p]
+        adj[u] += later
+        for v in later:
+            adj[v].append(u)
+    return Graph(n, adj)
 
 
 # Seed probes gen_connected_gnp tries before giving up.

@@ -42,24 +42,30 @@ class Graph:
             raise ValueError("vertex count must be nonnegative")
         if len(adjacency) != n:
             raise ValueError("adjacency must have one entry per vertex")
+        # Checks run on whole rows at C speed; the inner loop only names an offender.
         adj = []
+        rev = [[] for _ in range(n)]
         for v, nbrs in enumerate(adjacency):
-            ns = tuple(sorted(nbrs))
-            for u in ns:
-                if not 0 <= u < n:
-                    raise ValueError(f"neighbour {u} of {v} out of range")
-                if u == v:
-                    raise ValueError(f"self-loop stored at {v}; reflexivity is implicit")
-            if any(ns[i] == ns[i + 1] for i in range(len(ns) - 1)):
+            ns = tuple(nbrs)
+            if not {int}.issuperset(map(type, ns)):
+                raise ValueError(f"neighbour ids of {v} must be ints")
+            ns = tuple(sorted(ns))
+            if ns and (ns[0] < 0 or ns[-1] >= n) or v in ns:
+                for u in ns:
+                    if not 0 <= u < n:
+                        raise ValueError(f"neighbour {u} of {v} out of range")
+                    if u == v:
+                        raise ValueError(f"self-loop stored at {v}; reflexivity is implicit")
+            if len(set(ns)) != len(ns):
                 raise ValueError(f"duplicate neighbour entry at {v}")
+            for u in ns:
+                rev[u].append(v)
             adj.append(ns)
-        directed = set()
-        for v in range(n):
-            for u in adj[v]:
-                directed.add((v, u))
-        for v, u in directed:
-            if (u, v) not in directed:
-                raise ValueError(f"asymmetric adjacency: {v}->{u} without {u}->{v}")
+        # rev[u] lists, ascending, every v with u in adj[v]: it equals adj[u]
+        # for every u exactly when the adjacency is symmetric.
+        if any(tuple(r) != a for r, a in zip(rev, adj)):
+            v, u = min((v, u) for v in range(n) for u in adj[v] if v not in adj[u])
+            raise ValueError(f"asymmetric adjacency: {v}->{u} without {u}->{v}")
         self.n = n
         self.adj = tuple(adj)
         self.m = sum(len(a) for a in adj) // 2
@@ -70,6 +76,8 @@ class Graph:
     def from_edges(cls, n: int, edges) -> "Graph":
         adj = [set() for _ in range(n)]
         for u, v in edges:
+            if type(u) is not int or type(v) is not int:
+                raise ValueError(f"edge ({u!r},{v!r}) has a non-int vertex id")
             if u == v:
                 raise ValueError(f"self-loop edge ({u},{v})")
             if not (0 <= u < n and 0 <= v < n):

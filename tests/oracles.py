@@ -6,10 +6,15 @@ of the bitset level sweep, and plain subset enumeration instead of pruned or
 branch-and-bound search. Graph walks and matching are checked against
 straightforward per-purpose versions: parent-pointer BFS, edge-forbidding
 restricted BFS, set-grown components and the recursive augmenting DFS.
+Graph construction is checked against per-entry validation over a set of
+directed pairs, and G(n, p) against its edge-list build.
 """
 
 import itertools
 from collections import deque
+
+from copsrobbers.graphs import Graph
+from copsrobbers.rng import make_rng
 
 INF = float("inf")
 
@@ -304,3 +309,49 @@ def recursive_hopcroft_karp(adj, n_right):
             if pair_left[u] == -1 and dfs(u):
                 size += 1
     return size, pair_left, pair_right
+
+
+# ---------------------------------------------------------------------------
+# graph construction: per-entry validation and the edge-list G(n, p)
+
+
+def reference_graph_adj(n, adjacency):
+    """(adj, m) as Graph(n, adjacency) builds them, validated entry by entry
+    and with symmetry checked on the set of directed pairs; raises
+    ValueError with Graph's message, naming the first offending vertex and,
+    for asymmetry, the smallest offending pair."""
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
+    if len(adjacency) != n:
+        raise ValueError("adjacency must have one entry per vertex")
+    adj = []
+    for v, nbrs in enumerate(adjacency):
+        nbrs = list(nbrs)
+        if any(type(u) is not int for u in nbrs):
+            raise ValueError(f"neighbour ids of {v} must be ints")
+        ns = tuple(sorted(nbrs))
+        for u in ns:
+            if not 0 <= u < n:
+                raise ValueError(f"neighbour {u} of {v} out of range")
+            if u == v:
+                raise ValueError(f"self-loop stored at {v}; reflexivity is implicit")
+        if any(ns[i] == ns[i + 1] for i in range(len(ns) - 1)):
+            raise ValueError(f"duplicate neighbour entry at {v}")
+        adj.append(ns)
+    directed = {(v, u) for v in range(n) for u in adj[v]}
+    for v, u in sorted(directed):
+        if (u, v) not in directed:
+            raise ValueError(f"asymmetric adjacency: {v}->{u} without {u}->{v}")
+    return tuple(adj), len(directed) // 2
+
+
+def reference_gen_gnp(n, p, seed):
+    """G(n, p) as an edge list over the pairs u < v in lexicographic order,
+    one rng draw per pair, built by Graph.from_edges."""
+    rng = make_rng(seed)
+    edges = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                edges.append((u, v))
+    return Graph.from_edges(n, edges)

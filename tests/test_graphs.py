@@ -1,11 +1,18 @@
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from copsrobbers.errors import DisconnectedGraph, NotIsometric, SearchSpaceTooLarge
-from copsrobbers.generators import gen_cycle, gen_gnp, gen_grid, gen_hypercube, gen_path
+from copsrobbers.generators import (
+    gen_connected_gnp,
+    gen_cycle,
+    gen_gnp,
+    gen_grid,
+    gen_hypercube,
+    gen_path,
+)
 from copsrobbers.graphs import (
     MAXDIST,
     Graph,
@@ -19,7 +26,12 @@ from copsrobbers.graphs import (
     RetractMap,
 )
 
-from oracles import brute_force_domination, brute_force_k_center
+from oracles import (
+    brute_force_domination,
+    brute_force_k_center,
+    reference_gen_gnp,
+    reference_graph_adj,
+)
 
 
 def complete_graph(n):
@@ -47,6 +59,93 @@ def test_rejects_duplicates():
 def test_rejects_out_of_range():
     with pytest.raises(ValueError):
         Graph.from_edges(2, [(0, 5)])
+
+
+def test_asymmetry_reports_smallest_pair():
+    # Two asymmetric pairs, 0->3 and 1->2: the smaller one is named, whatever
+    # order a hash set of pairs would visit them in.
+    with pytest.raises(ValueError) as err:
+        Graph(4, [[3], [2], [], []])
+    assert str(err.value) == "asymmetric adjacency: 0->3 without 3->0"
+
+
+@pytest.mark.parametrize("bad", [1.0, "1", True])
+def test_rejects_non_int_ids(bad):
+    with pytest.raises(ValueError, match="must be ints"):
+        Graph(2, [[bad], [0]])
+    with pytest.raises(ValueError, match="non-int vertex id"):
+        Graph.from_edges(2, [(0, bad)])
+    with pytest.raises(ValueError, match="non-int vertex id"):
+        Graph.from_edges(2, [(bad, 0)])
+
+
+MUTATIONS = ("drop", "duplicate", "self_loop", "minus_one", "n", "float", "bool", "str")
+
+
+@st.composite
+def adjacency_lists(draw):
+    """A random simple graph as unsorted adjacency lists, with up to three
+    mutations that each break one construction rule (or, by chance, none)."""
+    n = draw(st.integers(0, 8))
+    adj = [[] for _ in range(n)]
+    for u, v in itertools.combinations(range(n), 2):
+        if draw(st.booleans()):
+            adj[u].append(v)
+            adj[v].append(u)
+    adj = [draw(st.permutations(row)) for row in adj]
+    for kind in draw(st.lists(st.sampled_from(MUTATIONS), max_size=3)) if n else ():
+        v = draw(st.integers(0, n - 1))
+        row = adj[v]
+        at = draw(st.integers(0, len(row)))
+        if kind == "drop":
+            if row:
+                row.pop(at % len(row))
+        elif kind == "duplicate":
+            if row:
+                row.insert(at, row[at % len(row)])
+        else:
+            bad = {"self_loop": v, "minus_one": -1, "n": n, "bool": True, "str": "0",
+                   "float": float(draw(st.integers(0, n - 1)))}[kind]
+            row.insert(at, bad)
+    return n, adj
+
+
+def built(n, adj):
+    g = Graph(n, adj)
+    return g.adj, g.m
+
+
+def outcome(build, n, adj):
+    try:
+        return "ok", build(n, adj)
+    except ValueError as e:
+        return "error", str(e)
+
+
+@settings(max_examples=400)
+@given(adjacency_lists())
+def test_constructor_matches_reference(case):
+    """Graph accepts exactly what the reference accepts, builds the same
+    adj and m, and otherwise raises the same message."""
+    n, adj = case
+    assert outcome(built, n, adj) == outcome(reference_graph_adj, n, adj)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0])
+def test_gnp_matches_edge_list_reference(p):
+    for n in range(41):
+        for seed in (n, f"s{n}"):
+            assert gen_gnp(n, p, seed).adj == reference_gen_gnp(n, p, seed).adj
+
+
+def test_connected_gnp_matches_edge_list_reference():
+    g, probe = gen_connected_gnp(500, 0.5, "trap-1-0")
+    first = next(
+        f"trap-1-0:{a}" for a in itertools.count()
+        if reference_gen_gnp(500, 0.5, f"trap-1-0:{a}").is_connected()
+    )
+    assert probe == first
+    assert g.adj == reference_gen_gnp(500, 0.5, probe).adj
 
 
 def test_closed_neighbourhoods_sorted_and_reflexive():

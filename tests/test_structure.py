@@ -1,5 +1,6 @@
-"""Structure guards: graph walks stay behind the one kernel in graphs.py, the
-package imports no array library, and every module-level import is used."""
+"""Structure guards: graph walks stay behind the one kernel in graphs.py, every
+Graph goes through its checked constructor, the package imports no array
+library, and every module-level import is used."""
 
 import ast
 import os
@@ -58,3 +59,34 @@ def test_module_level_imports_are_used():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
     assert unused == []
+
+
+GRAPH_FIELDS = {"adj", "_masks", "_closed"}
+
+
+def graph_bypasses(path):
+    """Where a module calls ``__new__``, or (outside graphs.py) assigns or
+    setattr()s a Graph field."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+        if isinstance(node, ast.Attribute) and node.attr == "__new__":
+            found.append(f"{where} __new__")
+        elif path.name == "graphs.py":
+            continue
+        elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+              and node.attr in GRAPH_FIELDS):
+            found.append(f"{where} sets .{node.attr}")
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            fields = {a.value for a in node.args if isinstance(a, ast.Constant)}
+            if name in ("setattr", "__setattr__") and fields & GRAPH_FIELDS:
+                found.append(f"{where} {name}")
+    return found
+
+
+def test_graphs_built_only_by_the_checked_constructor():
+    """Every Graph runs the checks of Graph.__init__: no module makes one
+    through ``__new__`` or fills in its fields from outside graphs.py."""
+    assert [b for path in sorted(SRC.glob("*.py")) for b in graph_bypasses(path)] == []
