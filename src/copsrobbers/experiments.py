@@ -299,15 +299,20 @@ def _suite_grid_closed_form(params):
     return reports
 
 
-def _suite_lower_bounds(params):
-    reports = []
-    for inst in random_small_study(
+def _study(params):
+    """random_small_study with a suite's parameters, defaults filled in."""
+    return random_small_study(
         params.get("count_per_p", 25),
         params.get("n_lo", 5),
         params.get("n_hi", 10),
         tuple(params.get("ps", (0.3, 0.5))),
         params.get("base_seed", 0),
-    ):
+    )
+
+
+def _suite_lower_bounds(params):
+    reports = []
+    for inst in _study(params):
         diam = inst["diam"]
         for k, capt in sorted(inst["capts"].items()):
             rad = inst["radk"][k]
@@ -329,13 +334,7 @@ def _suite_lower_bounds(params):
 
 def _suite_monotonicity(params):
     reports = []
-    for inst in random_small_study(
-        params.get("count_per_p", 25),
-        params.get("n_lo", 5),
-        params.get("n_hi", 10),
-        tuple(params.get("ps", (0.3, 0.5))),
-        params.get("base_seed", 0),
-    ):
+    for inst in _study(params):
         g = inst["graph"]
         capts = inst["capts"]
         ks = sorted(capts)

@@ -14,7 +14,6 @@ closed neighbourhood N[v] = {v} | adj(v) is what game code consumes.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
 from collections import deque
@@ -140,12 +139,6 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
-
-
-def graph_digest(g: Graph) -> bytes:
-    """SHA-256 of the canonical edge list, used to key cached solver tables."""
-    text = f"{g.n}\n" + "\n".join(f"{u} {v}" for u, v in g.edges())
-    return hashlib.sha256(text.encode()).digest()
 
 
 def bfs_distances(g: Graph, sources, allowed=None) -> list[int]:

@@ -248,18 +248,17 @@ class ThreeCopPlanarPolicy(CopPolicy):
     def __init__(self, g: Graph):
         if not g.is_connected():
             raise DisconnectedGraph("three-cop policy needs a connected graph")
+        if g.n == 0:
+            raise DisconnectedGraph("empty graph has no metrics")
         self.g = g
-        met = metrics(g)
-        self.diam = met.diameter
-        pair = None
+        # the diametral pair: the first u of largest eccentricity, and the
+        # first vertex farthest from it
+        self.diam = -1
         for u in range(g.n):
             du = bfs_distances(g, u)
-            for v in range(g.n):
-                if du[v] == self.diam:
-                    pair = (u, v)
-                    break
-            if pair:
-                break
+            ecc = max(du)
+            if ecc > self.diam:
+                self.diam, pair = ecc, (u, du.index(ecc))
         self.init_path = tuple(_path(g, pair[0], pair[1]))
         self.guards: list[GuardedPath] = []
         self.pending: dict | None = None

@@ -21,27 +21,25 @@ and W_{L+1} adds the states with a joint cop move into R_L. Each config
 keeps its settled robber vertices as two bitmasks, one per mover, so a
 level costs one big-int OR per (config, joint move) pair whose target
 gained robber states, and the robber step tests a whole closed
-neighbourhood with one AND. MAXDIST marks robber-win states.
+neighbourhood with one AND. The masks after each level are the only store
+of game values: a state's value is the first level whose mask holds it,
+and MAXDIST (a robber win) when none does.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import struct
 from dataclasses import dataclass, field
 
 from .errors import StateBudgetExceeded
-from .graphs import MAXDIST, Graph, graph_digest
+from .graphs import MAXDIST, Graph
 
 COP = 0
 ROB = 1
 
 DEFAULT_STATE_CAP = 2_000_000
 DEFAULT_MOVE_CAP = 20_000_000
-
-_MAGIC = b"CRVT"
-_U32_MAX = 0xFFFFFFFF
 
 
 def estimate_cost(g: Graph, k: int):
@@ -66,98 +64,53 @@ def estimate_cost(g: Graph, k: int):
 
 @dataclass
 class ValueTable:
-    """Dense game values for every (cop multiset, robber, mover) state."""
+    """Game values for every (cop multiset, robber, mover) state, held as the
+    level sweep's masks.
+
+    levels[L][mover][ci] has bit r set when the state (configs[ci], r,
+    mover) is won by the cops within L cop moves, so the state's value is
+    the first L whose mask has the bit, and MAXDIST if none has. Masks are
+    ints, so a config's mask that did not change between levels is one
+    shared object.
+    """
 
     graph: Graph
     k: int
     configs: tuple
     config_index: dict
-    val_cop: list
-    val_rob: list
     moves: tuple = field(repr=False)
+    levels: list = field(default_factory=list, repr=False)
     states_visited: int = 0
 
+    def _value(self, ci: int, robber: int, mover: int) -> int:
+        bit = 1 << robber
+        for level, masks in enumerate(self.levels):
+            if masks[mover][ci] & bit:
+                return level
+        return MAXDIST
+
     def value(self, config, robber: int, mover: int = COP) -> int:
-        ci = self.config_index[tuple(sorted(config))]
-        vals = self.val_cop if mover == COP else self.val_rob
-        v = vals[ci * self.graph.n + robber]
-        return MAXDIST if v is None else v
+        return self._value(self.config_index[tuple(sorted(config))], robber, mover)
 
     def capture_time(self) -> int:
         return self.best_placement()[1]
 
     def best_placement(self):
         """Lexicographically smallest cop placement minimising the worst-case
-        robber placement value, paired with that value."""
-        n = self.graph.n
-        best_cfg, best_val = None, MAXDIST + 1
-        for ci, cfg in enumerate(self.configs):
-            base = ci * n
-            worst = 0
-            for r in range(n):
-                v = self.val_cop[base + r]
-                if v is None:
-                    worst = MAXDIST
-                    break
-                if v > worst:
-                    worst = v
-            if worst < best_val:
-                best_cfg, best_val = cfg, worst
-        return best_cfg, best_val
+        robber placement value, paired with that value: the first config
+        whose cop-to-move mask holds every robber vertex, at the first level
+        where one does."""
+        full = (1 << self.graph.n) - 1
+        for level, (cop_masks, _) in enumerate(self.levels):
+            if full in cop_masks:
+                return self.configs[cop_masks.index(full)], level
+        return self.configs[0], MAXDIST
 
     def joint_moves(self, ci: int):
         """Indices of the configs reachable from configs[ci] in one joint cop
         move, ascending (which is lexicographic config order). The move
         relation is symmetric, so this doubles as the predecessor set."""
         return self.moves[ci]
-
-    def save(self, path) -> None:
-        """Binary dump: magic, n, k, graph digest, then u32 values in state
-        index order ((config_index * n + robber) * 2 + mover), MAXDIST as
-        0xFFFFFFFF."""
-        n = self.graph.n
-        with open(path, "wb") as fh:
-            fh.write(struct.pack("<4sII32s", _MAGIC, n, self.k, graph_digest(self.graph)))
-            out = []
-            for ci in range(len(self.configs)):
-                base = ci * n
-                for r in range(n):
-                    for vals in (self.val_cop, self.val_rob):
-                        v = vals[base + r]
-                        out.append(_U32_MAX if v is None or v >= MAXDIST else v)
-            fh.write(struct.pack(f"<{len(out)}I", *out))
-
-    @classmethod
-    def load(cls, path, graph: Graph) -> "ValueTable":
-        with open(path, "rb") as fh:
-            magic, n, k, digest = struct.unpack("<4sII32s", fh.read(44))
-            if magic != _MAGIC:
-                raise ValueError("not a value-table dump")
-            if n != graph.n or digest != graph_digest(graph):
-                raise ValueError("dump does not match the supplied graph")
-            configs = tuple(itertools.combinations_with_replacement(range(n), k))
-            count = len(configs) * n * 2
-            raw = struct.unpack(f"<{count}I", fh.read(4 * count))
-        val_cop = [None] * (len(configs) * n)
-        val_rob = [None] * (len(configs) * n)
-        it = iter(raw)
-        for ci in range(len(configs)):
-            base = ci * n
-            for r in range(n):
-                c, rb = next(it), next(it)
-                val_cop[base + r] = None if c == _U32_MAX else c
-                val_rob[base + r] = None if rb == _U32_MAX else rb
-        return cls(
-            graph=graph,
-            k=k,
-            configs=configs,
-            config_index={c: i for i, c in enumerate(configs)},
-            val_cop=val_cop,
-            val_rob=val_rob,
-            moves=_move_table(graph, k, configs),
-            states_visited=sum(v is not None for v in val_cop)
-            + sum(v is not None for v in val_rob),
-        )
 
 
 def _move_table(g: Graph, k: int, configs) -> tuple:
@@ -196,44 +149,39 @@ def solve(
 ) -> ValueTable:
     if k < 1:
         raise ValueError("k must be at least 1")
+    if g.n == 0:
+        raise ValueError("the empty graph has no game to solve")
     states, move_work = estimate_cost(g, k)
     if states > state_cap:
         raise StateBudgetExceeded(f"{states} states exceed cap {state_cap}")
     if move_work > move_cap:
         raise StateBudgetExceeded(f"{move_work} joint-move pairs exceed cap {move_cap}")
 
-    n = g.n
-    configs = tuple(itertools.combinations_with_replacement(range(n), k))
+    configs = tuple(itertools.combinations_with_replacement(range(g.n), k))
     table = ValueTable(
         graph=g,
         k=k,
         configs=configs,
         config_index={c: i for i, c in enumerate(configs)},
-        val_cop=[None] * (len(configs) * n),
-        val_rob=[None] * (len(configs) * n),
         moves=_move_table(g, k, configs),
     )
-    val_cop, val_rob, moves = table.val_cop, table.val_rob, table.moves
+    moves, levels = table.moves, table.levels
     cmask = [m | 1 << v for v, m in enumerate(g.masks)]
 
     # Level 0: the capture states, settled for both movers. wc[ci] / wr[ci]
     # hold the robber vertices settled so far with the cops / robber to move.
     wc = []
-    for ci, cfg in enumerate(configs):
-        base = ci * n
+    for cfg in configs:
         occ = 0
         for c in cfg:
             occ |= 1 << c
-            val_cop[base + c] = 0
-            val_rob[base + c] = 0
         wc.append(occ)
     wr = list(wc)
+    levels.append((tuple(wc), tuple(wr)))
     fresh = list(enumerate(wc))  # (config, robber bits settled at this level)
     visited = 2 * sum(occ.bit_count() for occ in wc)
 
-    level = 0
     while fresh:
-        level += 1
         # cop step: (ci, r) settles when some joint move reaches a robber
         # state settled at the previous level
         acc = [0] * len(configs)
@@ -248,13 +196,10 @@ def solve(
             w = wc[ci] | bits
             wc[ci] = w
             visited += bits.bit_count()
-            base = ci * n
             reach = 0
             while bits:
                 low = bits & -bits
-                r = low.bit_length() - 1
-                val_cop[base + r] = level
-                reach |= cmask[r]
+                reach |= cmask[low.bit_length() - 1]
                 bits ^= low
             # robber step: a robber vertex next to a new cop state settles
             # once its whole closed neighbourhood is settled
@@ -263,15 +208,14 @@ def solve(
             won = 0
             while cand:
                 low = cand & -cand
-                r = low.bit_length() - 1
-                if not cmask[r] & unsettled:
+                if not cmask[low.bit_length() - 1] & unsettled:
                     won |= low
-                    val_rob[base + r] = level
                 cand ^= low
             if won:
                 wr[ci] |= won
                 visited += won.bit_count()
                 fresh.append((ci, won))
+        levels.append((tuple(wc), tuple(wr)))
 
     table.states_visited = visited
     return table
@@ -303,36 +247,21 @@ def cop_number(g: Graph, *, max_k: int | None = None, **caps) -> int:
 def audit_fixed_point(table: ValueTable) -> list:
     """Re-evaluate the optimality recurrence at every state; returns the
     states whose stored value disagrees (empty list = table is a fixed point)."""
-    g = table.graph
-    n = g.n
-    closed = g.closed
+    value = table._value
+    closed = table.graph.closed
     bad = []
     for ci, cfg in enumerate(table.configs):
-        base = ci * n
         occupied = set(cfg)
         succs = table.joint_moves(ci)
-        for r in range(n):
-            stored_c = table.val_cop[base + r]
-            stored_r = table.val_rob[base + r]
-            stored_c = MAXDIST if stored_c is None else stored_c
-            stored_r = MAXDIST if stored_r is None else stored_r
+        for r in range(table.graph.n):
+            stored_c = value(ci, r, COP)
+            stored_r = value(ci, r, ROB)
             if r in occupied:
                 exp_c = exp_r = 0
             else:
-                best = MAXDIST
-                for cj in succs:
-                    v = table.val_rob[cj * n + r]
-                    v = MAXDIST if v is None else v
-                    if v < best:
-                        best = v
+                best = min(value(cj, r, ROB) for cj in succs)
                 exp_c = MAXDIST if best >= MAXDIST else best + 1
-                worst = 0
-                for rp in closed[r]:
-                    v = table.val_cop[base + rp]
-                    v = MAXDIST if v is None else v
-                    if v > worst:
-                        worst = v
-                exp_r = worst
+                exp_r = max(value(ci, rp, COP) for rp in closed[r])
             if exp_c != stored_c:
                 bad.append((cfg, r, COP, stored_c, exp_c))
             if exp_r != stored_r:
@@ -373,15 +302,10 @@ class SolverCopPolicy:
 
     def move(self, g: Graph, cops, robber: int, rnd: int):
         t = self.table
-        n = g.n
         ci = t.config_index[tuple(sorted(cops))]
-        best_val, best_cfg = MAXDIST + 1, None
-        for cj in t.joint_moves(ci):
-            v = t.val_rob[cj * n + robber]
-            v = MAXDIST if v is None else v
-            if v < best_val:
-                best_val, best_cfg = v, t.configs[cj]
-        return _realize_joint_move(g.closed, tuple(cops), best_cfg)
+        # min keeps the first minimum, and joint_moves ascends
+        cj = min(t.joint_moves(ci), key=lambda c: t._value(c, robber, ROB))
+        return _realize_joint_move(g.closed, tuple(cops), t.configs[cj])
 
 
 class SolverRobberPolicy:
@@ -393,27 +317,17 @@ class SolverRobberPolicy:
         self.table = table
         self.metadata = {"policy": "solver-robber"}
 
-    def _cop_value(self, ci: int, r: int) -> int:
-        v = self.table.val_cop[ci * self.table.graph.n + r]
-        return MAXDIST if v is None else v
+    def _best(self, cops, choices) -> int:
+        """The first of `choices` with the largest cop-turn value."""
+        t = self.table
+        ci = t.config_index[tuple(sorted(cops))]
+        return max(choices, key=lambda r: t._value(ci, r, COP))
 
     def placement(self, g: Graph, cops) -> int:
-        ci = self.table.config_index[tuple(sorted(cops))]
-        best_r, best_v = 0, -1
-        for r in range(g.n):
-            v = self._cop_value(ci, r)
-            if v > best_v:
-                best_r, best_v = r, v
-        return best_r
+        return self._best(cops, range(g.n))
 
     def move(self, g: Graph, cops, robber: int, rnd: int) -> int:
-        ci = self.table.config_index[tuple(sorted(cops))]
-        best_r, best_v = robber, -1
-        for r in g.closed[robber]:
-            v = self._cop_value(ci, r)
-            if v > best_v:
-                best_r, best_v = r, v
-        return best_r
+        return self._best(cops, g.closed[robber])
 
 
 def extract_policies(table: ValueTable):

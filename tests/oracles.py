@@ -6,6 +6,8 @@ of the bitset level sweep, and plain subset enumeration instead of pruned or
 branch-and-bound search. Graph walks and matching are checked against
 straightforward per-purpose versions: parent-pointer BFS, edge-forbidding
 restricted BFS, set-grown components and the recursive augmenting DFS.
+The solver's placement and policy choices are checked against full scans
+of counter_retrograde's dense per-state values.
 Graph construction is checked against per-entry validation over a set of
 directed pairs, and G(n, p) against its edge-list build.
 """
@@ -13,7 +15,7 @@ directed pairs, and G(n, p) against its edge-list build.
 import itertools
 from collections import deque
 
-from copsrobbers.graphs import Graph
+from copsrobbers.graphs import MAXDIST, Graph
 from copsrobbers.rng import make_rng
 
 INF = float("inf")
@@ -125,6 +127,43 @@ def counter_retrograde(g, k):
         cur = nxt
         level += 1
     return val_cop, val_rob, visited, moves
+
+
+def _dense(vals, ci, n, r):
+    v = vals[ci * n + r]
+    return MAXDIST if v is None else v
+
+
+def dense_best_placement(configs, n, val_cop):
+    """(config, value): the first config whose worst robber placement is
+    smallest, scanning every cop-to-move state."""
+    best_cfg, best_val = None, MAXDIST + 1
+    for ci, cfg in enumerate(configs):
+        worst = max(_dense(val_cop, ci, n, r) for r in range(n))
+        if worst < best_val:
+            best_cfg, best_val = cfg, worst
+    return best_cfg, best_val
+
+
+def dense_cop_move(val_rob, n, succs, r):
+    """The successor config index of least robber-to-move value, smallest
+    index on ties."""
+    best_val, best = MAXDIST + 1, None
+    for cj in sorted(succs):
+        v = _dense(val_rob, cj, n, r)
+        if v < best_val:
+            best_val, best = v, cj
+    return best
+
+
+def dense_robber_choice(val_cop, n, ci, choices):
+    """The first of `choices` with the largest cop-to-move value."""
+    best_r, best_v = None, -1
+    for r in choices:
+        v = _dense(val_cop, ci, n, r)
+        if v > best_v:
+            best_r, best_v = r, v
+    return best_r
 
 
 def naive_capture_time(g, k):

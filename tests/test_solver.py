@@ -11,7 +11,6 @@ from copsrobbers.play import play
 from copsrobbers.solver import (
     COP,
     ROB,
-    ValueTable,
     audit_fixed_point,
     capture_time,
     cop_number,
@@ -20,7 +19,15 @@ from copsrobbers.solver import (
     solve,
 )
 
-from oracles import INF, counter_retrograde, naive_capture_time, naive_game_values
+from oracles import (
+    INF,
+    counter_retrograde,
+    dense_best_placement,
+    dense_cop_move,
+    dense_robber_choice,
+    naive_capture_time,
+    naive_game_values,
+)
 
 
 def assert_matches_oracle(g, k):
@@ -56,13 +63,20 @@ def test_oracle_random_graphs(seed, k):
     assert_matches_oracle(g, k)
 
 
+def dense_values(table, mover):
+    """The table's values in counter_retrograde's layout: index
+    config_index * n + robber, None for robber-win states."""
+    vals = (table.value(cfg, r, mover) for cfg in table.configs for r in range(table.graph.n))
+    return [None if v == MAXDIST else v for v in vals]
+
+
 def assert_matches_counter_retrograde(g, k):
     """The bitset sweep settles the same states at the same levels as the
     per-state counter pass, with the same joint-move sets, in ascending rows."""
     table = solve(g, k)
     val_cop, val_rob, visited, moves = counter_retrograde(g, k)
-    assert table.val_cop == val_cop
-    assert table.val_rob == val_rob
+    assert dense_values(table, COP) == val_cop
+    assert dense_values(table, ROB) == val_rob
     assert table.states_visited == visited
     for ci, want in enumerate(moves):
         row = table.joint_moves(ci)
@@ -70,14 +84,36 @@ def assert_matches_counter_retrograde(g, k):
         assert all(a < b for a, b in zip(row, row[1:])), table.configs[ci]
 
 
-def test_counter_retrograde_robber_win_and_disconnected():
+def assert_choices_match_dense_scans(g, k):
+    """best_placement and both extracted policies choose, at every config
+    and robber vertex, what a full scan of the dense values chooses."""
+    table = solve(g, k)
+    val_cop, val_rob, _, moves = counter_retrograde(g, k)
+    n, configs = g.n, table.configs
+    assert table.best_placement() == dense_best_placement(configs, n, val_cop)
+    cop_pol, rob_pol = extract_policies(table)
+    for ci, cfg in enumerate(configs):
+        assert rob_pol.placement(g, cfg) == dense_robber_choice(val_cop, n, ci, range(n)), cfg
+        for r in range(n):
+            want = configs[dense_cop_move(val_rob, n, moves[ci], r)]
+            assert tuple(sorted(cop_pol.move(g, cfg, r, 1))) == want, (cfg, r)
+            want = dense_robber_choice(val_cop, n, ci, g.closed[r])
+            assert rob_pol.move(g, cfg, r, 1) == want, (cfg, r)
+
+
+def robber_win_and_disconnected_cases():
     q3, _ = gen_hypercube(3)
     two_triangles = Graph.from_edges(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-    for g, k in (
+    return (
         (gen_cycle(4), 1), (gen_cycle(5), 1), (q3, 1), (q3, 2),
         (two_triangles, 1), (two_triangles, 2), (Graph.from_edges(1, []), 1),
-    ):
+    )
+
+
+def test_counter_retrograde_robber_win_and_disconnected():
+    for g, k in robber_win_and_disconnected_cases():
         assert_matches_counter_retrograde(g, k)
+        assert_choices_match_dense_scans(g, k)
 
 
 @settings(max_examples=60)
@@ -85,6 +121,20 @@ def test_counter_retrograde_robber_win_and_disconnected():
        st.integers(1, 3))
 def test_counter_retrograde_random_graphs(n, p, seed, k):
     assert_matches_counter_retrograde(gen_gnp(n, p, seed), k)
+
+
+@settings(max_examples=40)
+@given(st.integers(1, 9), st.sampled_from([0.0, 0.2, 0.4, 0.6, 0.9]), st.integers(0, 10_000),
+       st.integers(1, 3))
+def test_choices_match_dense_scans_random_graphs(n, p, seed, k):
+    assert_choices_match_dense_scans(gen_gnp(n, p, seed), k)
+
+
+def test_solve_rejects_the_empty_graph():
+    empty = Graph(0, [])
+    with pytest.raises(ValueError):
+        solve(empty, 1)
+    assert capture_time(empty, 1) == 0
 
 
 # --- value examples
@@ -195,7 +245,11 @@ def test_fixed_point_audit_clean():
 
 def test_fixed_point_audit_detects_corruption():
     table = solve(gen_path(4)[0], 1)
-    table.val_cop[5] = 99
+    cop, rob = table.levels[0]
+    ci = table.config_index[(1,)]
+    # drop the capture state (cop and robber on vertex 1) from level 0
+    table.levels[0] = (cop[:ci] + (cop[ci] & ~(1 << 1),) + cop[ci + 1:], rob)
+    assert table.value((1,), 1, COP) == 1
     assert audit_fixed_point(table) != []
 
 
@@ -276,33 +330,3 @@ def test_solver_robber_survives_against_any_cop():
     for seed in range(10):
         t = play(g, k, RandomCops(seed), rob_pol, max_rounds=30)
         assert t.capture_round is None or t.capture_round >= capt
-
-
-# --- binary dump
-
-
-def test_table_dump_round_trip(tmp_path):
-    g = gen_tree(7, 2)
-    table = solve(g, 2)
-    path = tmp_path / "table.bin"
-    table.save(path)
-    loaded = ValueTable.load(path, g)
-    assert loaded.val_cop == table.val_cop
-    assert loaded.val_rob == table.val_rob
-    assert loaded.k == 2
-    assert audit_fixed_point(loaded) == []
-    assert [loaded.joint_moves(ci) for ci in range(len(loaded.configs))] == [
-        table.joint_moves(ci) for ci in range(len(table.configs))
-    ]
-    rounds = 4 * g.n
-    replay = play(g, 2, *extract_policies(loaded), max_rounds=rounds)
-    assert replay.to_json() == play(g, 2, *extract_policies(table), max_rounds=rounds).to_json()
-
-
-def test_table_dump_rejects_wrong_graph(tmp_path):
-    g = gen_tree(7, 2)
-    other = gen_tree(7, 3)
-    path = tmp_path / "table.bin"
-    solve(g, 1).save(path)
-    with pytest.raises(ValueError):
-        ValueTable.load(path, other)

@@ -1,6 +1,7 @@
 """Structure guards: graph walks stay behind the one kernel in graphs.py, every
-Graph goes through its checked constructor, the package imports no array
-library, and every module-level import is used."""
+Graph goes through its checked constructor, game values are read only inside
+solver.py, the package imports no array library, and every module-level
+import is used."""
 
 import ast
 import os
@@ -90,3 +91,16 @@ def test_graphs_built_only_by_the_checked_constructor():
     """Every Graph runs the checks of Graph.__init__: no module makes one
     through ``__new__`` or fills in its fields from outside graphs.py."""
     assert [b for path in sorted(SRC.glob("*.py")) for b in graph_bypasses(path)] == []
+
+
+def test_value_format_stays_in_the_solver():
+    """Only solver.py reads a value table's level masks, and no dense
+    per-state value list comes back under its old names."""
+    readers = []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        assert "val_cop" not in text and "val_rob" not in text, path.name
+        if path.name != "solver.py":
+            readers += [f"{path.name}:{node.lineno}" for node in ast.walk(ast.parse(text))
+                        if isinstance(node, ast.Attribute) and node.attr == "levels"]
+    assert readers == []
