@@ -1,12 +1,16 @@
 """Undirected simple graphs with reflexive movement semantics, plus exact
-metric machinery: BFS distances, radius/diameter, metric k-centers,
-domination numbers, and retract maps.
+metric machinery: BFS distances, eccentricities, radius/diameter, metric
+k-centers, domination numbers, and retract maps.
 
-Every graph walk of the game code goes through three pieces here:
-`bfs_distances` is the one BFS (multi-source, optionally confined to an
-allowed vertex set), `step_toward` the one shortest-path step rule (the
-smallest-id neighbour one BFS layer closer, with `walk_toward` as its path
-form), and `Graph.masks` the one bitmask adjacency table.
+Every graph walk of the game code goes through four pieces here:
+`Graph.masks` is the one bitmask adjacency table; `bfs_distances` the one
+BFS (multi-source, optionally confined to an allowed vertex set), which
+expands a whole frontier bitmask per level by OR-ing the masks of its
+vertices; `eccentricities` the one all-vertices sweep, which grows every
+vertex's distance ball by its neighbours' balls each round, in place of a
+BFS from every vertex; and `step_toward` the one shortest-path step rule
+(the smallest-id neighbour one BFS layer closer, with `walk_toward` as its
+path form).
 
 Reflexivity (players may pass) is a movement rule, never stored loops: the
 closed neighbourhood N[v] = {v} | adj(v) is what game code consumes.
@@ -16,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import DisconnectedGraph, NotIsometric, SearchSpaceTooLarge
@@ -144,36 +147,40 @@ class Graph:
 def bfs_distances(g: Graph, sources, allowed=None) -> list[int]:
     """BFS distance from each vertex to the nearest source (MAXDIST if none).
 
-    `sources` is one vertex id (range-checked) or an iterable of ids. With
-    `allowed`, the search stays inside that vertex set: sources outside it
-    are ignored and every vertex outside it reads MAXDIST.
+    `sources` is one vertex id or an iterable of ids, each range-checked.
+    With `allowed`, the search stays inside that vertex set: sources outside
+    it are ignored and every vertex outside it reads MAXDIST.
     """
     if isinstance(sources, int):
-        if not 0 <= sources < g.n:
-            raise ValueError(f"source {sources} out of range")
         sources = (sources,)
-    if allowed is None:
-        dist = [MAXDIST] * g.n
-    else:
-        # -1 marks a blocked vertex as already seen, keeping the edge loop test-free
-        dist = [-1] * g.n
-        for v in allowed:
-            dist[v] = MAXDIST
-    q = deque()
+    frontier = 0
     for s in sources:
-        if dist[s] == MAXDIST:
-            dist[s] = 0
-            q.append(s)
-    adj = g.adj
-    while q:
-        v = q.popleft()
-        d = dist[v] + 1
-        for u in adj[v]:
-            if dist[u] == MAXDIST:
-                dist[u] = d
-                q.append(u)
-    if allowed is not None:
-        dist = [MAXDIST if d < 0 else d for d in dist]
+        if not 0 <= s < g.n:
+            raise ValueError(f"source {s} out of range")
+        frontier |= 1 << s
+    # `unseen` holds the vertices no level has reached; outside `allowed`
+    # nothing is ever unseen, so no level enters them
+    if allowed is None:
+        unseen = (1 << g.n) - 1
+    else:
+        unseen = 0
+        for v in allowed:
+            unseen |= 1 << v
+    frontier &= unseen
+    dist = [MAXDIST] * g.n
+    masks = g.masks
+    d = 0
+    while frontier:
+        unseen ^= frontier
+        nxt = 0
+        while frontier:
+            # peel the top bit, so the frontier shrinks as it is read
+            v = frontier.bit_length() - 1
+            dist[v] = d
+            nxt |= masks[v]
+            frontier ^= 1 << v
+        frontier = nxt & unseen
+        d += 1
     return dist
 
 
@@ -219,16 +226,47 @@ class Metrics:
     eccentricities: tuple[int, ...]
 
 
+def eccentricities(g: Graph) -> list[int]:
+    """Eccentricity of every vertex, from one bit-parallel sweep.
+
+    reach[v] is the ball of radius d around v as a bitmask; each round ORs
+    the neighbours' balls into it, and v's eccentricity is the first d at
+    which its ball is the whole vertex set. On a connected graph a ball
+    that is not yet full always grows, so a ball that stops growing means
+    the graph is disconnected.
+    """
+    full = (1 << g.n) - 1
+    adj = g.adj
+    reach = [1 << v for v in range(g.n)]
+    ecc = [0] * g.n
+    growing = [v for v in range(g.n) if reach[v] != full]
+    d = 0
+    while growing:
+        d += 1
+        prev = reach[:]
+        still = []
+        for v in growing:
+            r = old = prev[v]
+            for u in adj[v]:
+                r |= prev[u]
+            if r == old:
+                raise DisconnectedGraph("eccentricities require a connected graph")
+            reach[v] = r
+            if r == full:
+                ecc[v] = d
+            else:
+                still.append(v)
+        growing = still
+    return ecc
+
+
 def metrics(g: Graph) -> Metrics:
     if g.n == 0:
         raise DisconnectedGraph("empty graph has no metrics")
-    ecc = []
-    for v in range(g.n):
-        dist = bfs_distances(g, v)
-        e = max(dist)
-        if e == MAXDIST:
-            raise DisconnectedGraph("metrics require a connected graph")
-        ecc.append(e)
+    try:
+        ecc = eccentricities(g)
+    except DisconnectedGraph:
+        raise DisconnectedGraph("metrics require a connected graph") from None
     return Metrics(min(ecc), max(ecc), tuple(ecc))
 
 

@@ -21,7 +21,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import DisconnectedGraph, ProgressStall, TeamBudgetExceeded
-from .graphs import Graph, bfs_distances, component_of, metrics, step_toward, walk_toward
+from .graphs import (
+    Graph,
+    bfs_distances,
+    component_of,
+    eccentricities,
+    metrics,
+    step_toward,
+    walk_toward,
+)
 from .play import CopPolicy
 
 
@@ -63,12 +71,9 @@ def separator(g: Graph) -> SeparatorResult:
     if not g.is_connected():
         raise DisconnectedGraph("separator needs a connected graph")
 
-    ecc_root, best_e = 0, -1
-    for v in range(g.n):
-        e = max(bfs_distances(g, v))
-        if e > best_e:
-            ecc_root, best_e = v, e
-    dist = bfs_distances(g, ecc_root)
+    ecc = eccentricities(g)
+    best_e = max(ecc)
+    dist = bfs_distances(g, ecc.index(best_e))
     levels = [[] for _ in range(best_e + 1)]
     for v in range(g.n):
         levels[dist[v]].append(v)
@@ -253,13 +258,10 @@ class ThreeCopPlanarPolicy(CopPolicy):
         self.g = g
         # the diametral pair: the first u of largest eccentricity, and the
         # first vertex farthest from it
-        self.diam = -1
-        for u in range(g.n):
-            du = bfs_distances(g, u)
-            ecc = max(du)
-            if ecc > self.diam:
-                self.diam, pair = ecc, (u, du.index(ecc))
-        self.init_path = tuple(_path(g, pair[0], pair[1]))
+        ecc = eccentricities(g)
+        self.diam = max(ecc)
+        du = bfs_distances(g, ecc.index(self.diam))
+        self.init_path = tuple(walk_toward(g, du, du.index(self.diam))[::-1])
         self.guards: list[GuardedPath] = []
         self.pending: dict | None = None
         self.free: list[int] = []

@@ -233,6 +233,8 @@ def capture_time(g: Graph, k: int, **caps) -> int:
 
 
 def cop_number(g: Graph, *, max_k: int | None = None, **caps) -> int:
+    if g.n == 0:
+        raise ValueError("the empty graph has no game to solve")
     k = 1
     limit = max_k if max_k is not None else g.n
     while k <= limit:

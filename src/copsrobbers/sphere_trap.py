@@ -91,18 +91,25 @@ def trap_matching(g: Graph, cops, v: int, d: int, reach: int, mode: str = "hyper
     need = d + 1 if mode == "hypercube" else reach
     adj = []
     if mode == "general" and reach == 2:
-        # dist(pos, t) <= 2 iff equal, adjacent, or sharing a neighbour;
-        # avoids one BFS per target on dense graphs
+        # dist(pos, t) <= 2 iff pos lies in N[t] or in N(u) for some u ~ t.
+        # Strike those balls off the cop positions, one mask at a time, until
+        # none is left (on dense graphs after a few neighbours); avoids one
+        # BFS per target and one test per cop.
         masks = g.masks
+        occupied = 0
+        for pos in cops:
+            occupied |= 1 << pos
+        everyone = list(range(len(cops)))
         for t in targets:
-            tmask = masks[t]
-            adj.append(
-                [
-                    cop_id
-                    for cop_id, pos in enumerate(cops)
-                    if pos == t or (tmask >> pos) & 1 or tmask & masks[pos]
-                ]
-            )
+            far = occupied & ~(masks[t] | 1 << t)
+            for u in g.adj[t]:
+                if not far:
+                    break
+                far &= ~masks[u]
+            if far:
+                adj.append([cop_id for cop_id, pos in enumerate(cops) if not far >> pos & 1])
+            else:
+                adj.append(everyone)
     else:
         for t in targets:
             dist_t = bfs_distances(g, t)

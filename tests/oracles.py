@@ -4,7 +4,8 @@ These deliberately use different algorithm families from the package code:
 global relaxation sweeps and per-state counter retrograde analysis instead
 of the bitset level sweep, and plain subset enumeration instead of pruned or
 branch-and-bound search. Graph walks and matching are checked against
-straightforward per-purpose versions: parent-pointer BFS, edge-forbidding
+straightforward per-purpose versions: the multi-source queue BFS that the
+frontier-bitmask kernel replaced, parent-pointer BFS, edge-forbidding
 restricted BFS, set-grown components and the recursive augmenting DFS.
 The solver's placement and policy choices are checked against full scans
 of counter_retrograde's dense per-state values.
@@ -237,6 +238,64 @@ def bfs_parents(g, source):
                 parent[u] = v
                 q.append(u)
     return dist, parent
+
+
+def reference_bfs_distances(g, sources, allowed=None):
+    """Multi-source queue BFS with bfs_distances' contract: one range-checked
+    id or an iterable of ids, confined to `allowed` when given."""
+    if isinstance(sources, int):
+        if not 0 <= sources < g.n:
+            raise ValueError(f"source {sources} out of range")
+        sources = (sources,)
+    if allowed is None:
+        dist = [MAXDIST] * g.n
+    else:
+        # -1 marks a blocked vertex as already seen
+        dist = [-1] * g.n
+        for v in allowed:
+            dist[v] = MAXDIST
+    q = deque()
+    for s in sources:
+        if dist[s] == MAXDIST:
+            dist[s] = 0
+            q.append(s)
+    while q:
+        v = q.popleft()
+        d = dist[v] + 1
+        for u in g.adj[v]:
+            if dist[u] == MAXDIST:
+                dist[u] = d
+                q.append(u)
+    return [MAXDIST if d < 0 else d for d in dist]
+
+
+def reference_eccentricities(g):
+    """Eccentricities from one queue BFS per vertex."""
+    return [max(reference_bfs_distances(g, v)) for v in range(g.n)]
+
+
+def reference_separator(g):
+    """(root, separator, side_a, side_b) of the one-level separator: the root
+    is the first vertex of largest eccentricity (one BFS per vertex), S the
+    balanced BFS level from it with the fewest vertices, then the smallest
+    larger side, then the lowest level; A is every level below S, B above."""
+    ecc = reference_eccentricities(g)
+    root = ecc.index(max(ecc))
+    dist = reference_bfs_distances(g, root)
+    n = g.n
+    best = min(
+        (len([v for v in range(n) if dist[v] == i]), max(below, above), i)
+        for i in range(max(ecc) + 1)
+        for below, above in [(sum(d < i for d in dist), sum(d > i for d in dist))]
+        if 3 * below <= 2 * n and 3 * above <= 2 * n
+    )
+    i = best[2]
+    return (
+        root,
+        tuple(v for v in range(n) if dist[v] == i),
+        tuple(v for v in range(n) if dist[v] < i),
+        tuple(v for v in range(n) if dist[v] > i),
+    )
 
 
 def parent_walk(parent, v, steps):

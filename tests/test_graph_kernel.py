@@ -1,18 +1,29 @@
-"""The one BFS kernel and step rule against the reference walks in oracles.py."""
+"""The one BFS kernel, the eccentricity sweep and the step rule against the
+reference walks in oracles.py."""
 
 import random
 import sys
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from copsrobbers import planar
 from copsrobbers.errors import DisconnectedGraph
-from copsrobbers.generators import gen_gnp, gen_tree
-from copsrobbers.graphs import MAXDIST, Graph, bfs_distances, component_of, step_toward, walk_toward
+from copsrobbers.generators import gen_connected_gnp, gen_gnp, gen_grid_dims, gen_hypercube, gen_path, gen_tree
+from copsrobbers.graphs import (
+    MAXDIST,
+    Graph,
+    bfs_distances,
+    component_of,
+    eccentricities,
+    metrics,
+    step_toward,
+    walk_toward,
+)
 from copsrobbers.matching import hopcroft_karp
-from copsrobbers.planar import _join_path, _path
+from copsrobbers.planar import SeparatorResult, ThreeCopPlanarPolicy, _join_path, _path, separator
 from copsrobbers.sphere_trap import _route
 
 
@@ -41,6 +52,111 @@ def test_bfs_kernel_matches_oracles(seed):
     for s in range(g.n):
         assert bfs_distances(g, s, allowed) == oracles.restricted_dist(g, allowed, s)
         assert component_of(g, s, blocked) == oracles.component_of(g, s, blocked)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 30), st.sampled_from([0.03, 0.08, 0.15, 0.3, 0.6]), st.integers(0, 10**6))
+def test_frontier_bfs_matches_queue_bfs(n, p, seed):
+    """Int and iterable sources, empty sources, sources outside `allowed`,
+    random `allowed` sets; sparse p gives disconnected graphs."""
+    g = gen_gnp(n, p, f"frontier-{seed}")
+    rng = random.Random(seed)
+    allowed = random_subset(rng, n)
+    sources = rng.sample(range(n), rng.randint(0, min(n, 4)))
+    for src in [rng.randrange(n), sources, tuple(sources), set(sources), []]:
+        for allow in [None, allowed, frozenset(), range(n)]:
+            assert bfs_distances(g, src, allow) == oracles.reference_bfs_distances(g, src, allow)
+    outside = [v for v in range(n) if v not in allowed]
+    assert bfs_distances(g, outside, allowed) == [MAXDIST] * n
+
+
+def test_frontier_bfs_edge_cases():
+    empty = Graph(0, [])
+    assert bfs_distances(empty, []) == [] == oracles.reference_bfs_distances(empty, [])
+    g, _ = gen_path(4)
+    for bad in (-1, 4, [0, 4], (-1,)):
+        with pytest.raises(ValueError, match="out of range"):
+            bfs_distances(g, bad)
+    assert bfs_distances(g, [0, 3]) == [0, 1, 1, 0]
+    assert bfs_distances(g, 0, {0, 1, 3}) == [0, 1, MAXDIST, MAXDIST]
+
+
+def star(leaves):
+    return Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+
+
+ECC_FAMILIES = (
+    [("K1", Graph(1, [()])), ("K2", Graph.from_edges(2, [(0, 1)]))]
+    + [(f"P{q}", gen_path(q)[0]) for q in (3, 8, 31)]
+    + [(f"star{q}", star(q)) for q in (1, 2, 9)]
+    + [(f"grid{a}x{b}", gen_grid_dims([a, b])[0]) for a, b in ((1, 5), (3, 3), (4, 7), (10, 10))]
+    + [("grid3x3x3", gen_grid_dims([3, 3, 3])[0])]
+    + [(f"Q{d}", gen_hypercube(d)[0]) for d in (3, 4, 5)]
+)
+
+
+@pytest.mark.parametrize("name,g", ECC_FAMILIES, ids=[name for name, _ in ECC_FAMILIES])
+def test_eccentricities_on_families(name, g):
+    assert eccentricities(g) == oracles.reference_eccentricities(g)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 30), st.sampled_from([0.1, 0.2, 0.4, 0.8]), st.integers(0, 10**6))
+def test_eccentricities_on_random_connected_graphs(n, p, seed):
+    g, _ = gen_connected_gnp(n, p, seed)
+    ecc = oracles.reference_eccentricities(g)
+    assert eccentricities(g) == ecc
+    m = metrics(g)
+    assert (m.radius, m.diameter, m.eccentricities) == (min(ecc), max(ecc), tuple(ecc))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        Graph.from_edges(2, []),
+        Graph.from_edges(4, [(0, 1), (2, 3)]),
+        Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4)]),
+    ],
+    ids=["two_isolated", "two_edges", "path_plus_isolated"],
+)
+def test_eccentricities_reject_disconnected(g):
+    with pytest.raises(DisconnectedGraph):
+        eccentricities(g)
+    with pytest.raises(DisconnectedGraph, match="metrics require a connected graph"):
+        metrics(g)
+
+
+def recorded_bfs_sources(monkeypatch):
+    calls = []
+    kernel = planar.bfs_distances
+
+    def recording(g, sources, allowed=None):
+        calls.append(sources)
+        return kernel(g, sources, allowed)
+
+    monkeypatch.setattr(planar, "bfs_distances", recording)
+    return calls
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 24), st.sampled_from([0.1, 0.25, 0.5]), st.integers(0, 10**6))
+def test_separator_root_and_init_path_match_one_bfs_per_vertex(n, p, seed):
+    """The separator's root and result, and the three-cop policy's initial
+    diametral path, are those an n-BFS eccentricity scan picks; each runs
+    one BFS of its own from that root."""
+    g, _ = gen_connected_gnp(n, p, seed)
+    root, sep, side_a, side_b = oracles.reference_separator(g)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = recorded_bfs_sources(mp)
+        assert separator(g) == SeparatorResult(sep, side_a, side_b)
+        assert calls == [root]
+        calls.clear()
+        policy = ThreeCopPlanarPolicy(g)
+        assert calls == [root]
+    du = oracles.reference_bfs_distances(g, root)
+    far = du.index(max(du))
+    assert policy.diam == max(du)
+    assert policy.init_path == tuple(oracles.restricted_path(g, set(range(n)), root, far))
 
 
 @given(st.integers(0, 10_000))

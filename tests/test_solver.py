@@ -280,6 +280,11 @@ def test_estimate_cost_counts_states():
     assert moves == total * g.n
 
 
+def test_cop_number_of_empty_graph_is_a_domain_error():
+    with pytest.raises(ValueError, match="empty graph"):
+        cop_number(Graph(0, []))
+
+
 def test_cop_number_budget_error():
     g = gen_cycle(4)
     with pytest.raises(StateBudgetExceeded):

@@ -1,14 +1,18 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from copsrobbers import sphere_trap
 from copsrobbers.errors import DomainError, LayerHallFailure
 from copsrobbers.generators import gen_gnp, gen_hypercube, gen_path
 from copsrobbers.graphs import Graph, bfs_distances
+from copsrobbers.matching import hopcroft_karp
 from copsrobbers.play import play
 from copsrobbers.solver import extract_policies, solve
 from copsrobbers.sphere_trap import (
@@ -107,6 +111,32 @@ def test_assignment_injective_with_short_routes(seed):
             assert route[0] == cops[cid]
             for a, b in zip(route, route[1:]):
                 assert b in g.adj[a]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 30), st.sampled_from([0.08, 0.2, 0.5, 0.9]), st.integers(0, 10**6))
+def test_general_reach_two_lists_every_cop_within_two(n, p, seed):
+    """Each sphere target's eligible cop ids are exactly the cops within
+    distance 2 of it (duplicated positions included), in ascending order."""
+    rng = random.Random(seed)
+    g = gen_gnp(n, p, f"reach2-{seed}")
+    cops = [rng.randrange(n) for _ in range(rng.randint(0, 2 * n))]
+    v, d = rng.randrange(n), rng.randint(1, 3)
+    seen = []
+
+    def recording(adj, n_right):
+        seen.append([list(row) for row in adj])
+        return hopcroft_karp(adj, n_right)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sphere_trap, "hopcroft_karp", recording)
+        trap_matching(g, cops, v, d, 2, mode="general")
+    targets = [u for u, du in enumerate(oracles.reference_bfs_distances(g, v)) if du == d]
+    if not targets:
+        assert seen == []
+        return
+    dist = {t: oracles.reference_bfs_distances(g, t) for t in targets}
+    assert seen == [[[c for c, pos in enumerate(cops) if dist[t][pos] <= 2] for t in targets]]
 
 
 # --- tightening

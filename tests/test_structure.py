@@ -14,10 +14,38 @@ import copsrobbers
 SRC = Path(copsrobbers.__file__).parent
 
 
+def _calls(nodes, name):
+    return [c for node in nodes for c in ast.walk(node) if isinstance(c, ast.Call)
+            and name in (getattr(c.func, "id", None), getattr(c.func, "attr", None))]
+
+
+def bfs_in_range_loops(path):
+    """Where a module calls bfs_distances in the body of a ``for ... in
+    range(...)`` loop or comprehension: one BFS per vertex."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.For) and _calls([node.iter], "range"):
+            body = node.body
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)) \
+                and _calls([gen.iter for gen in node.generators], "range"):
+            body = [getattr(node, f) for f in ("elt", "key", "value") if hasattr(node, f)]
+            body += [cond for gen in node.generators for cond in gen.ifs]
+        else:
+            continue
+        found += [f"{path.name}:{c.lineno}" for c in _calls(body, "bfs_distances")]
+    return found
+
+
 def test_bfs_loops_only_in_the_kernel_and_matching():
-    counts = {p.name: p.read_text(encoding="utf-8").count("popleft") for p in SRC.glob("*.py")}
-    assert counts["graphs.py"] == 1
-    assert {name for name, c in counts.items() if c} <= {"graphs.py", "matching.py"}
+    """The one BFS is the frontier-bitmask kernel in graphs.py: no other
+    module keeps a queue BFS (matching.py's Hopcroft-Karp layers aside), and
+    none runs a BFS from every vertex, which is what eccentricities() is for."""
+    queues = [p.name for p in SRC.glob("*.py") if p.name != "matching.py"
+              and any(word in p.read_text(encoding="utf-8") for word in ("deque", "popleft"))]
+    assert queues == []
+    loops = [hit for p in sorted(SRC.glob("*.py")) if p.name != "graphs.py"
+             for hit in bfs_in_range_loops(p)]
+    assert loops == []
 
 
 def test_no_recursion_limit_changes():
