@@ -3,14 +3,12 @@ metric machinery: BFS distances, eccentricities, radius/diameter, metric
 k-centers, domination numbers, and retract maps.
 
 Every graph walk of the game code goes through four pieces here:
-`Graph.masks` is the one bitmask adjacency table; `bfs_distances` the one
-BFS (multi-source, optionally confined to an allowed vertex set), which
-expands a whole frontier bitmask per level by OR-ing the masks of its
-vertices; `eccentricities` the one all-vertices sweep, which grows every
-vertex's distance ball by its neighbours' balls each round, in place of a
-BFS from every vertex; and `step_toward` the one shortest-path step rule
-(the smallest-id neighbour one BFS layer closer, with `walk_toward` as its
-path form).
+`bfs_distances` is the one BFS (a queue over adjacency lists, multi-source,
+optionally confined to an allowed vertex set), `eccentricities` the one
+all-vertices sweep (bit-parallel over batches of sources, in place of a BFS
+from every vertex), `step_toward` the one shortest-path step rule (the
+smallest-id neighbour one BFS layer closer, with `walk_toward` as its path
+form), and `Graph.masks` the one bitmask adjacency table.
 
 Reflexivity (players may pass) is a movement rule, never stored loops: the
 closed neighbourhood N[v] = {v} | adj(v) is what game code consumes.
@@ -20,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass
 
 from .errors import DisconnectedGraph, NotIsometric, SearchSpaceTooLarge
@@ -28,6 +27,11 @@ from .errors import DisconnectedGraph, NotIsometric, SearchSpaceTooLarge
 MAXDIST = 2**31 - 1
 
 SUBSET_CAP = 5_000_000
+
+# Sources per eccentricities() batch: one ECC_BATCH-bit set per vertex bounds
+# the sweep's memory on large graphs, and one batch covers every graph of up
+# to ECC_BATCH vertices.
+ECC_BATCH = 1024
 
 
 class Graph:
@@ -147,40 +151,41 @@ class Graph:
 def bfs_distances(g: Graph, sources, allowed=None) -> list[int]:
     """BFS distance from each vertex to the nearest source (MAXDIST if none).
 
-    `sources` is one vertex id or an iterable of ids, each range-checked.
-    With `allowed`, the search stays inside that vertex set: sources outside
-    it are ignored and every vertex outside it reads MAXDIST.
+    `sources` is one vertex id or an iterable of ids, and `allowed` an
+    optional iterable of ids; every id is range-checked (ValueError). With
+    `allowed`, the search stays inside that vertex set: sources outside it
+    are ignored and every vertex outside it reads MAXDIST. Time and memory
+    are O(n + m) per call on any graph the generators accept.
     """
+    n = g.n
     if isinstance(sources, int):
         sources = (sources,)
-    frontier = 0
-    for s in sources:
-        if not 0 <= s < g.n:
-            raise ValueError(f"source {s} out of range")
-        frontier |= 1 << s
-    # `unseen` holds the vertices no level has reached; outside `allowed`
-    # nothing is ever unseen, so no level enters them
     if allowed is None:
-        unseen = (1 << g.n) - 1
+        dist = [MAXDIST] * n
     else:
-        unseen = 0
+        # -1 marks a blocked vertex as already seen, keeping the edge loop test-free
+        dist = [-1] * n
         for v in allowed:
-            unseen |= 1 << v
-    frontier &= unseen
-    dist = [MAXDIST] * g.n
-    masks = g.masks
-    d = 0
-    while frontier:
-        unseen ^= frontier
-        nxt = 0
-        while frontier:
-            # peel the top bit, so the frontier shrinks as it is read
-            v = frontier.bit_length() - 1
-            dist[v] = d
-            nxt |= masks[v]
-            frontier ^= 1 << v
-        frontier = nxt & unseen
-        d += 1
+            if not 0 <= v < n:
+                raise ValueError(f"allowed vertex {v} out of range")
+            dist[v] = MAXDIST
+    q = deque()
+    for s in sources:
+        if not 0 <= s < n:
+            raise ValueError(f"source {s} out of range")
+        if dist[s] == MAXDIST:
+            dist[s] = 0
+            q.append(s)
+    adj = g.adj
+    while q:
+        v = q.popleft()
+        d = dist[v] + 1
+        for u in adj[v]:
+            if dist[u] == MAXDIST:
+                dist[u] = d
+                q.append(u)
+    if allowed is not None:
+        dist = [MAXDIST if d < 0 else d for d in dist]
     return dist
 
 
@@ -227,36 +232,51 @@ class Metrics:
 
 
 def eccentricities(g: Graph) -> list[int]:
-    """Eccentricity of every vertex, from one bit-parallel sweep.
+    """Eccentricity of every vertex by bit-parallel multi-source BFS (Then et
+    al., "The More the Merrier", VLDB 2015), ECC_BATCH sources at a time.
 
-    reach[v] is the ball of radius d around v as a bitmask; each round ORs
-    the neighbours' balls into it, and v's eccentricity is the first d at
-    which its ball is the whole vertex set. On a connected graph a ball
-    that is not yet full always grows, so a ball that stops growing means
-    the graph is disconnected.
+    Within a batch, seen[v] has bit i set when source lo+i lies within
+    distance d of v, and each round ORs the neighbours' sets into it. A
+    source's eccentricity is the first round at which its bit is in every
+    vertex's set. On a connected graph some set grows every round until all
+    are full, so a round that changes nothing means the graph is
+    disconnected. Cost: O(diameter * m) ORs of ECC_BATCH-bit ints per batch
+    in place of one BFS per vertex, and O(n * ECC_BATCH) bits of memory.
     """
-    full = (1 << g.n) - 1
+    n = g.n
     adj = g.adj
-    reach = [1 << v for v in range(g.n)]
-    ecc = [0] * g.n
-    growing = [v for v in range(g.n) if reach[v] != full]
-    d = 0
-    while growing:
-        d += 1
-        prev = reach[:]
-        still = []
-        for v in growing:
-            r = old = prev[v]
-            for u in adj[v]:
-                r |= prev[u]
-            if r == old:
+    ecc = [0] * n
+    for lo in range(0, n, ECC_BATCH):
+        width = min(ECC_BATCH, n - lo)
+        full = (1 << width) - 1
+        seen = [0] * n
+        for i in range(width):
+            seen[lo + i] = 1 << i
+        # vertices some source of the batch has not reached yet
+        unreached = [v for v in range(n) if seen[v] != full]
+        finished, d = 0, 0
+        while unreached:
+            d += 1
+            prev = seen[:]
+            still = []
+            done = full  # sources within distance d of every vertex
+            for v in unreached:
+                r = prev[v]
+                for u in adj[v]:
+                    r |= prev[u]
+                seen[v] = r
+                if r != full:
+                    still.append(v)
+                    done &= r
+            if seen == prev:
                 raise DisconnectedGraph("eccentricities require a connected graph")
-            reach[v] = r
-            if r == full:
-                ecc[v] = d
-            else:
-                still.append(v)
-        growing = still
+            new = done & ~finished
+            finished = done
+            while new:
+                i = new.bit_length() - 1
+                ecc[lo + i] = d
+                new ^= 1 << i
+            unreached = still
     return ecc
 
 

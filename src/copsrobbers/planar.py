@@ -68,10 +68,10 @@ def separator(g: Graph) -> SeparatorResult:
     """
     if g.n == 0:
         raise DisconnectedGraph("empty graph")
-    if not g.is_connected():
-        raise DisconnectedGraph("separator needs a connected graph")
-
-    ecc = eccentricities(g)
+    try:
+        ecc = eccentricities(g)
+    except DisconnectedGraph:
+        raise DisconnectedGraph("separator needs a connected graph") from None
     best_e = max(ecc)
     dist = bfs_distances(g, ecc.index(best_e))
     levels = [[] for _ in range(best_e + 1)]
@@ -251,14 +251,15 @@ class ThreeCopPlanarPolicy(CopPolicy):
     """
 
     def __init__(self, g: Graph):
-        if not g.is_connected():
-            raise DisconnectedGraph("three-cop policy needs a connected graph")
         if g.n == 0:
             raise DisconnectedGraph("empty graph has no metrics")
         self.g = g
         # the diametral pair: the first u of largest eccentricity, and the
         # first vertex farthest from it
-        ecc = eccentricities(g)
+        try:
+            ecc = eccentricities(g)
+        except DisconnectedGraph:
+            raise DisconnectedGraph("three-cop policy needs a connected graph") from None
         self.diam = max(ecc)
         du = bfs_distances(g, ecc.index(self.diam))
         self.init_path = tuple(walk_toward(g, du, du.index(self.diam))[::-1])

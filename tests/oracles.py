@@ -4,9 +4,10 @@ These deliberately use different algorithm families from the package code:
 global relaxation sweeps and per-state counter retrograde analysis instead
 of the bitset level sweep, and plain subset enumeration instead of pruned or
 branch-and-bound search. Graph walks and matching are checked against
-straightforward per-purpose versions: the multi-source queue BFS that the
-frontier-bitmask kernel replaced, parent-pointer BFS, edge-forbidding
-restricted BFS, set-grown components and the recursive augmenting DFS.
+straightforward per-purpose versions: a multi-source level-set BFS (run
+from every vertex in place of the bit-parallel eccentricity sweep),
+parent-pointer BFS, edge-forbidding restricted BFS, set-grown components
+and the recursive augmenting DFS.
 The solver's placement and policy choices are checked against full scans
 of counter_retrograde's dense per-state values.
 Graph construction is checked against per-entry validation over a set of
@@ -241,36 +242,26 @@ def bfs_parents(g, source):
 
 
 def reference_bfs_distances(g, sources, allowed=None):
-    """Multi-source queue BFS with bfs_distances' contract: one range-checked
-    id or an iterable of ids, confined to `allowed` when given."""
-    if isinstance(sources, int):
-        if not 0 <= sources < g.n:
-            raise ValueError(f"source {sources} out of range")
-        sources = (sources,)
-    if allowed is None:
-        dist = [MAXDIST] * g.n
-    else:
-        # -1 marks a blocked vertex as already seen
-        dist = [-1] * g.n
-        for v in allowed:
-            dist[v] = MAXDIST
-    q = deque()
-    for s in sources:
-        if dist[s] == MAXDIST:
-            dist[s] = 0
-            q.append(s)
-    while q:
-        v = q.popleft()
-        d = dist[v] + 1
-        for u in g.adj[v]:
-            if dist[u] == MAXDIST:
-                dist[u] = d
-                q.append(u)
-    return [MAXDIST if d < 0 else d for d in dist]
+    """Level-set BFS with bfs_distances' contract: one id or an iterable of
+    ids, confined to `allowed` when given, every id range-checked. Each
+    level is the set of unvisited allowed neighbours of the one before."""
+    sources = [sources] if isinstance(sources, int) else list(sources)
+    inside = set(range(g.n)) if allowed is None else set(allowed)
+    for v in sources + sorted(inside):
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex {v} out of range")
+    dist = [MAXDIST] * g.n
+    level, d = {s for s in sources if s in inside}, 0
+    while level:
+        for v in level:
+            dist[v] = d
+        level = {u for v in level for u in g.adj[v] if u in inside and dist[u] == MAXDIST}
+        d += 1
+    return dist
 
 
 def reference_eccentricities(g):
-    """Eccentricities from one queue BFS per vertex."""
+    """Eccentricities from one level-set BFS per vertex."""
     return [max(reference_bfs_distances(g, v)) for v in range(g.n)]
 
 

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from copsrobbers import planar
+from copsrobbers import graphs, planar
 from copsrobbers.errors import DisconnectedGraph
 from copsrobbers.generators import gen_connected_gnp, gen_gnp, gen_grid_dims, gen_hypercube, gen_path, gen_tree
 from copsrobbers.graphs import (
@@ -56,7 +56,7 @@ def test_bfs_kernel_matches_oracles(seed):
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 30), st.sampled_from([0.03, 0.08, 0.15, 0.3, 0.6]), st.integers(0, 10**6))
-def test_frontier_bfs_matches_queue_bfs(n, p, seed):
+def test_bfs_matches_level_set_reference(n, p, seed):
     """Int and iterable sources, empty sources, sources outside `allowed`,
     random `allowed` sets; sparse p gives disconnected graphs."""
     g = gen_gnp(n, p, f"frontier-{seed}")
@@ -70,13 +70,16 @@ def test_frontier_bfs_matches_queue_bfs(n, p, seed):
     assert bfs_distances(g, outside, allowed) == [MAXDIST] * n
 
 
-def test_frontier_bfs_edge_cases():
+def test_bfs_edge_cases():
     empty = Graph(0, [])
     assert bfs_distances(empty, []) == [] == oracles.reference_bfs_distances(empty, [])
     g, _ = gen_path(4)
     for bad in (-1, 4, [0, 4], (-1,)):
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(ValueError, match="source .* out of range"):
             bfs_distances(g, bad)
+    for bad in ({0, 4}, [-1, 0, 1]):
+        with pytest.raises(ValueError, match="allowed vertex .* out of range"):
+            bfs_distances(g, 0, bad)
     assert bfs_distances(g, [0, 3]) == [0, 1, 1, 0]
     assert bfs_distances(g, 0, {0, 1, 3}) == [0, 1, MAXDIST, MAXDIST]
 
@@ -110,6 +113,20 @@ def test_eccentricities_on_random_connected_graphs(n, p, seed):
     assert (m.radius, m.diameter, m.eccentricities) == (min(ecc), max(ecc), tuple(ecc))
 
 
+@pytest.mark.parametrize("batch", [1, 2, 3, 7, 64])
+def test_eccentricities_in_batches(monkeypatch, batch):
+    """Graphs larger than one batch of sources: every batch width, including
+    a last batch narrower than the rest, gives the n-BFS eccentricities."""
+    monkeypatch.setattr(graphs, "ECC_BATCH", batch)
+    for _, g in ECC_FAMILIES:
+        assert eccentricities(g) == oracles.reference_eccentricities(g)
+    for seed in range(10):
+        g, _ = gen_connected_gnp(20 + seed, 0.12, seed)
+        assert eccentricities(g) == oracles.reference_eccentricities(g)
+    with pytest.raises(DisconnectedGraph):
+        eccentricities(Graph.from_edges(9, [(0, 1), (1, 2), (3, 4), (5, 6), (6, 7)]))
+
+
 @pytest.mark.parametrize(
     "g",
     [
@@ -124,6 +141,10 @@ def test_eccentricities_reject_disconnected(g):
         eccentricities(g)
     with pytest.raises(DisconnectedGraph, match="metrics require a connected graph"):
         metrics(g)
+    with pytest.raises(DisconnectedGraph, match="separator needs a connected graph"):
+        separator(g)
+    with pytest.raises(DisconnectedGraph, match="three-cop policy needs a connected graph"):
+        ThreeCopPlanarPolicy(g)
 
 
 def recorded_bfs_sources(monkeypatch):

@@ -37,12 +37,12 @@ def bfs_in_range_loops(path):
 
 
 def test_bfs_loops_only_in_the_kernel_and_matching():
-    """The one BFS is the frontier-bitmask kernel in graphs.py: no other
-    module keeps a queue BFS (matching.py's Hopcroft-Karp layers aside), and
-    none runs a BFS from every vertex, which is what eccentricities() is for."""
-    queues = [p.name for p in SRC.glob("*.py") if p.name != "matching.py"
-              and any(word in p.read_text(encoding="utf-8") for word in ("deque", "popleft"))]
-    assert queues == []
+    """The one queue BFS is the kernel in graphs.py (matching.py's
+    Hopcroft-Karp layers aside), and no other module runs a BFS from every
+    vertex, which is what eccentricities() is for."""
+    counts = {p.name: p.read_text(encoding="utf-8").count("popleft") for p in SRC.glob("*.py")}
+    assert counts["graphs.py"] == 1
+    assert {name for name, c in counts.items() if c} <= {"graphs.py", "matching.py"}
     loops = [hit for p in sorted(SRC.glob("*.py")) if p.name != "graphs.py"
              for hit in bfs_in_range_loops(p)]
     assert loops == []
