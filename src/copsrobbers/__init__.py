@@ -54,7 +54,6 @@ from .strategies import (
 )
 from .sphere_trap import (
     SphereTrapPolicy,
-    layers,
     net_radius,
     thresholds,
     tighten_step,

@@ -205,7 +205,7 @@ def all_passed(reports) -> bool:
 # shared instance builders
 
 
-def tree_instances(count: int = 20, n_max: int = 12, base_seed: int = 0):
+def tree_instances(count: int, n_max: int, base_seed):
     out = []
     for i in range(count):
         n = 3 + (i % (n_max - 2))
@@ -221,13 +221,7 @@ STUDY_MOVE_CAP = 1_500_000
 STUDY_GAMMA_MOVE_CAP = 40_000_000
 
 
-def random_small_study(
-    count_per_p: int = 25,
-    n_lo: int = 5,
-    n_hi: int = 10,
-    ps=(0.3, 0.5),
-    base_seed: int = 0,
-):
+def random_small_study(count_per_p: int, n_lo: int, n_hi: int, ps, base_seed):
     """Connected G(n, p) instances with exact capture times for every k the
     move budget admits (always including k = domination number), exact
     k-center radii, and metrics."""
@@ -265,12 +259,15 @@ def random_small_study(
 # suites
 
 
+# Parameters (with defaults) of two suites each; SUITES declares every suite's.
+TREE_PARAMS = {"count": 20, "n_max": 12, "base_seed": 0, "k_max": 3}
+STUDY_PARAMS = {"count_per_p": 25, "n_lo": 5, "n_hi": 10, "ps": (0.3, 0.5), "base_seed": 0}
+
+
 def _suite_trees(params):
     reports = []
-    for name, g, seed in tree_instances(
-        params.get("count", 20), params.get("n_max", 12), params.get("base_seed", 0)
-    ):
-        for k in range(1, params.get("k_max", 3) + 1):
+    for name, g, seed in tree_instances(params["count"], params["n_max"], params["base_seed"]):
+        for k in range(1, params["k_max"] + 1):
             capt = capture_time(g, k)
             rad = k_center(g, k).radius if k < g.n else 0
             reports.append(
@@ -284,7 +281,7 @@ def _suite_trees(params):
 
 def _suite_grid_closed_form(params):
     reports = []
-    lo, hi = params.get("m_min", 2), params.get("m_max", 5)
+    lo, hi = params["m_min"], params["m_max"]
     for m in range(lo, hi + 1):
         for n in range(lo, hi + 1):
             g, _ = gen_grid_dims([m, n])
@@ -299,20 +296,9 @@ def _suite_grid_closed_form(params):
     return reports
 
 
-def _study(params):
-    """random_small_study with a suite's parameters, defaults filled in."""
-    return random_small_study(
-        params.get("count_per_p", 25),
-        params.get("n_lo", 5),
-        params.get("n_hi", 10),
-        tuple(params.get("ps", (0.3, 0.5))),
-        params.get("base_seed", 0),
-    )
-
-
 def _suite_lower_bounds(params):
     reports = []
-    for inst in _study(params):
+    for inst in random_small_study(**params):
         diam = inst["diam"]
         for k, capt in sorted(inst["capts"].items()):
             rad = inst["radk"][k]
@@ -334,7 +320,7 @@ def _suite_lower_bounds(params):
 
 def _suite_monotonicity(params):
     reports = []
-    for inst in _study(params):
+    for inst in random_small_study(**params):
         g = inst["graph"]
         capts = inst["capts"]
         ks = sorted(capts)
@@ -397,10 +383,8 @@ def _suite_hypercube_small(params):
 def _suite_strategy_audits(params):
     reports = []
     # tree chase versus the solver-extracted optimal robber
-    for name, g, seed in tree_instances(
-        params.get("count", 20), params.get("n_max", 12), params.get("base_seed", 0)
-    ):
-        for k in range(1, params.get("k_max", 3) + 1):
+    for name, g, seed in tree_instances(params["count"], params["n_max"], params["base_seed"]):
+        for k in range(1, params["k_max"] + 1):
             if k >= g.n:
                 continue
             rad = k_center(g, k).radius
@@ -448,10 +432,10 @@ def _suite_strategy_audits(params):
 
 
 def _suite_sphere_trap(params):
-    seeds = params.get("seeds", 200)
-    d = params.get("d", 1)
-    k = params.get("k", 4)
-    g, _ = gen_hypercube(params.get("n", 3))
+    seeds = params["seeds"]
+    d = params["d"]
+    k = params["k"]
+    g, _ = gen_hypercube(params["n"])
     bound = 2 * d + 1
     table = solve(g, k)
     _, robber = extract_policies(table)
@@ -491,17 +475,19 @@ def _suite_sphere_trap(params):
 
 
 def _suite_random_graphs(params):
-    n = params.get("n", 500)
-    p = params.get("p", 0.5)
-    trials = params.get("trials", 100)
-    C = params.get("C", 10.0)
-    k = params.get("k", math.ceil(10 * math.sqrt(n * math.log(n))))
-    need_rate = params.get("rate", 0.95)
+    n = params["n"]
+    p = params["p"]
+    trials = params["trials"]
+    C = params["C"]
+    k = params["k"]
+    if k is None:
+        k = math.ceil(10 * math.sqrt(n * math.log(n)))
+    need_rate = params["rate"]
     degree = p * (n - 1)
     r = net_radius(n, degree, k, C)
     reports = [
-        BoundReport("random_graphs", f"gnp-{n}-{p}", "net_radius", r, params.get("expect_r", 1),
-                    r == params.get("expect_r", 1)),
+        BoundReport("random_graphs", f"gnp-{n}-{p}", "net_radius", r, params["expect_r"],
+                    r == params["expect_r"]),
     ]
     bound = 2 * r + 1
     certified = 0
@@ -535,10 +521,10 @@ def _suite_random_graphs(params):
 
 
 def _suite_separator_sweep(params):
-    q = params.get("q", 20)
+    q = params["q"]
     g, _ = gen_grid(2, q)
     n = g.n
-    k = params.get("k", 240)
+    k = params["k"]
     met = metrics(g)
     bound = 6 * met.radius * math.log2(n)
     reports = []
@@ -572,12 +558,12 @@ def _suite_separator_sweep(params):
 def _suite_planar_3cop(params):
     reports = []
     instances = [("grid4x4", gen_grid_dims([4, 4])[0]), ("C6", gen_cycle(6))]
-    for name, g, seed in tree_instances(params.get("tree_count", 10), 12, params.get("base_seed", 7)):
+    for name, g, seed in tree_instances(params["tree_count"], 12, params["base_seed"]):
         instances.append((name, g))
     for name, g in instances:
         met = metrics(g)
         bound = (met.diameter + 1) * g.n
-        table = solve(g, 3) if g.n <= params.get("solver_n_cap", 20) else None
+        table = solve(g, 3) if g.n <= params["solver_n_cap"] else None
         robbers = [("greedy", GreedyRobber())]
         if table is not None:
             robbers.append(("optimal", extract_policies(table)[1]))
@@ -614,7 +600,7 @@ def _suite_planar_3cop(params):
 
 
 def _suite_regime(params):
-    eps_iii = params.get("eps", 0.02)
+    eps_iii = params["eps"]
     reports = []
     consts = regime_constants()
     reports.append(
@@ -641,11 +627,11 @@ def _suite_regime(params):
 
 
 def _suite_grid_scaling(params):
-    d = params.get("d", 2)
-    sizes = params.get("sizes", (4, 6, 8))
-    ks = params.get("ks", (2, 4, 8))
-    move_cap = params.get("move_cap", 20_000_000)
-    state_cap = params.get("state_cap", 2_000_000)
+    d = params["d"]
+    sizes = params["sizes"]
+    ks = params["ks"]
+    move_cap = params["move_cap"]
+    state_cap = params["state_cap"]
     reports = []
     ratios = []
     for q in sizes:
@@ -673,27 +659,44 @@ def _suite_grid_scaling(params):
     return reports
 
 
+# suite name -> (function, its parameters with their defaults). verify_suite
+# fills in the defaults and rejects any other key. random_graphs' k = None
+# stands for ceil(10 sqrt(n ln n)).
 SUITES = {
-    "trees": _suite_trees,
-    "grid_closed_form": _suite_grid_closed_form,
-    "lower_bounds": _suite_lower_bounds,
-    "monotonicity": _suite_monotonicity,
-    "hypercube_small": _suite_hypercube_small,
-    "strategy_audits": _suite_strategy_audits,
-    "sphere_trap": _suite_sphere_trap,
-    "random_graphs": _suite_random_graphs,
-    "separator_sweep": _suite_separator_sweep,
-    "planar_3cop": _suite_planar_3cop,
-    "regime": _suite_regime,
-    "grid_scaling": _suite_grid_scaling,
+    "trees": (_suite_trees, TREE_PARAMS),
+    "grid_closed_form": (_suite_grid_closed_form, {"m_min": 2, "m_max": 5}),
+    "lower_bounds": (_suite_lower_bounds, STUDY_PARAMS),
+    "monotonicity": (_suite_monotonicity, STUDY_PARAMS),
+    "hypercube_small": (_suite_hypercube_small, {}),
+    "strategy_audits": (_suite_strategy_audits, TREE_PARAMS),
+    "sphere_trap": (_suite_sphere_trap, {"seeds": 200, "d": 1, "k": 4, "n": 3}),
+    "random_graphs": (_suite_random_graphs, {
+        "n": 500, "p": 0.5, "trials": 100, "C": 10.0, "k": None, "rate": 0.95, "expect_r": 1,
+    }),
+    "separator_sweep": (_suite_separator_sweep, {"q": 20, "k": 240}),
+    "planar_3cop": (_suite_planar_3cop, {"tree_count": 10, "base_seed": 7, "solver_n_cap": 20}),
+    "regime": (_suite_regime, {"eps": 0.02}),
+    "grid_scaling": (_suite_grid_scaling, {
+        "d": 2, "sizes": (4, 6, 8), "ks": (2, 4, 8), "move_cap": 20_000_000, "state_cap": 2_000_000,
+    }),
 }
 
 
 def verify_suite(name: str, params: dict | None = None, *, timings: bool = False):
+    """Run suite `name` with `params` over its defaults; a key the suite does
+    not read raises ValueError before anything runs."""
     if name not in SUITES:
         raise UnknownSuite(f"unknown suite {name!r}; known: {sorted(SUITES)}")
+    run, defaults = SUITES[name]
+    params = params or {}
+    unknown = sorted(set(params) - set(defaults))
+    if unknown:
+        raise ValueError(
+            f"unknown parameter {', '.join(unknown)} for suite {name!r}; "
+            f"accepted: {', '.join(sorted(defaults)) or 'none'}"
+        )
     t0 = time.perf_counter()
-    reports = SUITES[name](params or {})
+    reports = run({**defaults, **params})
     if timings:
         ms = int((time.perf_counter() - t0) * 1000)
         reports = [replace(r, runtime_ms=ms) if i == 0 else r for i, r in enumerate(reports)]

@@ -75,7 +75,7 @@ class CubeCodec:
         return vid
 
 
-def gen_grid_dims(dims, *, max_vertices: int = MAX_VERTICES):
+def gen_grid_dims(dims):
     """Cartesian product of paths with the given side lengths."""
     dims = tuple(int(d) for d in dims)
     if not dims or any(d < 1 for d in dims):
@@ -83,8 +83,8 @@ def gen_grid_dims(dims, *, max_vertices: int = MAX_VERTICES):
     n = 1
     for d in dims:
         n *= d
-        if n > max_vertices:
-            raise SizeCap(f"grid {dims} exceeds {max_vertices} vertices")
+        if n > MAX_VERTICES:
+            raise SizeCap(f"grid {dims} exceeds {MAX_VERTICES} vertices")
     codec = GridCodec(dims)
     strides = []
     s = 1
@@ -103,22 +103,22 @@ def gen_grid_dims(dims, *, max_vertices: int = MAX_VERTICES):
     return Graph(n, adj), codec
 
 
-def gen_grid(d: int, q: int, *, max_vertices: int = MAX_VERTICES):
+def gen_grid(d: int, q: int):
     if d < 1 or q < 1:
         raise ValueError("d and q must be at least 1")
-    return gen_grid_dims([q] * d, max_vertices=max_vertices)
+    return gen_grid_dims([q] * d)
 
 
-def gen_path(q: int, *, max_vertices: int = MAX_VERTICES):
-    return gen_grid(1, q, max_vertices=max_vertices)
+def gen_path(q: int):
+    return gen_grid(1, q)
 
 
-def gen_hypercube(n: int, *, max_vertices: int = MAX_VERTICES):
+def gen_hypercube(n: int):
     if n < 1:
         raise ValueError("n must be at least 1")
     size = 1 << n
-    if size > max_vertices:
-        raise SizeCap(f"hypercube Q_{n} exceeds {max_vertices} vertices")
+    if size > MAX_VERTICES:
+        raise SizeCap(f"hypercube Q_{n} exceeds {MAX_VERTICES} vertices")
     adj = [[vid ^ (1 << i) for i in range(n)] for vid in range(size)]
     return Graph(size, adj), CubeCodec(n)
 

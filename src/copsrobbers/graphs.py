@@ -26,7 +26,9 @@ from .errors import DisconnectedGraph, NotIsometric, SearchSpaceTooLarge
 # Distances are 32-bit counts; MAXDIST is the dedicated unreachable sentinel.
 MAXDIST = 2**31 - 1
 
+# Search caps: center sets of exact k_center, vertices of domination_number.
 SUBSET_CAP = 5_000_000
+DOMINATION_MAX_N = 40
 
 # Sources per eccentricities() batch: one ECC_BATCH-bit set per vertex bounds
 # the sweep's memory on large graphs, and one batch covers every graph of up
@@ -296,13 +298,14 @@ class KCenterResult:
     radius: int
 
 
-def k_center(g: Graph, k: int, mode: str = "exact", *, subset_cap: int = SUBSET_CAP) -> KCenterResult:
+def k_center(g: Graph, k: int, mode: str = "exact") -> KCenterResult:
     """Metric k-center of a connected graph.
 
     exact: exhaustive over k-subsets (lexicographic order, early cut-off
     against the incumbent radius), so ties resolve to the lexicographically
-    smallest center set. greedy: farthest-point seeding from vertex 0, a
-    2-approximation.
+    smallest center set; more than SUBSET_CAP subsets raise
+    SearchSpaceTooLarge before any distance is computed. greedy:
+    farthest-point seeding from vertex 0, a 2-approximation.
     """
     if not 1 <= k:
         raise ValueError("k must be at least 1")
@@ -310,9 +313,13 @@ def k_center(g: Graph, k: int, mode: str = "exact", *, subset_cap: int = SUBSET_
         raise DisconnectedGraph("empty graph")
     if k >= g.n:
         return KCenterResult(tuple(range(g.n)), 0)
-    dist = all_pairs_distances(g)
-    if any(MAXDIST in row for row in dist):
+    if not g.is_connected():
         raise DisconnectedGraph("k-center requires a connected graph")
+    if mode == "exact" and math.comb(g.n, k) > SUBSET_CAP:
+        raise SearchSpaceTooLarge(
+            f"C({g.n},{k}) = {math.comb(g.n, k)} exceeds cap {SUBSET_CAP}"
+        )
+    dist = all_pairs_distances(g)
 
     if mode == "greedy":
         centers = [0]
@@ -328,10 +335,6 @@ def k_center(g: Graph, k: int, mode: str = "exact", *, subset_cap: int = SUBSET_
 
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
-    if math.comb(g.n, k) > subset_cap:
-        raise SearchSpaceTooLarge(
-            f"C({g.n},{k}) = {math.comb(g.n, k)} exceeds cap {subset_cap}"
-        )
     best_r = MAXDIST
     best = None
     for combo in itertools.combinations(range(g.n), k):
@@ -349,10 +352,10 @@ def k_center(g: Graph, k: int, mode: str = "exact", *, subset_cap: int = SUBSET_
     return KCenterResult(best, best_r)
 
 
-def domination_number(g: Graph, *, max_n: int = 40) -> int:
+def domination_number(g: Graph) -> int:
     """Exact domination number by branch and bound over closed neighbourhoods."""
-    if g.n > max_n:
-        raise SearchSpaceTooLarge(f"n={g.n} exceeds domination cap {max_n}")
+    if g.n > DOMINATION_MAX_N:
+        raise SearchSpaceTooLarge(f"n={g.n} exceeds domination cap {DOMINATION_MAX_N}")
     if g.n == 0:
         return 0
     n = g.n

@@ -18,7 +18,7 @@ Two cop strategies live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DisconnectedGraph, ProgressStall, TeamBudgetExceeded
 from .graphs import (
@@ -187,7 +187,6 @@ class GuardedPath:
     cop: int
     status: str = "chase"  # "chase" until the cop reaches the shadow, then "guard"
     index: int = 0  # cop's current position as a path index
-    note: dict = field(default_factory=dict)
 
     def shadow_index(self, robber: int) -> int:
         return min(self.home_dist[robber], len(self.path) - 1)
@@ -325,7 +324,6 @@ class ThreeCopPlanarPolicy(CopPolicy):
         if dist[pprime[-1]] != len(pprime) - 1:
             # asserted shortest path is not isometric here; take a real one
             pprime = walk_toward(self.g, dist, pprime[-1])[::-1]
-            new_guard.note["extension_recomputed"] = True
         cop_v = new_guard.path[new_guard.index]
         if cop_v not in pprime:
             return False
@@ -333,7 +331,6 @@ class ThreeCopPlanarPolicy(CopPolicy):
         new_guard.home_dist = tuple(dist)
         new_guard.index = pprime.index(cop_v)
         new_guard.status = "chase"
-        new_guard.note["extended"] = True
         return True
 
     def _settle(self, robber: int, rnd: int):

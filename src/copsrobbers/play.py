@@ -79,6 +79,17 @@ def _legal_cop_step(g: Graph, old, new):
             raise IllegalMove(f"cops (cop {i})", f"{a} -> {b} is not a step in N[{a}]")
 
 
+def _check_cops(g: Graph, k: int, cops, old=None):
+    """The referee's checks on a placement of k cops, or on a move from `old`."""
+    if len(cops) != k:
+        raise IllegalMove("cops", f"placement produced {len(cops)} positions, wanted {k}"
+                          if old is None else "move changed the number of cops")
+    for v in cops:
+        _check_vertex(g, v, "cops")
+    if old is not None:
+        _legal_cop_step(g, old, cops)
+
+
 def play(
     g: Graph,
     k: int,
@@ -92,10 +103,7 @@ def play(
     if max_rounds < 1:
         raise ValueError("max_rounds must be at least 1")
     cops = tuple(cop_policy.placement(g, k))
-    if len(cops) != k:
-        raise IllegalMove("cops", f"placement produced {len(cops)} positions, wanted {k}")
-    for v in cops:
-        _check_vertex(g, v, "cops")
+    _check_cops(g, k, cops)
     robber = robber_policy.placement(g, cops)
     _check_vertex(g, robber, "robber")
 
@@ -106,11 +114,7 @@ def play(
     else:
         for rnd in range(1, max_rounds + 1):
             new_cops = tuple(cop_policy.move(g, cops, robber, rnd))
-            if len(new_cops) != k:
-                raise IllegalMove("cops", "move changed the number of cops")
-            for v in new_cops:
-                _check_vertex(g, v, "cops")
-            _legal_cop_step(g, cops, new_cops)
+            _check_cops(g, k, new_cops, cops)
             cops = new_cops
             cop_set = set(cops)
             if robber in cop_set:
@@ -156,10 +160,12 @@ def worst_case_capture_round(
     moves. Returns None if some robber line survives past the horizon.
 
     Only valid for policies whose move() is a pure function of
-    (cops, robber, round).
+    (cops, robber, round). The placement and every move pass the referee's
+    checks, as in `play` (IllegalMove otherwise).
     """
     closed = g.closed
     cops0 = tuple(cop_policy.placement(g, k))
+    _check_cops(g, k, cops0)
     memo: dict = {}
 
     def explore(cops, robber, rnd):
@@ -170,6 +176,7 @@ def worst_case_capture_round(
         if key in memo:
             return memo[key]
         new_cops = tuple(cop_policy.move(g, cops, robber, rnd))
+        _check_cops(g, k, new_cops, cops)
         new_set = set(new_cops)
         if robber in new_set:
             memo[key] = rnd

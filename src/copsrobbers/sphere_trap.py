@@ -2,7 +2,8 @@
 start within d+1 rounds via a saturating bipartite matching, confining the
 robber to the ball, then tighten layer by layer. Certified capture within
 2d+1 rounds whenever the matching saturates; a Hall witness is reported (and
-greedy pursuit substituted) otherwise.
+greedy pursuit substituted) otherwise. The cops eligible for each sphere
+vertex, and their routes, come from its distance balls over `Graph.masks`.
 
 Also houses the exact threshold formulas governing when the trap (or its
 counting counterpart) applies on hypercubes, and the net radius used for
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, LayerHallFailure
-from .graphs import Graph, bfs_distances, step_toward, walk_toward
+from .graphs import Graph, bfs_distances, step_toward
 from .matching import hall_witness, hopcroft_karp
 from .play import CopPolicy
 from .rng import make_rng, sample_distinct, sample_with_replacement
@@ -24,23 +25,6 @@ from .rng import make_rng, sample_distinct, sample_with_replacement
 # d <= GUARANTEE_SLOPE*n - 2 is the regime where the trap threshold formula
 # is a decreasing function of d.
 GUARANTEE_SLOPE = 0.5 - math.sqrt(2) / 4
-
-
-@dataclass(frozen=True)
-class LayerDecomposition:
-    center: int
-    layers: tuple  # layers[i] = vertices at distance exactly i, ascending
-
-
-def layers(g: Graph, v: int, r_max: int) -> LayerDecomposition:
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range")
-    dist = bfs_distances(g, v)
-    buckets = [[] for _ in range(r_max + 1)]
-    for u in range(g.n):
-        if dist[u] <= r_max:
-            buckets[dist[u]].append(u)
-    return LayerDecomposition(v, tuple(tuple(b) for b in buckets))
 
 
 @dataclass(frozen=True)
@@ -56,19 +40,6 @@ class HallWitnessResult:
     reachable_cops: tuple
 
 
-def _route(g: Graph, src: int, dst: int) -> list[int]:
-    """Deterministic shortest route src -> dst; fast paths for length <= 2."""
-    if src == dst:
-        return [src]
-    if dst in g.adj[src]:
-        return [src, dst]
-    common = g.masks[src] & g.masks[dst]
-    if common:
-        mid = (common & -common).bit_length() - 1
-        return [src, mid, dst]
-    return walk_toward(g, bfs_distances(g, dst), src)
-
-
 def trap_matching(g: Graph, cops, v: int, d: int, reach: int, mode: str = "hypercube"):
     """Match every vertex of the sphere N_d(v) to a distinct cop that can
     reach it in time.
@@ -76,51 +47,60 @@ def trap_matching(g: Graph, cops, v: int, d: int, reach: int, mode: str = "hyper
     hypercube mode admits a cop for a target iff the cop stands on the target
     or at distance exactly d+1 from it; general mode admits any cop within
     `reach`. Returns a TrapAssignment when the matching saturates the sphere,
-    otherwise a HallWitnessResult with a deficient target set.
+    otherwise a HallWitnessResult with a deficient target set. Cop positions
+    must be vertex ids (ValueError otherwise).
+
+    One BFS from v finds the sphere. For each target t, ball[i] is the
+    bitmask of vertices within distance i of t, grown ring by ring from
+    `Graph.masks` until no cop is outside it or the radius is the admission
+    distance (only the last ball may stop part-grown). Routes step inward to
+    the smallest-id neighbour in the next smaller ball: `step_toward`'s rule.
+    Memory: the masks (about n^2/16 bytes on a sparse graph) and up to
+    radius + 1 n-bit balls per target.
     """
     if reach < 1:
         raise ValueError("reach must be at least 1")
     if mode not in ("hypercube", "general"):
         raise ValueError(f"unknown mode {mode!r}")
+    cops = list(cops)
+    occupied = 0
+    for pos in cops:
+        if not 0 <= pos < g.n:
+            raise ValueError(f"cop position {pos} out of range")
+        occupied |= 1 << pos
     dist_v = bfs_distances(g, v)
     targets = [u for u in range(g.n) if dist_v[u] == d]
     if not targets:
         return TrapAssignment({}, {}, reach)
 
-    cops = list(cops)
     need = d + 1 if mode == "hypercube" else reach
+    masks = g.masks
+    everyone = list(range(len(cops)))
+    balls = []
     adj = []
-    if mode == "general" and reach == 2:
-        # dist(pos, t) <= 2 iff pos lies in N[t] or in N(u) for some u ~ t.
-        # Strike those balls off the cop positions, one mask at a time, until
-        # none is left (on dense graphs after a few neighbours); avoids one
-        # BFS per target and one test per cop.
-        masks = g.masks
-        occupied = 0
-        for pos in cops:
-            occupied |= 1 << pos
-        everyone = list(range(len(cops)))
-        for t in targets:
-            far = occupied & ~(masks[t] | 1 << t)
-            for u in g.adj[t]:
-                if not far:
-                    break
-                far &= ~masks[u]
-            if far:
-                adj.append([cop_id for cop_id, pos in enumerate(cops) if not far >> pos & 1])
-            else:
-                adj.append(everyone)
-    else:
-        for t in targets:
-            dist_t = bfs_distances(g, t)
-            elig = []
-            for cop_id, pos in enumerate(cops):
-                if mode == "hypercube":
-                    if pos == t or dist_t[pos] == d + 1:
-                        elig.append(cop_id)
-                elif dist_t[pos] <= reach:
-                    elig.append(cop_id)
-            adj.append(elig)
+    for t in targets:
+        ball = [1 << t]
+        ring = ball[0]
+        far = occupied & ~ring
+        while far and len(ball) <= need:
+            grown = ball[-1]
+            while ring and far:
+                low = ring & -ring
+                ring ^= low
+                nbrs = masks[low.bit_length() - 1]
+                grown |= nbrs
+                far &= ~nbrs
+            ring = grown & ~ball[-1]
+            ball.append(grown)
+        balls.append(ball)
+        if mode == "general":
+            elig = ball[-1]
+        else:
+            elig = 1 << t | (ball[need] & ~ball[need - 1] if len(ball) > need else 0)
+        if occupied & ~elig:
+            adj.append([cop_id for cop_id, pos in enumerate(cops) if elig >> pos & 1])
+        else:
+            adj.append(everyone)
 
     # prefer cops already standing on their target, then augment
     size, pair_left, pair_right = hopcroft_karp(adj, len(cops))
@@ -134,8 +114,16 @@ def trap_matching(g: Graph, cops, v: int, d: int, reach: int, mode: str = "hyper
     for i, t in enumerate(targets):
         cop_id = pair_left[i]
         matching[t] = cop_id
-        routes[cop_id] = tuple(_route(g, cops[cop_id], t))
-        if len(routes[cop_id]) - 1 > max(need, reach):
+        ball = balls[i]
+        pos = cops[cop_id]
+        level = next(j for j, b in enumerate(ball) if b >> pos & 1)
+        route = [pos]
+        for inner in reversed(ball[:level]):
+            step = masks[pos] & inner
+            pos = (step & -step).bit_length() - 1
+            route.append(pos)
+        routes[cop_id] = tuple(route)
+        if level > max(need, reach):
             raise AssertionError("route longer than the admissibility bound")
     return TrapAssignment(matching, routes, reach)
 

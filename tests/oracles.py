@@ -12,13 +12,16 @@ The solver's placement and policy choices are checked against full scans
 of counter_retrograde's dense per-state values.
 Graph construction is checked against per-entry validation over a set of
 directed pairs, and G(n, p) against its edge-list build.
+The sphere trap's distance balls are checked against one BFS per target.
 """
 
 import itertools
 from collections import deque
 
-from copsrobbers.graphs import MAXDIST, Graph
+from copsrobbers.graphs import MAXDIST, Graph, walk_toward
+from copsrobbers.matching import hall_witness, hopcroft_karp
 from copsrobbers.rng import make_rng
+from copsrobbers.sphere_trap import HallWitnessResult, TrapAssignment
 
 INF = float("inf")
 
@@ -444,3 +447,61 @@ def reference_gen_gnp(n, p, seed):
             if rng.random() < p:
                 edges.append((u, v))
     return Graph.from_edges(n, edges)
+
+
+# ---------------------------------------------------------------------------
+# sphere-trap matching: one BFS per target and the special-cased route
+
+
+def _reference_route(g, src, dst):
+    """Deterministic shortest route src -> dst; fast paths for length <= 2."""
+    if src == dst:
+        return [src]
+    if dst in g.adj[src]:
+        return [src, dst]
+    common = g.masks[src] & g.masks[dst]
+    if common:
+        mid = (common & -common).bit_length() - 1
+        return [src, mid, dst]
+    return walk_toward(g, reference_bfs_distances(g, dst), src)
+
+
+def reference_trap_matching(g, cops, v, d, reach, mode="hypercube"):
+    """sphere_trap.trap_matching as it was before the distance balls: the
+    eligible cops of each sphere target come from a BFS run from that
+    target, and routes from `_reference_route`. The matching itself is the
+    package's Hopcroft-Karp, so equal eligibility lists give equal results."""
+    if reach < 1:
+        raise ValueError("reach must be at least 1")
+    if mode not in ("hypercube", "general"):
+        raise ValueError(f"unknown mode {mode!r}")
+    dist_v = reference_bfs_distances(g, v)
+    targets = [u for u in range(g.n) if dist_v[u] == d]
+    if not targets:
+        return TrapAssignment({}, {}, reach)
+    cops = list(cops)
+    need = d + 1 if mode == "hypercube" else reach
+    adj = []
+    for t in targets:
+        dist_t = reference_bfs_distances(g, t)
+        elig = []
+        for cop_id, pos in enumerate(cops):
+            if mode == "hypercube":
+                if pos == t or dist_t[pos] == d + 1:
+                    elig.append(cop_id)
+            elif dist_t[pos] <= reach:
+                elig.append(cop_id)
+        adj.append(elig)
+    size, pair_left, pair_right = hopcroft_karp(adj, len(cops))
+    if size < len(targets):
+        W, NW = hall_witness(adj, pair_left, pair_right)
+        return HallWitnessResult(tuple(targets[i] for i in W), tuple(sorted(NW)))
+    matching = {}
+    routes = {}
+    for i, t in enumerate(targets):
+        cop_id = pair_left[i]
+        matching[t] = cop_id
+        routes[cop_id] = tuple(_reference_route(g, cops[cop_id], t))
+        if len(routes[cop_id]) - 1 > max(need, reach):
+            raise AssertionError("route longer than the admissibility bound")
+    return TrapAssignment(matching, routes, reach)

@@ -69,6 +69,7 @@ CASES = {
          "--robber", "greedy"], 0),
     "mc_tree": (["mc", "{config}"], 0),
     "exit1_unknown_suite": (["verify", "nosuch"], 1),
+    "exit1_unknown_suite_param": (["verify", "regime", "--set", "epss=0.3"], 1),
     "exit1_bad_spec": (["solve", "--gen", "nosuch:3", "-k", "1"], 1),
     "exit1_usage": (["solve", "--gen", "path:3"], 1),
     "exit2_domain_error": (["regime", "-n", "1", "--k", "2"], 2),

@@ -1,5 +1,10 @@
+import ast
+from pathlib import Path
+
+import pytest
+
 from copsrobbers import experiments
-from copsrobbers.experiments import MCConfig, mc_run
+from copsrobbers.experiments import MCConfig, mc_run, verify_suite
 
 
 def test_mc_run_solves_each_graph_once(monkeypatch):
@@ -23,3 +28,46 @@ def test_mc_run_solves_each_graph_once(monkeypatch):
         alone = [experiments._mc_trial(config, i, i, {}) for i in range(config.trials)]
         assert summary.rows == alone
         assert all(row["captured"] and "error" not in row for row in alone)
+
+
+def test_verify_suite_rejects_unknown_parameter(monkeypatch):
+    """A key the suite does not read stops the run before it starts, naming
+    the key and the accepted ones."""
+    ran = []
+    run, defaults = experiments.SUITES["regime"]
+    monkeypatch.setitem(experiments.SUITES, "regime", (ran.append, defaults))
+    with pytest.raises(ValueError, match="unknown parameter epss for suite 'regime'; accepted: eps$"):
+        verify_suite("regime", {"epss": 0.3})
+    with pytest.raises(ValueError, match="accepted: none"):
+        verify_suite("hypercube_small", {"n": 3})
+    assert ran == []
+    verify_suite("regime", {"eps": 0.3})
+    assert ran == [{"eps": 0.3}]
+
+
+def test_lower_bounds_accepts_the_study_keys():
+    params = {"count_per_p": 1, "n_lo": 5, "n_hi": 5, "ps": (0.3,), "base_seed": "x"}
+    reports = verify_suite("lower_bounds", params)
+    assert reports and all(r.passed for r in reports)
+
+
+def _param_keys(tree, fn_name):
+    """Keys a module function reads as params["..."], plus the parameter
+    names of each module function it calls with **params."""
+    fns = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    keys = set()
+    for node in ast.walk(fns[fn_name]):
+        if (isinstance(node, ast.Subscript) and getattr(node.value, "id", None) == "params"
+                and isinstance(node.slice, ast.Constant)):
+            keys.add(node.slice.value)
+        elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) in fns
+                and any(kw.arg is None and getattr(kw.value, "id", None) == "params"
+                        for kw in node.keywords)):
+            keys |= {a.arg for a in fns[node.func.id].args.args}
+    return keys
+
+
+def test_suite_declarations_match_what_each_suite_reads():
+    tree = ast.parse(Path(experiments.__file__).read_text(encoding="utf-8"))
+    for name, (run, defaults) in experiments.SUITES.items():
+        assert _param_keys(tree, run.__name__) == set(defaults), name

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from copsrobbers import generators
 from copsrobbers.errors import BadBox, NonSymmetricInput, ParseError, SizeCap
 from copsrobbers.generators import (
     box_retract,
@@ -40,11 +41,13 @@ def test_path_is_one_dim_grid():
     assert gen_path(7)[0] == gen_grid(1, 7)[0]
 
 
-def test_size_cap():
+def test_size_cap(monkeypatch):
+    monkeypatch.setattr(generators, "MAX_VERTICES", 50)
     with pytest.raises(SizeCap):
-        gen_grid(2, 100, max_vertices=50)
+        gen_grid(2, 100)
+    monkeypatch.setattr(generators, "MAX_VERTICES", 512)
     with pytest.raises(SizeCap):
-        gen_hypercube(10, max_vertices=512)
+        gen_hypercube(10)
 
 
 @given(st.integers(2, 4), st.integers(2, 4))

@@ -24,7 +24,7 @@ from copsrobbers.graphs import (
 )
 from copsrobbers.matching import hopcroft_karp
 from copsrobbers.planar import SeparatorResult, ThreeCopPlanarPolicy, _join_path, _path, separator
-from copsrobbers.sphere_trap import _route
+from copsrobbers.sphere_trap import HallWitnessResult, trap_matching
 
 
 def random_graph(seed):
@@ -194,12 +194,15 @@ def test_step_rule_matches_oracles(seed):
                 )
         for dst in range(g.n):
             want = oracles.restricted_path(g, everything, src, dst)
+            # one cop at dst trapping the radius-0 sphere {src}: its route
+            trap = trap_matching(g, [dst], src, 0, g.n, mode="general")
             if want is None:
                 with pytest.raises(DisconnectedGraph):
                     walk_toward(g, dist, dst)
+                assert isinstance(trap, HallWitnessResult)
                 continue
             assert walk_toward(g, dist, dst) == want[::-1]
-            assert _route(g, dst, src) == want[::-1]
+            assert trap.routes == {0: tuple(want[::-1])}
             want = oracles.restricted_path(g, allowed, src, dst)
             if want is None:
                 with pytest.raises(DisconnectedGraph):

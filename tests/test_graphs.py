@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from copsrobbers import graphs
 from copsrobbers.errors import DisconnectedGraph, NotIsometric, SearchSpaceTooLarge
 from copsrobbers.generators import (
     gen_connected_gnp,
@@ -225,10 +226,24 @@ def test_k_center_k_ge_n():
     assert res.radius == 0 and res.centers == (0, 1, 2)
 
 
-def test_k_center_cap():
+def test_k_center_cap(monkeypatch):
+    monkeypatch.setattr(graphs, "SUBSET_CAP", 10)
     g, _ = gen_grid(2, 5)
     with pytest.raises(SearchSpaceTooLarge):
-        k_center(g, 9, subset_cap=10)
+        k_center(g, 9)
+
+
+def test_k_center_cap_checked_before_distances(monkeypatch):
+    """C(3200, 2) is over the cap: exact mode refuses without building the
+    n x n distance table."""
+
+    def no_table(g):
+        raise AssertionError("all_pairs_distances called")
+
+    monkeypatch.setattr(graphs, "all_pairs_distances", no_table)
+    g, _ = gen_path(3200)
+    with pytest.raises(SearchSpaceTooLarge):
+        k_center(g, 2)
 
 
 @given(st.integers(0, 40), st.sampled_from([0.3, 0.5]))
@@ -269,10 +284,11 @@ def test_domination_matches_brute_force(seed):
     assert domination_number(g) == brute_force_domination(g)
 
 
-def test_domination_cap():
+def test_domination_cap(monkeypatch):
+    monkeypatch.setattr(graphs, "DOMINATION_MAX_N", 3)
     g, _ = gen_path(5)
     with pytest.raises(SearchSpaceTooLarge):
-        domination_number(g, max_n=3)
+        domination_number(g)
 
 
 # --- retracts

@@ -125,3 +125,26 @@ def test_worst_case_static_cops_never_capture():
 def test_worst_case_full_cover():
     g, _ = gen_path(3)
     assert worst_case_capture_round(g, StaticCopPolicy([0, 1, 2]), 3, horizon=1) == 0
+
+
+def test_worst_case_applies_the_referees_checks():
+    """The exhaustive audit rejects what play() rejects: a teleporting move, a
+    placement off the graph, and a wrong cop count."""
+    g, _ = gen_path(8)
+    with pytest.raises(IllegalMove, match="is not a step"):
+        worst_case_capture_round(g, TeleportingCops(), 1, horizon=3)
+
+    class Placed(CopPolicy):
+        def __init__(self, cops):
+            self.cops = cops
+
+        def placement(self, g, k):
+            return self.cops
+
+        def move(self, g, cops, robber, rnd):
+            return cops
+
+    with pytest.raises(IllegalMove, match="out of range"):
+        worst_case_capture_round(g, Placed((8,)), 1, horizon=3)
+    with pytest.raises(IllegalMove, match="placement produced 2 positions"):
+        worst_case_capture_round(g, Placed((0, 7)), 1, horizon=3)

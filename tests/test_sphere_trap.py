@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 import oracles
 from copsrobbers import sphere_trap
 from copsrobbers.errors import DomainError, LayerHallFailure
-from copsrobbers.generators import gen_gnp, gen_hypercube, gen_path
-from copsrobbers.graphs import Graph, bfs_distances
+from copsrobbers.generators import gen_gnp, gen_hypercube
+from copsrobbers.graphs import Graph, bfs_distances, walk_toward
 from copsrobbers.matching import hopcroft_karp
 from copsrobbers.play import play
 from copsrobbers.solver import extract_policies, solve
@@ -21,7 +21,6 @@ from copsrobbers.sphere_trap import (
     TrapAssignment,
     counting_cop_bound,
     falling_factorial,
-    layers,
     net_radius,
     thresholds,
     tighten_step,
@@ -33,28 +32,6 @@ from copsrobbers.strategies import StayFarRobber
 
 def star(leaves):
     return Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
-
-
-# --- layers
-
-
-def test_layers_q3_binomials():
-    g, _ = gen_hypercube(3)
-    ld = layers(g, 0, 3)
-    assert [len(l) for l in ld.layers] == [1, 3, 3, 1]
-
-
-def test_layers_path_prefix():
-    g, _ = gen_path(7)
-    ld = layers(g, 0, 2)
-    assert ld.layers == ((0,), (1,), (2,))
-
-
-def test_layers_sizes_sum_to_ball():
-    g, _ = gen_hypercube(4)
-    ld = layers(g, 3, 2)
-    ball = sum(1 for d in bfs_distances(g, 3) if d <= 2)
-    assert sum(len(l) for l in ld.layers) == ball
 
 
 # --- trap matching
@@ -137,6 +114,42 @@ def test_general_reach_two_lists_every_cop_within_two(n, p, seed):
         return
     dist = {t: oracles.reference_bfs_distances(g, t) for t in targets}
     assert seen == [[[c for c, pos in enumerate(cops) if dist[t][pos] <= 2] for t in targets]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_trap_matching_matches_per_target_bfs_reference(data):
+    """The distance balls give the result of one BFS per target, assignment
+    or Hall witness alike, with every route on step_toward's rule. Cop lists
+    may be empty, repeat positions and outnumber the vertices."""
+    kind = data.draw(st.sampled_from(["gnp", "Q3", "Q4"]))
+    if kind == "gnp":
+        n = data.draw(st.integers(1, 14))
+        p = data.draw(st.sampled_from([0.1, 0.25, 0.5, 0.9]))
+        g = gen_gnp(n, p, f"balls-{data.draw(st.integers(0, 10**6))}")
+    else:
+        g, _ = gen_hypercube(int(kind[1]))
+    cops = data.draw(st.lists(st.integers(0, g.n - 1), max_size=2 * g.n + 2))
+    v = data.draw(st.integers(0, g.n - 1))
+    d = data.draw(st.integers(0, 3))
+    reach = data.draw(st.integers(1, 4))
+    mode = data.draw(st.sampled_from(["hypercube", "general"]))
+    got = trap_matching(g, cops, v, d, reach, mode)
+    want = oracles.reference_trap_matching(g, cops, v, d, reach, mode)
+    assert got == want
+    if isinstance(got, TrapAssignment):
+        assert list(got.matching) == list(want.matching)
+        assert list(got.routes) == list(want.routes)
+        for t, cop_id in got.matching.items():
+            assert got.routes[cop_id] == tuple(walk_toward(g, bfs_distances(g, t), cops[cop_id]))
+
+
+@pytest.mark.parametrize("mode", ["hypercube", "general"])
+@pytest.mark.parametrize("bad", [-4, -1, 8, 100])
+def test_cop_positions_out_of_range_rejected(mode, bad):
+    g, _ = gen_hypercube(3)
+    with pytest.raises(ValueError, match=f"cop position {bad} out of range"):
+        trap_matching(g, [1, 2, bad], 0, 1, 2, mode=mode)
 
 
 # --- tightening

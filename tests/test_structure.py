@@ -132,3 +132,14 @@ def test_value_format_stays_in_the_solver():
             readers += [f"{path.name}:{node.lineno}" for node in ast.walk(ast.parse(text))
                         if isinstance(node, ast.Attribute) and node.attr == "levels"]
     assert readers == []
+
+
+def test_trap_matching_runs_one_bfs():
+    """trap_matching finds the sphere with one BFS from its centre and reads
+    every target's eligible cops and routes off distance balls: no BFS per
+    target, and no walk_toward route in sphere_trap.py."""
+    tree = ast.parse((SRC / "sphere_trap.py").read_text(encoding="utf-8"))
+    trap = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "trap_matching")
+    assert len(_calls([trap], "bfs_distances")) == 1
+    assert _calls([tree], "walk_toward") == []
