@@ -12,24 +12,48 @@ State values count the cop moves still needed under optimal play:
     V_cop(C, r) = 0 if r in C else 1 + min over joint moves C' of V_rob(C', r)
     V_rob(C, r) = 0 if r in C else max over r' in N[r] of V_cop(C, r')
 
-Cop teams are multisets (co-location allowed), canonically encoded as
-nondecreasing tuples, which shrinks the configuration space from n^k to
-C(n+k-1, k). The least fixed point is computed level by level (Bonato,
-Golovach, Hahn & Kratochvil, "The capture time of a graph"): W_0 is the
-capture states, R_L adds the states whose every robber move lands in W_L,
-and W_{L+1} adds the states with a joint cop move into R_L. Each config
-keeps its settled robber vertices as two bitmasks, one per mover, so a
-level costs one big-int OR per (config, joint move) pair whose target
-gained robber states, and the robber step tests a whole closed
-neighbourhood with one AND. The masks after each level are the only store
-of game values: a state's value is the first level whose mask holds it,
-and MAXDIST (a robber win) when none does.
+Cop teams are multisets (co-location allowed): a table has one config per
+nondecreasing cop tuple, C(n+k-1, k) of them. The least fixed point is
+computed level by level (Bonato, Golovach, Hahn & Kratochvil, "The capture
+time of a graph"): W_0 is the capture states, R_L adds the states whose
+every robber move lands in W_L, and W_{L+1} adds the states with a joint
+cop move into R_L.
+
+The sweep runs on bit images of the ordered cop tuples, one image per
+mover. Tuple t in V^k is a cell of ceil(n/8) bytes at offset code(t) *
+ceil(n/8), with code(t) = sum t[i] * n**(k-1-i); bit r of the cell is set
+when the state (t, r) is settled. An image is n**k * ceil(n/8) bytes, and
+its chunk v is the n**(k-1) cells whose top coordinate t[0] is v. Every
+image is symmetric under permuting the cop coordinates, so a multiset's
+state sits in its sorted cell. Each level:
+
+- Cop step: the robber-turn states settled at the last level go through k
+  rounds. Each round ORs, into chunk v, the chunks over the closed
+  neighbourhood N[v], which moves the top cop; the first round reads only
+  the chunks that hold such states. It then rotates the coordinates, cell
+  (t[0], rest) to (rest, t[0]), with n * ceil(n/8) strided slice
+  assignments at most, so that the next cop comes to the top and k rounds
+  restore the order. The result ORed into the cop image gives W_{L+1}.
+- Robber step: an erosion inside each cell, run only on the chunks whose
+  cop bits changed. Byte j of the result is the AND over input bytes b of
+  T[b][j][byte b], where the 256-byte translate table T[b][j] marks the
+  vertices r of byte j whose neighbours in byte b are all settled. The
+  tables are built once per solve from the closed neighbourhoods.
+- The capture states are the image with bit t[0] in every cell, ORed with
+  its k - 1 rotations.
+
+After each level the masks of the configs in changed chunks are read off
+their sorted cells, and these per-config masks are the only store of game
+values: a state's value is the first level whose mask holds it, and
+MAXDIST (a robber win) when none does.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 from .errors import StateBudgetExceeded
@@ -41,14 +65,22 @@ ROB = 1
 DEFAULT_STATE_CAP = 2_000_000
 DEFAULT_MOVE_CAP = 20_000_000
 
+# Byte x of _BYTE_BITS[b] is bit b of x, and every byte of _ALL_BYTES is 1:
+# 256-entry columns that build the erosion tables with big-int ANDs.
+_BYTE_BITS = tuple(int.from_bytes(bytes(x >> b & 1 for x in range(256)), "little")
+                   for b in range(8))
+_ALL_BYTES = int.from_bytes(bytes([1]) * 256, "little")
+
 
 def estimate_cost(g: Graph, k: int):
-    """(state count, joint-move work) for solve(g, k).
+    """(state count, joint-move work) for solve(g, k): the two numbers that
+    solve's state_cap and move_cap admit or refuse an instance by.
 
     The joint-move work is n times the complete homogeneous symmetric
-    polynomial h_k of the closed-neighbourhood sizes: the per-cop move
-    products over all configs, once per robber vertex. It is at least n
-    times the number of entries in the joint-move table.
+    polynomial h_k of the closed-neighbourhood sizes: the (cop multiset,
+    joint move) pairs, counted with every per-cop choice, once per robber
+    vertex. It is a measure of an instance's size, not of a store the
+    solver builds.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -78,7 +110,6 @@ class ValueTable:
     k: int
     configs: tuple
     config_index: dict
-    moves: tuple = field(repr=False)
     levels: list = field(default_factory=list, repr=False)
     states_visited: int = 0
 
@@ -110,34 +141,164 @@ class ValueTable:
         """Indices of the configs reachable from configs[ci] in one joint cop
         move, ascending (which is lexicographic config order). The move
         relation is symmetric, so this doubles as the predecessor set."""
-        return self.moves[ci]
+        closed = self.graph.closed
+        moves = itertools.product(*(closed[c] for c in self.configs[ci]))
+        targets = {tuple(sorted(t)) for t in moves}
+        return tuple(self.config_index[t] for t in sorted(targets))
 
 
-def _move_table(g: Graph, k: int, configs) -> tuple:
-    """moves[ci]: ascending indices of the configs one joint cop move away
-    from configs[ci].
+def _word_bytes(cell: int) -> int:
+    """The widest machine word, in bytes, that divides a cell of `cell` bytes."""
+    return next(u for u in (8, 4, 2, 1) if cell % u == 0)
 
-    A multiset C is coded as the sum of (k+1)**c over its cops c, so the
-    codes reachable from C are the iterated set sums of the cops' weighted
-    closed neighbourhoods. Configs come in lexicographic order, so the sums
-    of a shared prefix are kept and only the changed tail is recomputed.
-    """
-    weight = [(k + 1) ** v for v in range(g.n)]
-    wclosed = [tuple(weight[u] for u in nbrs) for nbrs in g.closed]
-    index = {sum(weight[c] for c in cfg): i for i, cfg in enumerate(configs)}
-    sums = [{0}] + [None] * (k - 1)  # sums[j]: codes reachable by cfg[:j]
-    prev = (-1,) * k
-    moves = []
-    for cfg in configs:
-        j = 0
-        while j < k - 1 and cfg[j] == prev[j]:
-            j += 1
-        for t in range(j, k - 1):
-            sums[t + 1] = {a + b for a in sums[t] for b in wclosed[cfg[t]]}
-        last = wclosed[cfg[-1]]
-        moves.append(tuple(sorted(index[c] for c in {a + b for a in sums[-1] for b in last})))
-        prev = cfg
-    return tuple(moves)
+
+def _as_words(buf, unit: int):
+    """buf indexed by machine words of `unit` bytes (bytes stay bytes)."""
+    return memoryview(buf).cast({2: "H", 4: "I", 8: "Q"}[unit]) if unit > 1 else buf
+
+
+def _picker(keys):
+    """operator.itemgetter(*keys), returning a tuple even for one key."""
+    get = operator.itemgetter(*keys)
+    return get if len(keys) > 1 else lambda seq: (get(seq),)
+
+
+def _erosion_tables(g: Graph):
+    """erosion[j]: the (b, table) pairs that give byte j of a cell's robber
+    bits as the AND over input bytes b of table applied to byte b of its cop
+    bits. Bit i of table[x] says that every closed neighbour of r = 8j + i
+    lying in byte b is in x; a pair (b, j) with no such neighbour is
+    skipped."""
+    n = g.n
+    cell = (n + 7) // 8
+    cmask = [m | 1 << v for v, m in enumerate(g.masks)]
+    erosion = []
+    for j in range(cell):
+        rows = range(8 * j, min(8 * j + 8, n))
+        tables = []
+        for b in range(cell):
+            need = [(cmask[r] >> 8 * b) & 0xFF for r in rows]
+            if b != j and not any(need):
+                continue
+            table = 0
+            for i, m in enumerate(need):
+                hit = _ALL_BYTES
+                for bit in range(8):
+                    if m >> bit & 1:
+                        hit &= _BYTE_BITS[bit]
+                table |= hit << i
+            tables.append((b, table.to_bytes(256, "little")))
+        erosion.append(tables)
+    return erosion
+
+
+def _sweep(g: Graph, k: int):
+    """Yield (cop image, robber image, changed) after each level, in the
+    layout of the module docstring. ``changed`` lists the chunks of the cop
+    image that differ from the previous level's; the robber image changes
+    only inside them."""
+    n = g.n
+    closed = g.closed
+    cell = (n + 7) // 8
+    cells = n ** (k - 1)
+    chunk = cells * cell
+    size = n * chunk
+    little = itertools.repeat("little")
+    chunks = _picker([slice(v * chunk, (v + 1) * chunk) for v in range(n)])
+
+    # Rotation moves cells with strided slice assignments, in the widest
+    # machine words that divide the cell.
+    unit = _word_bytes(cell)
+    words = cell // unit
+    stride = n * words
+
+    def rotate(parts):
+        """The image whose cell (rest, v) is cell rest of chunk parts[v], an
+        int (missing and zero chunks stay zero): the top coordinate moved to
+        the end."""
+        out = bytearray(size)
+        dst = _as_words(out, unit)
+        for v, x in parts.items():
+            if x:
+                src = _as_words(x.to_bytes(chunk, "little"), unit)
+                for j in range(words):
+                    dst[v * words + j::stride] = src[j::words]
+        return out
+
+    def split(img):
+        return dict(enumerate(map(int.from_bytes, chunks(img), little)))
+
+    nbr_parts = [_picker(nbrs) for nbrs in closed]
+
+    def dilate(fresh):
+        """The joint cop step on an image given as its nonzero chunks
+        {v: int}, returned as {v: int} too: each cop in turn takes the top
+        coordinate, where chunk v gains the chunks over N[v], and is then
+        rotated to the end, so that k rounds restore the order (for k = 1
+        the rotation is the identity). The first round reads the given
+        chunks alone, the later ones every chunk."""
+        out = {}
+        for u, x in fresh.items():
+            for v in closed[u]:
+                out[v] = out.get(v, 0) | x
+        for _ in range(k - 1):
+            parts = split(rotate(out))
+            out = {v: functools.reduce(operator.or_, get(parts)) for v, get in enumerate(nbr_parts)}
+        return split(rotate(out)) if k > 1 else out
+
+    erosion = _erosion_tables(g)
+
+    def erode(seg):
+        """seg's cells with only the robber vertices whose closed
+        neighbourhood lies inside the cell."""
+        count = len(seg) // cell
+        columns = [seg[b::cell] for b in range(cell)]
+        out = bytearray(len(seg))
+        for j, tables in enumerate(erosion):
+            acc = -1
+            for b, table in tables:
+                acc &= int.from_bytes(columns[b].translate(table), "little")
+            out[j::cell] = acc.to_bytes(count, "little")
+        return int.from_bytes(out, "little")
+
+    # The capture image: the top coordinate's bit in every cell, ORed with
+    # its k - 1 rotations.
+    top = b"".join((1 << v).to_bytes(cell, "little") * cells for v in range(n))
+    occ = int.from_bytes(top, "little")
+    for _ in range(k - 1):
+        top = rotate(split(top))
+        occ |= int.from_bytes(top, "little")
+    occ = occ.to_bytes(size, "little")
+
+    wc = wr = occ
+    yield wc, wr, range(n)
+    # fresh: the nonzero chunks of the robber bits settled at the last level
+    fresh = split(occ)
+    while fresh:
+        # cop step: a state settles when a joint move reaches a fresh one
+        nc = bytearray(wc)
+        changed = []
+        for v, x in sorted(dilate(fresh).items()):
+            lo, hi = v * chunk, (v + 1) * chunk
+            old = int.from_bytes(wc[lo:hi], "little")
+            if x & ~old:
+                nc[lo:hi] = (old | x).to_bytes(chunk, "little")
+                changed.append(v)
+        # robber step, on the changed chunks gathered end to end: a state
+        # settles when every robber move lands on a settled cop-turn state
+        spans = [(v * chunk, (v + 1) * chunk) for v in changed]
+        settled = erode(b"".join(nc[lo:hi] for lo, hi in spans))
+        settled = settled.to_bytes(len(spans) * chunk, "little")
+        nr = bytearray(wr)
+        fresh = {}
+        for i, (v, (lo, hi)) in enumerate(zip(changed, spans)):
+            old = int.from_bytes(wr[lo:hi], "little")
+            x = int.from_bytes(settled[i * chunk:(i + 1) * chunk], "little") & ~old
+            if x:
+                fresh[v] = x
+                nr[lo:hi] = (old | x).to_bytes(chunk, "little")
+        yield nc, nr, changed
+        wc, wr = nc, nr
 
 
 def solve(
@@ -157,67 +318,44 @@ def solve(
     if move_work > move_cap:
         raise StateBudgetExceeded(f"{move_work} joint-move pairs exceed cap {move_cap}")
 
-    configs = tuple(itertools.combinations_with_replacement(range(g.n), k))
-    table = ValueTable(
-        graph=g,
-        k=k,
-        configs=configs,
-        config_index={c: i for i, c in enumerate(configs)},
-        moves=_move_table(g, k, configs),
-    )
-    moves, levels = table.moves, table.levels
-    cmask = [m | 1 << v for v, m in enumerate(g.masks)]
+    n = g.n
+    configs = tuple(itertools.combinations_with_replacement(range(n), k))
+    table = ValueTable(graph=g, k=k, configs=configs,
+                       config_index={c: i for i, c in enumerate(configs)})
+    # A config's masks are read off the cell of its sorted tuple: as one
+    # machine word when the cell is one, else as bytes. The configs whose
+    # smallest cop is v are configs[first[v]:first[v + 1]], and their cells
+    # lie in chunk v.
+    cell = (n + 7) // 8
+    whole = _word_bytes(cell) == cell
+    weights = [n ** (k - 1 - i) for i in range(k)]
+    codes = [sum(map(operator.mul, cfg, weights)) for cfg in configs]
+    keys = codes if whole else [slice(c * cell, (c + 1) * cell) for c in codes]
+    counts = (math.comb(n - v + k - 2, k - 1) for v in range(n))
+    first = list(itertools.accumulate(counts, initial=0))
+    sorted_cells = [_picker(keys[first[v]:first[v + 1]]) for v in range(n)]
+    little = itertools.repeat("little")
 
-    # Level 0: the capture states, settled for both movers. wc[ci] / wr[ci]
-    # hold the robber vertices settled so far with the cops / robber to move.
-    wc = []
-    for cfg in configs:
-        occ = 0
-        for c in cfg:
-            occ |= 1 << c
-        wc.append(occ)
-    wr = list(wc)
-    levels.append((tuple(wc), tuple(wr)))
-    fresh = list(enumerate(wc))  # (config, robber bits settled at this level)
-    visited = 2 * sum(occ.bit_count() for occ in wc)
+    def masks(img, prev, changed):
+        """prev with the masks of the changed chunks read off img; a mask
+        equal to prev's is prev's int."""
+        out = list(prev)
+        view = _as_words(img, cell) if whole else img
+        for v in changed:
+            lo, hi = first[v], first[v + 1]
+            got = sorted_cells[v](view)
+            if not whole:
+                got = map(int.from_bytes, got, little)
+            out[lo:hi] = [p if p == m else m for p, m in zip(prev[lo:hi], got)]
+        return tuple(out)
 
-    while fresh:
-        # cop step: (ci, r) settles when some joint move reaches a robber
-        # state settled at the previous level
-        acc = [0] * len(configs)
-        for cj, bits in fresh:
-            for ci in moves[cj]:
-                acc[ci] |= bits
-        fresh = []
-        for ci, bits in enumerate(acc):
-            bits &= ~wc[ci]
-            if not bits:
-                continue
-            w = wc[ci] | bits
-            wc[ci] = w
-            visited += bits.bit_count()
-            reach = 0
-            while bits:
-                low = bits & -bits
-                reach |= cmask[low.bit_length() - 1]
-                bits ^= low
-            # robber step: a robber vertex next to a new cop state settles
-            # once its whole closed neighbourhood is settled
-            cand = reach & ~wr[ci]
-            unsettled = ~w
-            won = 0
-            while cand:
-                low = cand & -cand
-                if not cmask[low.bit_length() - 1] & unsettled:
-                    won |= low
-                cand ^= low
-            if won:
-                wr[ci] |= won
-                visited += won.bit_count()
-                fresh.append((ci, won))
-        levels.append((tuple(wc), tuple(wr)))
-
-    table.states_visited = visited
+    levels = table.levels
+    wc = wr = (0,) * len(configs)
+    for cop_img, rob_img, changed in _sweep(g, k):
+        wc = masks(cop_img, wc, changed)
+        wr = masks(rob_img, wr, changed)
+        levels.append((wc, wr))
+    table.states_visited = sum(m.bit_count() for m in wc) + sum(m.bit_count() for m in wr)
     return table
 
 

@@ -128,18 +128,19 @@ def trap_matching(g: Graph, cops, v: int, d: int, reach: int, mode: str = "hyper
     return TrapAssignment(matching, routes, reach)
 
 
-def tighten_step(g: Graph, v: int, i: int, occupiers):
+def tighten_step(g: Graph, dist_v, i: int, occupiers):
     """One tightening move: cops covering layer i move so layer i-1 becomes
     fully covered; surplus cops step to their smallest inward neighbour.
 
-    occupiers: (cop id, position) pairs, positions on layer i covering it
-    entirely (ValueError otherwise). Returns {cop id: new position}. Raises
+    dist_v: every vertex's distance from the trap centre (layer j is the
+    vertices at distance j), so that a game computes it once. occupiers:
+    (cop id, position) pairs, positions on layer i covering it entirely
+    (ValueError otherwise). Returns {cop id: new position}. Raises
     LayerHallFailure with a deficient inner set when no saturating matching
     exists.
     """
     if i < 1:
         raise ValueError("i must be at least 1")
-    dist_v = bfs_distances(g, v)
     layer_inner = [u for u in range(g.n) if dist_v[u] == i - 1]
     layer_outer = {u for u in range(g.n) if dist_v[u] == i}
     positions = [pos for _, pos in occupiers]
@@ -187,6 +188,7 @@ class SphereTrapPolicy(CopPolicy):
         self._assignment = None
         self._route_pos = {}
         self._tighten_layer = None
+        self._center_dist = None
         self.metadata = {
             "policy": "sphere-trap",
             "mode": mode,
@@ -242,14 +244,16 @@ class SphereTrapPolicy(CopPolicy):
 
         # tighten phase; layer 0 reached means the ball is exhausted
         if self._tighten_layer is not None and self._tighten_layer >= 1:
-            dist_v = bfs_distances(g, self._trap_center)
+            if self._center_dist is None:
+                self._center_dist = bfs_distances(g, self._trap_center)
+            dist_v = self._center_dist
             occupiers = [
                 (cid, pos)
                 for cid, pos in enumerate(cops)
                 if dist_v[pos] == self._tighten_layer
             ]
             try:
-                moves = tighten_step(g, self._trap_center, self._tighten_layer, occupiers)
+                moves = tighten_step(g, dist_v, self._tighten_layer, occupiers)
             except LayerHallFailure as exc:
                 self.metadata["tighten_failure"] = list(exc.witness)
                 self._phase = "greedy"

@@ -17,6 +17,7 @@ from copsrobbers.solver import (
     estimate_cost,
     extract_policies,
     solve,
+    _sweep,
 )
 
 from oracles import (
@@ -123,11 +124,80 @@ def test_counter_retrograde_random_graphs(n, p, seed, k):
     assert_matches_counter_retrograde(gen_gnp(n, p, seed), k)
 
 
+def assert_images_symmetric(g, k):
+    """Every image of the sweep holds in each ordering of a cop tuple the
+    robber bits of its sorted cell, and no bit at or above n."""
+    n = g.n
+    cell = (n + 7) // 8
+    offsets = {t: sum(c * n ** (k - 1 - i) for i, c in enumerate(t)) * cell
+               for t in itertools.product(range(n), repeat=k)}
+    for cop_img, rob_img, _ in _sweep(g, k):
+        for img in (cop_img, rob_img):
+            assert len(img) == n ** k * cell
+            for t, o in offsets.items():
+                s = offsets[tuple(sorted(t))]
+                assert img[o:o + cell] == img[s:s + cell], t
+                assert int.from_bytes(img[o:o + cell], "little") >> n == 0, t
+
+
+# (n, k) shapes of the ordered-tuple layout: k = 4 and 5 rotate through more
+# than three coordinates, n = 9..17 spans several bytes per cell, and n = 8
+# and 16 fill their last byte.
+LAYOUT_SHAPES = ([(n, k) for k in (4, 5) for n in range(1, 11 - k)]
+                 + [(n, k) for n in range(9, 18) for k in (1, 2)]
+                 + [(8, 3), (1, 1), (1, 3)])
+
+
+@st.composite
+def layout_graphs(draw):
+    """A graph and a k from LAYOUT_SHAPES: G(n, p), a path, a star, or two
+    G(n, p) pieces side by side with no edge between them."""
+    n, k = draw(st.sampled_from(LAYOUT_SHAPES))
+    family = draw(st.sampled_from(["gnp", "path", "star", "split"]))
+    p = draw(st.sampled_from([0.0, 0.3, 0.6, 1.0]))
+    seed = draw(st.integers(0, 10_000))
+    if family == "path":
+        return Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)]), k
+    if family == "star":
+        return Graph.from_edges(n, [(0, v) for v in range(1, n)]), k
+    if family == "split" and n >= 2:
+        a = draw(st.integers(1, n - 1))
+        left, right = gen_gnp(a, p, seed), gen_gnp(n - a, p, seed + 1)
+        edges = [(u, v) for u in range(a) for v in left.adj[u] if u < v]
+        edges += [(a + u, a + v) for u in range(n - a) for v in right.adj[u] if u < v]
+        return Graph.from_edges(n, edges), k
+    return gen_gnp(n, p, seed), k
+
+
+@settings(max_examples=150, deadline=None)
+@given(layout_graphs())
+def test_counter_retrograde_ordered_layout(case):
+    g, k = case
+    assert_matches_counter_retrograde(g, k)
+    assert_images_symmetric(g, k)
+
+
+def test_images_symmetric_robber_win_and_disconnected():
+    for g, k in robber_win_and_disconnected_cases():
+        assert_images_symmetric(g, k)
+
+
 @settings(max_examples=40)
 @given(st.integers(1, 9), st.sampled_from([0.0, 0.2, 0.4, 0.6, 0.9]), st.integers(0, 10_000),
        st.integers(1, 3))
 def test_choices_match_dense_scans_random_graphs(n, p, seed, k):
     assert_choices_match_dense_scans(gen_gnp(n, p, seed), k)
+
+
+def test_unchanged_masks_are_shared():
+    """A config's mask that did not change between levels is the previous
+    level's int, whether its cell is read as a machine word (grid 5x5, 4
+    bytes) or as bytes (path on 20 vertices, 3 bytes)."""
+    for g in (gen_grid_dims([5, 5])[0], gen_path(20)[0]):
+        levels = solve(g, 2).levels
+        for prev, cur in zip(levels, levels[1:]):
+            for mover in (COP, ROB):
+                assert all(a is b for a, b in zip(prev[mover], cur[mover]) if a == b)
 
 
 def test_solve_rejects_the_empty_graph():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import oracles
 from copsrobbers import sphere_trap
 from copsrobbers.errors import DomainError, LayerHallFailure
-from copsrobbers.generators import gen_gnp, gen_hypercube
+from copsrobbers.generators import from_spec, gen_gnp, gen_hypercube
 from copsrobbers.graphs import Graph, bfs_distances, walk_toward
 from copsrobbers.matching import hopcroft_karp
 from copsrobbers.play import play
@@ -158,14 +158,14 @@ def test_cop_positions_out_of_range_rejected(mode, bad):
 def test_tighten_q3_layer2_to_layer1():
     g, _ = gen_hypercube(3)
     occupiers = [(i, v) for i, v in enumerate([3, 5, 6])]
-    moves = tighten_step(g, 0, 2, occupiers)
+    moves = tighten_step(g, bfs_distances(g, 0), 2, occupiers)
     assert sorted(moves.values()) == [1, 2, 4]
 
 
 def test_tighten_layer1_onto_center():
     g, _ = gen_hypercube(3)
     occupiers = [(i, v) for i, v in enumerate([1, 2, 4])]
-    moves = tighten_step(g, 0, 1, occupiers)
+    moves = tighten_step(g, bfs_distances(g, 0), 1, occupiers)
     assert 0 in moves.values()
     # surplus cops also step inward, and inward means the centre here
     assert set(moves.values()) == {0}
@@ -174,33 +174,33 @@ def test_tighten_layer1_onto_center():
 def test_tighten_star_leaves_to_center():
     g = star(4)
     occupiers = [(i, v) for i, v in enumerate([1, 2, 3, 4])]
-    moves = tighten_step(g, 0, 1, occupiers)
+    moves = tighten_step(g, bfs_distances(g, 0), 1, occupiers)
     assert set(moves.values()) == {0}
 
 
 def test_tighten_requires_cover():
     g, _ = gen_hypercube(3)
     with pytest.raises(ValueError):
-        tighten_step(g, 0, 2, [(0, 3)])
+        tighten_step(g, bfs_distances(g, 0), 2, [(0, 3)])
 
 
 def test_tighten_rejects_occupier_off_layer():
     # layer 2 of Q3 around 0 is {3, 5, 6}; the extra cop at 1 sits on layer 1
     g, _ = gen_hypercube(3)
     with pytest.raises(ValueError, match="stand on layer i"):
-        tighten_step(g, 0, 2, [(0, 3), (1, 5), (2, 6), (3, 1)])
+        tighten_step(g, bfs_distances(g, 0), 2, [(0, 3), (1, 5), (2, 6), (3, 1)])
 
 
 def test_tighten_hall_failure_witness():
     # two leaves hang off a single middle vertex: layer 1 = {1}, layer 2 = {2, 3}
     g = Graph.from_edges(4, [(0, 1), (1, 2), (1, 3)])
-    moves = tighten_step(g, 0, 2, [(0, 2), (1, 3)])
+    moves = tighten_step(g, bfs_distances(g, 0), 2, [(0, 2), (1, 3)])
     assert sorted(moves.values()) == [1, 1]
     # reversed: on the 4-cycle around centre 0, the 2-vertex layer 1 = {1, 2}
     # cannot be covered from the single occupier of layer 2 = {3}
     g2 = Graph.from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
     with pytest.raises(LayerHallFailure) as exc:
-        tighten_step(g2, 0, 2, [(0, 3)])
+        tighten_step(g2, bfs_distances(g2, 0), 2, [(0, 3)])
     assert exc.value.witness == (1, 2)
 
 
@@ -254,6 +254,29 @@ def test_general_mode_on_random_graph():
     meta = t.metadata["cop"]
     if meta["matching_saturated"]:
         assert t.capture_round is not None and t.capture_round <= 3
+
+
+def test_tightening_runs_one_bfs_from_the_centre(monkeypatch):
+    """A game computes the trap centre's distances at most twice: once in
+    trap_matching and once for the whole tightening phase, not once per
+    tightening round."""
+    calls = []
+
+    def counting_bfs(g_, sources, *args, **kwargs):
+        calls.append(sources)
+        return bfs_distances(g_, sources, *args, **kwargs)
+
+    monkeypatch.setattr(sphere_trap, "bfs_distances", counting_bfs)
+    g, _ = from_spec("gnp:40,0.12,0")
+    tightened = 0
+    for seed in range(30):
+        calls.clear()
+        pol = SphereTrapPolicy(g, 24, 2, mode="general", seed=seed)
+        t = play(g, 24, pol, StayFarRobber(), 30)
+        if t.capture_round == 5:
+            tightened += 1
+        assert calls.count(pol._trap_center) <= 2, seed
+    assert tightened > 0
 
 
 # --- thresholds

@@ -143,3 +143,23 @@ def test_trap_matching_runs_one_bfs():
                 if isinstance(node, ast.FunctionDef) and node.name == "trap_matching")
     assert len(_calls([trap], "bfs_distances")) == 1
     assert _calls([tree], "walk_toward") == []
+
+
+def test_solver_keeps_no_move_table():
+    """The sweep works on images of ordered cop tuples: no joint-move table
+    is built or stored, and the solver's public functions are only these six.
+    perfbench/tracing.py wraps every public function, so a public per-level
+    helper would add a span per call."""
+    from dataclasses import fields
+
+    from copsrobbers import solver
+
+    tree = ast.parse((SRC / "solver.py").read_text(encoding="utf-8"))
+    names = {node.name for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert "_move_table" not in names
+    assert "moves" not in {f.name for f in fields(solver.ValueTable)}
+    public = {node.name for node in tree.body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    assert public == {"estimate_cost", "solve", "capture_time", "cop_number",
+                      "audit_fixed_point", "extract_policies"}
