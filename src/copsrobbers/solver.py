@@ -22,18 +22,19 @@ cop move into R_L.
 The sweep runs on bit images of the ordered cop tuples, one image per
 mover. Tuple t in V^k is a cell of ceil(n/8) bytes at offset code(t) *
 ceil(n/8), with code(t) = sum t[i] * n**(k-1-i); bit r of the cell is set
-when the state (t, r) is settled. An image is n**k * ceil(n/8) bytes, and
-its chunk v is the n**(k-1) cells whose top coordinate t[0] is v. Every
-image is symmetric under permuting the cop coordinates, so a multiset's
-state sits in its sorted cell. Each level:
+when the state (t, r) is settled. An image is n**k * ceil(n/8) bytes, held
+as its n chunks, one int each: chunk v is the n**(k-1) cells whose top
+coordinate t[0] is v. Every image is symmetric under permuting the cop
+coordinates, so a multiset's state sits in its sorted cell. Each level:
 
 - Cop step: the robber-turn states settled at the last level go through k
   rounds. Each round ORs, into chunk v, the chunks over the closed
   neighbourhood N[v], which moves the top cop; the first round reads only
-  the chunks that hold such states. It then rotates the coordinates, cell
-  (t[0], rest) to (rest, t[0]), with n * ceil(n/8) strided slice
-  assignments at most, so that the next cop comes to the top and k rounds
-  restore the order. The result ORed into the cop image gives W_{L+1}.
+  the chunks that hold such states. Between rounds the coordinates rotate,
+  cell (t[0], rest) to (rest, t[0]), with n * ceil(n/8) strided slice
+  assignments at most, so that the next cop comes to the top. After k
+  rounds the result is symmetric, so the order it is left in does not
+  matter; ORed into the cop image it gives W_{L+1}.
 - Robber step: an erosion inside each cell, run only on the chunks whose
   cop bits changed. Byte j of the result is the AND over input bytes b of
   T[b][j][byte b], where the 256-byte translate table T[b][j] marks the
@@ -42,10 +43,12 @@ state sits in its sorted cell. Each level:
 - The capture states are the image with bit t[0] in every cell, ORed with
   its k - 1 rotations.
 
-After each level the masks of the configs in changed chunks are read off
-their sorted cells, and these per-config masks are the only store of game
-values: a state's value is the first level whose mask holds it, and
-MAXDIST (a robber win) when none does.
+After each level the masks of the configs whose sorted cells gained bits
+are read off those cells; every other mask is the previous level's int.
+These per-config masks are the only store of game values: a state's value
+is the first level whose mask holds it, and MAXDIST (a robber win) when
+none does. Since the images grow as n**k, solve refuses an instance whose
+image exceeds IMAGE_CAP bytes.
 """
 
 from __future__ import annotations
@@ -64,6 +67,12 @@ ROB = 1
 
 DEFAULT_STATE_CAP = 2_000_000
 DEFAULT_MOVE_CAP = 20_000_000
+# The largest sweep image, n**k * ceil(n/8) bytes, that solve admits. The
+# state and move caps count cop multisets, about k! times fewer than the
+# ordered tuples when k is near n, so on graphs with many components or
+# isolated vertices they admit images that do not fit in memory. The sweep
+# holds a few images at once.
+IMAGE_CAP = 1 << 22
 
 # Byte x of _BYTE_BITS[b] is bit b of x, and every byte of _ALL_BYTES is 1:
 # 256-entry columns that build the erosion tables with big-int ANDs.
@@ -80,7 +89,8 @@ def estimate_cost(g: Graph, k: int):
     polynomial h_k of the closed-neighbourhood sizes: the (cop multiset,
     joint move) pairs, counted with every per-cop choice, once per robber
     vertex. It is a measure of an instance's size, not of a store the
-    solver builds.
+    solver builds. solve also refuses an instance whose sweep image,
+    n**k * ceil(n/8) bytes, exceeds IMAGE_CAP.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -192,59 +202,60 @@ def _erosion_tables(g: Graph):
     return erosion
 
 
-def _sweep(g: Graph, k: int):
-    """Yield (cop image, robber image, changed) after each level, in the
-    layout of the module docstring. ``changed`` lists the chunks of the cop
-    image that differ from the previous level's; the robber image changes
-    only inside them."""
+def _sweep(g: Graph, k: int, configs):
+    """Yield (cop masks, robber masks, cop image, robber image) after each
+    level, in the layout of the module docstring. The masks are tuples
+    indexed like configs, the nondecreasing cop tuples in ascending order,
+    and a mask that did not change is the previous level's int. An image is
+    the list of its n chunks as little-endian ints; it is updated in place
+    once the next level is asked for."""
     n = g.n
     closed = g.closed
     cell = (n + 7) // 8
-    cells = n ** (k - 1)
-    chunk = cells * cell
+    cells_per_chunk = n ** (k - 1)
+    chunk = cells_per_chunk * cell
     size = n * chunk
     little = itertools.repeat("little")
     chunks = _picker([slice(v * chunk, (v + 1) * chunk) for v in range(n)])
 
     # Rotation moves cells with strided slice assignments, in the widest
-    # machine words that divide the cell.
+    # machine words that divide the cell; a word is copied whole, so the
+    # host's byte order does not matter.
     unit = _word_bytes(cell)
     words = cell // unit
     stride = n * words
 
     def rotate(parts):
-        """The image whose cell (rest, v) is cell rest of chunk parts[v], an
-        int (missing and zero chunks stay zero): the top coordinate moved to
-        the end."""
+        """The image whose cell (rest, v) is cell rest of chunk v, given as
+        (v, int) pairs (missing and zero chunks are zero): the top
+        coordinate moved to the end."""
         out = bytearray(size)
         dst = _as_words(out, unit)
-        for v, x in parts.items():
+        for v, x in parts:
             if x:
                 src = _as_words(x.to_bytes(chunk, "little"), unit)
                 for j in range(words):
                     dst[v * words + j::stride] = src[j::words]
-        return out
-
-    def split(img):
-        return dict(enumerate(map(int.from_bytes, chunks(img), little)))
+        return list(map(int.from_bytes, chunks(out), little))
 
     nbr_parts = [_picker(nbrs) for nbrs in closed]
 
     def dilate(fresh):
         """The joint cop step on an image given as its nonzero chunks
         {v: int}, returned as {v: int} too: each cop in turn takes the top
-        coordinate, where chunk v gains the chunks over N[v], and is then
-        rotated to the end, so that k rounds restore the order (for k = 1
-        the rotation is the identity). The first round reads the given
-        chunks alone, the later ones every chunk."""
+        coordinate, where chunk v gains the chunks over N[v], and all but
+        the last are then rotated to the end. The first round reads the
+        given chunks alone, the later ones every chunk. The result is
+        symmetric, as the input is, so the k - 1 rotations leave it in
+        place."""
         out = {}
         for u, x in fresh.items():
             for v in closed[u]:
                 out[v] = out.get(v, 0) | x
         for _ in range(k - 1):
-            parts = split(rotate(out))
+            parts = rotate(out.items())
             out = {v: functools.reduce(operator.or_, get(parts)) for v, get in enumerate(nbr_parts)}
-        return split(rotate(out)) if k > 1 else out
+        return out
 
     erosion = _erosion_tables(g)
 
@@ -259,46 +270,81 @@ def _sweep(g: Graph, k: int):
             for b, table in tables:
                 acc &= int.from_bytes(columns[b].translate(table), "little")
             out[j::cell] = acc.to_bytes(count, "little")
-        return int.from_bytes(out, "little")
+        return out
+
+    # Config ci sits in chunk configs[ci][0], at cell spot[ci] of it, and
+    # the configs of chunk v are configs[first[v]:first[v + 1]]: picks[v]
+    # reads their cells' bytes off a byte-per-cell string, and cuts[v]
+    # holds the slices of their bytes in the chunk.
+    weights = [n ** (k - 2 - i) for i in range(k - 1)]
+    spot = [sum(map(operator.mul, cfg[1:], weights)) for cfg in configs]
+    counts = (math.comb(n - v + k - 2, k - 1) for v in range(n))
+    first = list(itertools.accumulate(counts, initial=0))
+    picks = [_picker(spot[first[v]:first[v + 1]]) for v in range(n)]
+    cuts = [[slice(c * cell, (c + 1) * cell) for c in spot[first[v]:first[v + 1]]]
+            for v in range(n)]
+
+    def read(masks, image, new):
+        """masks with those of the configs whose cells hold bits of `new`,
+        (v, int) pairs of nonzero chunks, read off the image; every other
+        mask is kept."""
+        masks = list(masks)
+        new = list(new)
+        # a byte per cell of the listed chunks, end to end, nonzero where
+        # the cell's bits are: the OR of the byte columns (a one-cell chunk
+        # is listed only when nonzero)
+        if cells_per_chunk == 1:
+            flags = b"\x01" * len(new)
+        else:
+            data = b"".join(bits.to_bytes(chunk, "little") for _, bits in new)
+            cols = (int.from_bytes(data[b::cell], "little") for b in range(cell))
+            flags = functools.reduce(operator.or_, cols).to_bytes(len(new) * cells_per_chunk, "little")
+        for i, (v, _) in enumerate(new):
+            hit = picks[v](flags[i * cells_per_chunk:(i + 1) * cells_per_chunk])
+            data = image[v].to_bytes(chunk, "little")
+            got = map(data.__getitem__, itertools.compress(cuts[v], hit))
+            for ci, m in zip(itertools.compress(range(first[v], first[v + 1]), hit),
+                             map(int.from_bytes, got, little)):
+                masks[ci] = m
+        return tuple(masks)
 
     # The capture image: the top coordinate's bit in every cell, ORed with
     # its k - 1 rotations.
-    top = b"".join((1 << v).to_bytes(cell, "little") * cells for v in range(n))
-    occ = int.from_bytes(top, "little")
+    top = [int.from_bytes((1 << v).to_bytes(cell, "little") * cells_per_chunk, "little")
+           for v in range(n)]
+    wc = list(top)
     for _ in range(k - 1):
-        top = rotate(split(top))
-        occ |= int.from_bytes(top, "little")
-    occ = occ.to_bytes(size, "little")
+        top = rotate(enumerate(top))
+        wc = list(map(operator.or_, wc, top))
+    wr = list(wc)
 
-    wc = wr = occ
-    yield wc, wr, range(n)
-    # fresh: the nonzero chunks of the robber bits settled at the last level
-    fresh = split(occ)
-    while fresh:
+    cop_masks = rob_masks = (0,) * len(configs)
+    # changed: the chunks whose cop bits changed, with their new bits, and
+    # fresh: the robber bits settled at the last level, by nonzero chunk
+    changed = list(enumerate(wc))
+    fresh = dict(changed)
+    while True:
+        cop_masks = read(cop_masks, wc, changed)
+        rob_masks = read(rob_masks, wr, fresh.items())
+        yield cop_masks, rob_masks, wc, wr
+        if not fresh:
+            return
         # cop step: a state settles when a joint move reaches a fresh one
-        nc = bytearray(wc)
         changed = []
         for v, x in sorted(dilate(fresh).items()):
-            lo, hi = v * chunk, (v + 1) * chunk
-            old = int.from_bytes(wc[lo:hi], "little")
-            if x & ~old:
-                nc[lo:hi] = (old | x).to_bytes(chunk, "little")
-                changed.append(v)
+            new = x & ~wc[v]
+            if new:
+                wc[v] |= new
+                changed.append((v, new))
         # robber step, on the changed chunks gathered end to end: a state
         # settles when every robber move lands on a settled cop-turn state
-        spans = [(v * chunk, (v + 1) * chunk) for v in changed]
-        settled = erode(b"".join(nc[lo:hi] for lo, hi in spans))
-        settled = settled.to_bytes(len(spans) * chunk, "little")
-        nr = bytearray(wr)
+        settled = erode(b"".join(wc[v].to_bytes(chunk, "little") for v, _ in changed))
         fresh = {}
-        for i, (v, (lo, hi)) in enumerate(zip(changed, spans)):
-            old = int.from_bytes(wr[lo:hi], "little")
-            x = int.from_bytes(settled[i * chunk:(i + 1) * chunk], "little") & ~old
+        for i, (v, _) in enumerate(changed):
+            x = int.from_bytes(settled[i * chunk:(i + 1) * chunk], "little") & ~wr[v]
             if x:
+                wr[v] |= x
                 fresh[v] = x
-                nr[lo:hi] = (old | x).to_bytes(chunk, "little")
-        yield nc, nr, changed
-        wc, wr = nc, nr
 
 
 def solve(
@@ -317,44 +363,15 @@ def solve(
         raise StateBudgetExceeded(f"{states} states exceed cap {state_cap}")
     if move_work > move_cap:
         raise StateBudgetExceeded(f"{move_work} joint-move pairs exceed cap {move_cap}")
+    image = g.n ** k * ((g.n + 7) // 8)
+    if image > IMAGE_CAP:
+        raise StateBudgetExceeded(f"{image}-byte sweep images exceed cap {IMAGE_CAP}")
 
-    n = g.n
-    configs = tuple(itertools.combinations_with_replacement(range(n), k))
+    configs = tuple(itertools.combinations_with_replacement(range(g.n), k))
     table = ValueTable(graph=g, k=k, configs=configs,
                        config_index={c: i for i, c in enumerate(configs)})
-    # A config's masks are read off the cell of its sorted tuple: as one
-    # machine word when the cell is one, else as bytes. The configs whose
-    # smallest cop is v are configs[first[v]:first[v + 1]], and their cells
-    # lie in chunk v.
-    cell = (n + 7) // 8
-    whole = _word_bytes(cell) == cell
-    weights = [n ** (k - 1 - i) for i in range(k)]
-    codes = [sum(map(operator.mul, cfg, weights)) for cfg in configs]
-    keys = codes if whole else [slice(c * cell, (c + 1) * cell) for c in codes]
-    counts = (math.comb(n - v + k - 2, k - 1) for v in range(n))
-    first = list(itertools.accumulate(counts, initial=0))
-    sorted_cells = [_picker(keys[first[v]:first[v + 1]]) for v in range(n)]
-    little = itertools.repeat("little")
-
-    def masks(img, prev, changed):
-        """prev with the masks of the changed chunks read off img; a mask
-        equal to prev's is prev's int."""
-        out = list(prev)
-        view = _as_words(img, cell) if whole else img
-        for v in changed:
-            lo, hi = first[v], first[v + 1]
-            got = sorted_cells[v](view)
-            if not whole:
-                got = map(int.from_bytes, got, little)
-            out[lo:hi] = [p if p == m else m for p, m in zip(prev[lo:hi], got)]
-        return tuple(out)
-
-    levels = table.levels
-    wc = wr = (0,) * len(configs)
-    for cop_img, rob_img, changed in _sweep(g, k):
-        wc = masks(cop_img, wc, changed)
-        wr = masks(rob_img, wr, changed)
-        levels.append((wc, wr))
+    table.levels = [(wc, wr) for wc, wr, _, _ in _sweep(g, k, configs)]
+    wc, wr = table.levels[-1]
     table.states_visited = sum(m.bit_count() for m in wc) + sum(m.bit_count() for m in wr)
     return table
 

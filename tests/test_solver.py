@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,9 @@ from copsrobbers.graphs import MAXDIST, Graph, domination_number, k_center
 from copsrobbers.play import play
 from copsrobbers.solver import (
     COP,
+    DEFAULT_MOVE_CAP,
+    DEFAULT_STATE_CAP,
+    IMAGE_CAP,
     ROB,
     audit_fixed_point,
     capture_time,
@@ -129,11 +133,14 @@ def assert_images_symmetric(g, k):
     robber bits of its sorted cell, and no bit at or above n."""
     n = g.n
     cell = (n + 7) // 8
+    chunk = n ** (k - 1) * cell
     offsets = {t: sum(c * n ** (k - 1 - i) for i, c in enumerate(t)) * cell
                for t in itertools.product(range(n), repeat=k)}
-    for cop_img, rob_img, _ in _sweep(g, k):
-        for img in (cop_img, rob_img):
-            assert len(img) == n ** k * cell
+    configs = tuple(itertools.combinations_with_replacement(range(n), k))
+    for _, _, *images in _sweep(g, k, configs):
+        for chunks in images:
+            assert len(chunks) == n
+            img = b"".join(x.to_bytes(chunk, "little") for x in chunks)
             for t, o in offsets.items():
                 s = offsets[tuple(sorted(t))]
                 assert img[o:o + cell] == img[s:s + cell], t
@@ -332,6 +339,25 @@ def test_state_budget():
         solve(g, 3, state_cap=100)
     with pytest.raises(StateBudgetExceeded):
         solve(g, 3, move_cap=100)
+
+
+def test_image_cap_refuses_before_allocating():
+    """Both caps count cop multisets and admit the edgeless graph on 10
+    vertices with 9 cops (972,400 states, 486,200 joint-move pairs), but
+    its sweep images would be 10**9 * 2 bytes each: solve refuses it before
+    building anything. Grid 8x8 with three cops (2 MiB images) still fits."""
+    g = Graph.from_edges(10, [])
+    states, moves = estimate_cost(g, 9)
+    assert states <= DEFAULT_STATE_CAP and moves <= DEFAULT_MOVE_CAP
+    tracemalloc.start()
+    try:
+        with pytest.raises(StateBudgetExceeded, match="image"):
+            solve(g, 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert 64 ** 3 * 8 <= IMAGE_CAP
 
 
 def test_estimate_cost_counts_states():
