@@ -131,8 +131,6 @@ def build_parser() -> _Parser:
     _add_graph_source(p)
     p.add_argument("-k", type=int, required=True, help="number of cops")
     p.add_argument("--cop-number", action="store_true", help="also compute the cop number")
-    p.add_argument("--state-cap", type=int, default=2_000_000)
-    p.add_argument("--move-cap", type=int, default=20_000_000)
     p.add_argument("--timings", action="store_true", help="fill timing fields (off for byte-stable output)")
     p.add_argument("-o", "--output")
 
@@ -193,7 +191,7 @@ def _cmd_solve(args) -> int:
     if args.k >= g.n:
         capt, states = 0, 0
     else:
-        table = solve(g, args.k, state_cap=args.state_cap, move_cap=args.move_cap)
+        table = solve(g, args.k)
         capt, states = table.capture_time(), table.states_visited
     out = {
         "graph": desc,
@@ -203,7 +201,7 @@ def _cmd_solve(args) -> int:
         "ms": int((time.perf_counter() - t0) * 1000) if args.timings else 0,
     }
     if args.cop_number:
-        out["cop_number"] = cop_number(g, state_cap=args.state_cap, move_cap=args.move_cap)
+        out["cop_number"] = cop_number(g)
     _emit(stable_json(out, indent=2) + "\n", args.output)
     return 0
 

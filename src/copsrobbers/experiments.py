@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .errors import AmbiguousRegime, DomainError, UnknownPolicy, UnknownSuite
+from .errors import AmbiguousRegime, DomainError, StateBudgetExceeded, UnknownPolicy, UnknownSuite
 from .generators import (
     gen_connected_gnp,
     gen_cycle,
@@ -214,11 +214,11 @@ def tree_instances(count: int, n_max: int, base_seed):
     return out
 
 
-# Joint-move budgets of random_small_study: the sweep over k stops at the
-# first k whose solve exceeds STUDY_MOVE_CAP; k = domination number is
-# solved anyway, up to STUDY_GAMMA_MOVE_CAP.
+# The joint-move budget of random_small_study: its sweep over k stops at the
+# first k whose joint-move work (estimate_cost) exceeds STUDY_MOVE_CAP, and
+# k = domination number is solved anyway. It chooses the range of k, so a
+# study's rows do not depend on solve's caps.
 STUDY_MOVE_CAP = 1_500_000
-STUDY_GAMMA_MOVE_CAP = 40_000_000
 
 
 def random_small_study(count_per_p: int, n_lo: int, n_hi: int, ps, base_seed):
@@ -238,7 +238,7 @@ def random_small_study(count_per_p: int, n_lo: int, n_hi: int, ps, base_seed):
                 capts[k] = solve(g, k).capture_time()
             gamma = domination_number(g)
             if gamma not in capts and gamma < n:
-                capts[gamma] = capture_time(g, gamma, move_cap=STUDY_GAMMA_MOVE_CAP)
+                capts[gamma] = capture_time(g, gamma)
             radk = {k: k_center(g, k).radius for k in capts}
             met = metrics(g)
             study.append(
@@ -373,7 +373,7 @@ def _suite_hypercube_small(params):
         )
     )
     q4, _ = gen_hypercube(4)
-    capt3 = capture_time(q4, 3, move_cap=40_000_000)
+    capt3 = capture_time(q4, 3)
     reports.append(
         BoundReport("hypercube_small", "Q4", "capt_3_ge_2", capt3, 2, capt3 >= 2)
     )
@@ -630,17 +630,15 @@ def _suite_grid_scaling(params):
     d = params["d"]
     sizes = params["sizes"]
     ks = params["ks"]
-    move_cap = params["move_cap"]
-    state_cap = params["state_cap"]
     reports = []
     ratios = []
     for q in sizes:
         g, _ = gen_grid(d, q)
         for k in ks:
-            states, mv = estimate_cost(g, k)
-            if mv > move_cap or states > state_cap:
+            try:
+                capt = capture_time(g, k)
+            except StateBudgetExceeded:
                 continue
-            capt = capture_time(g, k, move_cap=move_cap, state_cap=state_cap)
             ratio = capt * (k ** (1.0 / d)) / q
             ratios.append(ratio)
             reports.append(
@@ -676,9 +674,7 @@ SUITES = {
     "separator_sweep": (_suite_separator_sweep, {"q": 20, "k": 240}),
     "planar_3cop": (_suite_planar_3cop, {"tree_count": 10, "base_seed": 7, "solver_n_cap": 20}),
     "regime": (_suite_regime, {"eps": 0.02}),
-    "grid_scaling": (_suite_grid_scaling, {
-        "d": 2, "sizes": (4, 6, 8), "ks": (2, 4, 8), "move_cap": 20_000_000, "state_cap": 2_000_000,
-    }),
+    "grid_scaling": (_suite_grid_scaling, {"d": 2, "sizes": (4, 6, 8), "ks": (2, 4, 8)}),
 }
 
 

@@ -304,8 +304,11 @@ def k_center(g: Graph, k: int, mode: str = "exact") -> KCenterResult:
     exact: exhaustive over k-subsets (lexicographic order, early cut-off
     against the incumbent radius), so ties resolve to the lexicographically
     smallest center set; more than SUBSET_CAP subsets raise
-    SearchSpaceTooLarge before any distance is computed. greedy:
-    farthest-point seeding from vertex 0, a 2-approximation.
+    SearchSpaceTooLarge before any distance is computed. With k = 1 each
+    vertex's BFS row is read once, so the rows are streamed and the n x n
+    table is never built. greedy: farthest-point seeding from vertex 0, a
+    2-approximation, with one multi-source BFS per center: each added
+    center is the first vertex farthest from the centers so far.
     """
     if not 1 <= k:
         raise ValueError("k must be at least 1")
@@ -315,26 +318,26 @@ def k_center(g: Graph, k: int, mode: str = "exact") -> KCenterResult:
         return KCenterResult(tuple(range(g.n)), 0)
     if not g.is_connected():
         raise DisconnectedGraph("k-center requires a connected graph")
-    if mode == "exact" and math.comb(g.n, k) > SUBSET_CAP:
-        raise SearchSpaceTooLarge(
-            f"C({g.n},{k}) = {math.comb(g.n, k)} exceeds cap {SUBSET_CAP}"
-        )
-    dist = all_pairs_distances(g)
 
     if mode == "greedy":
         centers = [0]
-        while len(centers) < k:
-            best_v, best_d = -1, -1
-            for v in range(g.n):
-                dv = min(dist[c][v] for c in centers)
-                if dv > best_d:
-                    best_v, best_d = v, dv
-            centers.append(best_v)
-        radius = max(min(dist[c][v] for c in centers) for v in range(g.n))
-        return KCenterResult(tuple(sorted(centers)), radius)
+        while True:
+            dist = bfs_distances(g, centers)
+            radius = max(dist)
+            if len(centers) == k:
+                return KCenterResult(tuple(sorted(centers)), radius)
+            centers.append(dist.index(radius))
 
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
+    if math.comb(g.n, k) > SUBSET_CAP:
+        raise SearchSpaceTooLarge(
+            f"C({g.n},{k}) = {math.comb(g.n, k)} exceeds cap {SUBSET_CAP}"
+        )
+    if k == 1:
+        radius, center = min((max(bfs_distances(g, v)), v) for v in range(g.n))
+        return KCenterResult((center,), radius)
+    dist = all_pairs_distances(g)
     best_r = MAXDIST
     best = None
     for combo in itertools.combinations(range(g.n), k):

@@ -47,8 +47,12 @@ After each level the masks of the configs whose sorted cells gained bits
 are read off those cells; every other mask is the previous level's int.
 These per-config masks are the only store of game values: a state's value
 is the first level whose mask holds it, and MAXDIST (a robber win) when
-none does. Since the images grow as n**k, solve refuses an instance whose
-image exceeds IMAGE_CAP bytes.
+none does.
+
+solve admits an instance by what the sweep allocates: the per-level mask
+tuples, one int per config and mover, and the images. It refuses one with
+more than STATE_CAP states or with images of more than IMAGE_CAP bytes,
+before it builds anything; both caps are read at call time.
 """
 
 from __future__ import annotations
@@ -65,13 +69,14 @@ from .graphs import MAXDIST, Graph
 COP = 0
 ROB = 1
 
-DEFAULT_STATE_CAP = 2_000_000
-DEFAULT_MOVE_CAP = 20_000_000
+# The most states, C(n+k-1, k) * n * 2, that solve admits: they size the
+# per-level mask tuples.
+STATE_CAP = 2_000_000
 # The largest sweep image, n**k * ceil(n/8) bytes, that solve admits. The
-# state and move caps count cop multisets, about k! times fewer than the
-# ordered tuples when k is near n, so on graphs with many components or
-# isolated vertices they admit images that do not fit in memory. The sweep
-# holds a few images at once.
+# state count counts cop multisets, about k! times fewer than the ordered
+# tuples when k is near n, so on graphs with many components or isolated
+# vertices it admits images that do not fit in memory. The sweep holds a
+# few images at once.
 IMAGE_CAP = 1 << 22
 
 # Byte x of _BYTE_BITS[b] is bit b of x, and every byte of _ALL_BYTES is 1:
@@ -82,15 +87,15 @@ _ALL_BYTES = int.from_bytes(bytes([1]) * 256, "little")
 
 
 def estimate_cost(g: Graph, k: int):
-    """(state count, joint-move work) for solve(g, k): the two numbers that
-    solve's state_cap and move_cap admit or refuse an instance by.
+    """(state count, joint-move work) for solve(g, k). solve refuses an
+    instance with more than STATE_CAP states (or an image above IMAGE_CAP).
 
     The joint-move work is n times the complete homogeneous symmetric
     polynomial h_k of the closed-neighbourhood sizes: the (cop multiset,
     joint move) pairs, counted with every per-cop choice, once per robber
-    vertex. It is a measure of an instance's size, not of a store the
-    solver builds. solve also refuses an instance whose sweep image,
-    n**k * ceil(n/8) bytes, exceeds IMAGE_CAP.
+    vertex. It is a measure of an instance's size, not of a store or a loop
+    of the sweep, and solve does not admit by it; random_small_study
+    chooses its range of k with it.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -347,22 +352,14 @@ def _sweep(g: Graph, k: int, configs):
                 fresh[v] = x
 
 
-def solve(
-    g: Graph,
-    k: int,
-    *,
-    state_cap: int = DEFAULT_STATE_CAP,
-    move_cap: int = DEFAULT_MOVE_CAP,
-) -> ValueTable:
+def solve(g: Graph, k: int) -> ValueTable:
     if k < 1:
         raise ValueError("k must be at least 1")
     if g.n == 0:
         raise ValueError("the empty graph has no game to solve")
-    states, move_work = estimate_cost(g, k)
-    if states > state_cap:
-        raise StateBudgetExceeded(f"{states} states exceed cap {state_cap}")
-    if move_work > move_cap:
-        raise StateBudgetExceeded(f"{move_work} joint-move pairs exceed cap {move_cap}")
+    states, _ = estimate_cost(g, k)
+    if states > STATE_CAP:
+        raise StateBudgetExceeded(f"{states} states exceed cap {STATE_CAP}")
     image = g.n ** k * ((g.n + 7) // 8)
     if image > IMAGE_CAP:
         raise StateBudgetExceeded(f"{image}-byte sweep images exceed cap {IMAGE_CAP}")
@@ -376,7 +373,7 @@ def solve(
     return table
 
 
-def capture_time(g: Graph, k: int, **caps) -> int:
+def capture_time(g: Graph, k: int) -> int:
     """Optimal game length with k cops; MAXDIST when k cops cannot win.
 
     With k >= n the cops can stand on every vertex, so the answer is 0
@@ -384,21 +381,17 @@ def capture_time(g: Graph, k: int, **caps) -> int:
     """
     if k >= g.n:
         return 0
-    return solve(g, k, **caps).capture_time()
+    return solve(g, k).capture_time()
 
 
-def cop_number(g: Graph, *, max_k: int | None = None, **caps) -> int:
+def cop_number(g: Graph) -> int:
+    """The least k whose cops win; k = n always does."""
     if g.n == 0:
         raise ValueError("the empty graph has no game to solve")
-    k = 1
-    limit = max_k if max_k is not None else g.n
-    while k <= limit:
-        if k >= g.n:
+    for k in range(1, g.n):
+        if solve(g, k).capture_time() < MAXDIST:
             return k
-        if solve(g, k, **caps).capture_time() < MAXDIST:
-            return k
-        k += 1
-    raise StateBudgetExceeded(f"no winning k found up to {limit}")
+    return g.n
 
 
 def audit_fixed_point(table: ValueTable) -> list:

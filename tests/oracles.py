@@ -12,7 +12,8 @@ The solver's placement and policy choices are checked against full scans
 of counter_retrograde's dense per-state values.
 Graph construction is checked against per-entry validation over a set of
 directed pairs, and G(n, p) against its edge-list build.
-The sphere trap's distance balls are checked against one BFS per target.
+The sphere trap's distance balls are checked against one BFS per target,
+and the greedy k-center's multi-source BFS against the all-pairs table.
 """
 
 import itertools
@@ -189,6 +190,22 @@ def brute_force_k_center(g, k, dist):
         if r < best_r:
             best_r, best = r, combo
     return best_r, best
+
+
+def reference_greedy_k_center(g, k, dist):
+    """Farthest-point k-center from vertex 0 over the all-pairs table: each
+    added center is the first vertex of largest distance to the centers so
+    far. Returns (sorted centers, radius)."""
+    centers = [0]
+    while len(centers) < k:
+        best_v, best_d = -1, -1
+        for v in range(g.n):
+            dv = min(dist[c][v] for c in centers)
+            if dv > best_d:
+                best_v, best_d = v, dv
+        centers.append(best_v)
+    radius = max(min(dist[c][v] for c in centers) for v in range(g.n))
+    return tuple(sorted(centers)), radius
 
 
 def brute_force_domination(g):

@@ -23,6 +23,8 @@ STDERR_MARK = "--- stderr ---\n"
 CASES = {
     "solve_grid3_k1_cop_number": (["solve", "--gen", "grid:d=2,q=3", "-k", "1", "--cop-number"], 0),
     "solve_q3_k2": (["solve", "--gen", "hypercube:3", "-k", "2"], 0),
+    # 24.4 M joint-move pairs but 1.9 M states: admitted; capt_3 = rad_3 = 8
+    "solve_path48_k3": (["solve", "--gen", "path:48", "-k", "3"], 0),
     "kcenter_tree12_k2": (["kcenter", "--gen", "tree:12,3", "-k", "2"], 0),
     "verify_trees": (["verify", "trees"], 0),
     "verify_grid_closed_form": (["verify", "grid_closed_form"], 0),
@@ -73,6 +75,7 @@ CASES = {
     "exit1_bad_spec": (["solve", "--gen", "nosuch:3", "-k", "1"], 1),
     "exit1_usage": (["solve", "--gen", "path:3"], 1),
     "exit2_domain_error": (["regime", "-n", "1", "--k", "2"], 2),
+    "exit2_state_cap": (["solve", "--gen", "path:2000", "-k", "2"], 2),
     "exit2_mc_errored_trials": (["mc", "{config}"], 2),
     "exit3_suite_failure": (["verify", "regime", "--set", "eps=0.3"], 3),
 }

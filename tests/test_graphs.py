@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from copsrobbers.generators import (
     gen_grid,
     gen_hypercube,
     gen_path,
+    gen_tree,
 )
 from copsrobbers.graphs import (
     MAXDIST,
@@ -31,6 +33,7 @@ from oracles import (
     brute_force_domination,
     brute_force_k_center,
     reference_gen_gnp,
+    reference_greedy_k_center,
     reference_graph_adj,
 )
 
@@ -254,6 +257,36 @@ def test_greedy_within_twice_exact(seed, p):
     exact = k_center(g, 2).radius
     greedy = k_center(g, 2, "greedy").radius
     assert exact <= greedy <= 2 * exact
+
+
+@settings(max_examples=80)
+@given(st.integers(2, 30), st.sampled_from(["tree", 0.1, 0.3, 0.8]), st.integers(0, 10_000),
+       st.integers(1, 6))
+def test_greedy_k_center_matches_the_table_version(n, p, seed, k):
+    """One multi-source BFS per added center picks the same centers, and
+    reaches the same radius, as the scan of the all-pairs table."""
+    g = gen_tree(n, seed) if p == "tree" else gen_connected_gnp(n, p, seed)[0]
+    res = k_center(g, k, "greedy")
+    if k >= g.n:
+        assert res == k_center(g, k)
+        return
+    want = reference_greedy_k_center(g, k, all_pairs_distances(g))
+    assert (res.centers, res.radius) == want
+
+
+def test_exact_k_center_one_center_streams_rows():
+    """With k = 1 each distance row is read once: k_center keeps one BFS
+    row at a time, not the n x n table (6.4 MB on path:600 when the table
+    was built), and still finds the first vertex of least eccentricity."""
+    g, _ = gen_path(600)
+    tracemalloc.start()
+    try:
+        res = k_center(g, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res == graphs.KCenterResult((299,), 300)
+    assert peak < 1 << 20
 
 
 @given(st.integers(0, 30))

@@ -5,15 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from copsrobbers import solver
 from copsrobbers.errors import StateBudgetExceeded
 from copsrobbers.generators import gen_cycle, gen_gnp, gen_grid, gen_grid_dims, gen_hypercube, gen_path, gen_tree
 from copsrobbers.graphs import MAXDIST, Graph, domination_number, k_center
 from copsrobbers.play import play
 from copsrobbers.solver import (
     COP,
-    DEFAULT_MOVE_CAP,
-    DEFAULT_STATE_CAP,
-    IMAGE_CAP,
     ROB,
     audit_fixed_point,
     capture_time,
@@ -254,7 +252,7 @@ def test_capture_time_examples():
 
 def test_capture_time_q4_three_cops():
     q4, _ = gen_hypercube(4)
-    capt = capture_time(q4, 3, move_cap=40_000_000)
+    capt = capture_time(q4, 3)
     assert capt >= 2
     # counting threshold admits three cops: 3 < 16 / (1 + 4)
     assert 3 * (1 + 4) < 16
@@ -273,7 +271,7 @@ def test_capture_time_k_ge_n_fast_path():
     assert capture_time(g, 4) == 0
     assert capture_time(g, 9) == 0
     # agreement with a full solve at k = n on a tiny instance
-    table = solve(g, 4, state_cap=10_000_000, move_cap=100_000_000)
+    table = solve(g, 4)
     assert table.capture_time() == 0
 
 
@@ -333,22 +331,41 @@ def test_fixed_point_audit_detects_corruption():
 # --- budgets
 
 
-def test_state_budget():
+def test_state_budget(monkeypatch):
+    """solve refuses exactly the instances with more than STATE_CAP states,
+    reading the cap when it is called."""
     g, _ = gen_grid(2, 4)
-    with pytest.raises(StateBudgetExceeded):
-        solve(g, 3, state_cap=100)
-    with pytest.raises(StateBudgetExceeded):
-        solve(g, 3, move_cap=100)
+    states, _ = estimate_cost(g, 3)
+    monkeypatch.setattr(solver, "STATE_CAP", 100)
+    with pytest.raises(StateBudgetExceeded, match="states"):
+        solve(g, 3)
+    monkeypatch.setattr(solver, "STATE_CAP", states - 1)
+    with pytest.raises(StateBudgetExceeded, match="states"):
+        solve(g, 3)
+    monkeypatch.setattr(solver, "STATE_CAP", states)
+    assert solve(g, 3).capture_time() == capture_time(g, 3)
+
+
+def test_image_budget(monkeypatch):
+    """solve refuses exactly the instances whose sweep images exceed
+    IMAGE_CAP bytes, reading the cap when it is called."""
+    g, _ = gen_path(9)
+    image = 9 ** 3 * 2
+    monkeypatch.setattr(solver, "IMAGE_CAP", image - 1)
+    with pytest.raises(StateBudgetExceeded, match="image"):
+        solve(g, 3)
+    monkeypatch.setattr(solver, "IMAGE_CAP", image)
+    assert solve(g, 3).capture_time() == k_center(g, 3).radius
 
 
 def test_image_cap_refuses_before_allocating():
-    """Both caps count cop multisets and admit the edgeless graph on 10
-    vertices with 9 cops (972,400 states, 486,200 joint-move pairs), but
-    its sweep images would be 10**9 * 2 bytes each: solve refuses it before
-    building anything. Grid 8x8 with three cops (2 MiB images) still fits."""
+    """The state count counts cop multisets and admits the edgeless graph
+    on 10 vertices with 9 cops (972,400 states), but its sweep images would
+    be 10**9 * 2 bytes each: solve refuses it before building anything.
+    Grid 8x8 with three cops (2 MiB images) still fits."""
     g = Graph.from_edges(10, [])
-    states, moves = estimate_cost(g, 9)
-    assert states <= DEFAULT_STATE_CAP and moves <= DEFAULT_MOVE_CAP
+    states, _ = estimate_cost(g, 9)
+    assert states <= solver.STATE_CAP
     tracemalloc.start()
     try:
         with pytest.raises(StateBudgetExceeded, match="image"):
@@ -357,7 +374,27 @@ def test_image_cap_refuses_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    assert 64 ** 3 * 8 <= IMAGE_CAP
+    assert 64 ** 3 * 8 <= solver.IMAGE_CAP
+
+
+def test_long_path_three_cops_is_admitted():
+    """path:48 with three cops has 24.4 M joint-move pairs, which measure
+    nothing the sweep allocates; solve admits it by its 1,881,600 states
+    and its 663,552-byte images, and on a path capt_k = rad_k."""
+    g, _ = gen_path(48)
+    assert solve(g, 3).capture_time() == k_center(g, 3).radius == 8
+
+
+@pytest.mark.parametrize("p, seed, k", [(0.9, 1, 2), (0.9, 1, 3), (0.65, 24, 2), (0.65, 24, 3)])
+def test_dense_gnp_capture_time_one_iff_dominated(p, seed, k):
+    """Dense G(40, p) instances whose joint-move work is over 20 M pairs:
+    k cops capture in one move exactly when k is at least the domination
+    number."""
+    g = gen_gnp(40, p, seed)
+    assert estimate_cost(g, k)[1] > 20_000_000
+    capt = capture_time(g, k)
+    assert (capt == 1) == (domination_number(g) <= k)
+    assert capt >= 1
 
 
 def test_estimate_cost_counts_states():
@@ -381,10 +418,10 @@ def test_cop_number_of_empty_graph_is_a_domain_error():
         cop_number(Graph(0, []))
 
 
-def test_cop_number_budget_error():
-    g = gen_cycle(4)
+def test_cop_number_budget_error(monkeypatch):
+    monkeypatch.setattr(solver, "STATE_CAP", 8)
     with pytest.raises(StateBudgetExceeded):
-        cop_number(g, state_cap=8)
+        cop_number(gen_cycle(4))
 
 
 # --- extracted policies

@@ -1,9 +1,10 @@
 """Structure guards: graph walks stay behind the one kernel in graphs.py, every
 Graph goes through its checked constructor, game values are read only inside
-solver.py, the package imports no array library, and every module-level
-import is used."""
+solver.py, the solver admits instances by its module caps alone, the package
+imports no array library, and every module-level import is used."""
 
 import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -163,3 +164,20 @@ def test_solver_keeps_no_move_table():
               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
     assert public == {"estimate_cost", "solve", "capture_time", "cop_number",
                       "audit_fixed_point", "extract_policies"}
+
+
+def test_solver_caps_are_not_per_call_options():
+    """solve admits an instance by solver.STATE_CAP and solver.IMAGE_CAP
+    alone: no entry point takes a cap or a bound on k, and no module passes
+    one."""
+    from copsrobbers import solver
+
+    for fn in (solver.solve, solver.capture_time, solver.cop_number):
+        params = inspect.signature(fn).parameters.values()
+        assert [p.name for p in params if p.kind is p.VAR_KEYWORD] == [], fn.__name__
+        assert [p.name for p in params if "cap" in p.name or p.name == "max_k"] == [], fn.__name__
+    passed = [f"{path.name}:{node.lineno} {kw.arg}=" for path in sorted(SRC.glob("*.py"))
+              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+              if isinstance(node, ast.Call)
+              for kw in node.keywords if kw.arg in ("state_cap", "move_cap")]
+    assert passed == []
