@@ -3,8 +3,9 @@ metric machinery: BFS distances, eccentricities, radius/diameter, metric
 k-centers, domination numbers, and retract maps.
 
 Every graph walk of the game code goes through four pieces here:
-`bfs_distances` is the one BFS (a queue over adjacency lists, multi-source,
-optionally confined to an allowed vertex set), `eccentricities` the one
+`bfs_distances` is the one BFS (direction-optimizing: small levels expand
+top-down from a queue, large ones bottom-up; multi-source, optionally
+confined to an allowed vertex set), `eccentricities` the one
 all-vertices sweep (bit-parallel over batches of sources, in place of a BFS
 from every vertex), `step_toward` the one shortest-path step rule (the
 smallest-id neighbour one BFS layer closer, with `walk_toward` as its path
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import DisconnectedGraph, NotIsometric, SearchSpaceTooLarge
@@ -52,6 +53,7 @@ class Graph:
             raise ValueError("adjacency must have one entry per vertex")
         # Checks run on whole rows at C speed; the inner loop only names an offender.
         adj = []
+        cuts = []  # adj[v][:cuts[v]] is the part of row v below v
         rev = [[] for _ in range(n)]
         for v, nbrs in enumerate(adjacency):
             ns = tuple(nbrs)
@@ -66,12 +68,15 @@ class Graph:
                         raise ValueError(f"self-loop stored at {v}; reflexivity is implicit")
             if len(set(ns)) != len(ns):
                 raise ValueError(f"duplicate neighbour entry at {v}")
-            for u in ns:
+            cut = bisect_left(ns, v)
+            for u in ns[cut:]:
                 rev[u].append(v)
             adj.append(ns)
-        # rev[u] lists, ascending, every v with u in adj[v]: it equals adj[u]
-        # for every u exactly when the adjacency is symmetric.
-        if any(tuple(r) != a for r, a in zip(rev, adj)):
+            cuts.append(cut)
+        # rev[u] lists, ascending, every v < u with u in adj[v]. The adjacency
+        # is symmetric exactly when that equals the part of adj[u] below u for
+        # every u: each pair v < u is then listed from both ends or from none.
+        if any(tuple(r) != a[:c] for r, a, c in zip(rev, adj, cuts)):
             v, u = min((v, u) for v in range(n) for u in adj[v] if v not in adj[u])
             raise ValueError(f"asymmetric adjacency: {v}->{u} without {u}->{v}")
         self.n = n
@@ -98,9 +103,11 @@ class Graph:
     def closed(self):
         """Closed neighbourhoods N[v], ascending, computed once."""
         if self._closed is None:
-            self._closed = tuple(
-                tuple(sorted((v, *self.adj[v]))) for v in range(self.n)
-            )
+            closed = []
+            for v, row in enumerate(self.adj):
+                cut = bisect_left(row, v)
+                closed.append(row[:cut] + (v,) + row[cut:])
+            self._closed = tuple(closed)
         return self._closed
 
     @property
@@ -156,8 +163,24 @@ def bfs_distances(g: Graph, sources, allowed=None) -> list[int]:
     `sources` is one vertex id or an iterable of ids, and `allowed` an
     optional iterable of ids; every id is range-checked (ValueError). With
     `allowed`, the search stays inside that vertex set: sources outside it
-    are ignored and every vertex outside it reads MAXDIST. Time and memory
-    are O(n + m) per call on any graph the generators accept.
+    are ignored and every vertex outside it reads MAXDIST.
+
+    Direction-optimizing (Beamer, Asanovic & Patterson, "Direction-Optimizing
+    Breadth-First Search", SC 2012). Each level F is expanded by one of two
+    steps. Top-down reads the row of each vertex of F and claims its
+    unvisited neighbours. Bottom-up reads the row of each unvisited vertex up
+    to its first neighbour in F. An O(1) test per level compares estimated
+    work: top-down reads |F| * 2m/n entries, bottom-up |U| * n/|F|, U being
+    the unvisited vertices (a row meets a random F within about n/|F|
+    entries). Bottom-up runs when |F|^2 * 2m > |U| * n^2. As |U| >= 1, a
+    level of at most sqrt(n^2 / 2m) vertices always goes top-down; such
+    levels run as one queue, with no per-level work but one length check.
+    The search ends once every allowed vertex is reached.
+
+    Time and memory are O(n + m) per call. Top-down reads each row at most
+    once. A bottom-up scan that succeeds does so once per vertex. A scan that
+    fails is charged its row length plus one, and once failed scans have
+    cost more than 2m, every later level goes top-down.
     """
     n = g.n
     if isinstance(sources, int):
@@ -171,21 +194,55 @@ def bfs_distances(g: Graph, sources, allowed=None) -> list[int]:
             if not 0 <= v < n:
                 raise ValueError(f"allowed vertex {v} out of range")
             dist[v] = MAXDIST
-    q = deque()
+    queue = []  # every reached vertex, in order of distance
     for s in sources:
         if not 0 <= s < n:
             raise ValueError(f"source {s} out of range")
         if dist[s] == MAXDIST:
             dist[s] = 0
-            q.append(s)
+            queue.append(s)
     adj = g.adj
-    while q:
-        v = q.popleft()
-        d = dist[v] + 1
+    total = n if allowed is None else dist.count(MAXDIST) + len(queue)
+    two_m, nn = 2 * g.m, n * n
+    # only a level of more than `thin` vertices can pass the bottom-up test
+    thin = math.isqrt(nn // two_m) if two_m else n
+    unseen = MAXDIST  # every unvisited entry is this object: `is` skips a big-int compare
+    unvisited = None  # the failed candidates of the last bottom-up step
+    wasted = 0  # what failed bottom-up scans cost: row entries plus one per row
+    rest = iter(queue)  # the vertices not yet expanded
+    nd = 0  # the distance of the next level; its first vertex opens it
+    for v in rest:
+        if dist[v] == nd:
+            # v opens level nd, which is v and every vertex queued after it
+            # (__length_hint__ counts those in O(1); a second call only when
+            # the level is large keeps the common path short)
+            nd += 1
+            if rest.__length_hint__() >= thin:
+                f = rest.__length_hint__() + 1
+                left = total - len(queue)
+                if not left:
+                    break
+                if f * f * two_m > left * nn and wasted <= two_m:
+                    next(itertools.islice(rest, f - 1, f - 1), None)  # no row of this level is read
+                    d = nd - 1
+                    candidates = range(n) if unvisited is None else unvisited
+                    unvisited = []
+                    for w in candidates:
+                        if dist[w] is unseen:
+                            row = adj[w]
+                            for u in row:
+                                if dist[u] == d:
+                                    dist[w] = nd
+                                    queue.append(w)
+                                    break
+                            else:
+                                unvisited.append(w)
+                                wasted += len(row) + 1
+                    continue
         for u in adj[v]:
-            if dist[u] == MAXDIST:
-                dist[u] = d
-                q.append(u)
+            if dist[u] is unseen:
+                dist[u] = nd
+                queue.append(u)
     if allowed is not None:
         dist = [MAXDIST if d < 0 else d for d in dist]
     return dist

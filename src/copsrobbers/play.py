@@ -74,8 +74,9 @@ def _check_vertex(g: Graph, v, who: str):
 
 
 def _legal_cop_step(g: Graph, old, new):
+    closed = g.closed
     for i, (a, b) in enumerate(zip(old, new)):
-        if b not in g.closed[a]:
+        if b not in closed[a]:
             raise IllegalMove(f"cops (cop {i})", f"{a} -> {b} is not a step in N[{a}]")
 
 

@@ -37,13 +37,48 @@ def bfs_in_range_loops(path):
     return found
 
 
+def queue_walks(path):
+    """(module, function) for each loop that takes vertices from a queue its
+    own body fills: a ``while`` loop that calls ``popleft()``, or a ``for``
+    loop over a list, or over ``iter()`` of a list, that its body appends to."""
+    found = []
+
+    def appended(body):
+        return {c.func.value.id for c in _calls(body, "append")
+                if isinstance(c.func, ast.Attribute) and isinstance(c.func.value, ast.Name)}
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + [child.name])
+                continue
+            call = getattr(child, "value", None)
+            if isinstance(child, ast.Assign) and isinstance(call, ast.Call) \
+                    and getattr(call.func, "id", None) == "iter" \
+                    and call.args and isinstance(call.args[0], ast.Name):
+                aliases.update((t.id, call.args[0].id) for t in child.targets
+                               if isinstance(t, ast.Name))
+            if isinstance(child, ast.While) and _calls(child.body, "popleft"):
+                found.append((path.name, ".".join(scope)))
+            elif isinstance(child, ast.For) and isinstance(child.iter, ast.Name):
+                source = aliases.get(child.iter.id, child.iter.id)
+                if source in appended(child.body):
+                    found.append((path.name, ".".join(scope)))
+            visit(child, scope)
+
+    aliases = {}
+    visit(ast.parse(path.read_text(encoding="utf-8")), [])
+    return found
+
+
 def test_bfs_loops_only_in_the_kernel_and_matching():
-    """The one queue BFS is the kernel in graphs.py (matching.py's
-    Hopcroft-Karp layers aside), and no other module runs a BFS from every
-    vertex, which is what eccentricities() is for."""
-    counts = {p.name: p.read_text(encoding="utf-8").count("popleft") for p in SRC.glob("*.py")}
-    assert counts["graphs.py"] == 1
-    assert {name for name, c in counts.items() if c} <= {"graphs.py", "matching.py"}
+    """The one queue loop of a graph walk is the kernel, bfs_distances in
+    graphs.py (matching.py's Hopcroft-Karp layers aside), and no other module
+    runs a BFS from every vertex, which is what eccentricities() is for."""
+    walks = sorted(w for p in sorted(SRC.glob("*.py")) for w in queue_walks(p))
+    assert walks == [("graphs.py", "bfs_distances"),
+                     ("matching.py", "hall_witness"),
+                     ("matching.py", "hopcroft_karp.bfs")]
     loops = [hit for p in sorted(SRC.glob("*.py")) if p.name != "graphs.py"
              for hit in bfs_in_range_loops(p)]
     assert loops == []
