@@ -11,6 +11,16 @@ from every vertex), `step_toward` the one shortest-path step rule (the
 smallest-id neighbour one BFS layer closer, with `walk_toward` as its path
 form), and `Graph.masks` the one bitmask adjacency table.
 
+Exact `k_center` (k >= 2) and `domination_number` are one search over
+radius-r distance balls kept as bitmasks, the radius-1 balls read off
+`Graph.masks` and each larger radius the union of the neighbours' balls. A
+branch and bound (`_least_cover`) finds the least cover or decides one
+within a budget, a greedy packing refutes a too-small radius first, and a
+lexicographic depth-first search (`_first_cover`) names the centers an
+exhaustive k-subset scan would. Both searches run on explicit stacks.
+SUBSET_CAP (k-subsets) and DOMINATION_MAX_N (vertices) stay the admission
+rules, checked before any ball is built.
+
 Reflexivity (players may pass) is a movement rule, never stored loops: the
 closed neighbourhood N[v] = {v} | adj(v) is what game code consumes.
 """
@@ -27,7 +37,7 @@ from .errors import DisconnectedGraph, NotIsometric, SearchSpaceTooLarge
 # Distances are 32-bit counts; MAXDIST is the dedicated unreachable sentinel.
 MAXDIST = 2**31 - 1
 
-# Search caps: center sets of exact k_center, vertices of domination_number.
+# Admission caps: k-subsets of exact k_center, vertices of domination_number.
 SUBSET_CAP = 5_000_000
 DOMINATION_MAX_N = 40
 
@@ -60,7 +70,8 @@ class Graph:
             if not {int}.issuperset(map(type, ns)):
                 raise ValueError(f"neighbour ids of {v} must be ints")
             ns = tuple(sorted(ns))
-            if ns and (ns[0] < 0 or ns[-1] >= n) or v in ns:
+            cut = bisect_left(ns, v)
+            if ns and (ns[0] < 0 or ns[-1] >= n) or ns[cut:cut + 1] == (v,):
                 for u in ns:
                     if not 0 <= u < n:
                         raise ValueError(f"neighbour {u} of {v} out of range")
@@ -68,7 +79,6 @@ class Graph:
                         raise ValueError(f"self-loop stored at {v}; reflexivity is implicit")
             if len(set(ns)) != len(ns):
                 raise ValueError(f"duplicate neighbour entry at {v}")
-            cut = bisect_left(ns, v)
             for u in ns[cut:]:
                 rev[u].append(v)
             adj.append(ns)
@@ -269,10 +279,6 @@ def walk_toward(g: Graph, dist, v: int) -> list[int]:
     return path
 
 
-def all_pairs_distances(g: Graph) -> list[list[int]]:
-    return [bfs_distances(g, v) for v in range(g.n)]
-
-
 def component_of(g: Graph, start: int, blocked=frozenset()) -> set[int]:
     """Vertices reachable from start in g minus the blocked vertex set."""
     allowed = set(range(g.n)).difference(blocked)
@@ -358,14 +364,25 @@ class KCenterResult:
 def k_center(g: Graph, k: int, mode: str = "exact") -> KCenterResult:
     """Metric k-center of a connected graph.
 
-    exact: exhaustive over k-subsets (lexicographic order, early cut-off
-    against the incumbent radius), so ties resolve to the lexicographically
-    smallest center set; more than SUBSET_CAP subsets raise
-    SearchSpaceTooLarge before any distance is computed. With k = 1 each
-    vertex's BFS row is read once, so the rows are streamed and the n x n
-    table is never built. greedy: farthest-point seeding from vertex 0, a
-    2-approximation, with one multi-source BFS per center: each added
-    center is the first vertex farthest from the centers so far.
+    greedy: farthest-point seeding from vertex 0, a 2-approximation, with one
+    multi-source BFS per center: each added center is the first vertex
+    farthest from the centers so far.
+
+    exact: the least radius r such that k radius-r balls cover every vertex,
+    and the lexicographically smallest k-set of centers that covers at r.
+    That is the set an exhaustive scan of k-subsets in lexicographic order
+    keeps. More than SUBSET_CAP k-subsets raise SearchSpaceTooLarge before
+    any ball is grown. With k = 1 each vertex's BFS row is read once and
+    dropped, so no n x n table is built.
+
+    With k >= 2 it searches radius-r balls (Kariv & Hakimi 1979 for the
+    p-center problem). The greedy radius r_g is feasible, and its k + 1
+    farthest points lie pairwise at least r_g apart, so the optimum is at
+    least ceil(r_g / 2). Each r from there up to r_g - 1 is refuted first by
+    `_packs`: k + 1 vertices pairwise more than 2r apart need k + 1 balls
+    (Meir & Moon 1975). What the packing leaves, `_least_cover` refutes, a
+    feasibility search with a budget of k balls. The first r that neither
+    refutes is the optimum, and `_first_cover` finds the centers there.
     """
     if not 1 <= k:
         raise ValueError("k must be at least 1")
@@ -377,14 +394,7 @@ def k_center(g: Graph, k: int, mode: str = "exact") -> KCenterResult:
         raise DisconnectedGraph("k-center requires a connected graph")
 
     if mode == "greedy":
-        centers = [0]
-        while True:
-            dist = bfs_distances(g, centers)
-            radius = max(dist)
-            if len(centers) == k:
-                return KCenterResult(tuple(sorted(centers)), radius)
-            centers.append(dist.index(radius))
-
+        return _farthest_points(g, k)
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
     if math.comb(g.n, k) > SUBSET_CAP:
@@ -394,58 +404,162 @@ def k_center(g: Graph, k: int, mode: str = "exact") -> KCenterResult:
     if k == 1:
         radius, center = min((max(bfs_distances(g, v)), v) for v in range(g.n))
         return KCenterResult((center,), radius)
-    dist = all_pairs_distances(g)
-    best_r = MAXDIST
-    best = None
-    for combo in itertools.combinations(range(g.n), k):
-        rows = [dist[c] for c in combo]
-        r = 0
-        for v in range(g.n):
-            dv = min(row[v] for row in rows)
-            if dv > r:
-                r = dv
-                if r >= best_r:
-                    break
-        else:
-            best_r = r
-            best = combo
-    return KCenterResult(best, best_r)
+    top = _farthest_points(g, k).radius
+    depth = bfs_distances(g, 0)
+    deepest = sorted(range(g.n), key=depth.__getitem__, reverse=True)
+    r = (top + 1) // 2
+    balls = _balls(g, r)
+    while r < top and (_packs(balls, deepest, k + 1) or _least_cover(balls, k + 1, k) > k):
+        r += 1
+        balls = _grown(g, balls)
+    return KCenterResult(_first_cover(balls, k), r)
 
 
 def domination_number(g: Graph) -> int:
-    """Exact domination number by branch and bound over closed neighbourhoods."""
+    """Exact domination number: the least number of radius-1 balls (closed
+    neighbourhoods) that cover every vertex, by `_least_cover` below a greedy
+    cover's size. More than DOMINATION_MAX_N vertices raise
+    SearchSpaceTooLarge before any ball is built."""
     if g.n > DOMINATION_MAX_N:
         raise SearchSpaceTooLarge(f"n={g.n} exceeds domination cap {DOMINATION_MAX_N}")
     if g.n == 0:
         return 0
     n = g.n
-    masks = [m | 1 << v for v, m in enumerate(g.masks)]
+    balls = _balls(g, 1)
     full = (1 << n) - 1
 
     # greedy cover as the initial incumbent
     covered, size = 0, 0
     while covered != full:
-        best = max(range(n), key=lambda v: ((masks[v] | covered).bit_count(), -v))
-        covered |= masks[best]
+        best = max(range(n), key=lambda v: ((balls[v] | covered).bit_count(), -v))
+        covered |= balls[best]
         size += 1
-    best_size = size
-    max_gain = max(m.bit_count() for m in masks)
+    return _least_cover(balls, size)
 
-    def search(covered, size):
-        nonlocal best_size
-        if covered == full:
-            best_size = min(best_size, size)
-            return
-        remaining = (full & ~covered).bit_count()
-        if size + (remaining + max_gain - 1) // max_gain >= best_size:
-            return
-        v = (full & ~covered).bit_length() - 1  # an uncovered vertex
-        # only vertices in N[v] can cover v
-        for u in sorted((v, *g.adj[v])):
-            search(covered | masks[u], size + 1)
 
-    search(0, 0)
-    return best_size
+def _farthest_points(g: Graph, k: int) -> KCenterResult:
+    """Greedy k-center: farthest-point seeding from vertex 0."""
+    centers = [0]
+    while True:
+        dist = bfs_distances(g, centers)
+        radius = max(dist)
+        if len(centers) == k:
+            return KCenterResult(tuple(sorted(centers)), radius)
+        centers.append(dist.index(radius))
+
+
+# The ball search. balls[c] is the bitmask of the vertices within distance r
+# of c. Balls are symmetric (v in balls[c] iff c in balls[v]), so balls[v] is
+# also the set of centers whose ball holds v.
+
+
+def _balls(g: Graph, r: int) -> list[int]:
+    """Radius-r balls of every vertex (r >= 1), from the closed neighbourhood
+    masks."""
+    balls = [m | 1 << v for v, m in enumerate(g.masks)]
+    for _ in range(r - 1):
+        balls = _grown(g, balls)
+    return balls
+
+
+def _grown(g: Graph, balls) -> list[int]:
+    """Balls one larger: the radius-(r+1) ball of c is the union of the
+    radius-r balls of c and its neighbours."""
+    grown = []
+    for b, row in zip(balls, g.adj):
+        for u in row:
+            b |= balls[u]
+        grown.append(b)
+    return grown
+
+
+def _packs(balls, order, count: int) -> bool:
+    """Whether a greedy packing finds `count` vertices pairwise more than 2r
+    apart, r being the balls' radius. It picks each vertex of `order` not yet
+    struck out, and strikes out its radius-2r ball, the union of the balls
+    of its ball's vertices. No radius-r ball holds two picks, so `count`
+    picks refute a cover by fewer balls.
+
+    k_center orders the vertices deepest first from vertex 0. On a tree that
+    packing is a largest one: a largest packing has at most one vertex
+    within r of the pick's r-th ancestor, and the pick can replace it. A
+    tree's largest 2r-packing is as large as its least r-cover (Meir & Moon
+    1975), so on trees the packing refutes every radius that is too small.
+    """
+    candidates = (1 << len(balls)) - 1
+    for v in order:
+        if candidates >> v & 1:
+            count -= 1
+            if not count:
+                return True
+            ball = balls[v]
+            while ball:
+                low = ball & -ball
+                ball ^= low
+                candidates &= ~balls[low.bit_length() - 1]
+    return False
+
+
+def _least_cover(balls, limit: int, enough: int = 0) -> int:
+    """The least number of balls, below `limit`, whose union is every vertex;
+    `limit` when there is none. The search stops at the first cover of at
+    most `enough` balls, which makes it a feasibility test with a budget.
+
+    Branch and bound on an explicit stack: branch on the balls that hold the
+    highest uncovered vertex, in ascending order of center, and prune a node
+    when its size plus the uncovered count over the widest ball reaches the
+    best size so far."""
+    widest = max(b.bit_count() for b in balls)
+    best = limit
+    stack = [((1 << len(balls)) - 1, 0)]  # (uncovered vertices, balls used)
+    while stack:
+        left, size = stack.pop()
+        if not left:
+            best = min(best, size)
+            if best <= enough:
+                break
+            continue
+        if size + -(-left.bit_count() // widest) >= best:
+            continue
+        holders = balls[left.bit_length() - 1]
+        while holders:  # pushed in descending order, so popped in ascending
+            c = holders.bit_length() - 1
+            holders ^= 1 << c
+            stack.append((left & ~balls[c], size + 1))
+    return best
+
+
+def _first_cover(balls, k: int):
+    """The lexicographically smallest k-set of centers whose balls cover
+    every vertex, or None.
+
+    Depth-first on an explicit stack, with centers in ascending order. The
+    next center is at most the largest id in the ball of the lowest
+    uncovered vertex, or that vertex stays uncovered, and at most
+    n - (centers still to pick), so the set can be filled out; a node whose
+    uncovered count exceeds the balls left times the widest ball is cut. A
+    cover of fewer than k centers is filled out with the next ids, the
+    smallest completion."""
+    n = len(balls)
+    widest = max(b.bit_count() for b in balls)
+    centers, lefts = [], [(1 << n) - 1]  # the uncovered vertices before each center
+    c = 0  # the next candidate center
+    while True:
+        left = lefts[-1]
+        if not left:
+            return (*centers, *range(c, c + k - len(centers)))
+        d = len(centers)
+        if d < k and left.bit_count() <= (k - d) * widest:
+            low = left & -left
+            if c <= min(balls[low.bit_length() - 1].bit_length() - 1, n - k + d):
+                centers.append(c)
+                lefts.append(left & ~balls[c])
+                c += 1
+                continue
+        if not centers:
+            return None
+        lefts.pop()
+        c = centers.pop() + 1
 
 
 @dataclass(frozen=True)

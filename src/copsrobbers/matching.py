@@ -69,7 +69,16 @@ def hopcroft_karp(adj, n_right: int):
             nxt.append(0)
         return False
 
+    # The first phase needs no BFS: every left vertex is free, so all sit on
+    # layer 0 and each augmenting path is one edge to a free right vertex.
     size = 0
+    for u in range(n_left):
+        for v in adj[u]:
+            if pair_right[v] == -1:
+                pair_left[u] = v
+                pair_right[v] = u
+                size += 1
+                break
     while bfs():
         for u in range(n_left):
             if pair_left[u] == -1 and augment(u):

@@ -14,6 +14,9 @@ Graph construction is checked against per-entry validation over a set of
 directed pairs, and G(n, p) against its edge-list build.
 The sphere trap's distance balls are checked against one BFS per target,
 and the greedy k-center's multi-source BFS against the all-pairs table.
+The k-center ball search is checked against the exhaustive k-subset scan
+over that table, and the domination search against subset enumeration, a
+tree dynamic program and the small-grid closed forms.
 """
 
 import itertools
@@ -182,14 +185,28 @@ def naive_capture_time(g, k):
     return best
 
 
-def brute_force_k_center(g, k, dist):
-    """Minimum covering radius over all k-subsets, plus one witness set."""
+def all_pairs(g):
+    """The n x n distance table, one level-set BFS per vertex."""
+    return [reference_bfs_distances(g, v) for v in range(g.n)]
+
+
+def brute_force_k_center(g, k):
+    """Exhaustive k-center over the all-pairs table: every k-subset in
+    lexicographic order, each scan cut off once it reaches the incumbent
+    radius, so ties keep the lexicographically smallest set. Returns
+    (centers, radius)."""
+    dist = all_pairs(g)
     best_r, best = INF, None
     for combo in itertools.combinations(range(g.n), min(k, g.n)):
-        r = max(min(dist[c][v] for c in combo) for v in range(g.n))
-        if r < best_r:
+        rows = [dist[c] for c in combo]
+        r = 0
+        for v in range(g.n):
+            r = max(r, min(row[v] for row in rows))
+            if r >= best_r:
+                break
+        else:
             best_r, best = r, combo
-    return best_r, best
+    return best, best_r
 
 
 def reference_greedy_k_center(g, k, dist):
@@ -218,6 +235,40 @@ def brute_force_domination(g):
             if len(covered) == g.n:
                 return size
     return g.n
+
+
+def tree_domination(g):
+    """Domination number of a tree by dynamic programming over the BFS tree
+    from vertex 0. Per subtree, the least dominating set with its root in
+    the set (a), out of it but dominated by a child (b), and out of it and
+    left to its parent (c)."""
+    dist, parent = bfs_parents(g, 0)
+    a, b, c = [1] * g.n, [0] * g.n, [0] * g.n
+    extra = [INF] * g.n  # least cost of putting one child of b's root in the set
+    for v in sorted(range(g.n), key=lambda v: -dist[v]):
+        b[v] += extra[v]
+        p = parent[v]
+        if p >= 0:
+            a[p] += min(a[v], b[v], c[v])
+            b[p] += min(a[v], b[v])
+            c[p] += b[v]
+            extra[p] = min(extra[p], a[v] - min(a[v], b[v]))
+    return min(a[0], b[0])
+
+
+def grid_domination(m, n):
+    """Domination number of the m x n grid for m <= 4 (Jacobson & Kinch,
+    "On the domination number of products of graphs: I", 1984)."""
+    m, n = sorted((m, n))
+    if m == 1:
+        return (n + 2) // 3
+    if m == 2:
+        return (n + 2) // 2
+    if m == 3:
+        return (3 * n + 4) // 4
+    if m == 4:
+        return n + 1 if n in (5, 6, 9) else n
+    raise ValueError("closed form known here only for m <= 4")
 
 
 def has_cycle(n, edges):

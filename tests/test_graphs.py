@@ -1,4 +1,5 @@
 import itertools
+import time
 import tracemalloc
 
 import pytest
@@ -12,6 +13,7 @@ from copsrobbers.generators import (
     gen_cycle,
     gen_gnp,
     gen_grid,
+    gen_grid_dims,
     gen_hypercube,
     gen_path,
     gen_tree,
@@ -19,7 +21,6 @@ from copsrobbers.generators import (
 from copsrobbers.graphs import (
     MAXDIST,
     Graph,
-    all_pairs_distances,
     bfs_distances,
     domination_number,
     k_center,
@@ -30,11 +31,14 @@ from copsrobbers.graphs import (
 )
 
 from oracles import (
+    all_pairs,
     brute_force_domination,
     brute_force_k_center,
+    grid_domination,
     reference_gen_gnp,
     reference_greedy_k_center,
     reference_graph_adj,
+    tree_domination,
 )
 
 
@@ -217,10 +221,9 @@ def test_k_center_path_examples():
 
 def test_k_center_matches_brute_force_on_path():
     g, _ = gen_path(7)
-    dist = all_pairs_distances(g)
     for k in (1, 2, 3):
-        want, _ = brute_force_k_center(g, k, dist)
-        assert k_center(g, k).radius == want
+        res = k_center(g, k)
+        assert (res.centers, res.radius) == brute_force_k_center(g, k)
 
 
 def test_k_center_k_ge_n():
@@ -237,16 +240,18 @@ def test_k_center_cap(monkeypatch):
 
 
 def test_k_center_cap_checked_before_distances(monkeypatch):
-    """C(3200, 2) is over the cap: exact mode refuses without building the
-    n x n distance table."""
+    """C(3200, 2) is over the cap: exact mode refuses before any distance
+    ball is grown, or any bitmask row built."""
 
-    def no_table(g):
-        raise AssertionError("all_pairs_distances called")
+    def no_balls(*args):
+        raise AssertionError("a ball was grown")
 
-    monkeypatch.setattr(graphs, "all_pairs_distances", no_table)
+    monkeypatch.setattr(graphs, "_balls", no_balls)
+    monkeypatch.setattr(graphs, "_grown", no_balls)
     g, _ = gen_path(3200)
     with pytest.raises(SearchSpaceTooLarge):
         k_center(g, 2)
+    assert g._masks is None
 
 
 @given(st.integers(0, 40), st.sampled_from([0.3, 0.5]))
@@ -270,7 +275,7 @@ def test_greedy_k_center_matches_the_table_version(n, p, seed, k):
     if k >= g.n:
         assert res == k_center(g, k)
         return
-    want = reference_greedy_k_center(g, k, all_pairs_distances(g))
+    want = reference_greedy_k_center(g, k, all_pairs(g))
     assert (res.centers, res.radius) == want
 
 
@@ -287,6 +292,54 @@ def test_exact_k_center_one_center_streams_rows():
         tracemalloc.stop()
     assert res == graphs.KCenterResult((299,), 300)
     assert peak < 1 << 20
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["gnp", "tree", "grid"]), st.integers(1, 40), st.integers(0, 10_000),
+       st.integers(1, 5), st.sampled_from([0.2, 0.35, 0.5, 0.8]))
+def test_ball_search_matches_the_exhaustive_scan(family, n, seed, k, p):
+    """Exact k_center returns the exhaustive scan's centers (the
+    lexicographically smallest optimal k-set) and radius, and
+    domination_number its γ: on G(n, p) with n <= 13, trees with n <= 40,
+    and grids of up to 40 vertices. Trees and grids take k <= 3 and check γ
+    against a tree DP and the closed forms of 1- to 4-row grids."""
+    if family == "gnp":
+        g = gen_connected_gnp(n % 13 + 1, p, seed)[0]
+        gamma = brute_force_domination(g)
+    elif family == "tree":
+        g, k = gen_tree(n, seed), min(k, 3)
+        gamma = tree_domination(g)
+    else:
+        rows, cols = seed % 4 + 1, n % 10 + 1
+        g, k = gen_grid_dims([rows, cols])[0], min(k, 3)
+        gamma = grid_domination(rows, cols)
+    res = k_center(g, k)
+    assert (res.centers, res.radius) == brute_force_k_center(g, k)
+    assert domination_number(g) == gamma
+
+
+def _cpu(fn, *args):
+    start = time.process_time()
+    out = fn(*args)
+    return out, time.process_time() - start
+
+
+def test_k_center_two_centers_on_a_long_path():
+    """C(800, 2) = 319,600 subsets took the exhaustive scan 50 s; the search
+    refutes no radius here, since ceil(r_g / 2) is already the optimum."""
+    g, _ = gen_path(800)
+    res, cpu = _cpu(k_center, g, 2)
+    assert res == graphs.KCenterResult((198, 599), 200)
+    assert cpu < 1.0
+
+
+def test_k_center_many_centers_needs_no_recursion():
+    """C(1000, 998) = 499,500 is under the cap, and both searches go 998
+    centers deep on an explicit stack."""
+    g, _ = gen_path(1000)
+    res, cpu = _cpu(k_center, g, 998)
+    assert res == graphs.KCenterResult((*range(997), 998), 1)
+    assert cpu < 1.0
 
 
 @given(st.integers(0, 30))
@@ -315,6 +368,22 @@ def test_domination_examples():
 def test_domination_matches_brute_force(seed):
     g = gen_gnp(7, 0.4, seed)
     assert domination_number(g) == brute_force_domination(g)
+
+
+@pytest.mark.parametrize("name", ["cycle:40", "tree:40,3", "gnp:40,0.1,1"])
+def test_domination_on_forty_vertices_is_fast(name):
+    """Branching on the highest uncovered vertex keeps these under 20 ms; a
+    lexicographic search or branching on the lowest took seconds."""
+    if name == "cycle:40":
+        g, want = gen_cycle(40), 14  # ceil(n / 3)
+    elif name == "tree:40,3":
+        g = gen_tree(40, 3)
+        want = tree_domination(g)
+    else:
+        g, want = gen_connected_gnp(40, 0.1, 1)[0], 9  # the branch and bound's value before the ball search
+    gamma, cpu = _cpu(domination_number, g)
+    assert gamma == want
+    assert cpu < 1.0
 
 
 def test_domination_cap(monkeypatch):
@@ -389,7 +458,7 @@ def test_path_retract_monotone_k_center(seed):
     g = gen_gnp(8, 0.4, seed)
     if not g.is_connected():
         return
-    dist = all_pairs_distances(g)
+    dist = all_pairs(g)
     # build a retract onto a diametral shortest path
     far = max(range(g.n), key=lambda v: max(dist[v]))
     end = max(range(g.n), key=lambda v: dist[far][v])

@@ -1,5 +1,6 @@
-"""Structure guards: graph walks stay behind the one kernel in graphs.py, every
-Graph goes through its checked constructor, game values are read only inside
+"""Structure guards: graph walks stay behind the one kernel in graphs.py, the
+exact k-center and domination searches are one non-recursive ball search,
+every Graph goes through its checked constructor, game values are read only inside
 solver.py, the solver admits instances by its module caps alone, the package
 imports no array library, and every module-level import is used."""
 
@@ -82,6 +83,19 @@ def test_bfs_loops_only_in_the_kernel_and_matching():
     loops = [hit for p in sorted(SRC.glob("*.py")) if p.name != "graphs.py"
              for hit in bfs_in_range_loops(p)]
     assert loops == []
+
+
+def test_one_ball_search_without_subsets_or_recursion():
+    """Exact k_center and domination_number share one search over distance
+    balls: graphs.py scans no k-subsets and keeps no all-pairs table, and no
+    function in it calls itself, since a cover may be hundreds of centers
+    deep (k_center(path:1000, 998) is under SUBSET_CAP)."""
+    text = (SRC / "graphs.py").read_text(encoding="utf-8")
+    assert "combinations" not in text and "all_pairs_distances" not in text
+    recursive = [f"{fn.name}:{call.lineno}" for fn in ast.walk(ast.parse(text))
+                 if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 for call in _calls([fn], fn.name)]
+    assert recursive == []
 
 
 def test_no_recursion_limit_changes():
