@@ -2,9 +2,16 @@
 regime classifier for cubes, and the seeded Monte Carlo runner.
 
 Every asymptotic claim is checked as exact values or explicit inequalities
-on fixed finite families; suites emit one BoundReport per checked instance
+on fixed finite families; suites yield one BoundReport per checked instance
 and never assert limits. All randomness is seeded; suite output is a pure
 function of its parameters.
+
+Each cop policy states its certified bound once, as its `bound` attribute:
+the capture round its proof guarantees on the (g, k) it was built for. The
+suites that check a strategy call one audit, `_audit`, which plays the policy
+against one robber (or, exhaustively, against every robber up to the bound)
+and reports whether capture came within `policy.bound`. The sphere-trap
+suites count certified runs, so they read `policy.bound` directly.
 """
 
 from __future__ import annotations
@@ -265,170 +272,125 @@ STUDY_PARAMS = {"count_per_p": 25, "n_lo": 5, "n_hi": 10, "ps": (0.3, 0.5), "bas
 
 
 def _suite_trees(params):
-    reports = []
     for name, g, seed in tree_instances(params["count"], params["n_max"], params["base_seed"]):
         for k in range(1, params["k_max"] + 1):
             capt = capture_time(g, k)
             rad = k_center(g, k).radius if k < g.n else 0
-            reports.append(
-                BoundReport(
-                    "trees", name, f"capt_{k}_equals_rad_{k}", capt, rad,
-                    capt == rad, seed=seed,
-                )
+            yield BoundReport(
+                "trees", name, f"capt_{k}_equals_rad_{k}", capt, rad,
+                capt == rad, seed=seed,
             )
-    return reports
 
 
 def _suite_grid_closed_form(params):
-    reports = []
     lo, hi = params["m_min"], params["m_max"]
     for m in range(lo, hi + 1):
         for n in range(lo, hi + 1):
             g, _ = gen_grid_dims([m, n])
             capt = capture_time(g, 2)
             want = (m + n) // 2 - 1
-            reports.append(
-                BoundReport(
-                    "grid_closed_form", f"grid{m}x{n}", "capt_2", capt, want,
-                    capt == want,
-                )
+            yield BoundReport(
+                "grid_closed_form", f"grid{m}x{n}", "capt_2", capt, want,
+                capt == want,
             )
-    return reports
 
 
 def _suite_lower_bounds(params):
-    reports = []
     for inst in random_small_study(**params):
         diam = inst["diam"]
         for k, capt in sorted(inst["capts"].items()):
             rad = inst["radk"][k]
-            reports.append(
-                BoundReport(
-                    "lower_bounds", inst["id"], f"capt_{k}_ge_rad_{k}",
-                    capt, rad, capt >= rad, seed=inst["seed"],
-                )
+            yield BoundReport(
+                "lower_bounds", inst["id"], f"capt_{k}_ge_rad_{k}",
+                capt, rad, capt >= rad, seed=inst["seed"],
             )
             diam_bound = max(0, -(-(diam - k + 1) // (2 * k)))
-            reports.append(
-                BoundReport(
-                    "lower_bounds", inst["id"], f"capt_{k}_ge_diam_bound",
-                    capt, diam_bound, capt >= diam_bound, seed=inst["seed"],
-                )
+            yield BoundReport(
+                "lower_bounds", inst["id"], f"capt_{k}_ge_diam_bound",
+                capt, diam_bound, capt >= diam_bound, seed=inst["seed"],
             )
-    return reports
 
 
 def _suite_monotonicity(params):
-    reports = []
     for inst in random_small_study(**params):
         g = inst["graph"]
         capts = inst["capts"]
         ks = sorted(capts)
         for a, b in zip(ks, ks[1:]):
             if b == a + 1:
-                reports.append(
-                    BoundReport(
-                        "monotonicity", inst["id"], f"capt_{b}_le_capt_{a}",
-                        capts[b], capts[a], capts[b] <= capts[a], seed=inst["seed"],
-                    )
+                yield BoundReport(
+                    "monotonicity", inst["id"], f"capt_{b}_le_capt_{a}",
+                    capts[b], capts[a], capts[b] <= capts[a], seed=inst["seed"],
                 )
         gamma = inst["gamma"]
         if gamma in capts:
-            reports.append(
-                BoundReport(
-                    "monotonicity", inst["id"], "capt_gamma_is_1",
-                    capts[gamma], 1, capts[gamma] == 1, seed=inst["seed"],
-                )
+            yield BoundReport(
+                "monotonicity", inst["id"], "capt_gamma_is_1",
+                capts[gamma], 1, capts[gamma] == 1, seed=inst["seed"],
             )
-        reports.append(
-            BoundReport(
-                "monotonicity", inst["id"], "capt_n_is_0",
-                capture_time(g, g.n), 0, capture_time(g, g.n) == 0,
-                seed=inst["seed"],
-            )
+        yield BoundReport(
+            "monotonicity", inst["id"], "capt_n_is_0",
+            capture_time(g, g.n), 0, capture_time(g, g.n) == 0,
+            seed=inst["seed"],
         )
-    return reports
 
 
 def _suite_hypercube_small(params):
-    reports = []
     for n, want in ((2, 2), (3, 2)):
         g, _ = gen_hypercube(n)
         c = cop_number(g)
-        reports.append(
-            BoundReport("hypercube_small", f"Q{n}", "cop_number", c, want, c == want)
-        )
-    q3, _ = gen_hypercube(3)
-    capt = capture_time(q3, 2)
-    reports.append(
-        BoundReport("hypercube_small", "Q3", "capt_2", capt, 1, capt == 1)
-    )
+        yield BoundReport("hypercube_small", f"Q{n}", "cop_number", c, want, c == want)
+    capt = capture_time(gen_hypercube(3)[0], 2)
+    yield BoundReport("hypercube_small", "Q3", "capt_2", capt, 1, capt == 1)
     # counting bound: with k cops below 2^n / |ball_d|, survival exceeds d
     bound = counting_cop_bound(4, 1)
-    ok_formula = 3 < bound
-    reports.append(
-        BoundReport(
-            "hypercube_small", "Q4", "counting_admits_k3",
-            float(Fraction(3)), float(bound), ok_formula,
-        )
+    yield BoundReport(
+        "hypercube_small", "Q4", "counting_admits_k3",
+        float(Fraction(3)), float(bound), 3 < bound,
     )
-    q4, _ = gen_hypercube(4)
-    capt3 = capture_time(q4, 3)
-    reports.append(
-        BoundReport("hypercube_small", "Q4", "capt_3_ge_2", capt3, 2, capt3 >= 2)
+    capt3 = capture_time(gen_hypercube(4)[0], 3)
+    yield BoundReport("hypercube_small", "Q4", "capt_3_ge_2", capt3, 2, capt3 >= 2)
+
+
+def _audit(suite, instance, quantity, g, k, policy, robber=None, *, seed="", fast_robber=False):
+    """Play `policy` on (g, k) against `robber` and report whether capture
+    came within `policy.bound`. With robber None the policy plays every
+    robber: `worst_case_capture_round` searches all of them up to the bound.
+    Returns the report and the transcript (None for the exhaustive audit)."""
+    bound = policy.bound
+    if robber is None:
+        t = None
+        caught = worst_case_capture_round(g, policy, k, horizon=bound)
+    else:
+        t = play(g, k, policy, robber, max_rounds=int(bound) + 50, fast_robber=fast_robber)
+        caught = t.capture_round
+    report = BoundReport(
+        suite, instance, quantity, caught, bound, caught is not None and caught <= bound,
+        seed=seed, rounds=caught,
     )
-    return reports
+    return report, t
 
 
 def _suite_strategy_audits(params):
-    reports = []
     # tree chase versus the solver-extracted optimal robber
     for name, g, seed in tree_instances(params["count"], params["n_max"], params["base_seed"]):
-        for k in range(1, params["k_max"] + 1):
-            if k >= g.n:
-                continue
-            rad = k_center(g, k).radius
-            table = solve(g, k)
-            _, robber = extract_policies(table)
-            pol = TreePolicy(g, k)
-            t = play(g, k, pol, robber, max_rounds=4 * g.n)
-            reports.append(
-                BoundReport(
-                    "strategy_audits", name, f"tree_policy_k{k}_within_rad",
-                    t.capture_round, rad,
-                    t.capture_round is not None and t.capture_round <= rad,
-                    seed=seed, rounds=t.capture_round,
-                )
-            )
-
-    # grid cover: every robber behaviour, exhaustively, within the per-box bound
+        for k in range(1, min(params["k_max"] + 1, g.n)):
+            _, robber = extract_policies(solve(g, k))
+            yield _audit(
+                "strategy_audits", name, f"tree_policy_k{k}_within_rad",
+                g, k, TreePolicy(g, k), robber, seed=seed,
+            )[0]
+    # retract territories versus every robber: grid boxes, then subcubes
     g6, codec6 = gen_grid(2, 6)
-    g3, _ = gen_grid(2, 3)
-    box_bound = capture_time(g3, 2)
-    pol = grid_cover_policy(g6, codec6, 8)
-    worst = worst_case_capture_round(g6, pol, 8, horizon=box_bound)
-    reports.append(
-        BoundReport(
-            "strategy_audits", "grid6x6-k8", "grid_cover_within_capt2_grid3",
-            worst, box_bound, worst is not None and worst <= box_bound,
-            rounds=worst,
-        )
-    )
-
-    # subcube partition on the 4-cube
+    yield _audit(
+        "strategy_audits", "grid6x6-k8", "grid_cover_within_capt2_grid3",
+        g6, 8, grid_cover_policy(g6, codec6, 8),
+    )[0]
     q4, codec4 = gen_hypercube(4)
-    q3, _ = gen_hypercube(3)
-    sub_bound = capture_time(q3, 2)
-    pol = subcube_partition_policy(q4, codec4, 4, 3)
-    worst = worst_case_capture_round(q4, pol, 4, horizon=sub_bound)
-    reports.append(
-        BoundReport(
-            "strategy_audits", "Q4-k4-ell3", "subcube_within_capt2_Q3",
-            worst, sub_bound, worst is not None and worst <= sub_bound,
-            rounds=worst,
-        )
-    )
-    return reports
+    yield _audit(
+        "strategy_audits", "Q4-k4-ell3", "subcube_within_capt2_Q3",
+        q4, 4, subcube_partition_policy(q4, codec4, 4, 3),
+    )[0]
 
 
 def _suite_sphere_trap(params):
@@ -436,7 +398,6 @@ def _suite_sphere_trap(params):
     d = params["d"]
     k = params["k"]
     g, _ = gen_hypercube(params["n"])
-    bound = 2 * d + 1
     table = solve(g, k)
     _, robber = extract_policies(table)
     saturated = 0
@@ -449,47 +410,40 @@ def _suite_sphere_trap(params):
         meta = t.metadata.get("cop", {})
         if meta.get("matching_saturated"):
             saturated += 1
-            if t.capture_round is None or t.capture_round > bound:
+            if t.capture_round is None or t.capture_round > pol.bound:
                 miscertified += 1
             else:
                 worst_saturated = max(worst_saturated, t.capture_round)
         else:
             if "hall_deficient" not in meta:
                 unflagged += 1
-    reports = [
-        BoundReport(
-            "sphere_trap", f"Q3-d{d}-k{k}", "saturated_capture_within_bound",
-            miscertified, 0, miscertified == 0, seed=f"0..{seeds - 1}",
-            rounds=worst_saturated,
-        ),
-        BoundReport(
-            "sphere_trap", f"Q3-d{d}-k{k}", "hall_failures_flagged",
-            unflagged, 0, unflagged == 0, seed=f"0..{seeds - 1}",
-        ),
-        BoundReport(
-            "sphere_trap", f"Q3-d{d}-k{k}", "saturated_runs_present",
-            saturated, 1, saturated >= 1, seed=f"0..{seeds - 1}",
-        ),
-    ]
-    return reports
+    instance, seed = f"Q3-d{d}-k{k}", f"0..{seeds - 1}"
+    yield BoundReport(
+        "sphere_trap", instance, "saturated_capture_within_bound",
+        miscertified, 0, miscertified == 0, seed=seed, rounds=worst_saturated,
+    )
+    yield BoundReport(
+        "sphere_trap", instance, "hall_failures_flagged",
+        unflagged, 0, unflagged == 0, seed=seed,
+    )
+    yield BoundReport(
+        "sphere_trap", instance, "saturated_runs_present",
+        saturated, 1, saturated >= 1, seed=seed,
+    )
 
 
 def _suite_random_graphs(params):
     n = params["n"]
     p = params["p"]
     trials = params["trials"]
-    C = params["C"]
     k = params["k"]
     if k is None:
         k = math.ceil(10 * math.sqrt(n * math.log(n)))
     need_rate = params["rate"]
-    degree = p * (n - 1)
-    r = net_radius(n, degree, k, C)
-    reports = [
-        BoundReport("random_graphs", f"gnp-{n}-{p}", "net_radius", r, params["expect_r"],
-                    r == params["expect_r"]),
-    ]
-    bound = 2 * r + 1
+    r = net_radius(n, p * (n - 1), k, params["C"])
+    instance, seed = f"gnp-{n}-{p}", f"0..{trials - 1}"
+    yield BoundReport("random_graphs", instance, "net_radius", r, params["expect_r"],
+                      r == params["expect_r"])
     certified = 0
     survived_all = True
     worst_round = 0
@@ -498,163 +452,115 @@ def _suite_random_graphs(params):
         pol = SphereTrapPolicy(g, k, r, mode="general", seed=f"rg-{i}")
         t = play(g, k, pol, StayFarRobber(), max_rounds=50)
         meta = t.metadata.get("cop", {})
-        if meta.get("matching_saturated") and t.capture_round is not None and t.capture_round <= bound:
+        if meta.get("matching_saturated") and t.capture_round is not None and t.capture_round <= pol.bound:
             certified += 1
             worst_round = max(worst_round, t.capture_round)
         if t.capture_round is not None and t.capture_round < r:
             survived_all = False
     rate = certified / trials
-    reports.append(
-        BoundReport(
-            "random_graphs", f"gnp-{n}-{p}", "certified_capture_rate",
-            rate, need_rate, rate >= need_rate, seed=f"0..{trials - 1}",
-            rounds=worst_round,
-        )
+    yield BoundReport(
+        "random_graphs", instance, "certified_capture_rate",
+        rate, need_rate, rate >= need_rate, seed=seed, rounds=worst_round,
     )
-    reports.append(
-        BoundReport(
-            "random_graphs", f"gnp-{n}-{p}", "stay_far_survives_r",
-            1 if survived_all else 0, 1, survived_all, seed=f"0..{trials - 1}",
-        )
+    yield BoundReport(
+        "random_graphs", instance, "stay_far_survives_r",
+        1 if survived_all else 0, 1, survived_all, seed=seed,
     )
-    return reports
 
 
 def _suite_separator_sweep(params):
     q = params["q"]
-    g, _ = gen_grid(2, q)
-    n = g.n
     k = params["k"]
-    met = metrics(g)
-    bound = 6 * met.radius * math.log2(n)
-    reports = []
+    g, _ = gen_grid(2, q)
     for fast in (False, True):
-        pol = SeparatorSweepPolicy(g, k)
-        robber = GreedyFastRobber() if fast else GreedyRobber()
-        t = play(g, k, pol, robber, max_rounds=int(bound) + 50, fast_robber=fast)
-        label = "fast" if fast else "normal"
-        captured = t.capture_round is not None
-        reports.append(
-            BoundReport(
-                "separator_sweep", f"grid{q}x{q}-k{k}-{label}", "capture_within_6radlog",
-                t.capture_round, bound,
-                captured and t.capture_round <= bound, rounds=t.capture_round,
-            )
+        instance = f"grid{q}x{q}-k{k}-{'fast' if fast else 'normal'}"
+        report, t = _audit(
+            "separator_sweep", instance, "capture_within_6radlog", g, k,
+            SeparatorSweepPolicy(g, k), GreedyFastRobber() if fast else GreedyRobber(),
+            fast_robber=fast,
         )
+        yield report
         phases = t.metadata.get("cop", {}).get("phases", [])
         shrink_ok = all(
             3 * b_["territory"] <= 2 * a_["territory"]
             for a_, b_ in zip(phases, phases[1:])
         )
-        reports.append(
-            BoundReport(
-                "separator_sweep", f"grid{q}x{q}-k{k}-{label}", "territory_shrinks_2_3",
-                len(phases), None, shrink_ok,
-            )
+        yield BoundReport(
+            "separator_sweep", instance, "territory_shrinks_2_3",
+            len(phases), None, shrink_ok,
         )
-    return reports
 
 
 def _suite_planar_3cop(params):
-    reports = []
     instances = [("grid4x4", gen_grid_dims([4, 4])[0]), ("C6", gen_cycle(6))]
     for name, g, seed in tree_instances(params["tree_count"], 12, params["base_seed"]):
         instances.append((name, g))
     for name, g in instances:
-        met = metrics(g)
-        bound = (met.diameter + 1) * g.n
         table = solve(g, 3) if g.n <= params["solver_n_cap"] else None
         robbers = [("greedy", GreedyRobber())]
         if table is not None:
             robbers.append(("optimal", extract_policies(table)[1]))
         for rname, robber in robbers:
-            pol = ThreeCopPlanarPolicy(g)
-            t = play(g, 3, pol, robber, max_rounds=bound + 50)
-            captured = t.capture_round is not None
-            reports.append(
-                BoundReport(
-                    "planar_3cop", name, f"capture_within_diam1_n_vs_{rname}",
-                    t.capture_round, bound, captured and t.capture_round <= bound,
-                    rounds=t.capture_round,
-                )
+            report, t = _audit(
+                "planar_3cop", name, f"capture_within_diam1_n_vs_{rname}",
+                g, 3, ThreeCopPlanarPolicy(g), robber,
             )
+            yield report
             phases = t.metadata.get("cop", {}).get("phases", [])
             total_shrink = sum(ph["shrink"] for ph in phases)
-            reports.append(
-                BoundReport(
-                    "planar_3cop", name, f"phase_shrink_total_le_n_vs_{rname}",
-                    total_shrink, g.n, total_shrink <= g.n,
-                )
+            yield BoundReport(
+                "planar_3cop", name, f"phase_shrink_total_le_n_vs_{rname}",
+                total_shrink, g.n, total_shrink <= g.n,
             )
-            if rname == "optimal" and table is not None:
+            if rname == "optimal":
                 capt3 = table.capture_time()
-                reports.append(
-                    BoundReport(
-                        "planar_3cop", name, "rounds_ge_capt3",
-                        t.capture_round, capt3,
-                        captured and t.capture_round >= capt3,
-                        rounds=t.capture_round,
-                    )
+                yield BoundReport(
+                    "planar_3cop", name, "rounds_ge_capt3",
+                    t.capture_round, capt3,
+                    t.capture_round is not None and t.capture_round >= capt3,
+                    rounds=t.capture_round,
                 )
-    return reports
 
 
 def _suite_regime(params):
-    eps_iii = params["eps"]
-    reports = []
     consts = regime_constants()
-    reports.append(
-        BoundReport(
-            "regime", "constants", "b_matches_reference",
-            consts.b, 0.2716, abs(consts.b - 0.2716) <= 1e-3,
-        )
+    yield BoundReport(
+        "regime", "constants", "b_matches_reference",
+        consts.b, 0.2716, abs(consts.b - 0.2716) <= 1e-3,
     )
     cases = [
         ("k_eq_n_squared", 60, 3600, 0.05, "i"),
-        ("k_eq_2_pow_0.9n", 40, 1 << 36, eps_iii, "iii"),
+        ("k_eq_2_pow_0.9n", 40, 1 << 36, params["eps"], "iii"),
         ("k_eq_2n_over_n3", 20, (1 << 20) // 8000, 0.05, "v"),
     ]
     for name, n, k, eps, want in cases:
         try:
-            res = qn_regime(n, k, eps)
-            got = res.part
+            got = qn_regime(n, k, eps).part
         except AmbiguousRegime:
             got = "ambiguous"
-        reports.append(
-            BoundReport("regime", name, "part", got, want, got == want)
-        )
-    return reports
+        yield BoundReport("regime", name, "part", got, want, got == want)
 
 
 def _suite_grid_scaling(params):
+    """Both sides of capt_k on d-dimensional grids: the k-center lower bound,
+    and the grid cover's bound (the largest capture time over its boxes)."""
     d = params["d"]
-    sizes = params["sizes"]
-    ks = params["ks"]
-    reports = []
-    ratios = []
-    for q in sizes:
-        g, _ = gen_grid(d, q)
-        for k in ks:
+    for q in params["sizes"]:
+        g, codec = gen_grid(d, q)
+        for k in params["ks"]:
             try:
                 capt = capture_time(g, k)
             except StateBudgetExceeded:
                 continue
-            ratio = capt * (k ** (1.0 / d)) / q
-            ratios.append(ratio)
-            reports.append(
-                BoundReport(
-                    "grid_scaling", f"grid-d{d}-q{q}-k{k}", "capt_k_scaled_ratio",
-                    ratio, None, True,
-                )
+            instance = f"grid-d{d}-q{q}-k{k}"
+            rad = k_center(g, k).radius
+            yield BoundReport(
+                "grid_scaling", instance, f"capt_{k}_ge_rad_{k}", capt, rad, capt >= rad,
             )
-    if ratios:
-        reports.append(
-            BoundReport(
-                "grid_scaling", f"d{d}", "ratio_window",
-                max(ratios), min(ratios), True,
+            cover = grid_cover_policy(g, codec, k).bound
+            yield BoundReport(
+                "grid_scaling", instance, f"capt_{k}_le_grid_cover", capt, cover, capt <= cover,
             )
-        )
-    return reports
 
 
 # suite name -> (function, its parameters with their defaults). verify_suite
@@ -680,7 +586,9 @@ SUITES = {
 
 def verify_suite(name: str, params: dict | None = None, *, timings: bool = False):
     """Run suite `name` with `params` over its defaults; a key the suite does
-    not read raises ValueError before anything runs."""
+    not read raises ValueError before anything runs. With `timings`, each
+    report's runtime_ms is the time since the report before it (the first
+    report's, since the suite started)."""
     if name not in SUITES:
         raise UnknownSuite(f"unknown suite {name!r}; known: {sorted(SUITES)}")
     run, defaults = SUITES[name]
@@ -691,11 +599,14 @@ def verify_suite(name: str, params: dict | None = None, *, timings: bool = False
             f"unknown parameter {', '.join(unknown)} for suite {name!r}; "
             f"accepted: {', '.join(sorted(defaults)) or 'none'}"
         )
+    reports = []
     t0 = time.perf_counter()
-    reports = run({**defaults, **params})
-    if timings:
-        ms = int((time.perf_counter() - t0) * 1000)
-        reports = [replace(r, runtime_ms=ms) if i == 0 else r for i, r in enumerate(reports)]
+    for report in run({**defaults, **params}):
+        if timings:
+            t1 = time.perf_counter()
+            report = replace(report, runtime_ms=int((t1 - t0) * 1000))
+            t0 = t1
+        reports.append(report)
     return reports
 
 

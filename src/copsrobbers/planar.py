@@ -18,6 +18,7 @@ Two cop strategies live here:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import DisconnectedGraph, ProgressStall, TeamBudgetExceeded
@@ -108,11 +109,16 @@ class SeparatorSweepPolicy(CopPolicy):
     """Stationed cops hold balanced separators of the robber's territory;
     each phase walks a fresh team onto a BFS-level separator (see
     `separator`) of the current territory, multiplying it by at most 2/3.
-    Cops never leave a separator once placed."""
+    Cops never leave a separator once placed, and idle cops wait at the
+    lowest-id centre. The bound is 6 * radius * log2(n) rounds."""
 
     def __init__(self, g: Graph, k: int):
         self.g = g
         self.k = k
+        self._first_separator = separator(g).separator
+        met = metrics(g)
+        self._centre = min(v for v in range(g.n) if met.eccentricities[v] == met.radius)
+        self.bound = 6 * met.radius * math.log2(g.n)
         self.stationed: dict[int, int] = {}
         self.walkers: list[dict] = []
         self.used = 0
@@ -121,12 +127,10 @@ class SeparatorSweepPolicy(CopPolicy):
     def placement(self, g: Graph, k: int):
         if k != self.k:
             raise ValueError("policy built for a different k")
-        s0 = separator(g).separator
+        s0 = self._first_separator
         if len(s0) > k:
             raise TeamBudgetExceeded(len(s0), k)
-        met = metrics(g)
-        centre = min(v for v in range(g.n) if met.eccentricities[v] == met.radius)
-        pos = list(s0) + [centre] * (k - len(s0))
+        pos = list(s0) + [self._centre] * (k - len(s0))
         self.stationed = {i: s0[i] for i in range(len(s0))}
         self.used = len(s0)
         self.metadata["phases"].append({"territory": g.n, "separator": len(s0)})
@@ -232,7 +236,7 @@ def _join_path(g: Graph, territory, v1: int, v2: int) -> list[int]:
 class ThreeCopPlanarPolicy(CopPolicy):
     """Guard a diametral shortest path, then repeatedly wall off the robber's
     component with a new guarded path, releasing every guard whose path no
-    longer bounds the territory.
+    longer bounds the territory. The bound is (diam + 1) * n rounds.
 
     Phase selection (att = path vertices with a neighbour in territory Y):
 
@@ -260,6 +264,7 @@ class ThreeCopPlanarPolicy(CopPolicy):
         except DisconnectedGraph:
             raise DisconnectedGraph("three-cop policy needs a connected graph") from None
         self.diam = max(ecc)
+        self.bound = (self.diam + 1) * g.n
         du = bfs_distances(g, ecc.index(self.diam))
         self.init_path = tuple(walk_toward(g, du, du.index(self.diam))[::-1])
         self.guards: list[GuardedPath] = []

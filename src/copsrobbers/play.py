@@ -19,9 +19,13 @@ from .serialize import stable_json
 
 class CopPolicy:
     """Interface: placement(g, k) -> per-cop positions; move(g, cops, robber,
-    rnd) -> new per-cop positions, each within its closed neighbourhood."""
+    rnd) -> new per-cop positions, each within its closed neighbourhood.
+
+    `bound` is the capture round the policy's proof guarantees on the (g, k)
+    it was built for, or None when it claims none."""
 
     metadata: dict = {}
+    bound: int | float | None = None
 
     def placement(self, g: Graph, k: int):
         raise NotImplementedError

@@ -65,6 +65,7 @@ from dataclasses import dataclass, field
 
 from .errors import StateBudgetExceeded
 from .graphs import MAXDIST, Graph
+from .play import CopPolicy, RobberPolicy
 
 COP = 0
 ROB = 1
@@ -432,16 +433,18 @@ def _realize_joint_move(closed, current, target_multiset):
     raise ValueError("target multiset is not reachable from current positions")
 
 
-class SolverCopPolicy:
+class SolverCopPolicy(CopPolicy):
     """Optimal cop play read off a completed value table.
 
     Placement is the lexicographically smallest optimal config; moves pick
     the joint move minimising the successor robber-turn value, ties broken
-    by the lexicographically smallest destination config.
+    by the lexicographically smallest destination config. Its bound is the
+    table's capture time, MAXDIST when the robber wins.
     """
 
     def __init__(self, table: ValueTable):
         self.table = table
+        self.bound = table.capture_time()
         self.metadata = {"policy": "solver-cops"}
 
     def placement(self, g: Graph, k: int):
@@ -458,7 +461,7 @@ class SolverCopPolicy:
         return _realize_joint_move(g.closed, tuple(cops), t.configs[cj])
 
 
-class SolverRobberPolicy:
+class SolverRobberPolicy(RobberPolicy):
     """Optimal robber play: place at (the smallest) vertex of maximum game
     value given the cops, then always move to the neighbour of maximum
     cop-turn value (smallest id on ties)."""

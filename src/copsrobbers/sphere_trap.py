@@ -172,7 +172,8 @@ class SphereTrapPolicy(CopPolicy):
     otherwise (teams may co-locate). The trap is set against the robber's
     first observed position; per-run success is certified by the matching,
     never assumed. On Hall failure the policy records the witness and falls
-    back to greedy shortest-path pursuit.
+    back to greedy shortest-path pursuit. Its bound, 2d+1, holds only on
+    runs whose matching saturates.
     """
 
     def __init__(self, g: Graph, k: int, d: int, mode: str = "hypercube", seed=0):
@@ -184,6 +185,7 @@ class SphereTrapPolicy(CopPolicy):
         self.mode = mode
         self.seed = seed
         self.reach = d + 1
+        self.bound = 2 * d + 1
         self._phase = "place"
         self._assignment = None
         self._route_pos = {}
@@ -214,7 +216,7 @@ class SphereTrapPolicy(CopPolicy):
             self._phase = "route"
             self._rounds_routed = 0
             self.metadata["matching_saturated"] = True
-            self.metadata["certified_bound"] = 2 * self.d + 1
+            self.metadata["certified_bound"] = self.bound
         else:
             self._phase = "greedy"
             self.metadata["matching_saturated"] = False

@@ -190,7 +190,8 @@ class StaticCopPolicy(CopPolicy):
 class TreePolicy(CopPolicy):
     """One cop per exact k-center vertex; each cop chases the robber's image
     under the retract onto its radius-rad_k ball (step along the unique tree
-    path toward the clamped robber). Captures within rad_k rounds."""
+    path toward the clamped robber). Captures within rad_k rounds, its
+    bound."""
 
     def __init__(self, g: Graph, k: int):
         if not is_tree(g):
@@ -198,7 +199,7 @@ class TreePolicy(CopPolicy):
         self.g = g
         self.k = k
         kc = k_center(g, k, mode="exact")
-        self.radius = kc.radius
+        self.radius = self.bound = kc.radius
         homes = list(kc.centers)
         while len(homes) < k:
             homes.append(homes[0])
@@ -233,10 +234,9 @@ class TreePolicy(CopPolicy):
 
 
 def solver_sub_policy(sub_g: Graph, k_i: int):
-    table = solve(sub_g, k_i)
-    if table.capture_time() >= MAXDIST:
+    cop_pol, _ = extract_policies(solve(sub_g, k_i))
+    if cop_pol.bound >= MAXDIST:
         raise TooFewCops(f"{k_i} cops cannot win on a {sub_g.n}-vertex territory")
-    cop_pol, _ = extract_policies(table)
     return cop_pol
 
 
@@ -248,6 +248,8 @@ class RetractPartitionPolicy(CopPolicy):
     cover V(g); each retract must pass verification and have the territory as
     its image. Surplus cops idle at vertex 0. Territories that induce the
     same graph with the same team size share one (stateless) sub-policy.
+    Every team holds its robber image within its territory's capture time,
+    so the largest of these is the policy's bound.
     """
 
     def __init__(self, g: Graph, territories):
@@ -280,6 +282,7 @@ class RetractPartitionPolicy(CopPolicy):
             missing = sorted(set(range(g.n)) - covered)
             raise CoverageGap(f"territories miss vertices {missing[:10]}")
         self.team_k = sum(t["k"] for t in self.teams)
+        self.bound = max(pol.bound for pol in sub_policies.values())
         self.metadata = {
             "policy": "retract-partition",
             "territories": len(self.teams),

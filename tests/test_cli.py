@@ -29,6 +29,11 @@ CASES = {
     "verify_trees": (["verify", "trees"], 0),
     "verify_grid_closed_form": (["verify", "grid_closed_form"], 0),
     "verify_regime": (["verify", "regime"], 0),
+    "verify_strategy_audits": (["verify", "strategy_audits"], 0),
+    "verify_sphere_trap": (["verify", "sphere_trap"], 0),
+    "verify_separator_sweep": (["verify", "separator_sweep"], 0),
+    "verify_planar_3cop": (["verify", "planar_3cop"], 0),
+    "verify_grid_scaling": (["verify", "grid_scaling"], 0),
     # robber-win instances report "inf" capture times
     "verify_lower_bounds_json": (["verify", "lower_bounds", "--set", "count_per_p=2", "--json"], 0),
     "regime_n20_k100": (["regime", "-n", "20", "--k", "100"], 0),

@@ -1,5 +1,6 @@
 import ast
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -35,7 +36,7 @@ def test_verify_suite_rejects_unknown_parameter(monkeypatch):
     the key and the accepted ones."""
     ran = []
     run, defaults = experiments.SUITES["regime"]
-    monkeypatch.setitem(experiments.SUITES, "regime", (ran.append, defaults))
+    monkeypatch.setitem(experiments.SUITES, "regime", (lambda p: ran.append(p) or (), defaults))
     with pytest.raises(ValueError, match="unknown parameter epss for suite 'regime'; accepted: eps$"):
         verify_suite("regime", {"epss": 0.3})
     with pytest.raises(ValueError, match="accepted: none"):
@@ -43,6 +44,18 @@ def test_verify_suite_rejects_unknown_parameter(monkeypatch):
     assert ran == []
     verify_suite("regime", {"eps": 0.3})
     assert ran == [{"eps": 0.3}]
+
+
+def test_verify_suite_times_each_report(monkeypatch):
+    """With timings on, each report's runtime_ms is the time since the report
+    before it, the first one's since the suite started. Without them every
+    runtime_ms stays 0."""
+    clock = iter([1.0, 1.5, 1.5, 3.25, 3.5])
+    monkeypatch.setattr(experiments, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+    reports = verify_suite("regime", timings=True)
+    assert [r.runtime_ms for r in reports] == [500, 0, 1750, 250]
+    monkeypatch.setattr(experiments, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+    assert {r.runtime_ms for r in verify_suite("regime")} == {0}
 
 
 def test_lower_bounds_accepts_the_study_keys():

@@ -1,0 +1,91 @@
+"""Policy contracts: each cop policy's `bound` is the capture round its proof
+guarantees, so play on instances the policy was not tuned on must end within
+it.
+
+Trees, grid covers and subcube partitions are drawn at random from their
+domains. The three-cop planar policy is left out of the random part: it still
+stalls on some planar graphs that are not grids, trees or cycles (ROADMAP
+item 1). Its bound, like the separator sweep's, is only checked against the
+formula the suites used, on the suites' own instances.
+"""
+
+import math
+
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
+from copsrobbers.experiments import SUITES, tree_instances
+from copsrobbers.generators import gen_cycle, gen_grid, gen_grid_dims, gen_hypercube, gen_tree
+from copsrobbers.graphs import MAXDIST, metrics
+from copsrobbers.planar import SeparatorSweepPolicy, ThreeCopPlanarPolicy
+from copsrobbers.play import CopPolicy, RobberPolicy, play, worst_case_capture_round
+from copsrobbers.solver import capture_time, extract_policies, solve
+from copsrobbers.sphere_trap import SphereTrapPolicy
+from copsrobbers.strategies import (
+    GreedyRobber,
+    StaticCopPolicy,
+    TreePolicy,
+    grid_cover_policy,
+    subcube_partition_policy,
+)
+from oracles import brute_force_k_center
+
+
+@given(st.integers(2, 14), st.integers(1, 3), st.integers(0, 10**6))
+def test_tree_policy_captures_within_rad_k(n, k, seed):
+    g = gen_tree(n, seed)
+    assume(k < g.n)
+    pol = TreePolicy(g, k)
+    assert pol.bound == brute_force_k_center(g, k)[1]
+    _, solver_robber = extract_policies(solve(g, k))
+    for robber in (solver_robber, GreedyRobber()):
+        t = play(g, k, pol, robber, max_rounds=pol.bound + 50)
+        assert t.capture_round is not None and t.capture_round <= pol.bound
+
+
+@given(st.integers(2, 6), st.integers(2, 6), st.integers(2, 12))
+def test_grid_cover_worst_case_within_bound(rows, cols, k):
+    g, codec = gen_grid_dims([rows, cols])
+    pol = grid_cover_policy(g, codec, k)
+    worst = worst_case_capture_round(g, pol, k, horizon=pol.bound)
+    assert worst is not None and worst <= pol.bound
+
+
+@given(st.sampled_from([3, 4]), st.integers(1, 4), st.integers(0, 2))
+def test_subcube_partition_worst_case_within_bound(n, ell, surplus):
+    assume(ell <= n)
+    g, codec = gen_hypercube(n)
+    k = (1 << (n - ell)) * ((ell + 2) // 2) + surplus
+    pol = subcube_partition_policy(g, codec, k, ell)
+    worst = worst_case_capture_round(g, pol, k, horizon=pol.bound)
+    assert worst is not None and worst <= pol.bound
+
+
+def test_separator_sweep_bound_on_the_suite_grid():
+    params = SUITES["separator_sweep"][1]
+    g, _ = gen_grid(2, params["q"])
+    assert SeparatorSweepPolicy(g, params["k"]).bound == 6 * metrics(g).radius * math.log2(g.n)
+
+
+def test_three_cop_planar_bound_on_the_suite_instances():
+    params = SUITES["planar_3cop"][1]
+    graphs = [gen_grid_dims([4, 4])[0], gen_cycle(6)]
+    graphs += [g for _, g, _ in tree_instances(params["tree_count"], 12, params["base_seed"])]
+    for g in graphs:
+        assert ThreeCopPlanarPolicy(g).bound == (metrics(g).diameter + 1) * g.n
+
+
+def test_sphere_trap_bound_is_2d_plus_1():
+    g, _ = gen_hypercube(3)
+    assert [SphereTrapPolicy(g, 4, d).bound for d in (0, 1, 2)] == [1, 3, 5]
+
+
+def test_solver_policies_share_the_interfaces_and_defaults():
+    """The solver cop's bound is the table's capture time, MAXDIST when the
+    robber wins; a policy that claims nothing has bound None."""
+    g = gen_cycle(5)
+    cop, robber = extract_policies(solve(g, 1))
+    assert isinstance(cop, CopPolicy) and isinstance(robber, RobberPolicy)
+    assert cop.bound == MAXDIST
+    assert extract_policies(solve(g, 2))[0].bound == capture_time(g, 2)
+    assert StaticCopPolicy([0]).bound is None
