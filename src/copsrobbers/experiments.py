@@ -213,6 +213,8 @@ def all_passed(reports) -> bool:
 
 
 def tree_instances(count: int, n_max: int, base_seed):
+    if n_max < 3:
+        raise ValueError(f"n_max must be at least 3, got {n_max}")
     out = []
     for i in range(count):
         n = 3 + (i % (n_max - 2))
@@ -232,6 +234,8 @@ def random_small_study(count_per_p: int, n_lo: int, n_hi: int, ps, base_seed):
     """Connected G(n, p) instances with exact capture times for every k the
     move budget admits (always including k = domination number), exact
     k-center radii, and metrics."""
+    if not 1 <= n_lo <= n_hi:
+        raise ValueError(f"need 1 <= n_lo <= n_hi, got n_lo={n_lo}, n_hi={n_hi}")
     study = []
     for p in ps:
         for i in range(count_per_p):

@@ -73,9 +73,14 @@ def separator(g: Graph) -> SeparatorResult:
         ecc = eccentricities(g)
     except DisconnectedGraph:
         raise DisconnectedGraph("separator needs a connected graph") from None
-    best_e = max(ecc)
-    dist = bfs_distances(g, ecc.index(best_e))
-    levels = [[] for _ in range(best_e + 1)]
+    return _level_cut(g, ecc.index(max(ecc)))
+
+
+def _level_cut(g: Graph, root: int) -> SeparatorResult:
+    """The cheapest balancing BFS level from `root` of a connected graph,
+    with the levels below and above it: `separator`'s rule."""
+    dist = bfs_distances(g, root)
+    levels = [[] for _ in range(max(dist) + 1)]
     for v in range(g.n):
         levels[dist[v]].append(v)
     prefix = [0]
@@ -115,13 +120,13 @@ class SeparatorSweepPolicy(CopPolicy):
     def __init__(self, g: Graph, k: int):
         self.g = g
         self.k = k
-        self._first_separator = separator(g).separator
         met = metrics(g)
-        self._centre = min(v for v in range(g.n) if met.eccentricities[v] == met.radius)
+        ecc = met.eccentricities
+        self._first_separator = _level_cut(g, ecc.index(met.diameter)).separator
+        self._centre = ecc.index(met.radius)
         self.bound = 6 * met.radius * math.log2(g.n)
         self.stationed: dict[int, int] = {}
         self.walkers: list[dict] = []
-        self.used = 0
         self.metadata = {"policy": "separator-sweep", "phases": []}
 
     def placement(self, g: Graph, k: int):
@@ -132,7 +137,6 @@ class SeparatorSweepPolicy(CopPolicy):
             raise TeamBudgetExceeded(len(s0), k)
         pos = list(s0) + [self._centre] * (k - len(s0))
         self.stationed = {i: s0[i] for i in range(len(s0))}
-        self.used = len(s0)
         self.metadata["phases"].append({"territory": g.n, "separator": len(s0)})
         return tuple(pos)
 
@@ -143,16 +147,16 @@ class SeparatorSweepPolicy(CopPolicy):
         sub_g, _, to_global = g.induced(sorted(territory))
         sep = separator(sub_g).separator
         targets = sorted(to_global[v] for v in sep)
-        if self.used + len(targets) > self.k:
-            raise TeamBudgetExceeded(self.used + len(targets), self.k)
+        used = len(self.stationed) + len(self.walkers)
+        if used + len(targets) > self.k:
+            raise TeamBudgetExceeded(used + len(targets), self.k)
         self.metadata["phases"].append(
             {"territory": len(territory), "separator": len(targets)}
         )
         for j, t in enumerate(targets):
             self.walkers.append(
-                {"cop": self.used + j, "target": t, "dist": bfs_distances(g, t)}
+                {"cop": used + j, "target": t, "dist": bfs_distances(g, t)}
             )
-        self.used += len(targets)
 
     def move(self, g: Graph, cops, robber: int, rnd: int):
         if not self.walkers:
@@ -265,7 +269,7 @@ class ThreeCopPlanarPolicy(CopPolicy):
             raise DisconnectedGraph("three-cop policy needs a connected graph") from None
         self.diam = max(ecc)
         self.bound = (self.diam + 1) * g.n
-        du = bfs_distances(g, ecc.index(self.diam))
+        du = self._init_dist = bfs_distances(g, ecc.index(self.diam))
         self.init_path = tuple(walk_toward(g, du, du.index(self.diam))[::-1])
         self.guards: list[GuardedPath] = []
         self.pending: dict | None = None
@@ -425,10 +429,9 @@ class ThreeCopPlanarPolicy(CopPolicy):
         if k != 3:
             raise ValueError("three-cop policy needs exactly k = 3")
         centre = self.init_path[len(self.init_path) // 2]
-        dist0 = bfs_distances(g, self.init_path[0])
         guard = GuardedPath(
             path=self.init_path,
-            home_dist=tuple(dist0),
+            home_dist=tuple(self._init_dist),
             cop=0,
             status="chase",
             index=len(self.init_path) // 2,

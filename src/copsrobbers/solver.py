@@ -420,25 +420,13 @@ def audit_fixed_point(table: ValueTable) -> list:
     return bad
 
 
-def _realize_joint_move(closed, current, target_multiset):
-    """Per-cop assignment realising a canonical target multiset from ordered
-    cop positions; first lexicographic legal assignment wins."""
-    seen = set()
-    for perm in itertools.permutations(target_multiset):
-        if perm in seen:
-            continue
-        seen.add(perm)
-        if all(dst in closed[src] for src, dst in zip(current, perm)):
-            return perm
-    raise ValueError("target multiset is not reachable from current positions")
-
-
 class SolverCopPolicy(CopPolicy):
     """Optimal cop play read off a completed value table.
 
-    Placement is the lexicographically smallest optimal config; moves pick
-    the joint move minimising the successor robber-turn value, ties broken
-    by the lexicographically smallest destination config. Its bound is the
+    Placement is the lexicographically smallest optimal config. A move is
+    the per-cop step minimising the successor's robber-turn value, ties
+    broken by the lexicographically smallest destination config, then by
+    the lexicographically smallest step that reaches it. Its bound is the
     table's capture time, MAXDIST when the robber wins.
     """
 
@@ -455,10 +443,13 @@ class SolverCopPolicy(CopPolicy):
 
     def move(self, g: Graph, cops, robber: int, rnd: int):
         t = self.table
-        ci = t.config_index[tuple(sorted(cops))]
-        # min keeps the first minimum, and joint_moves ascends
-        cj = min(t.joint_moves(ci), key=lambda c: t._value(c, robber, ROB))
-        return _realize_joint_move(g.closed, tuple(cops), t.configs[cj])
+
+        def key(step):
+            cfg = tuple(sorted(step))
+            return t._value(t.config_index[cfg], robber, ROB), cfg
+
+        # product ascends, and min keeps the first minimum
+        return min(itertools.product(*(t.graph.closed[c] for c in cops)), key=key)
 
 
 class SolverRobberPolicy(RobberPolicy):

@@ -170,10 +170,12 @@ class SphereTrapPolicy(CopPolicy):
 
     Placement is a uniform k-subset when k <= n and uniform with replacement
     otherwise (teams may co-locate). The trap is set against the robber's
-    first observed position; per-run success is certified by the matching,
-    never assumed. On Hall failure the policy records the witness and falls
-    back to greedy shortest-path pursuit. Its bound, 2d+1, holds only on
-    runs whose matching saturates.
+    first observed position, the trap centre; per-run success is certified
+    by the matching, never assumed. The plan yields one cop tuple per round:
+    d+1 routing rounds, one tightening step per layer, then the last tuple.
+    When the matching or a tightening step fails, the plan records the
+    witness and ends, and the policy falls back to greedy shortest-path
+    pursuit. Its bound, 2d+1, holds only on runs whose matching saturates.
     """
 
     def __init__(self, g: Graph, k: int, d: int, mode: str = "hypercube", seed=0):
@@ -186,11 +188,7 @@ class SphereTrapPolicy(CopPolicy):
         self.seed = seed
         self.reach = d + 1
         self.bound = 2 * d + 1
-        self._phase = "place"
-        self._assignment = None
-        self._route_pos = {}
-        self._tighten_layer = None
-        self._center_dist = None
+        self._plan = None
         self.metadata = {
             "policy": "sphere-trap",
             "mode": mode,
@@ -206,64 +204,43 @@ class SphereTrapPolicy(CopPolicy):
             pos = sample_with_replacement(rng, g.n, k)
         return tuple(pos)
 
-    def _setup(self, cops, robber):
-        result = trap_matching(
-            self.g, cops, robber, self.d, self.reach, mode=self.mode
-        )
-        if isinstance(result, TrapAssignment):
-            self._assignment = result
-            self._route_pos = {cid: 0 for cid in result.routes}
-            self._phase = "route"
-            self._rounds_routed = 0
-            self.metadata["matching_saturated"] = True
-            self.metadata["certified_bound"] = self.bound
-        else:
-            self._phase = "greedy"
-            self.metadata["matching_saturated"] = False
+    def _trap(self, cops, centre: int):
+        """Yield the cops' positions for each round of the trap around
+        `centre`; record the witness and return at the first failure."""
+        g = self.g
+        result = trap_matching(g, cops, centre, self.d, self.reach, mode=self.mode)
+        if not isinstance(result, TrapAssignment):
             self.metadata["hall_deficient"] = list(result.deficient_targets)
-
-    def move(self, g: Graph, cops, robber: int, rnd: int):
-        if self._phase == "place":
-            self._trap_center = robber
-            self._setup(cops, robber)
-
-        if self._phase == "greedy":
-            dist = bfs_distances(g, robber)
-            return tuple(c if dist[c] == 0 else step_toward(g, dist, c) for c in cops)
-
-        out = list(cops)
-        if self._phase == "route":
-            for cid, route in self._assignment.routes.items():
-                p = self._route_pos[cid]
-                if p + 1 < len(route):
-                    self._route_pos[cid] = p + 1
-                    out[cid] = route[p + 1]
-            self._rounds_routed += 1
-            if self._rounds_routed >= self.reach:
-                self._phase = "tighten"
-                self._tighten_layer = self.d
-            return tuple(out)
-
-        # tighten phase; layer 0 reached means the ball is exhausted
-        if self._tighten_layer is not None and self._tighten_layer >= 1:
-            if self._center_dist is None:
-                self._center_dist = bfs_distances(g, self._trap_center)
-            dist_v = self._center_dist
-            occupiers = [
-                (cid, pos)
-                for cid, pos in enumerate(cops)
-                if dist_v[pos] == self._tighten_layer
-            ]
+            return
+        self.metadata["matching_saturated"] = True
+        self.metadata["certified_bound"] = self.bound
+        pos = list(cops)
+        for i in range(1, self.reach + 1):
+            for cid, route in result.routes.items():
+                pos[cid] = route[min(i, len(route) - 1)]
+            yield tuple(pos)
+        dist_v = bfs_distances(g, centre)
+        for layer in range(self.d, 0, -1):
+            occupiers = [(cid, p) for cid, p in enumerate(pos) if dist_v[p] == layer]
             try:
-                moves = tighten_step(g, dist_v, self._tighten_layer, occupiers)
+                moves = tighten_step(g, dist_v, layer, occupiers)
             except LayerHallFailure as exc:
                 self.metadata["tighten_failure"] = list(exc.witness)
-                self._phase = "greedy"
-                return self.move(g, cops, robber, rnd)
-            for cid, pos in moves.items():
-                out[cid] = pos
-            self._tighten_layer -= 1
-        return tuple(out)
+                return
+            for cid, p in moves.items():
+                pos[cid] = p
+            yield tuple(pos)
+        while True:
+            yield tuple(pos)
+
+    def move(self, g: Graph, cops, robber: int, rnd: int):
+        if self._plan is None:
+            self._plan = self._trap(cops, robber)
+        planned = next(self._plan, None)
+        if planned is not None:
+            return planned
+        dist = bfs_distances(g, robber)
+        return tuple(c if dist[c] == 0 else step_toward(g, dist, c) for c in cops)
 
 
 # ---------------------------------------------------------------------------

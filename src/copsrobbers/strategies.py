@@ -189,14 +189,19 @@ class StaticCopPolicy(CopPolicy):
 
 class TreePolicy(CopPolicy):
     """One cop per exact k-center vertex; each cop chases the robber's image
-    under the retract onto its radius-rad_k ball (step along the unique tree
-    path toward the clamped robber). Captures within rad_k rounds, its
-    bound."""
+    under the retract onto its radius-rad_k ball. Captures within rad_k
+    rounds, its bound.
+
+    One BFS from the robber decides every cop's move. On a tree the ball is
+    a convex subtree, so the image (the clamp) lies on every path from the
+    ball to the robber, max(0, dist(robber, home) - rad_k) from the robber.
+    A cop in its ball is on the clamp exactly when it is that close to the
+    robber; there it stays, and otherwise it steps along the unique tree
+    path toward the robber, which passes through the clamp."""
 
     def __init__(self, g: Graph, k: int):
         if not is_tree(g):
             raise NotATree("tree policy needs an acyclic connected graph")
-        self.g = g
         self.k = k
         kc = k_center(g, k, mode="exact")
         self.radius = self.bound = kc.radius
@@ -204,7 +209,6 @@ class TreePolicy(CopPolicy):
         while len(homes) < k:
             homes.append(homes[0])
         self.homes = tuple(homes)
-        self._home_dist = [bfs_distances(g, h) for h in self.homes]
         self.metadata = {"policy": "tree", "radius": self.radius}
 
     def placement(self, g: Graph, k: int):
@@ -212,21 +216,12 @@ class TreePolicy(CopPolicy):
             raise ValueError("policy built for a different k")
         return self.homes
 
-    def _clamp(self, i: int, v: int) -> int:
-        dist = self._home_dist[i]
-        while dist[v] > self.radius:
-            v = step_toward(self.g, dist, v)
-        return v
-
     def move(self, g: Graph, cops, robber: int, rnd: int):
-        out = []
-        for i, c in enumerate(cops):
-            target = self._clamp(i, robber)
-            if c == target:
-                out.append(c)
-                continue
-            out.append(step_toward(self.g, bfs_distances(self.g, target), c))
-        return tuple(out)
+        dist = bfs_distances(g, robber)
+        return tuple(
+            c if dist[c] <= max(0, dist[h] - self.radius) else step_toward(g, dist, c)
+            for c, h in zip(cops, self.homes)
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,9 @@ The solver's placement and policy choices are checked against full scans
 of counter_retrograde's dense per-state values.
 Graph construction is checked against per-entry validation over a set of
 directed pairs, and G(n, p) against its edge-list build.
+The tree chase and the solver's cop move are checked against their rules
+as first written: a clamp walked onto each cop's home ball, and a joint move
+realised by scanning permutations of the chosen config.
 The sphere trap's distance balls are checked against one BFS per target,
 and the greedy k-center's multi-source BFS against the all-pairs table.
 The k-center ball search is checked against the exhaustive k-subset scan
@@ -25,6 +28,7 @@ from collections import deque
 from copsrobbers.graphs import MAXDIST, Graph, walk_toward
 from copsrobbers.matching import hall_witness, hopcroft_karp
 from copsrobbers.rng import make_rng
+from copsrobbers.solver import ROB
 from copsrobbers.sphere_trap import HallWitnessResult, TrapAssignment
 
 INF = float("inf")
@@ -573,3 +577,40 @@ def reference_trap_matching(g, cops, v, d, reach, mode="hypercube"):
         if len(routes[cop_id]) - 1 > max(need, reach):
             raise AssertionError("route longer than the admissibility bound")
     return TrapAssignment(matching, routes, reach)
+
+
+# ---------------------------------------------------------------------------
+# cop move rules as first written
+
+
+def reference_tree_move(g, homes, radius, cops, robber):
+    """TreePolicy's move by its definition: walk the robber toward each cop's
+    home until it is within `radius` of it (the clamp), then take the cop's
+    smallest-id step along a BFS from the clamp; a cop on the clamp stays."""
+    out = []
+    for c, h in zip(cops, homes):
+        home = reference_bfs_distances(g, h)
+        clamp = robber
+        while home[clamp] > radius:
+            clamp = min(u for u in g.adj[clamp] if home[u] < home[clamp])
+        if c == clamp:
+            out.append(c)
+            continue
+        dist = reference_bfs_distances(g, clamp)
+        out.append(min(u for u in g.adj[c] if dist[u] < dist[c]))
+    return tuple(out)
+
+
+def reference_solver_cop_move(table, cops, robber):
+    """SolverCopPolicy's move as first written: the first config, in
+    ascending joint_moves order, of least robber-turn value, realised by the
+    first permutation of it, in lexicographic order, that every cop can step
+    to."""
+    ci = table.config_index[tuple(sorted(cops))]
+    succs = [table.configs[cj] for cj in table.joint_moves(ci)]
+    target = min(succs, key=lambda cfg: table.value(cfg, robber, ROB))
+    closed = table.graph.closed
+    for perm in sorted(set(itertools.permutations(target))):
+        if all(dst in closed[src] for src, dst in zip(cops, perm)):
+            return perm
+    raise ValueError("target config is not one joint move away")

@@ -77,6 +77,8 @@ CASES = {
     "mc_tree": (["mc", "{config}"], 0),
     "exit1_unknown_suite": (["verify", "nosuch"], 1),
     "exit1_unknown_suite_param": (["verify", "regime", "--set", "epss=0.3"], 1),
+    # a suite parameter outside its domain (n_max = 2 divided by zero)
+    "exit1_trees_n_max_below_3": (["verify", "trees", "--set", "n_max=2"], 1),
     "exit1_bad_spec": (["solve", "--gen", "nosuch:3", "-k", "1"], 1),
     "exit1_usage": (["solve", "--gen", "path:3"], 1),
     "exit2_domain_error": (["regime", "-n", "1", "--k", "2"], 2),

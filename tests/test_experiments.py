@@ -84,3 +84,21 @@ def test_suite_declarations_match_what_each_suite_reads():
     tree = ast.parse(Path(experiments.__file__).read_text(encoding="utf-8"))
     for name, (run, defaults) in experiments.SUITES.items():
         assert _param_keys(tree, run.__name__) == set(defaults), name
+
+
+@pytest.mark.parametrize(
+    "suite,params,message",
+    [
+        ("trees", {"n_max": 2}, "n_max must be at least 3, got 2"),
+        ("trees", {"n_max": 1}, "n_max must be at least 3, got 1"),
+        ("strategy_audits", {"n_max": 0}, "n_max must be at least 3, got 0"),
+        ("lower_bounds", {"n_lo": 6, "n_hi": 5}, "need 1 <= n_lo <= n_hi, got n_lo=6, n_hi=5"),
+        ("lower_bounds", {"n_lo": 0}, "need 1 <= n_lo <= n_hi, got n_lo=0, n_hi=10"),
+        ("monotonicity", {"n_lo": 4, "n_hi": 2}, "need 1 <= n_lo <= n_hi, got n_lo=4, n_hi=2"),
+    ],
+)
+def test_suite_size_parameters_outside_their_domain(suite, params, message):
+    """Sizes a suite cannot build raise ValueError up front, in place of a
+    division by zero or a silently different instance set."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        verify_suite(suite, params)

@@ -5,10 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from copsrobbers import graphs, planar
 from copsrobbers.errors import DisconnectedGraph
 from copsrobbers.generators import gen_connected_gnp, gen_cycle, gen_grid_dims, gen_hypercube, gen_path, gen_tree
 from copsrobbers.graphs import Graph
-from copsrobbers.planar import SeparatorResult, separator, verify_separator
+from copsrobbers.planar import (
+    SeparatorResult,
+    SeparatorSweepPolicy,
+    ThreeCopPlanarPolicy,
+    separator,
+    verify_separator,
+)
 
 FAMILIES = (
     [(f"P{q}", gen_path(q)[0]) for q in (1, 2, 3, 4, 7, 10)]
@@ -54,3 +61,36 @@ def test_separator_rejects_empty_and_disconnected(g):
 def test_verify_separator_failure_kinds(n, res, reason):
     g, _ = gen_path(n)
     assert verify_separator(g, res) == (False, reason)
+
+
+def test_separator_sweep_runs_one_eccentricity_sweep(monkeypatch):
+    """The first separator, the centre and the bound come from one
+    eccentricity sweep, and agree with separator() and metrics()."""
+    g, _ = gen_grid_dims([20, 20])
+    calls = []
+    sweep = graphs.eccentricities
+
+    def counting(g_):
+        calls.append(g_.n)
+        return sweep(g_)
+
+    monkeypatch.setattr(graphs, "eccentricities", counting)
+    monkeypatch.setattr(planar, "eccentricities", counting)
+    pol = SeparatorSweepPolicy(g, 240)
+    assert calls == [400]
+    met = graphs.metrics(g)
+    cops = pol.placement(g, 240)
+    s0 = separator(g).separator
+    assert cops == s0 + (met.eccentricities.index(met.radius),) * (240 - len(s0))
+
+
+def test_three_cop_placement_runs_no_bfs(monkeypatch):
+    """Placement guards the initial path with the BFS the constructor ran
+    from its first vertex."""
+    g, _ = gen_connected_gnp(20, 0.2, 3)
+    pol = ThreeCopPlanarPolicy(g)
+    calls = []
+    monkeypatch.setattr(planar, "bfs_distances", lambda *a: calls.append(a))
+    pol.placement(g, 3)
+    assert calls == []
+    assert pol.pending["guard"].home_dist == tuple(graphs.bfs_distances(g, pol.init_path[0]))

@@ -30,6 +30,7 @@ from oracles import (
     dense_robber_choice,
     naive_capture_time,
     naive_game_values,
+    reference_solver_cop_move,
 )
 
 
@@ -102,6 +103,25 @@ def assert_choices_match_dense_scans(g, k):
             assert tuple(sorted(cop_pol.move(g, cfg, r, 1))) == want, (cfg, r)
             want = dense_robber_choice(val_cop, n, ci, g.closed[r])
             assert rob_pol.move(g, cfg, r, 1) == want, (cfg, r)
+
+
+@pytest.mark.parametrize(
+    "g,k",
+    [(gen_path(6)[0], k) for k in (1, 2, 3)]
+    + [(gen_grid_dims([3, 3])[0], k) for k in (1, 2)]
+    + [(gen_gnp(7, 0.4, seed), k) for seed in (0, 1) for k in (1, 2, 3)],
+    ids=[f"path6-k{k}" for k in (1, 2, 3)] + [f"grid3x3-k{k}" for k in (1, 2)]
+    + [f"gnp7-s{seed}-k{k}" for seed in (0, 1) for k in (1, 2, 3)],
+)
+def test_cop_move_matches_the_permutation_realiser(g, k):
+    """At every ordered cop tuple and robber vertex, the one minimum over
+    per-cop steps is the move of joint_moves plus the first legal
+    permutation of the chosen config."""
+    table = solve(g, k)
+    cop_pol, _ = extract_policies(table)
+    for cops in itertools.product(range(g.n), repeat=k):
+        for r in range(g.n):
+            assert cop_pol.move(g, cops, r, 1) == reference_solver_cop_move(table, cops, r), (cops, r)
 
 
 def robber_win_and_disconnected_cases():

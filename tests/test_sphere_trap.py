@@ -275,8 +275,23 @@ def test_tightening_runs_one_bfs_from_the_centre(monkeypatch):
         t = play(g, 24, pol, StayFarRobber(), 30)
         if t.capture_round == 5:
             tightened += 1
-        assert calls.count(pol._trap_center) <= 2, seed
+        assert calls.count(t.robber_start) <= 2, seed
     assert tightened > 0
+
+
+def test_tightening_failure_falls_back_to_greedy_pursuit():
+    """On Q3 with two cops and d = 3 the matching saturates, so the cops
+    route for d + 1 = 4 rounds; tightening layer 3 then fails at round 5,
+    which records the witness and plays greedy pursuit from that round on."""
+    g, _ = gen_hypercube(3)
+    pol = SphereTrapPolicy(g, 2, 3, mode="general", seed=0)
+    t = play(g, 2, pol, StayFarRobber(), 30)
+    meta = t.metadata["cop"]
+    assert meta["matching_saturated"] is True
+    assert meta["tighten_failure"] == [1, 2, 7]
+    assert "hall_deficient" not in meta
+    assert t.capture_round == 6
+    assert t.rounds == [((3, 1), 4)] * 4 + [((1, 0), 4), ((0, 4), 4)]
 
 
 # --- thresholds

@@ -1,9 +1,10 @@
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from copsrobbers import strategies
 from copsrobbers.errors import (
     CoverageGap,
@@ -80,6 +81,42 @@ def test_tree_policy_exhaustive_within_radius(seed, k):
     rad = k_center(g, k).radius
     worst = worst_case_capture_round(g, TreePolicy(g, k), k, horizon=rad)
     assert worst is not None and worst <= rad
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 40), st.integers(0, 10**6), st.integers(1, 3), st.data())
+def test_tree_policy_move_matches_the_clamp_rule(n, seed, k, data):
+    """One BFS from the robber gives every cop the move of the clamp rule,
+    for cops anywhere in their home balls and the robber anywhere."""
+    g = gen_tree(n, seed)
+    pol = TreePolicy(g, k)
+    cops = tuple(
+        data.draw(st.sampled_from([v for v, d in enumerate(bfs_distances(g, h)) if d <= pol.radius]))
+        for h in pol.homes
+    )
+    for robber in range(g.n):
+        assert pol.move(g, cops, robber, 1) == oracles.reference_tree_move(
+            g, pol.homes, pol.radius, cops, robber
+        ), robber
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_tree_policy_runs_one_bfs_per_round(monkeypatch, k):
+    """A round costs one BFS from the robber, however many cops there are."""
+    g = gen_tree(30, 4)
+    pol = TreePolicy(g, k)
+    calls = []
+
+    def counting_bfs(g_, sources, *args, **kwargs):
+        calls.append(sources)
+        return bfs_distances(g_, sources, *args, **kwargs)
+
+    monkeypatch.setattr(strategies, "bfs_distances", counting_bfs)
+    cops = pol.placement(g, k)
+    for robber in range(g.n):
+        calls.clear()
+        pol.move(g, cops, robber, 1)
+        assert calls == [robber]
 
 
 # --- retract partition

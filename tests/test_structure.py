@@ -1,8 +1,9 @@
-"""Structure guards: graph walks stay behind the one kernel in graphs.py, the
-exact k-center and domination searches are one non-recursive ball search,
-every Graph goes through its checked constructor, game values are read only inside
-solver.py, the solver admits instances by its module caps alone, the package
-imports no array library, and every module-level import is used."""
+"""Structure guards: graph walks stay behind the one kernel in graphs.py, no
+policy runs a BFS per cop, the exact k-center and domination searches are
+one non-recursive ball search, every Graph goes through its checked
+constructor, game values are read only inside solver.py, the solver admits
+instances by its module caps alone, the package imports no array library,
+and every module-level import is used."""
 
 import ast
 import inspect
@@ -21,21 +22,36 @@ def _calls(nodes, name):
             and name in (getattr(c.func, "id", None), getattr(c.func, "attr", None))]
 
 
-def bfs_in_range_loops(path):
-    """Where a module calls bfs_distances in the body of a ``for ... in
-    range(...)`` loop or comprehension: one BFS per vertex."""
+def bfs_in_loops(path, over):
+    """Where a module calls bfs_distances in the body of a ``for`` loop or
+    comprehension one of whose iterables satisfies `over`."""
     found = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.For) and _calls([node.iter], "range"):
-            body = node.body
-        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)) \
-                and _calls([gen.iter for gen in node.generators], "range"):
+        if isinstance(node, ast.For):
+            iters, body = [node.iter], node.body
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+            iters = [gen.iter for gen in node.generators]
             body = [getattr(node, f) for f in ("elt", "key", "value") if hasattr(node, f)]
             body += [cond for gen in node.generators for cond in gen.ifs]
         else:
             continue
-        found += [f"{path.name}:{c.lineno}" for c in _calls(body, "bfs_distances")]
+        if any(over(it) for it in iters):
+            found += [f"{path.name}:{c.lineno}" for c in _calls(body, "bfs_distances")]
     return found
+
+
+def over_range(it):
+    """``range(...)``: one BFS per vertex."""
+    return bool(_calls([it], "range"))
+
+
+def over_cops(it):
+    """``cops``, ``enumerate(cops)`` or ``zip(cops, ...)``: one BFS per cop."""
+    def is_cops(node):
+        return isinstance(node, ast.Name) and node.id == "cops"
+
+    return is_cops(it) or (isinstance(it, ast.Call) and getattr(it.func, "id", None)
+                           in ("enumerate", "zip") and any(map(is_cops, it.args)))
 
 
 def queue_walks(path):
@@ -81,8 +97,14 @@ def test_bfs_loops_only_in_the_kernel_and_matching():
                      ("matching.py", "hall_witness"),
                      ("matching.py", "hopcroft_karp.bfs")]
     loops = [hit for p in sorted(SRC.glob("*.py")) if p.name != "graphs.py"
-             for hit in bfs_in_range_loops(p)]
+             for hit in bfs_in_loops(p, over_range)]
     assert loops == []
+
+
+def test_no_bfs_per_cop():
+    """A cop policy decides a round from shared distances: no module runs a
+    BFS for each cop inside a loop or comprehension over the cops."""
+    assert [hit for p in sorted(SRC.glob("*.py")) for hit in bfs_in_loops(p, over_cops)] == []
 
 
 def test_one_ball_search_without_subsets_or_recursion():
