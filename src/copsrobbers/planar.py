@@ -137,7 +137,9 @@ class SeparatorSweepPolicy(CopPolicy):
             raise TeamBudgetExceeded(len(s0), k)
         pos = list(s0) + [self._centre] * (k - len(s0))
         self.stationed = {i: s0[i] for i in range(len(s0))}
-        self.metadata["phases"].append({"territory": g.n, "separator": len(s0)})
+        self.walkers = []
+        # a new list: the last game's transcript holds the old one
+        self.metadata["phases"] = [{"territory": g.n, "separator": len(s0)}]
         return tuple(pos)
 
     def _plan(self, robber: int):
@@ -436,8 +438,10 @@ class ThreeCopPlanarPolicy(CopPolicy):
             status="chase",
             index=len(self.init_path) // 2,
         )
+        self.guards = []
         self.pending = {"guard": guard, "route": []}
         self._plan_info = {"case": "init", "new_guard": guard}
+        self.metadata["phases"] = []
         self.free = [1, 2]
         self.last_progress = 0
         self.prev_territory = g.n

@@ -43,16 +43,18 @@ coordinates, so a multiset's state sits in its sorted cell. Each level:
 - The capture states are the image with bit t[0] in every cell, ORed with
   its k - 1 rotations.
 
-After each level the masks of the configs whose sorted cells gained bits
-are read off those cells; every other mask is the previous level's int.
-These per-config masks are the only store of game values: a state's value
-is the first level whose mask holds it, and MAXDIST (a robber win) when
-none does.
+The store of game values is each level's newly settled states, per mover
+and changed chunk, packed to the sorted cells: runs along the last
+coordinate (for k = 2 the one run of cells v..n-1), so one itemgetter of
+byte slices and one join pack a chunk, with no work per config. A state's
+value is the level whose entry holds its bit, and MAXDIST (a robber win)
+when none does. solve finds the best placement as it stores the levels,
+from the cop chunks that changed.
 
-solve admits an instance by what the sweep allocates: the per-level mask
-tuples, one int per config and mover, and the images. It refuses one with
-more than STATE_CAP states or with images of more than IMAGE_CAP bytes,
-before it builds anything; both caps are read at call time.
+solve admits an instance by what the sweep allocates: the level entries,
+at most one cell per config, mover and level, and the images. It refuses
+one with more than STATE_CAP states or with images of more than IMAGE_CAP
+bytes, before it builds anything; both caps are read at call time.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ COP = 0
 ROB = 1
 
 # The most states, C(n+k-1, k) * n * 2, that solve admits: they size the
-# per-level mask tuples.
+# packed level entries, whose cells hold n bits per config and mover.
 STATE_CAP = 2_000_000
 # The largest sweep image, n**k * ceil(n/8) bytes, that solve admits. The
 # state count counts cop multisets, about k! times fewer than the ordered
@@ -113,26 +115,32 @@ def estimate_cost(g: Graph, k: int):
 @dataclass
 class ValueTable:
     """Game values for every (cop multiset, robber, mover) state, held as the
-    level sweep's masks.
+    level sweep's newly settled states.
 
-    levels[L][mover][ci] has bit r set when the state (configs[ci], r,
-    mover) is won by the cops within L cop moves, so the state's value is
-    the first L whose mask has the bit, and MAXDIST if none has. Masks are
-    ints, so a config's mask that did not change between levels is one
-    shared object.
+    levels[L][mover] maps chunk v, the configs[first[v]:first[v + 1]] whose
+    top cop is on v, to their ceil(n/8)-byte cells end to end: bit r of
+    config ci's cell is set when the state (configs[ci], r, mover) has
+    value L. A chunk with no new state at a level has no entry, and MAXDIST
+    is the value of a state no level holds. placement is best_placement(),
+    found by solve.
     """
 
     graph: Graph
     k: int
     configs: tuple
     config_index: dict
+    first: list = field(default_factory=list, repr=False)
     levels: list = field(default_factory=list, repr=False)
     states_visited: int = 0
+    placement: tuple = ()
 
     def _value(self, ci: int, robber: int, mover: int) -> int:
-        bit = 1 << robber
-        for level, masks in enumerate(self.levels):
-            if masks[mover][ci] & bit:
+        v = self.configs[ci][0]
+        at = (ci - self.first[v]) * ((self.graph.n + 7) // 8) + (robber >> 3)
+        bit = 1 << (robber & 7)
+        for level, entries in enumerate(self.levels):
+            cells = entries[mover].get(v)
+            if cells is not None and cells[at] & bit:
                 return level
         return MAXDIST
 
@@ -145,13 +153,9 @@ class ValueTable:
     def best_placement(self):
         """Lexicographically smallest cop placement minimising the worst-case
         robber placement value, paired with that value: the first config
-        whose cop-to-move mask holds every robber vertex, at the first level
-        where one does."""
-        full = (1 << self.graph.n) - 1
-        for level, (cop_masks, _) in enumerate(self.levels):
-            if full in cop_masks:
-                return self.configs[cop_masks.index(full)], level
-        return self.configs[0], MAXDIST
+        whose cop-to-move states are all settled, at the first level where
+        one is, and (configs[0], MAXDIST) when none ever is."""
+        return self.placement
 
     def joint_moves(self, ci: int):
         """Indices of the configs reachable from configs[ci] in one joint cop
@@ -209,12 +213,13 @@ def _erosion_tables(g: Graph):
 
 
 def _sweep(g: Graph, k: int, configs):
-    """Yield (cop masks, robber masks, cop image, robber image) after each
-    level, in the layout of the module docstring. The masks are tuples
-    indexed like configs, the nondecreasing cop tuples in ascending order,
-    and a mask that did not change is the previous level's int. An image is
-    the list of its n chunks as little-endian ints; it is updated in place
-    once the next level is asked for."""
+    """Yield (cop entries, robber entries, cop image, robber image) after
+    each level, in the layout of the module docstring. The entries map each
+    chunk v that gained states at the level to its new bits, packed to the
+    cells of its configs (configs, the nondecreasing cop tuples in
+    ascending order, whose top cop is v). An image is the list of its n
+    chunks as little-endian ints; it is updated in place once the next
+    level is asked for."""
     n = g.n
     closed = g.closed
     cell = (n + 7) // 8
@@ -278,41 +283,22 @@ def _sweep(g: Graph, k: int, configs):
             out[j::cell] = acc.to_bytes(count, "little")
         return out
 
-    # Config ci sits in chunk configs[ci][0], at cell spot[ci] of it, and
-    # the configs of chunk v are configs[first[v]:first[v + 1]]: picks[v]
-    # reads their cells' bytes off a byte-per-cell string, and cuts[v]
-    # holds the slices of their bytes in the chunk.
+    # The configs of chunk v sit in its cells in ascending order, as runs
+    # along the last coordinate: each run starts at a config whose last two
+    # coordinates are equal and ends with the row (a chunk is one cell when
+    # k = 1). packs[v] picks their bytes off the chunk's, config by config.
     weights = [n ** (k - 2 - i) for i in range(k - 1)]
-    spot = [sum(map(operator.mul, cfg[1:], weights)) for cfg in configs]
-    counts = (math.comb(n - v + k - 2, k - 1) for v in range(n))
-    first = list(itertools.accumulate(counts, initial=0))
-    picks = [_picker(spot[first[v]:first[v + 1]]) for v in range(n)]
-    cuts = [[slice(c * cell, (c + 1) * cell) for c in spot[first[v]:first[v + 1]]]
-            for v in range(n)]
+    runs = [[] for _ in range(n)]
+    for cfg in configs:
+        if k == 1 or cfg[-2] == cfg[-1]:
+            at = sum(map(operator.mul, cfg[1:], weights))
+            end = at + 1 if k == 1 else at + n - cfg[-1]
+            runs[cfg[0]].append(slice(at * cell, end * cell))
+    packs = [_picker(r) for r in runs]
 
-    def read(masks, image, new):
-        """masks with those of the configs whose cells hold bits of `new`,
-        (v, int) pairs of nonzero chunks, read off the image; every other
-        mask is kept."""
-        masks = list(masks)
-        new = list(new)
-        # a byte per cell of the listed chunks, end to end, nonzero where
-        # the cell's bits are: the OR of the byte columns (a one-cell chunk
-        # is listed only when nonzero)
-        if cells_per_chunk == 1:
-            flags = b"\x01" * len(new)
-        else:
-            data = b"".join(bits.to_bytes(chunk, "little") for _, bits in new)
-            cols = (int.from_bytes(data[b::cell], "little") for b in range(cell))
-            flags = functools.reduce(operator.or_, cols).to_bytes(len(new) * cells_per_chunk, "little")
-        for i, (v, _) in enumerate(new):
-            hit = picks[v](flags[i * cells_per_chunk:(i + 1) * cells_per_chunk])
-            data = image[v].to_bytes(chunk, "little")
-            got = map(data.__getitem__, itertools.compress(cuts[v], hit))
-            for ci, m in zip(itertools.compress(range(first[v], first[v + 1]), hit),
-                             map(int.from_bytes, got, little)):
-                masks[ci] = m
-        return tuple(masks)
+    def packed(bits):
+        """{v: the sorted cells of chunk v, packed} for (v, int) pairs."""
+        return {v: b"".join(packs[v](x.to_bytes(chunk, "little"))) for v, x in bits}
 
     # The capture image: the top coordinate's bit in every cell, ORed with
     # its k - 1 rotations.
@@ -324,15 +310,12 @@ def _sweep(g: Graph, k: int, configs):
         wc = list(map(operator.or_, wc, top))
     wr = list(wc)
 
-    cop_masks = rob_masks = (0,) * len(configs)
     # changed: the chunks whose cop bits changed, with their new bits, and
     # fresh: the robber bits settled at the last level, by nonzero chunk
     changed = list(enumerate(wc))
     fresh = dict(changed)
     while True:
-        cop_masks = read(cop_masks, wc, changed)
-        rob_masks = read(rob_masks, wr, fresh.items())
-        yield cop_masks, rob_masks, wc, wr
+        yield packed(changed), packed(fresh.items()), wc, wr
         if not fresh:
             return
         # cop step: a state settles when a joint move reaches a fresh one
@@ -365,12 +348,35 @@ def solve(g: Graph, k: int) -> ValueTable:
     if image > IMAGE_CAP:
         raise StateBudgetExceeded(f"{image}-byte sweep images exceed cap {IMAGE_CAP}")
 
-    configs = tuple(itertools.combinations_with_replacement(range(g.n), k))
-    table = ValueTable(graph=g, k=k, configs=configs,
+    n = g.n
+    configs = tuple(itertools.combinations_with_replacement(range(n), k))
+    counts = (math.comb(n - v + k - 2, k - 1) for v in range(n))
+    first = list(itertools.accumulate(counts, initial=0))
+    table = ValueTable(graph=g, k=k, configs=configs, first=first,
                        config_index={c: i for i, c in enumerate(configs)})
-    table.levels = [(wc, wr) for wc, wr, _, _ in _sweep(g, k, configs)]
-    wc, wr = table.levels[-1]
-    table.states_visited = sum(m.bit_count() for m in wc) + sum(m.bit_count() for m in wr)
+    # The best placement is the first config of the first changed cop chunk
+    # whose sorted cell is full, at the first level with one: per byte
+    # column, a translate maps the full byte to 1, and the columns are ANDed.
+    cell = (n + 7) // 8
+    fulls = [0xFF] * (cell - 1) + [(1 << (n - 8 * (cell - 1))) - 1]
+    tables = [bytes(x == f for x in range(256)) for f in fulls]
+    seen = {}
+    for level, (cop, rob, _, _) in enumerate(_sweep(g, k, configs)):
+        table.levels.append((cop, rob))
+        if table.placement:
+            continue
+        for v, new in cop.items():
+            seen[v] = bits = seen.get(v, 0) | int.from_bytes(new, "little")
+            cells = bits.to_bytes(len(new), "little")
+            hit = functools.reduce(operator.and_, (int.from_bytes(cells[b::cell].translate(t), "little")
+                                                   for b, t in enumerate(tables)))
+            if hit:
+                table.placement = configs[first[v] + ((hit & -hit).bit_length() - 1) // 8], level
+                break
+    if not table.placement:
+        table.placement = configs[0], MAXDIST
+    table.states_visited = sum(int.from_bytes(x, "little").bit_count()
+                               for lv in table.levels for mover in lv for x in mover.values())
     return table
 
 

@@ -197,6 +197,11 @@ class SphereTrapPolicy(CopPolicy):
         }
 
     def placement(self, g: Graph, k: int):
+        # a new game: drop the last game's plan and what its run recorded
+        self._plan = None
+        for key in ("hall_deficient", "tighten_failure", "certified_bound"):
+            self.metadata.pop(key, None)
+        self.metadata["matching_saturated"] = False
         rng = make_rng(f"sphere-trap:{self.seed}")
         if k <= g.n:
             pos = sample_distinct(rng, g.n, k)

@@ -11,11 +11,12 @@ formula the suites used, on the suites' own instances.
 
 import math
 
+import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from copsrobbers.experiments import SUITES, tree_instances
-from copsrobbers.generators import gen_cycle, gen_grid, gen_grid_dims, gen_hypercube, gen_tree
+from copsrobbers.generators import from_spec, gen_cycle, gen_grid, gen_grid_dims, gen_hypercube, gen_tree
 from copsrobbers.graphs import MAXDIST, metrics
 from copsrobbers.planar import SeparatorSweepPolicy, ThreeCopPlanarPolicy
 from copsrobbers.play import CopPolicy, RobberPolicy, play, worst_case_capture_round
@@ -23,6 +24,7 @@ from copsrobbers.solver import capture_time, extract_policies, solve
 from copsrobbers.sphere_trap import SphereTrapPolicy
 from copsrobbers.strategies import (
     GreedyRobber,
+    RandomWalkRobber,
     StaticCopPolicy,
     TreePolicy,
     grid_cover_policy,
@@ -89,3 +91,32 @@ def test_solver_policies_share_the_interfaces_and_defaults():
     assert cop.bound == MAXDIST
     assert extract_policies(solve(g, 2))[0].bound == capture_time(g, 2)
     assert StaticCopPolicy([0]).bound is None
+
+
+GNP40 = from_spec("gnp:40,0.12,0")[0]
+GRID12 = gen_grid_dims([12, 12])[0]
+GRID4 = gen_grid_dims([4, 4])[0]
+TREE14 = gen_tree(14, 3)
+REUSE_CASES = {
+    "sphere-trap": (GNP40, 24, lambda: SphereTrapPolicy(GNP40, 24, 2, mode="general")),
+    "separator-sweep": (GRID12, 60, lambda: SeparatorSweepPolicy(GRID12, 60)),
+    "three-cop": (GRID4, 3, lambda: ThreeCopPlanarPolicy(GRID4)),
+    "tree": (TREE14, 2, lambda: TreePolicy(TREE14, 2)),
+    "solver": (GRID4, 2, lambda: extract_policies(solve(GRID4, 2))[0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REUSE_CASES))
+def test_a_reused_policy_plays_like_a_fresh_one(name):
+    """One policy object over several games gives, game by game, the
+    transcript and metadata of a fresh policy, and leaves the transcripts of
+    its earlier games as they were. Each game gets a fresh robber: greedy,
+    then random walks with seeds 1..5."""
+    g, k, make = REUSE_CASES[name]
+    reused = make()
+    robbers = [GreedyRobber] + [lambda s=s: RandomWalkRobber(s) for s in range(1, 6)]
+    fresh, kept = [], []
+    for robber in robbers:
+        fresh.append(play(g, k, make(), robber(), max_rounds=500).to_json())
+        kept.append(play(g, k, reused, robber(), max_rounds=500))
+    assert [t.to_json() for t in kept] == fresh

@@ -214,15 +214,46 @@ def test_choices_match_dense_scans_random_graphs(n, p, seed, k):
     assert_choices_match_dense_scans(gen_gnp(n, p, seed), k)
 
 
-def test_unchanged_masks_are_shared():
-    """A config's mask that did not change between levels is the previous
-    level's int, whether its cell is read as a machine word (grid 5x5, 4
-    bytes) or as bytes (path on 20 vertices, 3 bytes)."""
-    for g in (gen_grid_dims([5, 5])[0], gen_path(20)[0]):
-        levels = solve(g, 2).levels
-        for prev, cur in zip(levels, levels[1:]):
-            for mover in (COP, ROB):
-                assert all(a is b for a, b in zip(prev[mover], cur[mover]) if a == b)
+def test_each_state_settles_at_one_level():
+    """Per mover, the level entries of a chunk are pairwise disjoint, their
+    OR is the chunk's packed final image (the cells of its configs, in
+    config order, with the bits of the states counter_retrograde settles),
+    and their popcounts sum to states_visited: on grid 5x5 (4-byte cells)
+    and path:20 (3-byte cells) with k = 2, and on Q3 with k = 3."""
+    q3, _ = gen_hypercube(3)
+    for g, k in ((gen_grid_dims([5, 5])[0], 2), (gen_path(20)[0], 2), (q3, 3)):
+        table = solve(g, k)
+        n, cell = g.n, (g.n + 7) // 8
+        val_cop, val_rob, visited, _ = counter_retrograde(g, k)
+        total = 0
+        for mover, vals in ((COP, val_cop), (ROB, val_rob)):
+            final = {}
+            for ci, cfg in enumerate(table.configs):
+                bits = sum(1 << r for r in range(n) if vals[ci * n + r] is not None)
+                final[cfg[0]] = final.get(cfg[0], b"") + bits.to_bytes(cell, "little")
+            union = dict.fromkeys(final, 0)
+            for entries in table.levels:
+                for v, cells in entries[mover].items():
+                    x = int.from_bytes(cells, "little")
+                    assert x & union[v] == 0, (g, k, mover, v)
+                    union[v] |= x
+                    total += x.bit_count()
+            assert {v: x.to_bytes(len(final[v]), "little") for v, x in union.items()} == final
+        assert total == table.states_visited == visited
+
+
+def test_level_entries_hold_only_the_sorted_cells():
+    """Every stored entry of chunk v is exactly (configs in chunk v) x cell
+    bytes: the sweep packs a chunk to its configs' cells and stores no
+    whole-chunk copy (n**(k-1) cells), on tree:12,1 with k = 3 and path:20
+    with k = 2."""
+    for g, k in ((gen_tree(12, 1), 3), (gen_path(20)[0], 2)):
+        table = solve(g, k)
+        cell = (g.n + 7) // 8
+        size = {v: sum(c[0] == v for c in table.configs) * cell for v in range(g.n)}
+        lengths = [(v, len(cells)) for entries in table.levels for mover in entries
+                   for v, cells in mover.items()]
+        assert lengths and all(got == size[v] for v, got in lengths)
 
 
 def test_solve_rejects_the_empty_graph():
@@ -340,10 +371,12 @@ def test_fixed_point_audit_clean():
 
 def test_fixed_point_audit_detects_corruption():
     table = solve(gen_path(4)[0], 1)
-    cop, rob = table.levels[0]
-    ci = table.config_index[(1,)]
-    # drop the capture state (cop and robber on vertex 1) from level 0
-    table.levels[0] = (cop[:ci] + (cop[ci] & ~(1 << 1),) + cop[ci + 1:], rob)
+    cop0, cop1 = table.levels[0][COP], table.levels[1][COP]
+    # settle the capture state (cop and robber on vertex 1) one level late:
+    # clear its bit in level 0 and set it in level 1; chunk 1 holds the one
+    # config (1,), a one-byte cell
+    cop0[1] = bytes([cop0[1][0] & ~(1 << 1)])
+    cop1[1] = bytes([cop1[1][0] | 1 << 1])
     assert table.value((1,), 1, COP) == 1
     assert audit_fixed_point(table) != []
 

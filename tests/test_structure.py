@@ -1,9 +1,10 @@
 """Structure guards: graph walks stay behind the one kernel in graphs.py, no
 policy runs a BFS per cop, the exact k-center and domination searches are
 one non-recursive ball search, every Graph goes through its checked
-constructor, game values are read only inside solver.py, the solver admits
-instances by its module caps alone, the package imports no array library,
-and every module-level import is used."""
+constructor, game values are read only inside solver.py, the solver's level
+loop does no per-config work, the solver admits instances by its module caps
+alone, the package imports no array library, and every module-level import
+is used."""
 
 import ast
 import inspect
@@ -235,6 +236,47 @@ def test_solver_keeps_no_move_table():
               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
     assert public == {"estimate_cost", "solve", "capture_time", "cop_number",
                       "audit_fixed_point", "extract_policies"}
+
+
+def over_configs(it):
+    """An iterable that mentions ``configs``, or a ``range`` over config
+    indices (one of whose arguments reads ``first`` or ``configs``)."""
+    names = {node.id for node in ast.walk(it) if isinstance(node, ast.Name)}
+    ranges = {node.id for call in _calls([it], "range") for arg in call.args
+              for node in ast.walk(arg) if isinstance(node, ast.Name)}
+    return "configs" in names or bool(ranges & {"first", "configs"})
+
+
+def test_sweep_levels_do_no_per_config_work():
+    """Per-config work happens once per solve: inside _sweep's level loop,
+    and in the local functions it calls, no loop or comprehension iterates
+    over configs or over a range of config indices."""
+    tree = ast.parse((SRC / "solver.py").read_text(encoding="utf-8"))
+    sweep = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_sweep")
+    local = {node.name: node for node in ast.walk(sweep)
+             if isinstance(node, ast.FunctionDef) and node is not sweep}
+    loop = next(node for node in ast.walk(sweep) if isinstance(node, ast.While)
+                and any(isinstance(n, ast.Yield) for n in ast.walk(node)))
+    reached, todo = {}, [("level loop", loop)]
+    while todo:
+        name, node = todo.pop()
+        reached[name] = node
+        todo += [(c.func.id, local[c.func.id]) for c in ast.walk(node)
+                 if isinstance(c, ast.Call) and getattr(c.func, "id", None) in local
+                 and c.func.id not in reached]
+    assert {"dilate", "erode"} <= reached.keys()
+    found = []
+    for name, node in sorted(reached.items()):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.For):
+                iters = [sub.iter]
+            elif isinstance(sub, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+                iters = [gen.iter for gen in sub.generators]
+            else:
+                continue
+            found += [f"{name}:{sub.lineno}" for it in iters if over_configs(it)]
+    assert found == []
 
 
 def test_solver_caps_are_not_per_call_options():
