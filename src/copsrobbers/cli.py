@@ -1,6 +1,9 @@
 """Command-line surface.
 
 Subcommands: gen, solve, kcenter, simulate, verify, mc, regime, thresholds.
+`simulate` and `mc` take policies by name from experiments.COP_POLICIES and
+ROBBER_POLICIES (`name` or `name:key=value,...`); an undeclared parameter,
+or a graph without the codec a policy needs, is a validation error.
 Exit codes: 0 success, 1 validation/usage error, 2 runtime error (for `mc`:
 some trial row carries an error; the summary is still written in full), 3
 suite failure (some bound report failed).
@@ -28,17 +31,15 @@ from .experiments import (
     MCConfig,
     all_passed,
     mc_run,
+    play_config,
     qn_regime,
     regime_constants,
     reports_to_csv,
     reports_to_jsonable,
     verify_suite,
-    make_cop_policy,
-    make_robber_policy,
 )
 from .generators import from_spec, load_graph, parse_graph_text
 from .graphs import MAXDIST, k_center
-from .play import play
 from .serialize import stable_json
 from .solver import cop_number, solve
 from .sphere_trap import thresholds
@@ -72,15 +73,9 @@ def _parse_kv_list(items):
 
 
 def _parse_policy(text: str):
+    """``name`` or ``name:k=v,...`` as (name, params)."""
     name, sep, rest = text.partition(":")
-    params = {}
-    if sep:
-        for tok in rest.split(","):
-            key, s2, value = tok.partition("=")
-            if not s2:
-                raise ValueError(f"policy parameter needs key=value, got {tok!r}")
-            params[key] = _parse_value(value)
-    return name, params
+    return name, _parse_kv_list(rest.split(",") if sep else [])
 
 
 def _graph_from_args(args):
@@ -143,8 +138,12 @@ def build_parser() -> _Parser:
     p = sub.add_parser("simulate", help="referee one game between named policies")
     _add_graph_source(p)
     p.add_argument("-k", type=int, required=True)
-    p.add_argument("--cop", required=True, help="cop policy, e.g. solver or sphere_trap:d=1,mode=general")
-    p.add_argument("--robber", required=True, help="robber policy, e.g. stay_far or random_walk")
+    p.add_argument("--cop", required=True,
+                   help="cop policy: a name in experiments.COP_POLICIES with its declared "
+                        "parameters, e.g. solver or sphere_trap:d=1,mode=general")
+    p.add_argument("--robber", required=True,
+                   help="robber policy: a name in experiments.ROBBER_POLICIES, "
+                        "e.g. stay_far or random_walk")
     p.add_argument("--seed", default="0")
     p.add_argument("--max-rounds", type=int, default=1000)
     p.add_argument("--fast-robber", action="store_true")
@@ -216,12 +215,10 @@ def _cmd_kcenter(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    g, codec, _ = _graph_from_args(args)
-    cop_name, cop_params = _parse_policy(args.cop)
-    rob_name, rob_params = _parse_policy(args.robber)
-    cop = make_cop_policy(cop_name, cop_params, g, codec, args.k, f"{args.seed}:cop")
-    rob = make_robber_policy(rob_name, rob_params, g, codec, args.k, f"{args.seed}:robber")
-    t = play(g, args.k, cop, rob, args.max_rounds, fast_robber=args.fast_robber)
+    g, codec, desc = _graph_from_args(args)
+    config = MCConfig(desc, args.k, *_parse_policy(args.cop), *_parse_policy(args.robber),
+                      max_rounds=args.max_rounds, fast_robber=args.fast_robber)
+    t = play_config(config, args.seed, {}, (g, codec))
     _emit(t.to_json(indent=2) + "\n", args.output)
     return 0
 
@@ -241,8 +238,6 @@ def _cmd_mc(args) -> int:
 
     with open(args.config, encoding="utf-8") as fh:
         raw = json.load(fh)
-    raw.setdefault("cop_params", {})
-    raw.setdefault("robber_params", {})
     if "seeds" in raw and raw["seeds"] is not None:
         raw["seeds"] = tuple(raw["seeds"])
     config = MCConfig(**raw)

@@ -12,6 +12,11 @@ suites that check a strategy call one audit, `_audit`, which plays the policy
 against one robber (or, exhaustively, against every robber up to the bound)
 and reports whether capture came within `policy.bound`. The sphere-trap
 suites count certified runs, so they read `policy.bound` directly.
+
+SUITES, COP_POLICIES and ROBBER_POLICIES map each name the command line
+takes to its function and its parameters with defaults; `_lookup` reads all
+three and refuses an undeclared key. `play_config` plays a game of named
+policies for `simulate` and for each `mc` trial.
 """
 
 from __future__ import annotations
@@ -23,6 +28,8 @@ from fractions import Fraction
 
 from .errors import AmbiguousRegime, DomainError, StateBudgetExceeded, UnknownPolicy, UnknownSuite
 from .generators import (
+    CubeCodec,
+    GridCodec,
     gen_connected_gnp,
     gen_cycle,
     gen_grid,
@@ -44,7 +51,6 @@ from .strategies import (
     StayFarRobber,
     StaticCopPolicy,
     TreePolicy,
-    choose_subcube_dim,
     grid_cover_policy,
     subcube_partition_policy,
 )
@@ -588,24 +594,32 @@ SUITES = {
 }
 
 
+def _lookup(table: dict, kind: str, name: str, params, unknown: Exception):
+    """The entry of ``name`` in ``table`` and ``params`` over its defaults.
+    An unknown name raises ``unknown``, and an undeclared key ValueError."""
+    if name not in table:
+        raise unknown
+    entry, defaults = table[name]
+    params = params or {}
+    extra = sorted(set(params) - set(defaults))
+    if extra:
+        raise ValueError(
+            f"unknown parameter {', '.join(extra)} for {kind} {name!r}; "
+            f"accepted: {', '.join(sorted(defaults)) or 'none'}"
+        )
+    return entry, {**defaults, **params}
+
+
 def verify_suite(name: str, params: dict | None = None, *, timings: bool = False):
     """Run suite `name` with `params` over its defaults; a key the suite does
     not read raises ValueError before anything runs. With `timings`, each
     report's runtime_ms is the time since the report before it (the first
     report's, since the suite started)."""
-    if name not in SUITES:
-        raise UnknownSuite(f"unknown suite {name!r}; known: {sorted(SUITES)}")
-    run, defaults = SUITES[name]
-    params = params or {}
-    unknown = sorted(set(params) - set(defaults))
-    if unknown:
-        raise ValueError(
-            f"unknown parameter {', '.join(unknown)} for suite {name!r}; "
-            f"accepted: {', '.join(sorted(defaults)) or 'none'}"
-        )
+    run, params = _lookup(SUITES, "suite", name, params,
+                          UnknownSuite(f"unknown suite {name!r}; known: {sorted(SUITES)}"))
     reports = []
     t0 = time.perf_counter()
-    for report in run({**defaults, **params}):
+    for report in run(params):
         if timings:
             t1 = time.perf_counter()
             report = replace(report, runtime_ms=int((t1 - t0) * 1000))
@@ -633,50 +647,75 @@ class MCConfig:
     fast_robber: bool = False
 
 
-def make_cop_policy(name: str, params: dict, g: Graph, codec, k: int, seed, solved=None):
-    """Build cop policy ``name`` for (g, k). ``solved``, when given, returns
-    the value table of (g, k) in place of a fresh ``solve``."""
-    if name == "solver":
-        return extract_policies(solved() if solved else solve(g, k))[0]
-    if name == "tree":
-        return TreePolicy(g, k)
-    if name == "grid_cover":
-        return grid_cover_policy(g, codec, k)
-    if name == "subcube_partition":
-        ell = params.get("ell")
-        if ell is None:
-            ell = choose_subcube_dim(codec.n_bits, k)
-        return subcube_partition_policy(g, codec, k, int(ell))
-    if name == "sphere_trap":
-        return SphereTrapPolicy(
-            g, k, int(params.get("d", 1)), mode=params.get("mode", "hypercube"),
-            seed=seed,
-        )
-    if name == "separator_sweep":
-        return SeparatorSweepPolicy(g, k)
-    if name == "three_cop_planar":
-        return ThreeCopPlanarPolicy(g)
-    if name == "static":
-        return StaticCopPolicy([int(v) for v in params["positions"]])
-    raise UnknownPolicy(f"unknown cop policy {name!r}")
+def _codec(codec, kind, policy: str):
+    """`codec` if it is a `kind`, else ValueError naming `policy` and the graphs that have one."""
+    if isinstance(codec, kind):
+        return codec
+    graphs = "path or grid" if kind is GridCodec else "hypercube"
+    raise ValueError(f"{policy} needs a {graphs} graph")
 
 
-def make_robber_policy(name: str, params: dict, g: Graph, codec, k: int, seed, solved=None):
-    """Build robber policy ``name`` for (g, k); ``solved`` as in
-    ``make_cop_policy``."""
-    if name == "stay_far":
-        return StayFarRobber()
-    if name == "greedy":
-        return GreedyRobber()
-    if name == "greedy_fast":
-        return GreedyFastRobber()
-    if name == "random_walk":
-        return RandomWalkRobber(seed)
-    if name == "pigeonhole_grid":
-        return PigeonholeGridRobber(g, codec, k)
-    if name == "solver":
-        return extract_policies(solved() if solved else solve(g, k))[1]
-    raise UnknownPolicy(f"unknown robber policy {name!r}")
+# policy name -> (builder, its parameters with their defaults), read like
+# SUITES. A builder takes g, codec, k, seed, solved (which returns the value
+# table of (g, k)) and the parameters as keywords.
+COP_POLICIES = {
+    "solver": (lambda solved, **_: extract_policies(solved())[0], {}),
+    "tree": (lambda g, k, **_: TreePolicy(g, k), {}),
+    "grid_cover": (lambda g, codec, k, **_: grid_cover_policy(
+        g, _codec(codec, GridCodec, "cop policy 'grid_cover'"), k), {}),
+    "subcube_partition": (lambda g, codec, k, ell, **_: subcube_partition_policy(
+        g, _codec(codec, CubeCodec, "cop policy 'subcube_partition'"), k, ell), {"ell": None}),
+    "sphere_trap": (lambda g, k, seed, d, mode, **_: SphereTrapPolicy(
+        g, k, int(d), mode=mode, seed=seed), {"d": 1, "mode": "hypercube"}),
+    "separator_sweep": (lambda g, k, **_: SeparatorSweepPolicy(g, k), {}),
+    "three_cop_planar": (lambda g, **_: ThreeCopPlanarPolicy(g), {}),
+    "static": (lambda positions, **_: StaticCopPolicy([int(v) for v in positions]),
+               {"positions": ()}),
+}
+ROBBER_POLICIES = {
+    "stay_far": (lambda **_: StayFarRobber(), {}),
+    "greedy": (lambda **_: GreedyRobber(), {}),
+    "greedy_fast": (lambda **_: GreedyFastRobber(), {}),
+    "random_walk": (lambda seed, **_: RandomWalkRobber(seed), {}),
+    "pigeonhole_grid": (lambda g, codec, k, **_: PigeonholeGridRobber(
+        g, _codec(codec, GridCodec, "robber policy 'pigeonhole_grid'"), k), {}),
+    "solver": (lambda solved, **_: extract_policies(solved())[1], {}),
+}
+
+
+def make_cop_policy(name: str, params: dict, g: Graph, codec, k: int, seed, solved):
+    """Build cop policy ``name`` of COP_POLICIES for (g, k); ``solved()``
+    returns the value table of (g, k)."""
+    build, params = _lookup(COP_POLICIES, "cop policy", name, params,
+                            UnknownPolicy(f"unknown cop policy {name!r}"))
+    return build(g=g, codec=codec, k=k, seed=seed, solved=solved, **params)
+
+
+def make_robber_policy(name: str, params: dict, g: Graph, codec, k: int, seed, solved):
+    """Build robber policy ``name`` of ROBBER_POLICIES, as ``make_cop_policy``."""
+    build, params = _lookup(ROBBER_POLICIES, "robber policy", name, params,
+                            UnknownPolicy(f"unknown robber policy {name!r}"))
+    return build(g=g, codec=codec, k=k, seed=seed, solved=solved, **params)
+
+
+def play_config(config: MCConfig, seed, tables: dict, graph=None):
+    """Play one game of the policies ``config`` names, on ``graph`` (g, codec)
+    or else on config.graph with {seed} filled in: ``simulate`` and each mc
+    trial. ``tables`` maps the latest graph to its solved value table, so the
+    solver policies of one game, or of a run of trials, share one solve."""
+    spec = config.graph.replace("{seed}", str(seed))
+    g, codec = graph or from_spec(spec)
+
+    def solved():
+        if spec not in tables:
+            tables.clear()
+            tables[spec] = solve(g, config.k)
+        return tables[spec]
+
+    cop = make_cop_policy(config.cop, config.cop_params, g, codec, config.k, f"{seed}:cop", solved)
+    rob = make_robber_policy(config.robber, config.robber_params, g, codec, config.k,
+                             f"{seed}:robber", solved)
+    return play(g, config.k, cop, rob, config.max_rounds, fast_robber=config.fast_robber)
 
 
 @dataclass
@@ -715,27 +754,10 @@ class MCSummary:
 
 
 def _mc_trial(config: MCConfig, trial: int, seed, tables: dict) -> dict:
-    """One game of ``config``. ``tables`` maps the batch's latest resolved
-    graph spec to its solved value table, so the solver policies solve a
-    graph once for a run of trials on it and keep one table alive."""
-    spec = config.graph.replace("{seed}", str(seed))
+    """One game of ``config`` as a row; ``tables`` as in ``play_config``."""
     row = {"trial": trial, "seed": str(seed), "captured": False, "capture_round": None}
     try:
-        g, codec = from_spec(spec)
-
-        def solved():
-            if spec not in tables:
-                tables.clear()
-                tables[spec] = solve(g, config.k)
-            return tables[spec]
-
-        cop = make_cop_policy(
-            config.cop, config.cop_params, g, codec, config.k, f"{seed}:cop", solved
-        )
-        rob = make_robber_policy(
-            config.robber, config.robber_params, g, codec, config.k, f"{seed}:robber", solved
-        )
-        t = play(g, config.k, cop, rob, config.max_rounds, fast_robber=config.fast_robber)
+        t = play_config(config, seed, tables)
         row["captured"] = t.capture_round is not None
         row["capture_round"] = t.capture_round
         meta = t.metadata.get("cop", {})

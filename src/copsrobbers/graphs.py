@@ -372,8 +372,8 @@ def k_center(g: Graph, k: int, mode: str = "exact") -> KCenterResult:
     and the lexicographically smallest k-set of centers that covers at r.
     That is the set an exhaustive scan of k-subsets in lexicographic order
     keeps. More than SUBSET_CAP k-subsets raise SearchSpaceTooLarge before
-    any ball is grown. With k = 1 each vertex's BFS row is read once and
-    dropped, so no n x n table is built.
+    any ball is grown. With k = 1 the radius and the smallest-id centre come
+    from one eccentricities() sweep.
 
     With k >= 2 it searches radius-r balls (Kariv & Hakimi 1979 for the
     p-center problem). The greedy radius r_g is feasible, and its k + 1
@@ -402,8 +402,9 @@ def k_center(g: Graph, k: int, mode: str = "exact") -> KCenterResult:
             f"C({g.n},{k}) = {math.comb(g.n, k)} exceeds cap {SUBSET_CAP}"
         )
     if k == 1:
-        radius, center = min((max(bfs_distances(g, v)), v) for v in range(g.n))
-        return KCenterResult((center,), radius)
+        ecc = eccentricities(g)
+        radius = min(ecc)
+        return KCenterResult((ecc.index(radius),), radius)
     top = _farthest_points(g, k).radius
     depth = bfs_distances(g, 0)
     deepest = sorted(range(g.n), key=depth.__getitem__, reverse=True)

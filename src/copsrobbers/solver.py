@@ -121,8 +121,10 @@ class ValueTable:
     top cop is on v, to their ceil(n/8)-byte cells end to end: bit r of
     config ci's cell is set when the state (configs[ci], r, mover) has
     value L. A chunk with no new state at a level has no entry, and MAXDIST
-    is the value of a state no level holds. placement is best_placement(),
-    found by solve.
+    is the value of a state no level holds. chunk_levels[mover][v] lists the
+    (level, cells) entries of chunk v, ascending; the first read of chunk v
+    builds it, so later reads visit only those levels. placement is
+    best_placement(), found by solve.
     """
 
     graph: Graph
@@ -131,6 +133,7 @@ class ValueTable:
     config_index: dict
     first: list = field(default_factory=list, repr=False)
     levels: list = field(default_factory=list, repr=False)
+    chunk_levels: tuple = field(default_factory=lambda: ({}, {}), repr=False)
     states_visited: int = 0
     placement: tuple = ()
 
@@ -138,9 +141,14 @@ class ValueTable:
         v = self.configs[ci][0]
         at = (ci - self.first[v]) * ((self.graph.n + 7) // 8) + (robber >> 3)
         bit = 1 << (robber & 7)
-        for level, entries in enumerate(self.levels):
-            cells = entries[mover].get(v)
-            if cells is not None and cells[at] & bit:
+        found = self.chunk_levels[mover].get(v)
+        if found is None:
+            found = self.chunk_levels[mover][v] = [
+                (level, entries[mover][v]) for level, entries in enumerate(self.levels)
+                if v in entries[mover]
+            ]
+        for level, cells in found:
+            if cells[at] & bit:
                 return level
         return MAXDIST
 

@@ -10,6 +10,7 @@ its image, the team owning the robber's actual territory holds the robber.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from .errors import (
@@ -35,68 +36,56 @@ from .rng import make_rng, rand_below
 from .solver import MAXDIST, extract_policies, solve
 
 
-def grid_cop_number(d: int) -> int:
-    """Cop number of a d-dimensional Cartesian grid with sides >= 2."""
-    return (d + 2) // 2
-
-
 # ---------------------------------------------------------------------------
 # robber policies
 
 
+def _farthest(dist, start: int, choices) -> int:
+    """The robbers' one argmax rule: `start`, unless some vertex of `choices`
+    (ascending) is farther in `dist`, and then the first farthest one. On a
+    move `start` is the robber's own vertex, so a tie with it stays; at
+    placement it is vertex 0."""
+    best, best_d = start, dist[start]
+    for v in choices:
+        if dist[v] > best_d:
+            best, best_d = v, dist[v]
+    return best
+
+
 class StayFarRobber(RobberPolicy):
-    """Place at a vertex of maximum distance to the nearest cop, never move."""
+    """Place at the smallest-id vertex of maximum distance to the nearest
+    cop, never move."""
 
     metadata = {"policy": "stay-far"}
 
     def placement(self, g: Graph, cops) -> int:
-        dist = bfs_distances(g, cops)
-        best, best_d = 0, -1
-        for v in range(g.n):
-            if dist[v] > best_d:
-                best, best_d = v, dist[v]
-        return best
+        return _farthest(bfs_distances(g, cops), 0, range(g.n))
 
     def move(self, g: Graph, cops, robber: int, rnd: int) -> int:
         return robber
 
 
-class GreedyRobber(RobberPolicy):
+class GreedyRobber(StayFarRobber):
     """Move to the closed-neighbourhood vertex maximising distance to the
-    nearest cop; smallest id on ties. Places like the stay-far robber."""
+    nearest cop: staying on a tie with its own vertex, and otherwise the
+    smallest id among the farthest. Places like the stay-far robber."""
 
     metadata = {"policy": "greedy"}
 
-    def placement(self, g: Graph, cops) -> int:
-        return StayFarRobber().placement(g, cops)
-
     def move(self, g: Graph, cops, robber: int, rnd: int) -> int:
-        dist = bfs_distances(g, cops)
-        best, best_d = robber, dist[robber]
-        for v in g.closed[robber]:
-            if dist[v] > best_d:
-                best, best_d = v, dist[v]
-        return best
+        return _farthest(bfs_distances(g, cops), robber, g.closed[robber])
 
 
-class GreedyFastRobber(RobberPolicy):
+class GreedyFastRobber(StayFarRobber):
     """Greedy robber for the infinitely-fast variant: relocates anywhere in
-    its component of the graph minus the cops' vertices."""
+    its component of the graph minus the cops' vertices, by the greedy
+    robber's rule."""
 
     metadata = {"policy": "greedy-fast"}
 
-    def placement(self, g: Graph, cops) -> int:
-        return StayFarRobber().placement(g, cops)
-
     def move(self, g: Graph, cops, robber: int, rnd: int) -> int:
         reachable = component_of(g, robber, blocked=set(cops))
-        reachable.add(robber)
-        dist = bfs_distances(g, cops)
-        best, best_d = robber, dist[robber]
-        for v in sorted(reachable):
-            if dist[v] > best_d:
-                best, best_d = v, dist[v]
-        return best
+        return _farthest(bfs_distances(g, cops), robber, sorted(reachable))
 
 
 class RandomWalkRobber(RobberPolicy):
@@ -133,22 +122,12 @@ class PigeonholeGridRobber(RobberPolicy):
                 f"cannot pack {k + 1} disjoint boxes into grid {dims}"
             )
         self.codec = codec
-        self.boxes = []
         self.min_side = min(sides)
-
-        def rec(axis, lo, hi):
-            if axis == d:
-                self.boxes.append((tuple(lo), tuple(hi)))
-                return
-            s = sides[axis]
-            for j in range(m):
-                lo.append(j * s)
-                hi.append((j + 1) * s - 1)
-                rec(axis + 1, lo, hi)
-                lo.pop()
-                hi.pop()
-
-        rec(0, [], [])
+        # (lo, hi) corners of the m**d boxes, the first axis outermost
+        self.boxes = [
+            tuple(zip(*((j * s, (j + 1) * s - 1) for j, s in zip(js, sides))))
+            for js in itertools.product(range(m), repeat=d)
+        ]
 
     def placement(self, g: Graph, cops) -> int:
         cop_coords = {self.codec.coord_of(c) for c in cops}
@@ -228,13 +207,6 @@ class TreePolicy(CopPolicy):
 # territory partitions
 
 
-def solver_sub_policy(sub_g: Graph, k_i: int):
-    cop_pol, _ = extract_policies(solve(sub_g, k_i))
-    if cop_pol.bound >= MAXDIST:
-        raise TooFewCops(f"{k_i} cops cannot win on a {sub_g.n}-vertex territory")
-    return cop_pol
-
-
 class RetractPartitionPolicy(CopPolicy):
     """Territory play: team i runs the solver's optimal policy on territory i
     against the robber's image under the territory's retract.
@@ -261,7 +233,10 @@ class RetractPartitionPolicy(CopPolicy):
                 raise RetractInvalid("retract image differs from territory set")
             sub_g, to_local, to_global = g.induced(verts)
             if (sub_g, k_i) not in sub_policies:
-                sub_policies[sub_g, k_i] = solver_sub_policy(sub_g, k_i)
+                sub_policy, _ = extract_policies(solve(sub_g, k_i))
+                if sub_policy.bound >= MAXDIST:
+                    raise TooFewCops(f"{k_i} cops cannot win on a {sub_g.n}-vertex territory")
+                sub_policies[sub_g, k_i] = sub_policy
             self.teams.append(
                 {
                     "retract": retract,
@@ -320,12 +295,13 @@ def _int_root_floor(t: int, d: int) -> int:
 
 
 def grid_cover_policy(g: Graph, codec: GridCodec, k: int) -> RetractPartitionPolicy:
-    """Cover the grid with floor(k/c) boxes of roughly equal side (c = grid
-    cop number), one team of c cops per box playing a winning sub-strategy on
-    it. Per-axis tiles may clip at the boundary; overlap is allowed."""
+    """Cover the grid with floor(k/c) boxes of roughly equal side (c = (d + 2)
+    // 2, the cop number of a d-dimensional grid with sides >= 2), one team
+    of c cops per box playing a winning sub-strategy on it. Per-axis tiles
+    may clip at the boundary; overlap is allowed."""
     dims = codec.dims
     d = len(dims)
-    c = grid_cop_number(d)
+    c = (d + 2) // 2
     if k < c:
         raise TooFewCops(f"grid needs at least {c} cops, given {k}")
     t = k // c
@@ -336,14 +312,9 @@ def grid_cover_policy(g: Graph, codec: GridCodec, k: int) -> RetractPartitionPol
         starts = list(range(0, dim, side))
         axis_boxes.append([(s, min(s + side, dim) - 1) for s in starts])
 
-    boxes = [[]]
-    for ab in axis_boxes:
-        boxes = [prefix + [seg] for prefix in boxes for seg in ab]
-
     territories = []
-    for box in boxes:
-        lo = tuple(seg[0] for seg in box)
-        hi = tuple(seg[1] for seg in box)
+    for box in itertools.product(*axis_boxes):
+        lo, hi = zip(*box)
         retract = box_retract(g, codec, lo, hi)
         territories.append((sorted(retract.image), retract, c))
     return RetractPartitionPolicy(g, territories)
@@ -363,10 +334,12 @@ MAX_SUBCUBE_DIM = 4
 
 
 def subcube_partition_policy(
-    g: Graph, codec: CubeCodec, k: int, ell: int
+    g: Graph, codec: CubeCodec, k: int, ell: int | None = None
 ) -> RetractPartitionPolicy:
     """Partition the cube into 2^(n-ell) subcubes, each a retract, and give
-    each a team of ceil((ell+1)/2) cops with a winning sub-strategy."""
+    each a team of ceil((ell+1)/2) cops with a winning sub-strategy. ell =
+    None takes choose_subcube_dim(n, k)."""
+    ell = choose_subcube_dim(codec.n_bits, k) if ell is None else int(ell)
     if ell > MAX_SUBCUBE_DIM:
         raise SubcubeTooLarge(f"ell={ell} exceeds solver-friendly cap {MAX_SUBCUBE_DIM}")
     if not 1 <= ell <= codec.n_bits:

@@ -79,6 +79,15 @@ CASES = {
     "exit1_unknown_suite_param": (["verify", "regime", "--set", "epss=0.3"], 1),
     # a suite parameter outside its domain (n_max = 2 divided by zero)
     "exit1_trees_n_max_below_3": (["verify", "trees", "--set", "n_max=2"], 1),
+    # a policy parameter its table entry does not declare, and a graph
+    # without the codec the policy needs
+    "exit1_unknown_cop_param": (
+        ["simulate", "--gen", "hypercube:3", "-k", "4", "--cop", "sphere_trap:depth=3",
+         "--robber", "greedy"], 1),
+    "exit1_unknown_robber_param": (
+        ["simulate", "--gen", "tree:12,3", "-k", "2", "--cop", "tree", "--robber", "greedy:bar=2"], 1),
+    "exit1_grid_cover_on_tree": (
+        ["simulate", "--gen", "tree:12,3", "-k", "2", "--cop", "grid_cover", "--robber", "greedy"], 1),
     "exit1_bad_spec": (["solve", "--gen", "nosuch:3", "-k", "1"], 1),
     "exit1_usage": (["solve", "--gen", "path:3"], 1),
     "exit2_domain_error": (["regime", "-n", "1", "--k", "2"], 2),

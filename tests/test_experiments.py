@@ -31,6 +31,96 @@ def test_mc_run_solves_each_graph_once(monkeypatch):
         assert all(row["captured"] and "error" not in row for row in alone)
 
 
+def test_mc_trials_report_refused_parameters_and_graphs():
+    """An undeclared policy parameter, or a graph without the codec a policy
+    needs, is a ValueError in every trial's row, and the batch runs on."""
+    cases = [
+        (MCConfig("hypercube:3", 4, cop="sphere_trap", cop_params={"depth": 3}, trials=2),
+         "ValueError: unknown parameter depth for cop policy 'sphere_trap'; accepted: d, mode"),
+        (MCConfig("path:5", 1, cop="tree", robber="greedy", robber_params={"bar": 2}, trials=2),
+         "ValueError: unknown parameter bar for robber policy 'greedy'; accepted: none"),
+        (MCConfig("tree:12,{seed}", 2, cop="grid_cover", trials=2),
+         "ValueError: cop policy 'grid_cover' needs a path or grid graph"),
+        (MCConfig("grid:d=2,q=4", 2, cop="subcube_partition", trials=2),
+         "ValueError: cop policy 'subcube_partition' needs a hypercube graph"),
+        (MCConfig("hypercube:3", 2, cop="solver", robber="pigeonhole_grid", trials=2),
+         "ValueError: robber policy 'pigeonhole_grid' needs a path or grid graph"),
+    ]
+    for config, error in cases:
+        rows = mc_run(config).rows
+        assert [row.get("error") for row in rows] == [error] * 2
+
+
+def test_simulate_solves_once_for_both_solver_policies(monkeypatch, capsys):
+    """simulate plays through play_config, whose table cache lets a solver
+    cop and a solver robber share one solve."""
+    from copsrobbers.cli import main
+
+    calls = []
+    solve = experiments.solve
+    monkeypatch.setattr(experiments, "solve", lambda g, k: calls.append(k) or solve(g, k))
+    argv = ["simulate", "--gen", "grid:d=2,q=4", "-k", "2", "--cop", "solver", "--robber", "solver"]
+    assert main(argv) == 0
+    assert calls == [2]
+    assert '"capture_round": 3,' in capsys.readouterr().out  # capt_2 of grid 4x4
+
+
+# policy name -> (graph spec of its kind, k, {declared parameter: another value})
+POLICY_CASES = {
+    "cop": {
+        "solver": ("grid:d=2,q=3", 2, {}),
+        "tree": ("tree:12,3", 2, {}),
+        "grid_cover": ("grid:d=2,q=6", 4, {}),
+        "subcube_partition": ("hypercube:4", 4, {"ell": 3}),
+        "sphere_trap": ("hypercube:3", 4, {"d": 2, "mode": "general"}),
+        "separator_sweep": ("grid:d=2,q=6", 20, {}),
+        "three_cop_planar": ("tree:12,3", 3, {}),
+        "static": ("path:5", 1, {"positions": [2]}),
+    },
+    "robber": {
+        "stay_far": ("path:5", 1, {}),
+        "greedy": ("path:5", 1, {}),
+        "greedy_fast": ("path:5", 1, {}),
+        "random_walk": ("path:5", 1, {}),
+        "pigeonhole_grid": ("grid:d=2,q=6", 4, {}),
+        "solver": ("path:5", 1, {}),
+    },
+}
+
+
+def _built(policy):
+    """A policy's plain settings: its attributes that are numbers, strings,
+    tuples or dicts (metadata included)."""
+    return {key: value for key, value in vars(policy).items()
+            if isinstance(value, (int, float, str, tuple, dict))}
+
+
+@pytest.mark.parametrize("side", sorted(POLICY_CASES))
+def test_every_policy_builds_and_reads_each_parameter(side):
+    """Every table entry builds with its defaults on a graph of its kind, and
+    changing any one declared parameter changes the policy built: no declared
+    parameter is ignored. Each entry also plays a game there (a cop with the
+    changed parameters, a robber against static cops)."""
+    table = {"cop": experiments.COP_POLICIES, "robber": experiments.ROBBER_POLICIES}[side]
+    make = {"cop": experiments.make_cop_policy, "robber": experiments.make_robber_policy}[side]
+    cases = POLICY_CASES[side]
+    assert set(cases) == set(table)
+    for name, (spec, k, changes) in cases.items():
+        assert set(changes) == set(table[name][1]), name
+        g, codec = experiments.from_spec(spec)
+        solved = lambda: experiments.solve(g, k)  # noqa: E731
+        default = make(name, {}, g, codec, k, "s", solved)
+        for key, value in changes.items():
+            changed = make(name, {key: value}, g, codec, k, "s", solved)
+            assert _built(changed) != _built(default), (name, key)
+        if side == "cop":
+            config = MCConfig(spec, k, cop=name, cop_params=changes, max_rounds=20)
+        else:
+            config = MCConfig(spec, k, cop="static", cop_params={"positions": [0] * k},
+                              robber=name, max_rounds=20)
+        assert "error" not in mc_run(config).rows[0], name
+
+
 def test_verify_suite_rejects_unknown_parameter(monkeypatch):
     """A key the suite does not read stops the run before it starts, naming
     the key and the accepted ones."""

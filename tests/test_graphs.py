@@ -280,9 +280,9 @@ def test_greedy_k_center_matches_the_table_version(n, p, seed, k):
 
 
 def test_exact_k_center_one_center_streams_rows():
-    """With k = 1 each distance row is read once: k_center keeps one BFS
-    row at a time, not the n x n table (6.4 MB on path:600 when the table
-    was built), and still finds the first vertex of least eccentricity."""
+    """With k = 1 one eccentricities() sweep gives the radius: k_center
+    builds no n x n distance table (6.4 MB on path:600 when it did), and
+    still finds the first vertex of least eccentricity."""
     g, _ = gen_path(600)
     tracemalloc.start()
     try:

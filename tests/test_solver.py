@@ -256,6 +256,23 @@ def test_level_entries_hold_only_the_sorted_cells():
         assert lengths and all(got == size[v] for v, got in lengths)
 
 
+def test_chunk_levels_list_every_entry():
+    """A value read visits only the levels that hold an entry for its chunk:
+    once every state is read, chunk_levels[mover][v] is exactly those levels
+    with their entries, ascending, on tree:12,1 with k = 3 and path:20 with
+    k = 2. solve itself builds none of it."""
+    for g, k in ((gen_tree(12, 1), 3), (gen_path(20)[0], 2)):
+        table = solve(g, k)
+        assert table.chunk_levels == ({}, {})
+        for mover in (COP, ROB):
+            dense_values(table, mover)
+            want = {}
+            for level, entries in enumerate(table.levels):
+                for v, cells in entries[mover].items():
+                    want.setdefault(v, []).append((level, cells))
+            assert table.chunk_levels[mover] == want
+
+
 def test_solve_rejects_the_empty_graph():
     empty = Graph(0, [])
     with pytest.raises(ValueError):

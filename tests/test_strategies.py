@@ -27,6 +27,7 @@ from copsrobbers.graphs import Graph, bfs_distances, k_center, path_retract
 from copsrobbers.play import play, worst_case_capture_round
 from copsrobbers.solver import capture_time, extract_policies, solve
 from copsrobbers.strategies import (
+    GreedyFastRobber,
     GreedyRobber,
     PigeonholeGridRobber,
     RandomWalkRobber,
@@ -284,6 +285,18 @@ def test_greedy_flees_to_far_end():
     rob = GreedyRobber()
     assert rob.placement(g, (0,)) == 6
     assert rob.move(g, (0,), 5, 1) == 6
+
+
+def test_robbers_stay_on_a_tie_with_their_own_vertex():
+    """The robbers' one argmax rule: the first farthest vertex in ascending
+    order, except that a tie with the robber's own vertex stays. With the cop
+    on 3, vertices 0, 1 and 2 are all at distance 1: the robber on 2 stays
+    rather than move to 1, and the stay-far placement takes 0."""
+    g = Graph.from_edges(4, [(0, 3), (1, 2), (1, 3), (2, 3)])
+    assert GreedyRobber().move(g, (3,), 2, 1) == 2
+    assert GreedyFastRobber().move(g, (3,), 2, 1) == 2
+    assert GreedyRobber().move(g, (3,), 1, 1) == 1
+    assert StayFarRobber().placement(g, (3,)) == 0
 
 
 def test_greedy_never_decreases_distance():
