@@ -16,11 +16,13 @@ suites count certified runs, so they read `policy.bound` directly.
 SUITES, COP_POLICIES and ROBBER_POLICIES map each name the command line
 takes to its function and its parameters with defaults; `_lookup` reads all
 three and refuses an undeclared key. `play_config` plays a game of named
-policies for `simulate` and for each `mc` trial.
+policies for `simulate` and for each `mc` trial, and reuses within a batch
+what it built for the batch's latest graph and does not depend on the seed.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -655,9 +657,23 @@ def _codec(codec, kind, policy: str):
     raise ValueError(f"{policy} needs a {graphs} graph")
 
 
+def _positions(positions) -> list:
+    """The static cop's `positions` as a list of vertices; one int, as the
+    command line gives it, is a one-vertex list."""
+    if isinstance(positions, int) and not isinstance(positions, bool):
+        return [positions]
+    if not isinstance(positions, (list, tuple)):
+        raise ValueError(f"cop policy 'static' needs positions to be a vertex or a list "
+                         f"of vertices, got {positions!r}")
+    return [int(v) for v in positions]
+
+
 # policy name -> (builder, its parameters with their defaults), read like
 # SUITES. A builder takes g, codec, k, seed, solved (which returns the value
-# table of (g, k)) and the parameters as keywords.
+# table of (g, k)) and the parameters as keywords. A builder whose parameter
+# list does not name `seed` builds a policy that does not depend on it, so
+# play_config builds it once per graph of a batch and reuses it: placement
+# resets every policy's per-game state.
 COP_POLICIES = {
     "solver": (lambda solved, **_: extract_policies(solved())[0], {}),
     "tree": (lambda g, k, **_: TreePolicy(g, k), {}),
@@ -669,8 +685,7 @@ COP_POLICIES = {
         g, k, int(d), mode=mode, seed=seed), {"d": 1, "mode": "hypercube"}),
     "separator_sweep": (lambda g, k, **_: SeparatorSweepPolicy(g, k), {}),
     "three_cop_planar": (lambda g, **_: ThreeCopPlanarPolicy(g), {}),
-    "static": (lambda positions, **_: StaticCopPolicy([int(v) for v in positions]),
-               {"positions": ()}),
+    "static": (lambda positions, **_: StaticCopPolicy(_positions(positions)), {"positions": ()}),
 }
 ROBBER_POLICIES = {
     "stay_far": (lambda **_: StayFarRobber(), {}),
@@ -698,23 +713,45 @@ def make_robber_policy(name: str, params: dict, g: Graph, codec, k: int, seed, s
     return build(g=g, codec=codec, k=k, seed=seed, solved=solved, **params)
 
 
-def play_config(config: MCConfig, seed, tables: dict, graph=None):
+def _reused(cache: dict, side: str, make, table: dict, name: str, params, *args):
+    """``cache[side]``, or else the policy ``make`` builds, which ``cache``
+    keeps unless its builder in ``table`` names ``seed``. A builder that
+    raises leaves nothing behind."""
+    if side not in cache:
+        policy = make(name, params, *args)
+        if "seed" in inspect.signature(table[name][0]).parameters:
+            return policy
+        cache[side] = policy
+    return cache[side]
+
+
+def play_config(config: MCConfig, seed, cache: dict, graph=None):
     """Play one game of the policies ``config`` names, on ``graph`` (g, codec)
     or else on config.graph with {seed} filled in: ``simulate`` and each mc
-    trial. ``tables`` maps the latest graph to its solved value table, so the
-    solver policies of one game, or of a run of trials, share one solve."""
+    trial.
+
+    ``cache`` holds what was built for the latest graph spec and does not
+    depend on the seed: the (g, codec), its solved value table, and each
+    policy whose builder does not name ``seed``. A run of trials on one spec
+    builds each of these once, so the solver policies of one game share one
+    solve, and reuse is safe because placement resets per-game state. A new
+    spec, such as one with {seed}, empties the cache first."""
     spec = config.graph.replace("{seed}", str(seed))
-    g, codec = graph or from_spec(spec)
+    if cache.get("spec") != spec:
+        cache.clear()
+        cache["graph"] = graph or from_spec(spec)
+        cache["spec"] = spec
+    g, codec = cache["graph"]
 
     def solved():
-        if spec not in tables:
-            tables.clear()
-            tables[spec] = solve(g, config.k)
-        return tables[spec]
+        if "table" not in cache:
+            cache["table"] = solve(g, config.k)
+        return cache["table"]
 
-    cop = make_cop_policy(config.cop, config.cop_params, g, codec, config.k, f"{seed}:cop", solved)
-    rob = make_robber_policy(config.robber, config.robber_params, g, codec, config.k,
-                             f"{seed}:robber", solved)
+    cop = _reused(cache, "cop", make_cop_policy, COP_POLICIES, config.cop, config.cop_params,
+                  g, codec, config.k, f"{seed}:cop", solved)
+    rob = _reused(cache, "robber", make_robber_policy, ROBBER_POLICIES, config.robber,
+                  config.robber_params, g, codec, config.k, f"{seed}:robber", solved)
     return play(g, config.k, cop, rob, config.max_rounds, fast_robber=config.fast_robber)
 
 
@@ -753,11 +790,11 @@ class MCSummary:
         return csv_lines(header, rows)
 
 
-def _mc_trial(config: MCConfig, trial: int, seed, tables: dict) -> dict:
-    """One game of ``config`` as a row; ``tables`` as in ``play_config``."""
+def _mc_trial(config: MCConfig, trial: int, seed, cache: dict) -> dict:
+    """One game of ``config`` as a row; ``cache`` as in ``play_config``."""
     row = {"trial": trial, "seed": str(seed), "captured": False, "capture_round": None}
     try:
-        t = play_config(config, seed, tables)
+        t = play_config(config, seed, cache)
         row["captured"] = t.capture_round is not None
         row["capture_round"] = t.capture_round
         meta = t.metadata.get("cop", {})
@@ -770,6 +807,10 @@ def _mc_trial(config: MCConfig, trial: int, seed, tables: dict) -> dict:
 
 
 def mc_run(config: MCConfig) -> MCSummary:
+    """Play ``config.trials`` games, one row each; an error stays in its row.
+    The trials share one ``play_config`` cache, so a spec without {seed}
+    builds its graph, its value table and its seed-free policies once for
+    the batch, and every trial row is as if each were built afresh."""
     if config.trials < 1:
         raise ValueError("trials must be at least 1")
     if config.k < 1:
@@ -778,8 +819,8 @@ def mc_run(config: MCConfig) -> MCSummary:
     if len(seeds) != config.trials:
         raise ValueError("seed list length must equal trials")
 
-    tables = {}
-    rows = [_mc_trial(config, i, s, tables) for i, s in enumerate(seeds)]
+    cache = {}
+    rows = [_mc_trial(config, i, s, cache) for i, s in enumerate(seeds)]
 
     captured_rounds = sorted(
         r["capture_round"] for r in rows if r["capture_round"] is not None

@@ -36,9 +36,13 @@ class CopPolicy:
 
 class RobberPolicy:
     """Interface: placement(g, cops) -> vertex; move(g, cops, robber, rnd) ->
-    vertex in the robber's closed neighbourhood (or component, when fast)."""
+    vertex in the robber's closed neighbourhood (or component, when fast).
+
+    `fast_only` marks a robber that relocates, which `play` admits only in
+    the fast-robber variant."""
 
     metadata: dict = {}
+    fast_only: bool = False
 
     def placement(self, g: Graph, cops) -> int:
         raise NotImplementedError
@@ -104,9 +108,13 @@ def play(
     *,
     fast_robber: bool = False,
 ) -> PlayTranscript:
-    """Referee a full game and return its transcript."""
+    """Referee a full game and return its transcript. A `fast_only` robber
+    outside the fast-robber variant is a ValueError before placement."""
     if max_rounds < 1:
         raise ValueError("max_rounds must be at least 1")
+    if robber_policy.fast_only and not fast_robber:
+        raise ValueError(f"robber {type(robber_policy).__name__} relocates, so it plays "
+                         "only in the fast-robber variant (fast_robber, --fast-robber)")
     cops = tuple(cop_policy.placement(g, k))
     _check_cops(g, k, cops)
     robber = robber_policy.placement(g, cops)

@@ -82,6 +82,7 @@ class GreedyFastRobber(StayFarRobber):
     robber's rule."""
 
     metadata = {"policy": "greedy-fast"}
+    fast_only = True
 
     def move(self, g: Graph, cops, robber: int, rnd: int) -> int:
         reachable = component_of(g, robber, blocked=set(cops))

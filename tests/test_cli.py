@@ -74,7 +74,16 @@ CASES = {
     "simulate_subcube_partition": (
         ["simulate", "--gen", "hypercube:4", "-k", "4", "--cop", "subcube_partition:ell=3",
          "--robber", "greedy"], 0),
+    # one int is a one-vertex list
+    "simulate_static_one_position": (
+        ["simulate", "--gen", "path:5", "-k", "1", "--cop", "static:positions=2",
+         "--robber", "greedy", "--max-rounds", "2"], 0),
     "mc_tree": (["mc", "{config}"], 0),
+    # batches on fixed graphs, whose graph and seed-free policies are built once
+    "mc_grid_cover_vs_pigeonhole_grid": (["mc", "{config}"], 0),
+    "mc_subcube_partition_vs_stay_far": (["mc", "{config}"], 0),
+    "mc_separator_sweep_vs_greedy_fast": (["mc", "{config}"], 0),
+    "mc_sphere_trap_vs_random_walk": (["mc", "{config}"], 0),
     "exit1_unknown_suite": (["verify", "nosuch"], 1),
     "exit1_unknown_suite_param": (["verify", "regime", "--set", "epss=0.3"], 1),
     # a suite parameter outside its domain (n_max = 2 divided by zero)
@@ -88,6 +97,10 @@ CASES = {
         ["simulate", "--gen", "tree:12,3", "-k", "2", "--cop", "tree", "--robber", "greedy:bar=2"], 1),
     "exit1_grid_cover_on_tree": (
         ["simulate", "--gen", "tree:12,3", "-k", "2", "--cop", "grid_cover", "--robber", "greedy"], 1),
+    # a robber that relocates, outside the fast-robber variant
+    "exit1_greedy_fast_without_fast_robber": (
+        ["simulate", "--gen", "grid:d=2,q=6", "-k", "20", "--cop", "separator_sweep",
+         "--robber", "greedy_fast"], 1),
     "exit1_bad_spec": (["solve", "--gen", "nosuch:3", "-k", "1"], 1),
     "exit1_usage": (["solve", "--gen", "path:3"], 1),
     "exit2_domain_error": (["regime", "-n", "1", "--k", "2"], 2),
@@ -98,6 +111,18 @@ CASES = {
 
 MC_CONFIGS = {
     "mc_tree": {"graph": "tree:10,{seed}", "k": 2, "cop": "tree", "robber": "greedy", "trials": 3},
+    "mc_grid_cover_vs_pigeonhole_grid": {
+        "graph": "grid:d=2,q=6", "k": 4, "cop": "grid_cover", "robber": "pigeonhole_grid",
+        "trials": 3},
+    "mc_subcube_partition_vs_stay_far": {
+        "graph": "hypercube:4", "k": 4, "cop": "subcube_partition", "robber": "stay_far",
+        "trials": 3},
+    "mc_separator_sweep_vs_greedy_fast": {
+        "graph": "grid:d=2,q=6", "k": 20, "cop": "separator_sweep", "robber": "greedy_fast",
+        "fast_robber": True, "trials": 3},
+    "mc_sphere_trap_vs_random_walk": {
+        "graph": "hypercube:6", "k": 8, "cop": "sphere_trap", "cop_params": {"d": 1},
+        "robber": "random_walk", "trials": 3},
     "exit2_mc_errored_trials": {"graph": "path:5", "k": 1, "cop": "nosuch", "trials": 2},
 }
 

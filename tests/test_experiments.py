@@ -1,4 +1,5 @@
 import ast
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -45,6 +46,12 @@ def test_mc_trials_report_refused_parameters_and_graphs():
          "ValueError: cop policy 'subcube_partition' needs a hypercube graph"),
         (MCConfig("hypercube:3", 2, cop="solver", robber="pigeonhole_grid", trials=2),
          "ValueError: robber policy 'pigeonhole_grid' needs a path or grid graph"),
+        (MCConfig("path:5", 1, cop="tree", robber="greedy_fast", trials=2),
+         "ValueError: robber GreedyFastRobber relocates, so it plays only in the "
+         "fast-robber variant (fast_robber, --fast-robber)"),
+        (MCConfig("path:5", 1, cop="static", cop_params={"positions": "a"}, trials=2),
+         "ValueError: cop policy 'static' needs positions to be a vertex or a list "
+         "of vertices, got 'a'"),
     ]
     for config, error in cases:
         rows = mc_run(config).rows
@@ -63,6 +70,38 @@ def test_simulate_solves_once_for_both_solver_policies(monkeypatch, capsys):
     assert main(argv) == 0
     assert calls == [2]
     assert '"capture_round": 3,' in capsys.readouterr().out  # capt_2 of grid 4x4
+
+
+def test_mc_run_builds_what_the_seed_does_not_change_once(monkeypatch):
+    """A batch on a fixed spec builds its graph and each policy whose builder
+    does not name `seed` once; a {seed} spec builds its graph and policies
+    every trial, and so do the seeded builders (sphere_trap, random_walk).
+    Every row is the row of a trial that built everything afresh."""
+    calls = Counter()
+
+    def count(name):
+        build = getattr(experiments, name)
+        monkeypatch.setattr(experiments, name,
+                            lambda *a, **kw: calls.update([name]) or build(*a, **kw))
+
+    for name in ("from_spec", "grid_cover_policy", "PigeonholeGridRobber", "SphereTrapPolicy",
+                 "RandomWalkRobber", "TreePolicy", "GreedyRobber"):
+        count(name)
+    cases = [
+        (MCConfig("grid:d=2,q=6", 4, cop="grid_cover", robber="pigeonhole_grid", trials=3),
+         {"from_spec": 1, "grid_cover_policy": 1, "PigeonholeGridRobber": 1}),
+        (MCConfig("hypercube:4", 4, cop="sphere_trap", robber="random_walk", trials=3),
+         {"from_spec": 1, "SphereTrapPolicy": 3, "RandomWalkRobber": 3}),
+        (MCConfig("tree:9,{seed}", 2, cop="tree", robber="greedy", trials=3),
+         {"from_spec": 3, "TreePolicy": 3, "GreedyRobber": 3}),
+    ]
+    for config, built in cases:
+        calls.clear()
+        rows = mc_run(config).rows
+        assert calls == built, config
+        alone = [experiments._mc_trial(config, i, i, {}) for i in range(config.trials)]
+        assert rows == alone
+        assert all(row["captured"] and "error" not in row for row in rows)
 
 
 # policy name -> (graph spec of its kind, k, {declared parameter: another value})
@@ -117,7 +156,7 @@ def test_every_policy_builds_and_reads_each_parameter(side):
             config = MCConfig(spec, k, cop=name, cop_params=changes, max_rounds=20)
         else:
             config = MCConfig(spec, k, cop="static", cop_params={"positions": [0] * k},
-                              robber=name, max_rounds=20)
+                              robber=name, max_rounds=20, fast_robber=name == "greedy_fast")
         assert "error" not in mc_run(config).rows[0], name
 
 

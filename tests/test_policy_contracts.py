@@ -15,17 +15,21 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from copsrobbers.errors import ProgressStall
 from copsrobbers.experiments import SUITES, tree_instances
 from copsrobbers.generators import from_spec, gen_cycle, gen_grid, gen_grid_dims, gen_hypercube, gen_tree
-from copsrobbers.graphs import MAXDIST, metrics
+from copsrobbers.graphs import MAXDIST, Graph, metrics
 from copsrobbers.planar import SeparatorSweepPolicy, ThreeCopPlanarPolicy
 from copsrobbers.play import CopPolicy, RobberPolicy, play, worst_case_capture_round
 from copsrobbers.solver import capture_time, extract_policies, solve
 from copsrobbers.sphere_trap import SphereTrapPolicy
 from copsrobbers.strategies import (
+    GreedyFastRobber,
     GreedyRobber,
+    PigeonholeGridRobber,
     RandomWalkRobber,
     StaticCopPolicy,
+    StayFarRobber,
     TreePolicy,
     grid_cover_policy,
     subcube_partition_policy,
@@ -96,27 +100,78 @@ def test_solver_policies_share_the_interfaces_and_defaults():
 GNP40 = from_spec("gnp:40,0.12,0")[0]
 GRID12 = gen_grid_dims([12, 12])[0]
 GRID4 = gen_grid_dims([4, 4])[0]
+GRID6, GRID6_CODEC = gen_grid_dims([6, 6])
+Q4, Q4_CODEC = gen_hypercube(4)
 TREE14 = gen_tree(14, 3)
+# the stacked triangulation on which the three-cop policy stalls (ROADMAP item 1)
+STACKED8 = Graph.from_edges(8, [
+    (0, 1), (0, 2), (0, 3), (0, 4), (0, 7), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6),
+    (2, 3), (2, 7), (3, 4), (3, 5), (3, 7), (4, 5), (4, 6), (5, 6),
+])
 REUSE_CASES = {
     "sphere-trap": (GNP40, 24, lambda: SphereTrapPolicy(GNP40, 24, 2, mode="general")),
     "separator-sweep": (GRID12, 60, lambda: SeparatorSweepPolicy(GRID12, 60)),
     "three-cop": (GRID4, 3, lambda: ThreeCopPlanarPolicy(GRID4)),
     "tree": (TREE14, 2, lambda: TreePolicy(TREE14, 2)),
     "solver": (GRID4, 2, lambda: extract_policies(solve(GRID4, 2))[0]),
+    "grid-cover": (GRID6, 4, lambda: grid_cover_policy(GRID6, GRID6_CODEC, 4)),
+    "subcube-partition": (Q4, 4, lambda: subcube_partition_policy(Q4, Q4_CODEC, 4, 3)),
 }
+# robber name -> its maker; each plays on GRID6 against every cop of ROBBER_REUSE_COPS
+ROBBER_REUSE_CASES = {
+    "pigeonhole-grid": lambda: PigeonholeGridRobber(GRID6, GRID6_CODEC, 4),
+    "stay-far": StayFarRobber,
+    "greedy": GreedyRobber,
+    "greedy-fast": GreedyFastRobber,
+}
+ROBBER_REUSE_COPS = [
+    lambda: grid_cover_policy(GRID6, GRID6_CODEC, 4),
+    lambda: StaticCopPolicy([0, 5, 30, 35]),
+    lambda: StaticCopPolicy([14, 14, 21, 21]),
+    lambda: StaticCopPolicy([7, 8, 9, 10]),
+]
+
+
+def _reused_plays_like_fresh(g, k, make, games, fast=False):
+    """Play ``games`` (each makes the pair of policies from the policy under
+    test) once with a fresh policy from ``make`` each, and once with one
+    policy from ``make`` for all; the transcripts must agree, and the reused
+    policy must leave the transcripts of its earlier games as they were."""
+    reused = make()
+    fresh, kept = [], []
+    for game in games:
+        fresh.append(play(g, k, *game(make()), max_rounds=500, fast_robber=fast).to_json())
+        kept.append(play(g, k, *game(reused), max_rounds=500, fast_robber=fast))
+    assert [t.to_json() for t in kept] == fresh
 
 
 @pytest.mark.parametrize("name", sorted(REUSE_CASES))
 def test_a_reused_policy_plays_like_a_fresh_one(name):
-    """One policy object over several games gives, game by game, the
-    transcript and metadata of a fresh policy, and leaves the transcripts of
-    its earlier games as they were. Each game gets a fresh robber: greedy,
-    then random walks with seeds 1..5."""
+    """One cop policy object over several games gives, game by game, the
+    transcript and metadata of a fresh policy. Each game gets a fresh robber:
+    greedy, then random walks with seeds 1..5."""
     g, k, make = REUSE_CASES[name]
-    reused = make()
     robbers = [GreedyRobber] + [lambda s=s: RandomWalkRobber(s) for s in range(1, 6)]
-    fresh, kept = [], []
-    for robber in robbers:
-        fresh.append(play(g, k, make(), robber(), max_rounds=500).to_json())
-        kept.append(play(g, k, reused, robber(), max_rounds=500))
-    assert [t.to_json() for t in kept] == fresh
+    _reused_plays_like_fresh(g, k, make, [lambda cop, r=r: (cop, r()) for r in robbers])
+
+
+@pytest.mark.parametrize("name", sorted(ROBBER_REUSE_CASES))
+def test_a_reused_robber_plays_like_a_fresh_one(name):
+    """The same for one robber policy object against a fresh cop each game."""
+    games = [lambda robber, c=c: (c(), robber) for c in ROBBER_REUSE_COPS]
+    _reused_plays_like_fresh(GRID6, 4, ROBBER_REUSE_CASES[name], games,
+                             fast=name == "greedy-fast")
+
+
+def test_a_policy_reused_after_a_game_that_raised_plays_like_a_fresh_one():
+    """The three-cop policy stalls against the solver robber on STACKED8;
+    reused for a game against the greedy robber, it plays that game as a
+    fresh policy does."""
+    reused = ThreeCopPlanarPolicy(STACKED8)
+    _, solver_robber = extract_policies(solve(STACKED8, 3))
+    with pytest.raises(ProgressStall):
+        play(STACKED8, 3, reused, solver_robber, max_rounds=500)
+    kept = play(STACKED8, 3, reused, GreedyRobber(), max_rounds=500)
+    fresh = play(STACKED8, 3, ThreeCopPlanarPolicy(STACKED8), GreedyRobber(), max_rounds=500)
+    assert kept.to_json() == fresh.to_json()
+    assert kept.capture_round == 6
