@@ -238,8 +238,6 @@ def _cmd_mc(args) -> int:
 
     with open(args.config, encoding="utf-8") as fh:
         raw = json.load(fh)
-    if "seeds" in raw and raw["seeds"] is not None:
-        raw["seeds"] = tuple(raw["seeds"])
     config = MCConfig(**raw)
     summary = mc_run(config)
     if args.csv:

@@ -184,32 +184,18 @@ def _num(value):
     return value
 
 
+def _report_rows(reports) -> list:
+    """Each report's values, in CSV_HEADER order."""
+    return [[r.suite, r.instance, r.quantity, _num(r.measured), _num(r.bound),
+             r.passed, r.seed, _num(r.rounds), r.runtime_ms] for r in reports]
+
+
 def reports_to_csv(reports) -> str:
-    rows = [
-        [r.suite, r.instance, r.quantity, _num(r.measured), _num(r.bound),
-         r.passed, r.seed, _num(r.rounds), r.runtime_ms]
-        for r in reports
-    ]
-    return csv_lines(CSV_HEADER, rows)
+    return csv_lines(CSV_HEADER, _report_rows(reports))
 
 
 def reports_to_jsonable(reports) -> list:
-    out = []
-    for r in reports:
-        out.append(
-            {
-                "suite": r.suite,
-                "instance": r.instance,
-                "quantity": r.quantity,
-                "measured": _num(r.measured),
-                "bound": _num(r.bound),
-                "pass": r.passed,
-                "seed": r.seed,
-                "rounds": r.rounds,
-                "runtime_ms": r.runtime_ms,
-            }
-        )
-    return out
+    return [dict(zip(CSV_HEADER, row)) for row in _report_rows(reports)]
 
 
 def all_passed(reports) -> bool:
@@ -662,10 +648,10 @@ def _positions(positions) -> list:
     command line gives it, is a one-vertex list."""
     if isinstance(positions, int) and not isinstance(positions, bool):
         return [positions]
-    if not isinstance(positions, (list, tuple)):
+    if not isinstance(positions, (list, tuple)) or not {int}.issuperset(map(type, positions)):
         raise ValueError(f"cop policy 'static' needs positions to be a vertex or a list "
                          f"of vertices, got {positions!r}")
-    return [int(v) for v in positions]
+    return list(positions)
 
 
 # policy name -> (builder, its parameters with their defaults), read like

@@ -266,8 +266,8 @@ def parse_graph_text(text: str) -> Graph:
             raise ParseError("edge endpoints must be integers", idx) from None
         if u >= v:
             raise NonSymmetricInput(f"edge must satisfy u < v, got {u} {v}", idx)
-        if v >= n:
-            raise ParseError(f"vertex {v} out of range (n = {n})", idx)
+        if u < 0 or v >= n:
+            raise ParseError(f"vertex {u if u < 0 else v} out of range (n = {n})", idx)
         if (u, v) in edges:
             warnings.warn(f"duplicate edge {u} {v} at line {idx}; ignored")
             continue

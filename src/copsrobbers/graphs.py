@@ -9,10 +9,11 @@ confined to an allowed vertex set), `eccentricities` the one
 all-vertices sweep (bit-parallel over batches of sources, in place of a BFS
 from every vertex), `step_toward` the one shortest-path step rule (the
 smallest-id neighbour one BFS layer closer, with `walk_toward` as its path
-form), and `Graph.masks` the one bitmask adjacency table.
+form), and `Graph.masks` the one bitmask adjacency table, which holds the
+closed neighbourhoods N[v].
 
 Exact `k_center` (k >= 2) and `domination_number` are one search over
-radius-r distance balls kept as bitmasks, the radius-1 balls read off
+radius-r distance balls kept as bitmasks, the radius-1 balls being
 `Graph.masks` and each larger radius the union of the neighbours' balls. A
 branch and bound (`_least_cover`) finds the least cover or decides one
 within a budget, a greedy packing refutes a too-small radius first, and a
@@ -122,15 +123,15 @@ class Graph:
 
     @property
     def masks(self):
-        """Open neighbourhoods as bitmasks (bit u of masks[v] set iff u ~ v),
-        computed once."""
+        """Closed neighbourhoods N[v] as bitmasks (bit u of masks[v] set iff
+        u = v or u ~ v), computed once."""
         if self._masks is None:
             masks = []
-            for nbrs in self.adj:
+            for v, nbrs in enumerate(self.adj):
                 m = 0
                 for u in nbrs:
                     m |= 1 << u
-                masks.append(m)
+                masks.append(m | 1 << v)
             self._masks = tuple(masks)
         return self._masks
 
@@ -455,9 +456,9 @@ def _farthest_points(g: Graph, k: int) -> KCenterResult:
 
 
 def _balls(g: Graph, r: int) -> list[int]:
-    """Radius-r balls of every vertex (r >= 1), from the closed neighbourhood
-    masks."""
-    balls = [m | 1 << v for v, m in enumerate(g.masks)]
+    """Radius-r balls of every vertex (r >= 1): the radius-1 balls are the
+    closed neighbourhood masks."""
+    balls = list(g.masks)
     for _ in range(r - 1):
         balls = _grown(g, balls)
     return balls

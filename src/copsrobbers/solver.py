@@ -39,17 +39,19 @@ coordinates, so a multiset's state sits in its sorted cell. Each level:
   cop bits changed. Byte j of the result is the AND over input bytes b of
   T[b][j][byte b], where the 256-byte translate table T[b][j] marks the
   vertices r of byte j whose neighbours in byte b are all settled. The
-  tables are built once per solve from the closed neighbourhoods.
+  tables are built once per solve from the closed neighbourhoods in
+  Graph.masks.
 - The capture states are the image with bit t[0] in every cell, ORed with
   its k - 1 rotations.
 
-The store of game values is each level's newly settled states, per mover
-and changed chunk, packed to the sorted cells: runs along the last
-coordinate (for k = 2 the one run of cells v..n-1), so one itemgetter of
-byte slices and one join pack a chunk, with no work per config. A state's
-value is the level whose entry holds its bit, and MAXDIST (a robber win)
-when none does. solve finds the best placement as it stores the levels,
-from the cop chunks that changed.
+The store of game values is one list per mover and chunk of the levels
+that settled states in it, ascending, each with the chunk's newly settled
+states packed to the sorted cells: runs along the last coordinate (for
+k = 2 the one run of cells v..n-1), so one itemgetter of byte slices and
+one join pack a chunk, with no work per config. A state's value is the
+level whose entry holds its bit, and MAXDIST (a robber win) when none
+does. solve finds the best placement as it stores the levels, from the cop
+chunks that changed.
 
 solve admits an instance by what the sweep allocates: the level entries,
 at most one cell per config, mover and level, and the images. It refuses
@@ -117,13 +119,12 @@ class ValueTable:
     """Game values for every (cop multiset, robber, mover) state, held as the
     level sweep's newly settled states.
 
-    levels[L][mover] maps chunk v, the configs[first[v]:first[v + 1]] whose
-    top cop is on v, to their ceil(n/8)-byte cells end to end: bit r of
+    chunk_levels[mover][v] lists, by ascending level L, the (L, cells)
+    pairs of chunk v, the configs[first[v]:first[v + 1]] whose top cop is on
+    v: cells holds their ceil(n/8)-byte cells end to end, and bit r of
     config ci's cell is set when the state (configs[ci], r, mover) has
-    value L. A chunk with no new state at a level has no entry, and MAXDIST
-    is the value of a state no level holds. chunk_levels[mover][v] lists the
-    (level, cells) entries of chunk v, ascending; the first read of chunk v
-    builds it, so later reads visit only those levels. placement is
+    value L. A level that settles no state of chunk v has no pair, and
+    MAXDIST is the value of a state no level holds. placement is
     best_placement(), found by solve.
     """
 
@@ -132,7 +133,6 @@ class ValueTable:
     configs: tuple
     config_index: dict
     first: list = field(default_factory=list, repr=False)
-    levels: list = field(default_factory=list, repr=False)
     chunk_levels: tuple = field(default_factory=lambda: ({}, {}), repr=False)
     states_visited: int = 0
     placement: tuple = ()
@@ -141,13 +141,7 @@ class ValueTable:
         v = self.configs[ci][0]
         at = (ci - self.first[v]) * ((self.graph.n + 7) // 8) + (robber >> 3)
         bit = 1 << (robber & 7)
-        found = self.chunk_levels[mover].get(v)
-        if found is None:
-            found = self.chunk_levels[mover][v] = [
-                (level, entries[mover][v]) for level, entries in enumerate(self.levels)
-                if v in entries[mover]
-            ]
-        for level, cells in found:
+        for level, cells in self.chunk_levels[mover].get(v, ()):
             if cells[at] & bit:
                 return level
         return MAXDIST
@@ -199,7 +193,7 @@ def _erosion_tables(g: Graph):
     skipped."""
     n = g.n
     cell = (n + 7) // 8
-    cmask = [m | 1 << v for v, m in enumerate(g.masks)]
+    cmask = g.masks
     erosion = []
     for j in range(cell):
         rows = range(8 * j, min(8 * j + 8, n))
@@ -370,7 +364,9 @@ def solve(g: Graph, k: int) -> ValueTable:
     tables = [bytes(x == f for x in range(256)) for f in fulls]
     seen = {}
     for level, (cop, rob, _, _) in enumerate(_sweep(g, k, configs)):
-        table.levels.append((cop, rob))
+        for store, entries in zip(table.chunk_levels, (cop, rob)):
+            for v, cells in entries.items():
+                store.setdefault(v, []).append((level, cells))
         if table.placement:
             continue
         for v, new in cop.items():
@@ -383,8 +379,9 @@ def solve(g: Graph, k: int) -> ValueTable:
                 break
     if not table.placement:
         table.placement = configs[0], MAXDIST
-    table.states_visited = sum(int.from_bytes(x, "little").bit_count()
-                               for lv in table.levels for mover in lv for x in mover.values())
+    table.states_visited = sum(int.from_bytes(cells, "little").bit_count()
+                               for store in table.chunk_levels for found in store.values()
+                               for _, cells in found)
     return table
 
 

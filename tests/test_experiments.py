@@ -1,4 +1,5 @@
 import ast
+import json
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
@@ -52,10 +53,36 @@ def test_mc_trials_report_refused_parameters_and_graphs():
         (MCConfig("path:5", 1, cop="static", cop_params={"positions": "a"}, trials=2),
          "ValueError: cop policy 'static' needs positions to be a vertex or a list "
          "of vertices, got 'a'"),
+        (MCConfig("path:5", 1, cop="static", cop_params={"positions": [1.7, True]}, trials=2),
+         "ValueError: cop policy 'static' needs positions to be a vertex or a list "
+         "of vertices, got [1.7, True]"),
     ]
     for config, error in cases:
         rows = mc_run(config).rows
         assert [row.get("error") for row in rows] == [error] * 2
+
+
+def test_mc_seeds_name_the_trials_in_order(tmp_path, capsys):
+    """Given seeds, the rows carry them in order, from the API and from an mc
+    JSON file with a seeds list; a list whose length is not trials is a
+    ValueError, which the command line reports with exit code 1."""
+    from copsrobbers.cli import main
+
+    raw = {"graph": "tree:8,{seed}", "k": 1, "cop": "tree", "robber": "greedy",
+           "trials": 3, "seeds": [7, 2, 5]}
+    rows = mc_run(MCConfig(**{**raw, "seeds": (7, 2, 5)})).rows
+    assert [row["seed"] for row in rows] == ["7", "2", "5"]
+    assert [row["trial"] for row in rows] == [0, 1, 2]
+    with pytest.raises(ValueError, match="seed list length must equal trials"):
+        mc_run(MCConfig(**{**raw, "seeds": (7, 2)}))
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    assert main(["mc", str(config)]) == 0
+    assert [row["seed"] for row in json.loads(capsys.readouterr().out)["rows"]] == ["7", "2", "5"]
+    config.write_text(json.dumps({**raw, "seeds": [7, 2]}))
+    assert main(["mc", str(config)]) == 1
+    assert capsys.readouterr().err == "error: seed list length must equal trials\n"
 
 
 def test_simulate_solves_once_for_both_solver_policies(monkeypatch, capsys):

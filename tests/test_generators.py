@@ -197,6 +197,12 @@ def test_parse_error_cites_line():
     assert exc.value.line_no == 3
 
 
+def test_negative_vertex_is_a_parse_error_citing_its_line():
+    with pytest.raises(ParseError, match=r"vertex -1 out of range \(n = 2\)") as exc:
+        parse_graph_text("2 1\n# c\n-1 0\n")
+    assert exc.value.line_no == 3
+
+
 def test_duplicate_edge_warns():
     with pytest.warns(UserWarning):
         g = parse_graph_text("3 2\n0 1\n# comment\n0 1\n1 2\n")

@@ -157,9 +157,13 @@ def test_connected_gnp_matches_edge_list_reference():
 
 
 def test_closed_neighbourhoods_sorted_and_reflexive():
+    """closed lists N[v] ascending, and masks holds N[v] as bitmasks."""
     g, _ = gen_path(4)
     assert g.closed[1] == (0, 1, 2)
     assert g.closed[0] == (0, 1)
+    assert g.masks == (0b0011, 0b0111, 0b1110, 0b1100)
+    g = gen_gnp(30, 0.2, 3)
+    assert g.masks == tuple(sum(1 << u for u in row) for row in g.closed)
 
 
 # --- bfs

@@ -215,13 +215,15 @@ def test_choices_match_dense_scans_random_graphs(n, p, seed, k):
 
 
 def test_each_state_settles_at_one_level():
-    """Per mover, the level entries of a chunk are pairwise disjoint, their
-    OR is the chunk's packed final image (the cells of its configs, in
-    config order, with the bits of the states counter_retrograde settles),
-    and their popcounts sum to states_visited: on grid 5x5 (4-byte cells)
-    and path:20 (3-byte cells) with k = 2, and on Q3 with k = 3."""
+    """Per mover, each chunk's levels strictly ascend, its entries are
+    pairwise disjoint, their OR is the chunk's packed final image (the cells
+    of its configs, in config order, with the bits of the states
+    counter_retrograde settles), and their popcounts sum to states_visited:
+    on grid 5x5 (4-byte cells) and path:20 (3-byte cells) with k = 2, on
+    tree:12,1 with k = 3, and on Q3 with k = 3."""
     q3, _ = gen_hypercube(3)
-    for g, k in ((gen_grid_dims([5, 5])[0], 2), (gen_path(20)[0], 2), (q3, 3)):
+    cases = ((gen_grid_dims([5, 5])[0], 2), (gen_path(20)[0], 2), (gen_tree(12, 1), 3), (q3, 3))
+    for g, k in cases:
         table = solve(g, k)
         n, cell = g.n, (g.n + 7) // 8
         val_cop, val_rob, visited, _ = counter_retrograde(g, k)
@@ -232,8 +234,10 @@ def test_each_state_settles_at_one_level():
                 bits = sum(1 << r for r in range(n) if vals[ci * n + r] is not None)
                 final[cfg[0]] = final.get(cfg[0], b"") + bits.to_bytes(cell, "little")
             union = dict.fromkeys(final, 0)
-            for entries in table.levels:
-                for v, cells in entries[mover].items():
+            for v, found in table.chunk_levels[mover].items():
+                levels = [level for level, _ in found]
+                assert levels and all(a < b for a, b in zip(levels, levels[1:])), (g, k, mover, v)
+                for _, cells in found:
                     x = int.from_bytes(cells, "little")
                     assert x & union[v] == 0, (g, k, mover, v)
                     union[v] |= x
@@ -251,26 +255,9 @@ def test_level_entries_hold_only_the_sorted_cells():
         table = solve(g, k)
         cell = (g.n + 7) // 8
         size = {v: sum(c[0] == v for c in table.configs) * cell for v in range(g.n)}
-        lengths = [(v, len(cells)) for entries in table.levels for mover in entries
-                   for v, cells in mover.items()]
+        lengths = [(v, len(cells)) for store in table.chunk_levels
+                   for v, found in store.items() for _, cells in found]
         assert lengths and all(got == size[v] for v, got in lengths)
-
-
-def test_chunk_levels_list_every_entry():
-    """A value read visits only the levels that hold an entry for its chunk:
-    once every state is read, chunk_levels[mover][v] is exactly those levels
-    with their entries, ascending, on tree:12,1 with k = 3 and path:20 with
-    k = 2. solve itself builds none of it."""
-    for g, k in ((gen_tree(12, 1), 3), (gen_path(20)[0], 2)):
-        table = solve(g, k)
-        assert table.chunk_levels == ({}, {})
-        for mover in (COP, ROB):
-            dense_values(table, mover)
-            want = {}
-            for level, entries in enumerate(table.levels):
-                for v, cells in entries[mover].items():
-                    want.setdefault(v, []).append((level, cells))
-            assert table.chunk_levels[mover] == want
 
 
 def test_solve_rejects_the_empty_graph():
@@ -388,12 +375,13 @@ def test_fixed_point_audit_clean():
 
 def test_fixed_point_audit_detects_corruption():
     table = solve(gen_path(4)[0], 1)
-    cop0, cop1 = table.levels[0][COP], table.levels[1][COP]
     # settle the capture state (cop and robber on vertex 1) one level late:
     # clear its bit in level 0 and set it in level 1; chunk 1 holds the one
     # config (1,), a one-byte cell
-    cop0[1] = bytes([cop0[1][0] & ~(1 << 1)])
-    cop1[1] = bytes([cop1[1][0] | 1 << 1])
+    found = table.chunk_levels[COP][1]
+    (level0, cells0), (level1, cells1) = found[:2]
+    assert (level0, level1) == (0, 1)
+    found[:2] = [(0, bytes([cells0[0] & ~(1 << 1)])), (1, bytes([cells1[0] | 1 << 1]))]
     assert table.value((1,), 1, COP) == 1
     assert audit_fixed_point(table) != []
 

@@ -195,15 +195,15 @@ def test_graphs_built_only_by_the_checked_constructor():
 
 
 def test_value_format_stays_in_the_solver():
-    """Only solver.py reads a value table's level masks, and no dense
-    per-state value list comes back under its old names."""
+    """Only solver.py reads a value table's per-chunk level store, and no
+    dense per-state value list comes back under its old names."""
     readers = []
     for path in sorted(SRC.glob("*.py")):
         text = path.read_text(encoding="utf-8")
         assert "val_cop" not in text and "val_rob" not in text, path.name
         if path.name != "solver.py":
             readers += [f"{path.name}:{node.lineno}" for node in ast.walk(ast.parse(text))
-                        if isinstance(node, ast.Attribute) and node.attr == "levels"]
+                        if isinstance(node, ast.Attribute) and node.attr == "chunk_levels"]
     assert readers == []
 
 
@@ -220,9 +220,10 @@ def test_trap_matching_runs_one_bfs():
 
 def test_solver_keeps_no_move_table():
     """The sweep works on images of ordered cop tuples: no joint-move table
-    is built or stored, and the solver's public functions are only these six.
-    perfbench/tracing.py wraps every public function, so a public per-level
-    helper would add a span per call."""
+    is built or stored, the table keeps its values in one store
+    (chunk_levels) and no other, and the solver's public functions are only
+    these six. perfbench/tracing.py wraps every public function, so a public
+    per-level helper would add a span per call."""
     from dataclasses import fields
 
     from copsrobbers import solver
@@ -231,7 +232,9 @@ def test_solver_keeps_no_move_table():
     names = {node.name for node in ast.walk(tree)
              if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert "_move_table" not in names
-    assert "moves" not in {f.name for f in fields(solver.ValueTable)}
+    assert {f.name for f in fields(solver.ValueTable)} == {
+        "graph", "k", "configs", "config_index", "first", "chunk_levels", "states_visited",
+        "placement"}
     public = {node.name for node in tree.body
               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
     assert public == {"estimate_cost", "solve", "capture_time", "cop_number",
