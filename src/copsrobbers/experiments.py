@@ -17,7 +17,8 @@ SUITES, COP_POLICIES and ROBBER_POLICIES map each name the command line
 takes to its function and its parameters with defaults; `_lookup` reads all
 three and refuses an undeclared key. `play_config` plays a game of named
 policies for `simulate` and for each `mc` trial, and reuses within a batch
-what it built for the batch's latest graph and does not depend on the seed.
+what it built for the batch's latest graph and does not depend on the seed;
+an `mc` trial whose game depends on nothing seeded reuses that game's row.
 """
 
 from __future__ import annotations
@@ -721,7 +722,9 @@ def play_config(config: MCConfig, seed, cache: dict, graph=None):
     policy whose builder does not name ``seed``. A run of trials on one spec
     builds each of these once, so the solver policies of one game share one
     solve, and reuse is safe because placement resets per-game state. A new
-    spec, such as one with {seed}, empties the cache first."""
+    spec, such as one with {seed}, empties the cache first. ``_mc_trial``
+    also keeps there the game played from cached parts alone, which only
+    this spec can replay."""
     spec = config.graph.replace("{seed}", str(seed))
     if cache.get("spec") != spec:
         cache.clear()
@@ -777,18 +780,35 @@ class MCSummary:
 
 
 def _mc_trial(config: MCConfig, trial: int, seed, cache: dict) -> dict:
-    """One game of ``config`` as a row; ``cache`` as in ``play_config``."""
-    row = {"trial": trial, "seed": str(seed), "captured": False, "capture_round": None}
+    """One game of ``config`` as a row; ``cache`` as in ``play_config``.
+
+    When the graph and both policies of a game came from the cache, the
+    game is a pure function of the cached spec and the batch's fixed inputs
+    (k, the policies and their parameters, max_rounds, fast_robber), as
+    placement resets each policy's per-game state. The cache then keeps the
+    game's fields, its error included, and a later trial on the same spec
+    copies them under its own trial and seed without playing. The spec is
+    compared first: play_config empties the cache of another spec only
+    after that comparison. A builder or from_spec that raises leaves a
+    policy or the graph out of the cache, so its trial keeps nothing."""
+    row = {"trial": trial, "seed": str(seed)}
+    if cache.get("spec") == config.graph.replace("{seed}", str(seed)) and "game" in cache:
+        row.update(cache["game"])
+        return row
+    game = {"captured": False, "capture_round": None}
     try:
         t = play_config(config, seed, cache)
-        row["captured"] = t.capture_round is not None
-        row["capture_round"] = t.capture_round
+        game["captured"] = t.capture_round is not None
+        game["capture_round"] = t.capture_round
         meta = t.metadata.get("cop", {})
         for key in ("matching_saturated", "certified_bound"):
             if key in meta:
-                row[key] = meta[key]
+                game[key] = meta[key]
     except Exception as exc:  # per-trial isolation: the batch never aborts
-        row["error"] = f"{type(exc).__name__}: {exc}"
+        game["error"] = f"{type(exc).__name__}: {exc}"
+    if "cop" in cache and "robber" in cache:
+        cache["game"] = game
+    row.update(game)
     return row
 
 
@@ -796,12 +816,16 @@ def mc_run(config: MCConfig) -> MCSummary:
     """Play ``config.trials`` games, one row each; an error stays in its row.
     The trials share one ``play_config`` cache, so a spec without {seed}
     builds its graph, its value table and its seed-free policies once for
-    the batch, and every trial row is as if each were built afresh."""
+    the batch. When neither policy's builder names ``seed``, the game does
+    not depend on the seed either: it is played once per spec, and each
+    later trial on that spec takes its row (see ``_mc_trial``). Every trial
+    row is as if each were built and played afresh."""
     if config.trials < 1:
         raise ValueError("trials must be at least 1")
     if config.k < 1:
         raise ValueError("k must be at least 1 (no zero-cop games)")
-    seeds = list(config.seeds) if config.seeds else [config.base_seed + i for i in range(config.trials)]
+    seeds = (list(config.seeds) if config.seeds is not None
+             else [config.base_seed + i for i in range(config.trials)])
     if len(seeds) != config.trials:
         raise ValueError("seed list length must equal trials")
 

@@ -89,6 +89,9 @@ IMAGE_CAP = 1 << 22
 _BYTE_BITS = tuple(int.from_bytes(bytes(x >> b & 1 for x in range(256)), "little")
                    for b in range(8))
 _ALL_BYTES = int.from_bytes(bytes([1]) * 256, "little")
+# _FULL_BYTE[r - 1] maps the byte with its r low bits set to 1 and every
+# other byte to 0: the translate of one byte column of a full cell.
+_FULL_BYTE = tuple(bytes(x == (1 << r) - 1 for x in range(256)) for r in range(1, 9))
 
 
 def estimate_cost(g: Graph, k: int):
@@ -360,8 +363,7 @@ def solve(g: Graph, k: int) -> ValueTable:
     # whose sorted cell is full, at the first level with one: per byte
     # column, a translate maps the full byte to 1, and the columns are ANDed.
     cell = (n + 7) // 8
-    fulls = [0xFF] * (cell - 1) + [(1 << (n - 8 * (cell - 1))) - 1]
-    tables = [bytes(x == f for x in range(256)) for f in fulls]
+    tables = [_FULL_BYTE[7]] * (cell - 1) + [_FULL_BYTE[n - 8 * (cell - 1) - 1]]
     seen = {}
     for level, (cop, rob, _, _) in enumerate(_sweep(g, k, configs)):
         for store, entries in zip(table.chunk_levels, (cop, rob)):

@@ -64,8 +64,9 @@ def test_mc_trials_report_refused_parameters_and_graphs():
 
 def test_mc_seeds_name_the_trials_in_order(tmp_path, capsys):
     """Given seeds, the rows carry them in order, from the API and from an mc
-    JSON file with a seeds list; a list whose length is not trials is a
-    ValueError, which the command line reports with exit code 1."""
+    JSON file with a seeds list; a list whose length is not trials, an empty
+    one included, is a ValueError, which the command line reports with exit
+    code 1."""
     from copsrobbers.cli import main
 
     raw = {"graph": "tree:8,{seed}", "k": 1, "cop": "tree", "robber": "greedy",
@@ -73,16 +74,18 @@ def test_mc_seeds_name_the_trials_in_order(tmp_path, capsys):
     rows = mc_run(MCConfig(**{**raw, "seeds": (7, 2, 5)})).rows
     assert [row["seed"] for row in rows] == ["7", "2", "5"]
     assert [row["trial"] for row in rows] == [0, 1, 2]
-    with pytest.raises(ValueError, match="seed list length must equal trials"):
-        mc_run(MCConfig(**{**raw, "seeds": (7, 2)}))
+    for seeds in ((7, 2), ()):
+        with pytest.raises(ValueError, match="seed list length must equal trials"):
+            mc_run(MCConfig(**{**raw, "seeds": seeds}))
 
     config = tmp_path / "config.json"
     config.write_text(json.dumps(raw))
     assert main(["mc", str(config)]) == 0
     assert [row["seed"] for row in json.loads(capsys.readouterr().out)["rows"]] == ["7", "2", "5"]
-    config.write_text(json.dumps({**raw, "seeds": [7, 2]}))
-    assert main(["mc", str(config)]) == 1
-    assert capsys.readouterr().err == "error: seed list length must equal trials\n"
+    for seeds in ([7, 2], []):
+        config.write_text(json.dumps({**raw, "seeds": seeds}))
+        assert main(["mc", str(config)]) == 1
+        assert capsys.readouterr().err == "error: seed list length must equal trials\n"
 
 
 def test_simulate_solves_once_for_both_solver_policies(monkeypatch, capsys):
@@ -101,9 +104,11 @@ def test_simulate_solves_once_for_both_solver_policies(monkeypatch, capsys):
 
 def test_mc_run_builds_what_the_seed_does_not_change_once(monkeypatch):
     """A batch on a fixed spec builds its graph and each policy whose builder
-    does not name `seed` once; a {seed} spec builds its graph and policies
-    every trial, and so do the seeded builders (sphere_trap, random_walk).
-    Every row is the row of a trial that built everything afresh."""
+    does not name `seed` once, and when neither builder names it, plays its
+    game once; a {seed} spec builds its graph and policies and plays every
+    trial, and so do the seeded builders (sphere_trap, random_walk). A game
+    that raises is replayed as its error row. Every row is the row of a
+    trial that built and played everything afresh."""
     calls = Counter()
 
     def count(name):
@@ -112,23 +117,34 @@ def test_mc_run_builds_what_the_seed_does_not_change_once(monkeypatch):
                             lambda *a, **kw: calls.update([name]) or build(*a, **kw))
 
     for name in ("from_spec", "grid_cover_policy", "PigeonholeGridRobber", "SphereTrapPolicy",
-                 "RandomWalkRobber", "TreePolicy", "GreedyRobber"):
+                 "RandomWalkRobber", "TreePolicy", "GreedyRobber", "StayFarRobber",
+                 "SeparatorSweepPolicy", "play"):
         count(name)
     cases = [
         (MCConfig("grid:d=2,q=6", 4, cop="grid_cover", robber="pigeonhole_grid", trials=3),
-         {"from_spec": 1, "grid_cover_policy": 1, "PigeonholeGridRobber": 1}),
+         {"from_spec": 1, "grid_cover_policy": 1, "PigeonholeGridRobber": 1, "play": 1}),
         (MCConfig("hypercube:4", 4, cop="sphere_trap", robber="random_walk", trials=3),
-         {"from_spec": 1, "SphereTrapPolicy": 3, "RandomWalkRobber": 3}),
+         {"from_spec": 1, "SphereTrapPolicy": 3, "RandomWalkRobber": 3, "play": 3}),
         (MCConfig("tree:9,{seed}", 2, cop="tree", robber="greedy", trials=3),
-         {"from_spec": 3, "TreePolicy": 3, "GreedyRobber": 3}),
+         {"from_spec": 3, "TreePolicy": 3, "GreedyRobber": 3, "play": 3}),
+        (MCConfig("tree:12,{seed}", 2, cop="tree", robber="stay_far", trials=4),
+         {"from_spec": 4, "TreePolicy": 4, "StayFarRobber": 4, "play": 4}),
+        (MCConfig("grid:d=2,q=5", 8, cop="separator_sweep", robber="greedy", trials=3),
+         {"from_spec": 1, "SeparatorSweepPolicy": 1, "GreedyRobber": 1, "play": 1}),
     ]
+    batches = []
     for config, built in cases:
         calls.clear()
         rows = mc_run(config).rows
         assert calls == built, config
         alone = [experiments._mc_trial(config, i, i, {}) for i in range(config.trials)]
         assert rows == alone
-        assert all(row["captured"] and "error" not in row for row in rows)
+        batches.append(rows)
+    *won, failed = batches
+    assert all(row["captured"] and "error" not in row for rows in won for row in rows)
+    assert [row["capture_round"] for row in won[3]] == [2, 3, 2, 3]
+    assert {row["error"] for row in failed} == {
+        "TeamBudgetExceeded: needs 9 cops but only 8 available"}
 
 
 # policy name -> (graph spec of its kind, k, {declared parameter: another value})

@@ -50,10 +50,40 @@ def test_all_vertices_covered_captures_at_round_zero():
 
 
 def test_illegal_cop_move_identifies_offender():
+    """The referee checks a whole placement or move at once and names the
+    first offending cop; a cop that stays is always legal, and a bool is a
+    vertex, as isinstance accepts it."""
     g, _ = gen_path(5)
     with pytest.raises(IllegalMove) as exc:
         play(g, 1, TeleportingCops(), FixedRobber(4), 5)
     assert "cop 0" in str(exc.value)
+
+    g, _ = gen_path(8)
+
+    class Scripted(CopPolicy):
+        def __init__(self, start, step):
+            self.start, self.step = start, step
+
+        def placement(self, g, k):
+            return self.start
+
+        def move(self, g, cops, robber, rnd):
+            return self.step
+
+    cases = [
+        ((0, 3, 5), (0, 4, 0), "cops (cop 2): 5 -> 0 is not a step in N[5]"),
+        ((0, 3, 5), (0, 7, 0), "cops (cop 1): 3 -> 7 is not a step in N[3]"),
+        ((0, 1.0, 5), (0, 1, 5), "cops: vertex 1.0 out of range"),
+        ((0, -1, 5), (0, 0, 5), "cops: vertex -1 out of range"),
+        ((0, 3, 8), (0, 3, 7), "cops: vertex 8 out of range"),
+        ((0, 3, 5), (0, 3, 8), "cops: vertex 8 out of range"),
+    ]
+    for start, step, message in cases:
+        with pytest.raises(IllegalMove) as exc:
+            play(g, 3, Scripted(start, step), FixedRobber(7), 1)
+        assert str(exc.value) == message
+    t = play(g, 3, Scripted((True, 3, 5), (False, 2, 5)), FixedRobber(7), 1)
+    assert t.rounds == [((False, 2, 5), 7)]
 
 
 def test_illegal_robber_move():
