@@ -28,6 +28,7 @@ from .errors import (
     UnknownSuite,
 )
 from .experiments import (
+    SUITES,
     MCConfig,
     all_passed,
     mc_run,
@@ -62,13 +63,16 @@ def _parse_value(text: str):
     return text
 
 
-def _parse_kv_list(items):
+def _parse_kv_list(items, tuples=()):
+    """``key=value`` items as a dict; a key in ``tuples`` takes its
+    comma-separated values as a tuple."""
     out = {}
     for item in items or []:
         key, sep, value = item.partition("=")
         if not sep:
             raise ValueError(f"expected key=value, got {item!r}")
-        out[key] = _parse_value(value)
+        out[key] = (tuple(map(_parse_value, value.split(","))) if key in tuples
+                    else _parse_value(value))
     return out
 
 
@@ -218,13 +222,15 @@ def _cmd_simulate(args) -> int:
     g, codec, desc = _graph_from_args(args)
     config = MCConfig(desc, args.k, *_parse_policy(args.cop), *_parse_policy(args.robber),
                       max_rounds=args.max_rounds, fast_robber=args.fast_robber)
-    t = play_config(config, args.seed, {}, (g, codec))
+    t = play_config(config, args.seed, {"graph": (g, codec)})
     _emit(t.to_json(indent=2) + "\n", args.output)
     return 0
 
 
 def _cmd_verify(args) -> int:
-    params = _parse_kv_list(args.set)
+    defaults = SUITES[args.suite][1] if args.suite in SUITES else {}
+    params = _parse_kv_list(args.set, {key for key, value in defaults.items()
+                                       if isinstance(value, tuple)})
     reports = verify_suite(args.suite, params, timings=args.timings)
     if args.json:
         _emit(stable_json(reports_to_jsonable(reports), indent=2) + "\n", args.csv)

@@ -16,9 +16,9 @@ suites count certified runs, so they read `policy.bound` directly.
 SUITES, COP_POLICIES and ROBBER_POLICIES map each name the command line
 takes to its function and its parameters with defaults; `_lookup` reads all
 three and refuses an undeclared key. `play_config` plays a game of named
-policies for `simulate` and for each `mc` trial, and reuses within a batch
-what it built for the batch's latest graph and does not depend on the seed;
-an `mc` trial whose game depends on nothing seeded reuses that game's row.
+policies for `simulate` and for `mc_run`, which decides once per batch what
+its games depend on: it plays one game per seed, or one in all, and builds
+what no game's seed changes once.
 """
 
 from __future__ import annotations
@@ -657,10 +657,9 @@ def _positions(positions) -> list:
 
 # policy name -> (builder, its parameters with their defaults), read like
 # SUITES. A builder takes g, codec, k, seed, solved (which returns the value
-# table of (g, k)) and the parameters as keywords. A builder whose parameter
-# list does not name `seed` builds a policy that does not depend on it, so
-# play_config builds it once per graph of a batch and reuses it: placement
-# resets every policy's per-game state.
+# table of (g, k)) and the parameters as keywords; a builder whose parameter
+# list does not name `seed` builds a policy that does not depend on it (see
+# mc_run for what a batch builds and plays once).
 COP_POLICIES = {
     "solver": (lambda solved, **_: extract_policies(solved())[0], {}),
     "tree": (lambda g, k, **_: TreePolicy(g, k), {}),
@@ -685,6 +684,12 @@ ROBBER_POLICIES = {
 }
 
 
+def _names_seed(table: dict, name: str) -> bool:
+    """Whether the builder of ``name`` in ``table`` takes the seed; an unknown
+    name takes nothing, as building it raises."""
+    return name in table and "seed" in inspect.signature(table[name][0]).parameters
+
+
 def make_cop_policy(name: str, params: dict, g: Graph, codec, k: int, seed, solved):
     """Build cop policy ``name`` of COP_POLICIES for (g, k); ``solved()``
     returns the value table of (g, k)."""
@@ -700,47 +705,30 @@ def make_robber_policy(name: str, params: dict, g: Graph, codec, k: int, seed, s
     return build(g=g, codec=codec, k=k, seed=seed, solved=solved, **params)
 
 
-def _reused(cache: dict, side: str, make, table: dict, name: str, params, *args):
-    """``cache[side]``, or else the policy ``make`` builds, which ``cache``
-    keeps unless its builder in ``table`` names ``seed``. A builder that
-    raises leaves nothing behind."""
-    if side not in cache:
-        policy = make(name, params, *args)
-        if "seed" in inspect.signature(table[name][0]).parameters:
-            return policy
-        cache[side] = policy
-    return cache[side]
+def play_config(config: MCConfig, seed, kept: dict):
+    """Play one game of the policies ``config`` names on config.graph with
+    {seed} filled in: ``simulate`` and each game of an mc batch.
 
+    ``kept`` holds what the game takes from earlier games, or else keeps for
+    later ones: the (g, codec) under "graph", the value table of (g, k) under
+    "table", and under "cop" and "robber" each policy whose builder does not
+    name ``seed``. Each is built on first use, so the solver policies of one
+    game share one solve; a builder that raises keeps nothing. ``simulate``
+    passes its graph as {"graph": (g, codec)}."""
+    def once(key, make):
+        if key not in kept:
+            kept[key] = make()
+        return kept[key]
 
-def play_config(config: MCConfig, seed, cache: dict, graph=None):
-    """Play one game of the policies ``config`` names, on ``graph`` (g, codec)
-    or else on config.graph with {seed} filled in: ``simulate`` and each mc
-    trial.
+    g, codec = once("graph", lambda: from_spec(config.graph.replace("{seed}", str(seed))))
+    solved = lambda: once("table", lambda: solve(g, config.k))  # noqa: E731
 
-    ``cache`` holds what was built for the latest graph spec and does not
-    depend on the seed: the (g, codec), its solved value table, and each
-    policy whose builder does not name ``seed``. A run of trials on one spec
-    builds each of these once, so the solver policies of one game share one
-    solve, and reuse is safe because placement resets per-game state. A new
-    spec, such as one with {seed}, empties the cache first. ``_mc_trial``
-    also keeps there the game played from cached parts alone, which only
-    this spec can replay."""
-    spec = config.graph.replace("{seed}", str(seed))
-    if cache.get("spec") != spec:
-        cache.clear()
-        cache["graph"] = graph or from_spec(spec)
-        cache["spec"] = spec
-    g, codec = cache["graph"]
+    def policy(side, table, make, name, params):
+        build = lambda: make(name, params, g, codec, config.k, f"{seed}:{side}", solved)  # noqa: E731
+        return build() if _names_seed(table, name) else once(side, build)
 
-    def solved():
-        if "table" not in cache:
-            cache["table"] = solve(g, config.k)
-        return cache["table"]
-
-    cop = _reused(cache, "cop", make_cop_policy, COP_POLICIES, config.cop, config.cop_params,
-                  g, codec, config.k, f"{seed}:cop", solved)
-    rob = _reused(cache, "robber", make_robber_policy, ROBBER_POLICIES, config.robber,
-                  config.robber_params, g, codec, config.k, f"{seed}:robber", solved)
+    cop = policy("cop", COP_POLICIES, make_cop_policy, config.cop, config.cop_params)
+    rob = policy("robber", ROBBER_POLICIES, make_robber_policy, config.robber, config.robber_params)
     return play(g, config.k, cop, rob, config.max_rounds, fast_robber=config.fast_robber)
 
 
@@ -779,58 +767,49 @@ class MCSummary:
         return csv_lines(header, rows)
 
 
-def _mc_trial(config: MCConfig, trial: int, seed, cache: dict) -> dict:
-    """One game of ``config`` as a row; ``cache`` as in ``play_config``.
-
-    When the graph and both policies of a game came from the cache, the
-    game is a pure function of the cached spec and the batch's fixed inputs
-    (k, the policies and their parameters, max_rounds, fast_robber), as
-    placement resets each policy's per-game state. The cache then keeps the
-    game's fields, its error included, and a later trial on the same spec
-    copies them under its own trial and seed without playing. The spec is
-    compared first: play_config empties the cache of another spec only
-    after that comparison. A builder or from_spec that raises leaves a
-    policy or the graph out of the cache, so its trial keeps nothing."""
-    row = {"trial": trial, "seed": str(seed)}
-    if cache.get("spec") == config.graph.replace("{seed}", str(seed)) and "game" in cache:
-        row.update(cache["game"])
-        return row
-    game = {"captured": False, "capture_round": None}
+def _game(config: MCConfig, seed, kept: dict) -> dict:
+    """The row fields of one ``play_config`` game; an error is kept in them,
+    so the batch never aborts."""
     try:
-        t = play_config(config, seed, cache)
-        game["captured"] = t.capture_round is not None
-        game["capture_round"] = t.capture_round
-        meta = t.metadata.get("cop", {})
-        for key in ("matching_saturated", "certified_bound"):
-            if key in meta:
-                game[key] = meta[key]
-    except Exception as exc:  # per-trial isolation: the batch never aborts
-        game["error"] = f"{type(exc).__name__}: {exc}"
-    if "cop" in cache and "robber" in cache:
-        cache["game"] = game
-    row.update(game)
-    return row
+        t = play_config(config, seed, kept)
+    except Exception as exc:
+        return {"captured": False, "capture_round": None, "error": f"{type(exc).__name__}: {exc}"}
+    meta = t.metadata.get("cop", {})
+    return {"captured": t.capture_round is not None, "capture_round": t.capture_round,
+            **{key: meta[key] for key in ("matching_saturated", "certified_bound") if key in meta}}
 
 
 def mc_run(config: MCConfig) -> MCSummary:
     """Play ``config.trials`` games, one row each; an error stays in its row.
-    The trials share one ``play_config`` cache, so a spec without {seed}
-    builds its graph, its value table and its seed-free policies once for
-    the batch. When neither policy's builder names ``seed``, the game does
-    not depend on the seed either: it is played once per spec, and each
-    later trial on that spec takes its row (see ``_mc_trial``). Every trial
-    row is as if each were built and played afresh."""
+
+    A game depends on its seed only through a {seed} in config.graph and
+    through a policy builder that names ``seed``. So the batch plays one game
+    per distinct ``str(seed)`` when either holds, and otherwise one game in
+    all; each row is {"trial", "seed", **that game's fields}. A spec without
+    {seed} builds its graph, its value table and each seed-free policy once,
+    in one ``kept`` dict for all the batch's games; placement resets every
+    policy's per-game state. A {seed} spec gets a fresh dict per game. Every
+    row is as if its game were built and played afresh."""
     if config.trials < 1:
         raise ValueError("trials must be at least 1")
     if config.k < 1:
         raise ValueError("k must be at least 1 (no zero-cop games)")
+    if config.seeds is not None and not isinstance(config.seeds, (list, tuple)):
+        raise ValueError(f"seeds must be a list of seeds, got {config.seeds!r}")
     seeds = (list(config.seeds) if config.seeds is not None
              else [config.base_seed + i for i in range(config.trials)])
     if len(seeds) != config.trials:
         raise ValueError("seed list length must equal trials")
 
-    cache = {}
-    rows = [_mc_trial(config, i, s, cache) for i, s in enumerate(seeds)]
+    fixed = "{seed}" not in config.graph
+    seeded = (not fixed or _names_seed(COP_POLICIES, config.cop)
+              or _names_seed(ROBBER_POLICIES, config.robber))
+    kept, games, rows = {}, {}, []
+    for trial, seed in enumerate(seeds):
+        key = str(seed) if seeded else None
+        if key not in games:
+            games[key] = _game(config, seed, kept if fixed else {})
+        rows.append({"trial": trial, "seed": str(seed), **games[key]})
 
     captured_rounds = sorted(
         r["capture_round"] for r in rows if r["capture_round"] is not None

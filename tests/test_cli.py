@@ -34,6 +34,9 @@ CASES = {
     "verify_separator_sweep": (["verify", "separator_sweep"], 0),
     "verify_planar_3cop": (["verify", "planar_3cop"], 0),
     "verify_grid_scaling": (["verify", "grid_scaling"], 0),
+    # a parameter whose default is a tuple takes one value or a comma list
+    "verify_grid_scaling_one_size": (
+        ["verify", "grid_scaling", "--set", "sizes=4", "--set", "ks=2,4"], 0),
     # robber-win instances report "inf" capture times
     "verify_lower_bounds_json": (["verify", "lower_bounds", "--set", "count_per_p=2", "--json"], 0),
     "regime_n20_k100": (["regime", "-n", "20", "--k", "100"], 0),

@@ -10,6 +10,25 @@ from copsrobbers import experiments
 from copsrobbers.experiments import MCConfig, mc_run, verify_suite
 
 
+def _fresh_rows(config):
+    """Each trial's row from a game built and played afresh by
+    ``play_config(config, seed, {})``, seeds 0, 1, ..."""
+    rows = []
+    for i in range(config.trials):
+        row = {"trial": i, "seed": str(i), "captured": False, "capture_round": None}
+        try:
+            t = experiments.play_config(config, i, {})
+        except Exception as exc:
+            row["error"] = f"{type(exc).__name__}: {exc}"
+        else:
+            meta = t.metadata.get("cop", {})
+            row.update({key: meta[key] for key in ("matching_saturated", "certified_bound")
+                        if key in meta})
+            row["captured"], row["capture_round"] = t.capture_round is not None, t.capture_round
+        rows.append(row)
+    return rows
+
+
 def test_mc_run_solves_each_graph_once(monkeypatch):
     """A batch on one graph solves it once for both solver policies and every
     trial; a batch over seeded graphs solves each graph once. Sharing a table
@@ -28,7 +47,7 @@ def test_mc_run_solves_each_graph_once(monkeypatch):
     assert calls == [(9, 2)] * 4
 
     for config, summary in zip((fixed, seeded), summaries):
-        alone = [experiments._mc_trial(config, i, i, {}) for i in range(config.trials)]
+        alone = _fresh_rows(config)
         assert summary.rows == alone
         assert all(row["captured"] and "error" not in row for row in alone)
 
@@ -65,8 +84,9 @@ def test_mc_trials_report_refused_parameters_and_graphs():
 def test_mc_seeds_name_the_trials_in_order(tmp_path, capsys):
     """Given seeds, the rows carry them in order, from the API and from an mc
     JSON file with a seeds list; a list whose length is not trials, an empty
-    one included, is a ValueError, which the command line reports with exit
-    code 1."""
+    one included, is a ValueError, and so are seeds given as anything but a
+    list or tuple (a string would play its characters, a dict its keys); the
+    command line reports each with exit code 1."""
     from copsrobbers.cli import main
 
     raw = {"graph": "tree:8,{seed}", "k": 1, "cop": "tree", "robber": "greedy",
@@ -77,6 +97,9 @@ def test_mc_seeds_name_the_trials_in_order(tmp_path, capsys):
     for seeds in ((7, 2), ()):
         with pytest.raises(ValueError, match="seed list length must equal trials"):
             mc_run(MCConfig(**{**raw, "seeds": seeds}))
+    for seeds in ("749", {"7": 1, "4": 2, "9": 3}):
+        with pytest.raises(ValueError, match="seeds must be a list of seeds"):
+            mc_run(MCConfig(**{**raw, "seeds": seeds}))
 
     config = tmp_path / "config.json"
     config.write_text(json.dumps(raw))
@@ -86,11 +109,15 @@ def test_mc_seeds_name_the_trials_in_order(tmp_path, capsys):
         config.write_text(json.dumps({**raw, "seeds": seeds}))
         assert main(["mc", str(config)]) == 1
         assert capsys.readouterr().err == "error: seed list length must equal trials\n"
+    for seeds in ("749", {"7": 1, "4": 2, "9": 3}):
+        config.write_text(json.dumps({**raw, "seeds": seeds}))
+        assert main(["mc", str(config)]) == 1
+        assert capsys.readouterr().err == f"error: seeds must be a list of seeds, got {seeds!r}\n"
 
 
 def test_simulate_solves_once_for_both_solver_policies(monkeypatch, capsys):
-    """simulate plays through play_config, whose table cache lets a solver
-    cop and a solver robber share one solve."""
+    """simulate plays through play_config, whose kept value table lets a
+    solver cop and a solver robber share one solve."""
     from copsrobbers.cli import main
 
     calls = []
@@ -103,12 +130,13 @@ def test_simulate_solves_once_for_both_solver_policies(monkeypatch, capsys):
 
 
 def test_mc_run_builds_what_the_seed_does_not_change_once(monkeypatch):
-    """A batch on a fixed spec builds its graph and each policy whose builder
-    does not name `seed` once, and when neither builder names it, plays its
-    game once; a {seed} spec builds its graph and policies and plays every
-    trial, and so do the seeded builders (sphere_trap, random_walk). A game
-    that raises is replayed as its error row. Every row is the row of a
-    trial that built and played everything afresh."""
+    """A batch on a fixed spec builds its graph, its value table and each
+    policy whose builder does not name `seed` once, also when the other side
+    is seeded, and when neither builder names it, plays its game once; a
+    {seed} spec builds its graph and policies and plays every trial, and so
+    do the seeded builders (sphere_trap, random_walk). A game that raises is
+    copied as its error row. Every row is the row of a trial that built and
+    played everything afresh."""
     calls = Counter()
 
     def count(name):
@@ -118,7 +146,7 @@ def test_mc_run_builds_what_the_seed_does_not_change_once(monkeypatch):
 
     for name in ("from_spec", "grid_cover_policy", "PigeonholeGridRobber", "SphereTrapPolicy",
                  "RandomWalkRobber", "TreePolicy", "GreedyRobber", "StayFarRobber",
-                 "SeparatorSweepPolicy", "play"):
+                 "SeparatorSweepPolicy", "play", "solve"):
         count(name)
     cases = [
         (MCConfig("grid:d=2,q=6", 4, cop="grid_cover", robber="pigeonhole_grid", trials=3),
@@ -129,6 +157,10 @@ def test_mc_run_builds_what_the_seed_does_not_change_once(monkeypatch):
          {"from_spec": 3, "TreePolicy": 3, "GreedyRobber": 3, "play": 3}),
         (MCConfig("tree:12,{seed}", 2, cop="tree", robber="stay_far", trials=4),
          {"from_spec": 4, "TreePolicy": 4, "StayFarRobber": 4, "play": 4}),
+        (MCConfig("tree:60,1", 3, cop="tree", robber="random_walk", trials=4),
+         {"from_spec": 1, "TreePolicy": 1, "RandomWalkRobber": 4, "play": 4}),
+        (MCConfig("hypercube:3", 4, cop="sphere_trap", robber="solver", trials=3),
+         {"from_spec": 1, "SphereTrapPolicy": 3, "solve": 1, "play": 3}),
         (MCConfig("grid:d=2,q=5", 8, cop="separator_sweep", robber="greedy", trials=3),
          {"from_spec": 1, "SeparatorSweepPolicy": 1, "GreedyRobber": 1, "play": 1}),
     ]
@@ -137,12 +169,14 @@ def test_mc_run_builds_what_the_seed_does_not_change_once(monkeypatch):
         calls.clear()
         rows = mc_run(config).rows
         assert calls == built, config
-        alone = [experiments._mc_trial(config, i, i, {}) for i in range(config.trials)]
-        assert rows == alone
+        assert rows == _fresh_rows(config)
         batches.append(rows)
-    *won, failed = batches
+    *won, trap, failed = batches
     assert all(row["captured"] and "error" not in row for rows in won for row in rows)
     assert [row["capture_round"] for row in won[3]] == [2, 3, 2, 3]
+    assert [row["capture_round"] for row in won[4]] == [1, 3, 2, 3]
+    # the seeded trap varies by seed against the one solved robber
+    assert [row["capture_round"] for row in trap] == [None, 1, 3]
     assert {row["error"] for row in failed} == {
         "TeamBudgetExceeded: needs 9 cops but only 8 available"}
 
