@@ -15,6 +15,7 @@ timing fields are zero unless --timings is passed.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import time
 from fractions import Fraction
@@ -28,6 +29,8 @@ from .errors import (
     UnknownSuite,
 )
 from .experiments import (
+    COP_POLICIES,
+    ROBBER_POLICIES,
     SUITES,
     MCConfig,
     all_passed,
@@ -63,23 +66,25 @@ def _parse_value(text: str):
     return text
 
 
-def _parse_kv_list(items, tuples=()):
-    """``key=value`` items as a dict; a key in ``tuples`` takes its
-    comma-separated values as a tuple."""
+def _parse_kv_list(items, defaults):
+    """``key=value`` items as a dict; a key whose value in ``defaults`` is a
+    tuple takes its comma-separated values as a tuple."""
     out = {}
-    for item in items or []:
+    for item in items:
         key, sep, value = item.partition("=")
         if not sep:
             raise ValueError(f"expected key=value, got {item!r}")
-        out[key] = (tuple(map(_parse_value, value.split(","))) if key in tuples
-                    else _parse_value(value))
+        out[key] = (tuple(map(_parse_value, value.split(",")))
+                    if isinstance(defaults.get(key), tuple) else _parse_value(value))
     return out
 
 
-def _parse_policy(text: str):
-    """``name`` or ``name:k=v,...`` as (name, params)."""
+def _parse_policy(text: str, table: dict):
+    """``name`` or ``name:k=v,...`` as (name, params), split only at a comma
+    that starts a new ``key=`` and read as ``verify --set`` reads a suite's."""
     name, sep, rest = text.partition(":")
-    return name, _parse_kv_list(rest.split(",") if sep else [])
+    items = re.split(r",(?=[^,=]*=)", rest) if sep else []
+    return name, _parse_kv_list(items, table.get(name, (None, {}))[1])
 
 
 def _graph_from_args(args):
@@ -220,7 +225,8 @@ def _cmd_kcenter(args) -> int:
 
 def _cmd_simulate(args) -> int:
     g, codec, desc = _graph_from_args(args)
-    config = MCConfig(desc, args.k, *_parse_policy(args.cop), *_parse_policy(args.robber),
+    config = MCConfig(desc, args.k, *_parse_policy(args.cop, COP_POLICIES),
+                      *_parse_policy(args.robber, ROBBER_POLICIES),
                       max_rounds=args.max_rounds, fast_robber=args.fast_robber)
     t = play_config(config, args.seed, {"graph": (g, codec)})
     _emit(t.to_json(indent=2) + "\n", args.output)
@@ -228,9 +234,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    defaults = SUITES[args.suite][1] if args.suite in SUITES else {}
-    params = _parse_kv_list(args.set, {key for key, value in defaults.items()
-                                       if isinstance(value, tuple)})
+    params = _parse_kv_list(args.set, SUITES.get(args.suite, (None, {}))[1])
     reports = verify_suite(args.suite, params, timings=args.timings)
     if args.json:
         _emit(stable_json(reports_to_jsonable(reports), indent=2) + "\n", args.csv)

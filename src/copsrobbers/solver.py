@@ -102,8 +102,8 @@ def estimate_cost(g: Graph, k: int):
     polynomial h_k of the closed-neighbourhood sizes: the (cop multiset,
     joint move) pairs, counted with every per-cop choice, once per robber
     vertex. It is a measure of an instance's size, not of a store or a loop
-    of the sweep, and solve does not admit by it; random_small_study
-    chooses its range of k with it.
+    of the sweep, and solve does not admit by it. Nothing in copsrobbers
+    reads it; perfbench's tracer records it as solver.move_pairs.
     """
     if k < 1:
         raise ValueError("k must be at least 1")

@@ -39,6 +39,8 @@ CASES = {
         ["verify", "grid_scaling", "--set", "sizes=4", "--set", "ks=2,4"], 0),
     # robber-win instances report "inf" capture times
     "verify_lower_bounds_json": (["verify", "lower_bounds", "--set", "count_per_p=2", "--json"], 0),
+    # capt_k for gamma < k < n comes from the theorem, not from the solver
+    "verify_monotonicity": (["verify", "monotonicity", "--set", "count_per_p=6"], 0),
     "regime_n20_k100": (["regime", "-n", "20", "--k", "100"], 0),
     "regime_n60_k_pow2_30": (["regime", "-n", "60", "--k-pow2", "30"], 0),
     "simulate_tree": (
@@ -77,9 +79,13 @@ CASES = {
     "simulate_subcube_partition": (
         ["simulate", "--gen", "hypercube:4", "-k", "4", "--cop", "subcube_partition:ell=3",
          "--robber", "greedy"], 0),
-    # one int is a one-vertex list
+    # a policy parameter whose default is a tuple takes one value or a comma
+    # list, as a suite's does
     "simulate_static_one_position": (
         ["simulate", "--gen", "path:5", "-k", "1", "--cop", "static:positions=2",
+         "--robber", "greedy", "--max-rounds", "2"], 0),
+    "simulate_static_two_positions": (
+        ["simulate", "--gen", "path:5", "-k", "2", "--cop", "static:positions=1,3",
          "--robber", "greedy", "--max-rounds", "2"], 0),
     "mc_tree": (["mc", "{config}"], 0),
     # batches on fixed graphs, whose graph and seed-free policies are built once
@@ -91,6 +97,8 @@ CASES = {
     "exit1_unknown_suite_param": (["verify", "regime", "--set", "epss=0.3"], 1),
     # a suite parameter outside its domain (n_max = 2 divided by zero)
     "exit1_trees_n_max_below_3": (["verify", "trees", "--set", "n_max=2"], 1),
+    # a list element of the wrong type, named before the suite runs
+    "exit1_grid_scaling_size_not_int": (["verify", "grid_scaling", "--set", "sizes=4,x"], 1),
     # a policy parameter its table entry does not declare, and a graph
     # without the codec the policy needs
     "exit1_unknown_cop_param": (

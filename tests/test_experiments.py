@@ -8,6 +8,8 @@ import pytest
 
 from copsrobbers import experiments
 from copsrobbers.experiments import MCConfig, mc_run, verify_suite
+from copsrobbers.graphs import k_center
+from copsrobbers.solver import capture_time, solve
 
 
 def _fresh_rows(config):
@@ -270,6 +272,36 @@ def test_lower_bounds_accepts_the_study_keys():
     assert reports and all(r.passed for r in reports)
 
 
+def test_the_domination_theorem_holds_on_study_graphs():
+    """Cops on a dominating set catch the robber at round 1, and fewer than
+    n cannot catch it at placement: capt_k = rad_k = 1 for gamma <= k < n,
+    and capt_k >= 2 below gamma. A study takes its values above gamma from
+    this, so the solver checks it here."""
+    for inst in experiments.random_small_study(2, 5, 8, (0.3, 0.5), 0):
+        g, gamma = inst["graph"], inst["gamma"]
+        for k in range(1, g.n):
+            if k < gamma:
+                assert capture_time(g, k) >= 2, (inst["id"], k)
+            else:
+                assert solve(g, k).capture_time() == 1, (inst["id"], k)
+                assert k_center(g, k).radius == 1, (inst["id"], k)
+        assert inst["capts"] == {k: capture_time(g, k) for k in range(1, g.n)}
+        assert inst["radk"] == {k: k_center(g, k).radius for k in range(1, g.n)}
+
+
+def test_study_solves_only_up_to_the_domination_number(monkeypatch):
+    """A study solves each graph once for each k = 1..gamma and no other k."""
+    calls = []
+    for name in ("capture_time", "solve"):
+        real = getattr(experiments, name)
+        monkeypatch.setattr(experiments, name,
+                            lambda g, k, real=real: calls.append((id(g), k)) or real(g, k))
+    study = experiments.random_small_study(2, 5, 8, (0.3, 0.5), 0)
+    assert calls == [(id(inst["graph"]), k) for inst in study
+                     for k in range(1, inst["gamma"] + 1)]
+    assert any(inst["gamma"] < inst["graph"].n - 1 for inst in study)
+
+
 def _param_keys(tree, fn_name):
     """Keys a module function reads as params["..."], plus the parameter
     names of each module function it calls with **params."""
@@ -301,6 +333,11 @@ def test_suite_declarations_match_what_each_suite_reads():
         ("lower_bounds", {"n_lo": 6, "n_hi": 5}, "need 1 <= n_lo <= n_hi, got n_lo=6, n_hi=5"),
         ("lower_bounds", {"n_lo": 0}, "need 1 <= n_lo <= n_hi, got n_lo=0, n_hi=10"),
         ("monotonicity", {"n_lo": 4, "n_hi": 2}, "need 1 <= n_lo <= n_hi, got n_lo=4, n_hi=2"),
+        # list elements as `verify --set sizes=4,x` and `--set ps=` give them
+        ("grid_scaling", {"sizes": (4, "x")},
+         "parameter sizes of suite 'grid_scaling' takes int elements, got 'x'"),
+        ("lower_bounds", {"ps": ("",)},
+         "parameter ps of suite 'lower_bounds' takes float elements, got ''"),
     ],
 )
 def test_suite_size_parameters_outside_their_domain(suite, params, message):
