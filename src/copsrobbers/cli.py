@@ -200,6 +200,7 @@ def _cmd_solve(args) -> int:
         capt, states = 0, 0
     else:
         table = solve(g, args.k)
+        table.settle()
         capt, states = table.capture_time(), table.states_visited
     out = {
         "graph": desc,

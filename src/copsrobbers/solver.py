@@ -48,10 +48,16 @@ The store of game values is one list per mover and chunk of the levels
 that settled states in it, ascending, each with the chunk's newly settled
 states packed to the sorted cells: runs along the last coordinate (for
 k = 2 the one run of cells v..n-1), so one itemgetter of byte slices and
-one join pack a chunk, with no work per config. A state's value is the
-level whose entry holds its bit, and MAXDIST (a robber win) when none
-does. solve finds the best placement as it stores the levels, from the cop
-chunks that changed.
+one join pack a chunk, with no work per config.
+
+The levels are settled on demand. solve returns a table that holds the
+sweep, not yet started, and the table runs it one level further only when
+a read needs it: best_placement and capture_time up to the first level
+with a full cop-turn cell (the capture time), a state's value up to the
+level that settles it. A state's value is the level whose entry holds its
+bit, and MAXDIST (a robber win) when none does once the sweep has ended.
+A table dropped before the end frees its sweep with it: the sweep holds
+no reference to the table.
 
 solve admits an instance by what the sweep allocates: the level entries,
 at most one cell per config, mover and level, and the images. It refuses
@@ -120,25 +126,77 @@ def estimate_cost(g: Graph, k: int):
 @dataclass
 class ValueTable:
     """Game values for every (cop multiset, robber, mover) state, held as the
-    level sweep's newly settled states.
+    level sweep's newly settled states, settled on demand.
 
     chunk_levels[mover][v] lists, by ascending level L, the (L, cells)
     pairs of chunk v, the configs[first[v]:first[v + 1]] whose top cop is on
     v: cells holds their ceil(n/8)-byte cells end to end, and bit r of
     config ci's cell is set when the state (configs[ci], r, mover) has
-    value L. A level that settles no state of chunk v has no pair, and
-    MAXDIST is the value of a state no level holds. placement is
-    best_placement(), found by solve.
+    value L. A level that settles no state of chunk v has no pair. The store
+    holds levels 0..L, the ones settled so far; sweep yields the next
+    (level, sweep step) and is None once the sweep has ended, when MAXDIST
+    is the value of a state no level holds. placement is best_placement(),
+    () until a read has settled its level.
     """
 
     graph: Graph
     k: int
     configs: tuple
-    config_index: dict
     first: list = field(default_factory=list, repr=False)
     chunk_levels: tuple = field(default_factory=lambda: ({}, {}), repr=False)
-    states_visited: int = 0
     placement: tuple = ()
+    sweep: object = field(default=None, repr=False, compare=False)
+
+    @functools.cached_property
+    def config_index(self) -> dict:
+        """Config -> its index in configs, built on first read."""
+        return {c: i for i, c in enumerate(self.configs)}
+
+    @property
+    def states_visited(self) -> int:
+        """The states settled so far; every state a level settles once
+        settle() has run."""
+        return sum(int.from_bytes(cells, "little").bit_count()
+                   for store in self.chunk_levels for found in store.values()
+                   for _, cells in found)
+
+    def _advance(self):
+        """Settle the next level into chunk_levels, and the best placement
+        if this level has a full cop-turn cell; returns the level, or None
+        once the sweep has ended (then a placement not found is
+        (configs[0], MAXDIST))."""
+        step = None if self.sweep is None else next(self.sweep, None)
+        if step is None:
+            self.sweep = None
+            if not self.placement:
+                self.placement = self.configs[0], MAXDIST
+            return None
+        level, (cop, rob, _, _) = step
+        for store, entries in zip(self.chunk_levels, (cop, rob)):
+            for v, cells in entries.items():
+                store.setdefault(v, []).append((level, cells))
+        if not self.placement:
+            # The first config of the first changed cop chunk whose sorted
+            # cell is full: per byte column, a translate maps the full byte
+            # to 1, and the columns are ANDed.
+            n = self.graph.n
+            cell = (n + 7) // 8
+            tables = [_FULL_BYTE[7]] * (cell - 1) + [_FULL_BYTE[n - 8 * (cell - 1) - 1]]
+            for v, new in cop.items():
+                bits = functools.reduce(operator.or_, (int.from_bytes(found, "little")
+                                                       for _, found in self.chunk_levels[COP][v]))
+                cells = bits.to_bytes(len(new), "little")
+                hit = functools.reduce(operator.and_, (int.from_bytes(cells[b::cell].translate(t), "little")
+                                                       for b, t in enumerate(tables)))
+                if hit:
+                    self.placement = self.configs[self.first[v] + ((hit & -hit).bit_length() - 1) // 8], level
+                    break
+        return level
+
+    def settle(self) -> None:
+        """Settle every level the sweep has left: the store is then complete."""
+        while self._advance() is not None:
+            pass
 
     def _value(self, ci: int, robber: int, mover: int) -> int:
         v = self.configs[ci][0]
@@ -146,6 +204,11 @@ class ValueTable:
         bit = 1 << (robber & 7)
         for level, cells in self.chunk_levels[mover].get(v, ()):
             if cells[at] & bit:
+                return level
+        # no stored entry holds the bit, so a hit is in the new level's entry
+        while (level := self._advance()) is not None:
+            found = self.chunk_levels[mover].get(v)
+            if found and found[-1][1][at] & bit:
                 return level
         return MAXDIST
 
@@ -160,6 +223,8 @@ class ValueTable:
         robber placement value, paired with that value: the first config
         whose cop-to-move states are all settled, at the first level where
         one is, and (configs[0], MAXDIST) when none ever is."""
+        while not self.placement:
+            self._advance()
         return self.placement
 
     def joint_moves(self, ci: int):
@@ -342,6 +407,8 @@ def _sweep(g: Graph, k: int, configs):
 
 
 def solve(g: Graph, k: int) -> ValueTable:
+    """The value table of k cops on g, its levels not yet settled: its reads
+    run the sweep as far as they need (module docstring)."""
     if k < 1:
         raise ValueError("k must be at least 1")
     if g.n == 0:
@@ -357,34 +424,8 @@ def solve(g: Graph, k: int) -> ValueTable:
     configs = tuple(itertools.combinations_with_replacement(range(n), k))
     counts = (math.comb(n - v + k - 2, k - 1) for v in range(n))
     first = list(itertools.accumulate(counts, initial=0))
-    table = ValueTable(graph=g, k=k, configs=configs, first=first,
-                       config_index={c: i for i, c in enumerate(configs)})
-    # The best placement is the first config of the first changed cop chunk
-    # whose sorted cell is full, at the first level with one: per byte
-    # column, a translate maps the full byte to 1, and the columns are ANDed.
-    cell = (n + 7) // 8
-    tables = [_FULL_BYTE[7]] * (cell - 1) + [_FULL_BYTE[n - 8 * (cell - 1) - 1]]
-    seen = {}
-    for level, (cop, rob, _, _) in enumerate(_sweep(g, k, configs)):
-        for store, entries in zip(table.chunk_levels, (cop, rob)):
-            for v, cells in entries.items():
-                store.setdefault(v, []).append((level, cells))
-        if table.placement:
-            continue
-        for v, new in cop.items():
-            seen[v] = bits = seen.get(v, 0) | int.from_bytes(new, "little")
-            cells = bits.to_bytes(len(new), "little")
-            hit = functools.reduce(operator.and_, (int.from_bytes(cells[b::cell].translate(t), "little")
-                                                   for b, t in enumerate(tables)))
-            if hit:
-                table.placement = configs[first[v] + ((hit & -hit).bit_length() - 1) // 8], level
-                break
-    if not table.placement:
-        table.placement = configs[0], MAXDIST
-    table.states_visited = sum(int.from_bytes(cells, "little").bit_count()
-                               for store in table.chunk_levels for found in store.values()
-                               for _, cells in found)
-    return table
+    return ValueTable(graph=g, k=k, configs=configs, first=first,
+                      sweep=enumerate(_sweep(g, k, configs)))
 
 
 def capture_time(g: Graph, k: int) -> int:
@@ -434,7 +475,7 @@ def audit_fixed_point(table: ValueTable) -> list:
 
 
 class SolverCopPolicy(CopPolicy):
-    """Optimal cop play read off a completed value table.
+    """Optimal cop play read off a value table.
 
     Placement is the lexicographically smallest optimal config. A move is
     the per-cop step minimising the successor's robber-turn value, ties

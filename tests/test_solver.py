@@ -1,5 +1,7 @@
+import gc
 import itertools
 import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -225,6 +227,7 @@ def test_each_state_settles_at_one_level():
     cases = ((gen_grid_dims([5, 5])[0], 2), (gen_path(20)[0], 2), (gen_tree(12, 1), 3), (q3, 3))
     for g, k in cases:
         table = solve(g, k)
+        table.settle()
         n, cell = g.n, (g.n + 7) // 8
         val_cop, val_rob, visited, _ = counter_retrograde(g, k)
         total = 0
@@ -253,6 +256,7 @@ def test_level_entries_hold_only_the_sorted_cells():
     with k = 2."""
     for g, k in ((gen_tree(12, 1), 3), (gen_path(20)[0], 2)):
         table = solve(g, k)
+        table.settle()
         cell = (g.n + 7) // 8
         size = {v: sum(c[0] == v for c in table.configs) * cell for v in range(g.n)}
         lengths = [(v, len(cells)) for store in table.chunk_levels
@@ -375,6 +379,7 @@ def test_fixed_point_audit_clean():
 
 def test_fixed_point_audit_detects_corruption():
     table = solve(gen_path(4)[0], 1)
+    table.settle()
     # settle the capture state (cop and robber on vertex 1) one level late:
     # clear its bit in level 0 and set it in level 1; chunk 1 holds the one
     # config (1,), a one-byte cell
@@ -384,6 +389,85 @@ def test_fixed_point_audit_detects_corruption():
     found[:2] = [(0, bytes([cells0[0] & ~(1 << 1)])), (1, bytes([cells1[0] | 1 << 1]))]
     assert table.value((1,), 1, COP) == 1
     assert audit_fixed_point(table) != []
+
+
+# --- levels settled on demand
+
+
+def stored_levels(table):
+    return sorted({level for store in table.chunk_levels for found in store.values()
+                   for level, _ in found})
+
+
+def test_capture_time_settles_only_up_to_its_level():
+    """capture_time stops the sweep at the first level with a full cop-turn
+    cell: levels 0-3 of 0-8 on tree:40,1 with k = 3, and 0-7 of 0-14 on grid
+    8x8 with k = 2. A robber win (Q5, k = 2) runs the sweep to its end and
+    reads MAXDIST. solve itself settles no level."""
+    for g, k, capt in ((gen_tree(40, 1), 3, 3), (gen_grid_dims([8, 8])[0], 2, 7)):
+        table = solve(g, k)
+        assert stored_levels(table) == [] and table.states_visited == 0
+        assert table.capture_time() == capt
+        assert stored_levels(table) == list(range(capt + 1))
+        assert table.sweep is not None
+    table = solve(gen_hypercube(5)[0], 2)
+    assert table.capture_time() == MAXDIST
+    assert table.sweep is None
+    assert table.value((0, 1), 31, COP) == MAXDIST
+
+
+def test_capture_time_reads_no_config_index():
+    """config_index is built on first read, and capture_time never reads it."""
+    table = solve(gen_grid_dims([4, 4])[0], 2)
+    assert table.capture_time() == 3
+    assert "config_index" not in vars(table)
+    assert table.config_index == {c: i for i, c in enumerate(table.configs)}
+
+
+def test_dropped_half_settled_table_frees_its_sweep_at_once():
+    """The sweep holds no reference to its table, so a table dropped before
+    its sweep ends is freed by reference counting alone, images and all."""
+    gc.disable()
+    try:
+        table = solve(gen_grid_dims([8, 8])[0], 2)
+        assert table.capture_time() == 7 and table.sweep is not None
+        ref = weakref.ref(table)
+        del table
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+@st.composite
+def small_games(draw):
+    """A G(n, p), a tree or a grid with at most 9 vertices, and k <= 3."""
+    family = draw(st.sampled_from(["gnp", "tree", "grid"]))
+    seed = draw(st.integers(0, 10_000))
+    if family == "gnp":
+        g = gen_gnp(draw(st.integers(1, 9)), draw(st.sampled_from([0.2, 0.4, 0.6, 0.9])), seed)
+    elif family == "tree":
+        g = gen_tree(draw(st.integers(1, 9)), seed)
+    else:
+        g = gen_grid_dims([draw(st.integers(1, 3)), draw(st.integers(1, 3))])[0]
+    return g, draw(st.integers(1, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_games(), st.randoms(use_true_random=False))
+def test_values_read_in_any_order_match_counter_retrograde(case, rnd):
+    """Each value read from a fresh table, in a random order, is the value
+    counter_retrograde settles; the audit of a fresh table is clean."""
+    g, k = case
+    n = g.n
+    val_cop, val_rob, _, _ = counter_retrograde(g, k)
+    table = solve(g, k)
+    reads = [(ci, r, mover) for ci in range(len(table.configs)) for r in range(n)
+             for mover in (COP, ROB)]
+    rnd.shuffle(reads)
+    for ci, r, mover in reads:
+        want = (val_cop if mover == COP else val_rob)[ci * n + r]
+        assert table._value(ci, r, mover) == (MAXDIST if want is None else want), (ci, r, mover)
+    assert audit_fixed_point(solve(g, k)) == []
 
 
 # --- budgets

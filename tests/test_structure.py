@@ -233,8 +233,7 @@ def test_solver_keeps_no_move_table():
              if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert "_move_table" not in names
     assert {f.name for f in fields(solver.ValueTable)} == {
-        "graph", "k", "configs", "config_index", "first", "chunk_levels", "states_visited",
-        "placement"}
+        "graph", "k", "configs", "first", "chunk_levels", "placement", "sweep"}
     public = {node.name for node in tree.body
               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
     assert public == {"estimate_cost", "solve", "capture_time", "cop_number",
