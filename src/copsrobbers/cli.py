@@ -18,7 +18,6 @@ import argparse
 import re
 import sys
 import time
-from fractions import Fraction
 
 from .errors import (
     AmbiguousRegime,
@@ -113,14 +112,6 @@ def _emit(text: str, path: str | None):
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
-
-
-def _frac(value):
-    if value is None:
-        return None
-    if isinstance(value, Fraction):
-        return int(value) if value.denominator == 1 else float(value)
-    return value
 
 
 def build_parser() -> _Parser:
@@ -276,9 +267,7 @@ def _cmd_regime(args) -> int:
 
 
 def _cmd_thresholds(args) -> int:
-    t = thresholds(args.n, args.d, args.k, args.C)
-    out = {key: _frac(value) for key, value in t.items()}
-    _emit(stable_json(out, indent=2) + "\n", None)
+    _emit(stable_json(thresholds(args.n, args.d, args.k, args.C), indent=2) + "\n", None)
     return 0
 
 

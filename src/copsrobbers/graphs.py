@@ -15,10 +15,10 @@ closed neighbourhoods N[v].
 Exact `k_center` (k >= 2) and `domination_number` are one search over
 radius-r distance balls kept as bitmasks, the radius-1 balls being
 `Graph.masks` and each larger radius the union of the neighbours' balls. A
-branch and bound (`_least_cover`) finds the least cover or decides one
-within a budget, a greedy packing refutes a too-small radius first, and a
-lexicographic depth-first search (`_first_cover`) names the centers an
-exhaustive k-subset scan would. Both searches run on explicit stacks.
+branch and bound on an explicit stack (`_least_cover`) finds the least cover
+or decides one within a budget, and a greedy packing refutes a too-small
+radius first. `_first_cover` names the centers an exhaustive k-subset scan
+would, one at a time, each the least id that `_least_cover` can complete.
 SUBSET_CAP (k-subsets) and DOMINATION_MAX_N (vertices) stay the admission
 rules, checked before any ball is built.
 
@@ -383,10 +383,14 @@ def k_center(g: Graph, k: int, mode: str = "exact") -> KCenterResult:
     `_packs`: k + 1 vertices pairwise more than 2r apart need k + 1 balls
     (Meir & Moon 1975). What the packing leaves, `_least_cover` refutes, a
     feasibility search with a budget of k balls. The first r that neither
-    refutes is the optimum, and `_first_cover` finds the centers there.
+    refutes is the optimum. `_first_cover` names the centers there, the
+    least id each whose ball leaves a rest that `_least_cover` can cover
+    with the centers still to pick.
     """
     if not 1 <= k:
         raise ValueError("k must be at least 1")
+    if mode not in ("greedy", "exact"):
+        raise ValueError(f"unknown mode {mode!r}")
     if g.n == 0:
         raise DisconnectedGraph("empty graph")
     if k >= g.n:
@@ -396,8 +400,6 @@ def k_center(g: Graph, k: int, mode: str = "exact") -> KCenterResult:
 
     if mode == "greedy":
         return _farthest_points(g, k)
-    if mode != "exact":
-        raise ValueError(f"unknown mode {mode!r}")
     if math.comb(g.n, k) > SUBSET_CAP:
         raise SearchSpaceTooLarge(
             f"C({g.n},{k}) = {math.comb(g.n, k)} exceeds cap {SUBSET_CAP}"
@@ -419,24 +421,14 @@ def k_center(g: Graph, k: int, mode: str = "exact") -> KCenterResult:
 
 def domination_number(g: Graph) -> int:
     """Exact domination number: the least number of radius-1 balls (closed
-    neighbourhoods) that cover every vertex, by `_least_cover` below a greedy
-    cover's size. More than DOMINATION_MAX_N vertices raise
+    neighbourhoods) that cover every vertex, by `_least_cover`; its first
+    dive finds the first incumbent. More than DOMINATION_MAX_N vertices raise
     SearchSpaceTooLarge before any ball is built."""
     if g.n > DOMINATION_MAX_N:
         raise SearchSpaceTooLarge(f"n={g.n} exceeds domination cap {DOMINATION_MAX_N}")
     if g.n == 0:
         return 0
-    n = g.n
-    balls = _balls(g, 1)
-    full = (1 << n) - 1
-
-    # greedy cover as the initial incumbent
-    covered, size = 0, 0
-    while covered != full:
-        best = max(range(n), key=lambda v: ((balls[v] | covered).bit_count(), -v))
-        covered |= balls[best]
-        size += 1
-    return _least_cover(balls, size)
+    return _least_cover(_balls(g, 1), g.n + 1)
 
 
 def _farthest_points(g: Graph, k: int) -> KCenterResult:
@@ -502,18 +494,24 @@ def _packs(balls, order, count: int) -> bool:
     return False
 
 
-def _least_cover(balls, limit: int, enough: int = 0) -> int:
-    """The least number of balls, below `limit`, whose union is every vertex;
-    `limit` when there is none. The search stops at the first cover of at
-    most `enough` balls, which makes it a feasibility test with a budget.
+def _least_cover(balls, limit: int, enough: int = 0, left=None, lo: int = 0,
+                 widest=None) -> int:
+    """The least number of balls of center id at least `lo`, below `limit`,
+    whose union holds `left` (every vertex when None); `limit` when there is
+    none. The search stops at the first cover of at most `enough` balls, which
+    makes it a feasibility test with a budget. `widest` is the size of the
+    widest ball, counted here when not given.
 
     Branch and bound on an explicit stack: branch on the balls that hold the
     highest uncovered vertex, in ascending order of center, and prune a node
     when its size plus the uncovered count over the widest ball reaches the
     best size so far."""
-    widest = max(b.bit_count() for b in balls)
+    if left is None:
+        left = (1 << len(balls)) - 1
+    if widest is None:
+        widest = max(b.bit_count() for b in balls)
     best = limit
-    stack = [((1 << len(balls)) - 1, 0)]  # (uncovered vertices, balls used)
+    stack = [(left, 0)]  # (uncovered vertices, balls used)
     while stack:
         left, size = stack.pop()
         if not left:
@@ -523,7 +521,7 @@ def _least_cover(balls, limit: int, enough: int = 0) -> int:
             continue
         if size + -(-left.bit_count() // widest) >= best:
             continue
-        holders = balls[left.bit_length() - 1]
+        holders = balls[left.bit_length() - 1] >> lo << lo
         while holders:  # pushed in descending order, so popped in ascending
             c = holders.bit_length() - 1
             holders ^= 1 << c
@@ -533,35 +531,21 @@ def _least_cover(balls, limit: int, enough: int = 0) -> int:
 
 def _first_cover(balls, k: int):
     """The lexicographically smallest k-set of centers whose balls cover
-    every vertex, or None.
+    every vertex, given that some k-set does.
 
-    Depth-first on an explicit stack, with centers in ascending order. The
-    next center is at most the largest id in the ball of the lowest
-    uncovered vertex, or that vertex stays uncovered, and at most
-    n - (centers still to pick), so the set can be filled out; a node whose
-    uncovered count exceeds the balls left times the widest ball is cut. A
-    cover of fewer than k centers is filled out with the next ids, the
-    smallest completion."""
-    n = len(balls)
+    Each center in turn is the least id c whose ball leaves a rest that
+    `_least_cover` can cover with the centers still to pick, all of id
+    greater than c. Once the rest is empty the next ids follow, the smallest
+    completion."""
     widest = max(b.bit_count() for b in balls)
-    centers, lefts = [], [(1 << n) - 1]  # the uncovered vertices before each center
-    c = 0  # the next candidate center
-    while True:
-        left = lefts[-1]
-        if not left:
-            return (*centers, *range(c, c + k - len(centers)))
-        d = len(centers)
-        if d < k and left.bit_count() <= (k - d) * widest:
-            low = left & -left
-            if c <= min(balls[low.bit_length() - 1].bit_length() - 1, n - k + d):
-                centers.append(c)
-                lefts.append(left & ~balls[c])
-                c += 1
-                continue
-        if not centers:
-            return None
-        lefts.pop()
-        c = centers.pop() + 1
+    centers, left, c = [], (1 << len(balls)) - 1, 0
+    for todo in reversed(range(k)):  # the centers to pick after this one
+        while _least_cover(balls, todo + 1, todo, left & ~balls[c], c + 1, widest) > todo:
+            c += 1
+        centers.append(c)
+        left &= ~balls[c]
+        c += 1
+    return tuple(centers)
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,8 @@ CASES = {
     # capt_k for gamma < k < n comes from the theorem, not from the solver
     "verify_monotonicity": (["verify", "monotonicity", "--set", "count_per_p=6"], 0),
     "regime_n20_k100": (["regime", "-n", "20", "--k", "100"], 0),
+    # Fraction values: an integral one, a fractional one and None
+    "thresholds_n10_d1_k50": (["thresholds", "-n", "10", "-d", "1", "-k", "50"], 0),
     "regime_n60_k_pow2_30": (["regime", "-n", "60", "--k-pow2", "30"], 0),
     "simulate_tree": (
         ["simulate", "--gen", "tree:12,3", "-k", "2", "--cop", "tree", "--robber", "solver"], 0),

@@ -1,4 +1,5 @@
 import itertools
+import math
 import time
 import tracemalloc
 
@@ -236,6 +237,14 @@ def test_k_center_k_ge_n():
     assert res.radius == 0 and res.centers == (0, 1, 2)
 
 
+@pytest.mark.parametrize("k", [2, 4])
+def test_k_center_refuses_an_unknown_mode(k):
+    """The mode is checked before the k >= n shortcut too."""
+    g, _ = gen_path(4)
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        k_center(g, k, mode="bogus")
+
+
 def test_k_center_cap(monkeypatch):
     monkeypatch.setattr(graphs, "SUBSET_CAP", 10)
     g, _ = gen_grid(2, 5)
@@ -299,26 +308,35 @@ def test_exact_k_center_one_center_streams_rows():
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from(["gnp", "tree", "grid"]), st.integers(1, 40), st.integers(0, 10_000),
-       st.integers(1, 5), st.sampled_from([0.2, 0.35, 0.5, 0.8]))
+@given(st.sampled_from(["gnp", "tree", "grid", "gnp every k", "tree every k"]), st.integers(1, 40),
+       st.integers(0, 10_000), st.integers(1, 5), st.sampled_from([0.2, 0.35, 0.5, 0.8]))
 def test_ball_search_matches_the_exhaustive_scan(family, n, seed, k, p):
     """Exact k_center returns the exhaustive scan's centers (the
     lexicographically smallest optimal k-set) and radius, and
     domination_number its γ: on G(n, p) with n <= 13, trees with n <= 40,
     and grids of up to 40 vertices. Trees and grids take k <= 3 and check γ
-    against a tree DP and the closed forms of 1- to 4-row grids."""
+    against a tree DP and the closed forms of 1- to 4-row grids. The "every
+    k" families take each k from 2 to n - 1 on G(n, p) with n <= 10 and on
+    trees with n <= 14, where covers run deep and end in the next ids."""
     if family == "gnp":
         g = gen_connected_gnp(n % 13 + 1, p, seed)[0]
         gamma = brute_force_domination(g)
+    elif family == "gnp every k":
+        g = gen_connected_gnp(n % 10 + 1, p, seed)[0]
+        gamma = brute_force_domination(g)
     elif family == "tree":
         g, k = gen_tree(n, seed), min(k, 3)
+        gamma = tree_domination(g)
+    elif family == "tree every k":
+        g = gen_tree(n % 14 + 1, seed)
         gamma = tree_domination(g)
     else:
         rows, cols = seed % 4 + 1, n % 10 + 1
         g, k = gen_grid_dims([rows, cols])[0], min(k, 3)
         gamma = grid_domination(rows, cols)
-    res = k_center(g, k)
-    assert (res.centers, res.radius) == brute_force_k_center(g, k)
+    for k in range(2, g.n) if family.endswith("every k") else (k,):
+        res = k_center(g, k)
+        assert (res.centers, res.radius) == brute_force_k_center(g, k)
     assert domination_number(g) == gamma
 
 
@@ -338,12 +356,24 @@ def test_k_center_two_centers_on_a_long_path():
 
 
 def test_k_center_many_centers_needs_no_recursion():
-    """C(1000, 998) = 499,500 is under the cap, and both searches go 998
-    centers deep on an explicit stack."""
+    """C(1000, 998) = 499,500 is under the cap. The cover search goes 998
+    centers deep on an explicit stack, and naming the centers runs it once
+    per center."""
     g, _ = gen_path(1000)
     res, cpu = _cpu(k_center, g, 998)
     assert res == graphs.KCenterResult((*range(997), 998), 1)
     assert cpu < 1.0
+
+
+def test_k_center_names_the_centers_of_a_large_tree_quickly(monkeypatch):
+    """With the cap raised, tree:2000,1 with k = 4 has r = 11. A second
+    depth-first search that tried every id up to the largest in the lowest
+    uncovered vertex's ball took 6.5-11.8 s to name these centers."""
+    monkeypatch.setattr(graphs, "SUBSET_CAP", math.comb(2000, 4) + 1)
+    g = gen_tree(2000, 1)
+    res, cpu = _cpu(k_center, g, 4)
+    assert res == graphs.KCenterResult((0, 4, 6, 14), 11)
+    assert cpu < 2.0
 
 
 @given(st.integers(0, 30))

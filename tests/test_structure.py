@@ -112,13 +112,20 @@ def test_one_ball_search_without_subsets_or_recursion():
     """Exact k_center and domination_number share one search over distance
     balls: graphs.py scans no k-subsets and keeps no all-pairs table, and no
     function in it calls itself, since a cover may be hundreds of centers
-    deep (k_center(path:1000, 998) is under SUBSET_CAP)."""
+    deep (k_center(path:1000, 998) is under SUBSET_CAP). The one function
+    that pops a stack in a while loop is that search, `_least_cover`:
+    `_first_cover` and `domination_number` run no search of their own."""
     text = (SRC / "graphs.py").read_text(encoding="utf-8")
     assert "combinations" not in text and "all_pairs_distances" not in text
-    recursive = [f"{fn.name}:{call.lineno}" for fn in ast.walk(ast.parse(text))
-                 if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+    functions = [fn for fn in ast.walk(ast.parse(text))
+                 if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    recursive = [f"{fn.name}:{call.lineno}" for fn in functions
                  for call in _calls([fn], fn.name)]
     assert recursive == []
+    stack_searches = [fn.name for fn in functions
+                      if any(_calls([loop], "pop") for loop in ast.walk(fn)
+                             if isinstance(loop, ast.While))]
+    assert stack_searches == ["_least_cover"]
 
 
 def test_no_recursion_limit_changes():
