@@ -221,7 +221,8 @@ def tree_instances(count: int, n_max: int, base_seed):
 def random_small_study(count_per_p: int, n_lo: int, n_hi: int, ps, base_seed):
     """Connected G(n, p) instances with their domination number gamma, exact
     capture times and k-center radii for every k < n, and metrics. Only
-    k = 1..gamma is solved; above gamma both values come from the theorem."""
+    k = 1..gamma is solved; above gamma both values come from the theorem,
+    and rad_1 from the metrics' one eccentricity sweep."""
     if not 1 <= n_lo <= n_hi:
         raise ValueError(f"need 1 <= n_lo <= n_hi, got n_lo={n_lo}, n_hi={n_hi}")
     study = []
@@ -230,11 +231,12 @@ def random_small_study(count_per_p: int, n_lo: int, n_hi: int, ps, base_seed):
             n = n_lo + (i % (n_hi - n_lo + 1))
             g, probe = gen_connected_gnp(n, p, f"study-{base_seed}-{p}-{i}")
             gamma = domination_number(g)
+            met = metrics(g)
             # Cops on a dominating set catch the robber at round 1, and with
             # k < n it can place off them: capt_k = rad_k = 1 for gamma <= k < n.
             capts = {k: capture_time(g, k) if k <= gamma else 1 for k in range(1, n)}
-            radk = {k: k_center(g, k).radius if k < gamma else 1 for k in range(1, n)}
-            met = metrics(g)
+            radk = {k: 1 if k >= gamma else met.radius if k == 1 else k_center(g, k).radius
+                    for k in range(1, n)}
             study.append(
                 {
                     "id": f"gnp-p{p}-{i:02d}-n{n}",

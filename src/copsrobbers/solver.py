@@ -41,8 +41,15 @@ coordinates, so a multiset's state sits in its sorted cell. Each level:
   vertices r of byte j whose neighbours in byte b are all settled. The
   tables are built once per solve from the closed neighbourhoods in
   Graph.masks.
-- The capture states are the image with bit t[0] in every cell, ORed with
-  its k - 1 rotations.
+- The capture states: chunk v is bit v in every cell, ORed with one int,
+  shared by every chunk, that sets bit t[i] of cell t for each i >= 1.
+- The capture level is read off the live cop image with one carry-free
+  word test per changed chunk x: with y = x ^ FULL, ~(((y & LOW) + LOW) | y)
+  & HIGH has the top bit of each full cell, where FULL, LOW and HIGH hold
+  in every cell its n low bits, all bits but its top one, and its top bit;
+  no carry leaves a cell. By symmetry the lowest full cell of the lowest
+  such chunk is sorted, the first config with a full cell, and its index
+  in base n names the cops below the top one.
 
 The store of game values is one list per mover and chunk of the levels
 that settled states in it, ascending, each with the chunk's newly settled
@@ -51,18 +58,21 @@ k = 2 the one run of cells v..n-1), so one itemgetter of byte slices and
 one join pack a chunk, with no work per config.
 
 The levels are settled on demand. solve returns a table that holds the
-sweep, not yet started, and the table runs it one level further only when
-a read needs it: best_placement and capture_time up to the first level
-with a full cop-turn cell (the capture time), a state's value up to the
-level that settles it. A state's value is the level whose entry holds its
-bit, and MAXDIST (a robber win) when none does once the sweep has ended.
+sweep, not yet started and wrapped in the packing, and the table runs it
+one level further only when a read needs it: best_placement and
+capture_time up to the first level with a full cop-turn cell (the capture
+time), a state's value up to the level that settles it. A state's value is
+the level whose entry holds its bit, and MAXDIST (a robber win) when none
+does once the sweep has ended. The module-level capture_time and
+cop_number run the bare sweep and build no table, configs or packing.
 A table dropped before the end frees its sweep with it: the sweep holds
 no reference to the table.
 
-solve admits an instance by what the sweep allocates: the level entries,
-at most one cell per config, mover and level, and the images. It refuses
-one with more than STATE_CAP states or with images of more than IMAGE_CAP
-bytes, before it builds anything; both caps are read at call time.
+solve and capture_time admit an instance by what a table allocates: the
+level entries, at most one cell per config, mover and level, and the
+images. They refuse one with more than STATE_CAP states or with images of
+more than IMAGE_CAP bytes, before they build anything; both caps are read
+at call time.
 """
 
 from __future__ import annotations
@@ -95,9 +105,6 @@ IMAGE_CAP = 1 << 22
 _BYTE_BITS = tuple(int.from_bytes(bytes(x >> b & 1 for x in range(256)), "little")
                    for b in range(8))
 _ALL_BYTES = int.from_bytes(bytes([1]) * 256, "little")
-# _FULL_BYTE[r - 1] maps the byte with its r low bits set to 1 and every
-# other byte to 0: the translate of one byte column of a full cell.
-_FULL_BYTE = tuple(bytes(x == (1 << r) - 1 for x in range(256)) for r in range(1, 9))
 
 
 def estimate_cost(g: Graph, k: int):
@@ -171,26 +178,12 @@ class ValueTable:
             if not self.placement:
                 self.placement = self.configs[0], MAXDIST
             return None
-        level, (cop, rob, _, _) = step
+        level, (full, cop, rob) = step
         for store, entries in zip(self.chunk_levels, (cop, rob)):
             for v, cells in entries.items():
                 store.setdefault(v, []).append((level, cells))
-        if not self.placement:
-            # The first config of the first changed cop chunk whose sorted
-            # cell is full: per byte column, a translate maps the full byte
-            # to 1, and the columns are ANDed.
-            n = self.graph.n
-            cell = (n + 7) // 8
-            tables = [_FULL_BYTE[7]] * (cell - 1) + [_FULL_BYTE[n - 8 * (cell - 1) - 1]]
-            for v, new in cop.items():
-                bits = functools.reduce(operator.or_, (int.from_bytes(found, "little")
-                                                       for _, found in self.chunk_levels[COP][v]))
-                cells = bits.to_bytes(len(new), "little")
-                hit = functools.reduce(operator.and_, (int.from_bytes(cells[b::cell].translate(t), "little")
-                                                       for b, t in enumerate(tables)))
-                if hit:
-                    self.placement = self.configs[self.first[v] + ((hit & -hit).bit_length() - 1) // 8], level
-                    break
+        if full and not self.placement:
+            self.placement = full, level
         return level
 
     def settle(self) -> None:
@@ -282,12 +275,12 @@ def _erosion_tables(g: Graph):
     return erosion
 
 
-def _sweep(g: Graph, k: int, configs):
-    """Yield (cop entries, robber entries, cop image, robber image) after
-    each level, in the layout of the module docstring. The entries map each
-    chunk v that gained states at the level to its new bits, packed to the
-    cells of its configs (configs, the nondecreasing cop tuples in
-    ascending order, whose top cop is v). An image is the list of its n
+def _sweep(g: Graph, k: int):
+    """Yield (full, cop changes, robber changes, cop image, robber image)
+    after each level, in the layout of the module docstring. full is the
+    first config with a full cop-turn cell, from the first level that has
+    one on, and None before. The changes list the (v, new bits) of each
+    chunk v that gained states at the level. An image is the list of its n
     chunks as little-endian ints; it is updated in place once the next
     level is asked for."""
     n = g.n
@@ -353,39 +346,40 @@ def _sweep(g: Graph, k: int, configs):
             out[j::cell] = acc.to_bytes(count, "little")
         return out
 
-    # The configs of chunk v sit in its cells in ascending order, as runs
-    # along the last coordinate: each run starts at a config whose last two
-    # coordinates are equal and ends with the row (a chunk is one cell when
-    # k = 1). packs[v] picks their bytes off the chunk's, config by config.
-    weights = [n ** (k - 2 - i) for i in range(k - 1)]
-    runs = [[] for _ in range(n)]
-    for cfg in configs:
-        if k == 1 or cfg[-2] == cfg[-1]:
-            at = sum(map(operator.mul, cfg[1:], weights))
-            end = at + 1 if k == 1 else at + n - cfg[-1]
-            runs[cfg[0]].append(slice(at * cell, end * cell))
-    packs = [_picker(r) for r in runs]
+    def word(x: int) -> int:
+        """The chunk-wide int with cell value x in every cell."""
+        return int.from_bytes(x.to_bytes(cell, "little") * cells_per_chunk, "little")
 
-    def packed(bits):
-        """{v: the sorted cells of chunk v, packed} for (v, int) pairs."""
-        return {v: b"".join(packs[v](x.to_bytes(chunk, "little"))) for v, x in bits}
+    full_cells, low, high = word((1 << n) - 1), word((1 << 8 * cell - 1) - 1), word(1 << 8 * cell - 1)
+
+    def first_full(changed):
+        """The sorted cop tuple of the lowest full cell of the first chunk
+        in changed that has one, or None."""
+        for v, _ in changed:
+            y = wc[v] ^ full_cells
+            hit = ~(((y & low) + low) | y) & high
+            if hit:
+                at = ((hit & -hit).bit_length() - 1) // (8 * cell)
+                return (v, *(at // n ** (k - 1 - i) % n for i in range(1, k)))
+        return None
 
     # The capture image: the top coordinate's bit in every cell, ORed with
-    # its k - 1 rotations.
-    top = [int.from_bytes((1 << v).to_bytes(cell, "little") * cells_per_chunk, "little")
-           for v in range(n)]
-    wc = list(top)
-    for _ in range(k - 1):
-        top = rotate(enumerate(top))
-        wc = list(map(operator.or_, wc, top))
+    # the bit of every other coordinate, laid out once for all chunks.
+    shared = 0
+    for i in range(1, k):
+        run = b"".join((1 << x).to_bytes(cell, "little") * n ** (k - 1 - i) for x in range(n))
+        shared |= int.from_bytes(run * n ** (i - 1), "little")
+    wc = [word(1 << v) | shared for v in range(n)]
     wr = list(wc)
 
     # changed: the chunks whose cop bits changed, with their new bits, and
     # fresh: the robber bits settled at the last level, by nonzero chunk
     changed = list(enumerate(wc))
     fresh = dict(changed)
+    full = None
     while True:
-        yield packed(changed), packed(fresh.items()), wc, wr
+        full = full or first_full(changed)
+        yield full, changed, fresh.items(), wc, wr
         if not fresh:
             return
         # cop step: a state settles when a joint move reaches a fresh one
@@ -406,9 +400,26 @@ def _sweep(g: Graph, k: int, configs):
                 fresh[v] = x
 
 
-def solve(g: Graph, k: int) -> ValueTable:
-    """The value table of k cops on g, its levels not yet settled: its reads
-    run the sweep as far as they need (module docstring)."""
+def _packer(n: int, k: int, configs):
+    """Packs (v, int) chunk pairs to {v: the sorted cells of chunk v}. They
+    sit in the chunk in config order, as runs along the last coordinate:
+    each starts at a config whose last two coordinates are equal and ends
+    with the row (a chunk is one cell when k = 1)."""
+    cell = (n + 7) // 8
+    chunk = n ** (k - 1) * cell
+    weights = [n ** (k - 2 - i) for i in range(k - 1)]
+    runs = [[] for _ in range(n)]
+    for cfg in configs:
+        if k == 1 or cfg[-2] == cfg[-1]:
+            at = sum(map(operator.mul, cfg[1:], weights))
+            end = at + 1 if k == 1 else at + n - cfg[-1]
+            runs[cfg[0]].append(slice(at * cell, end * cell))
+    packs = [_picker(r) for r in runs]
+    return lambda bits: {v: b"".join(packs[v](x.to_bytes(chunk, "little"))) for v, x in bits}
+
+
+def _admit(g: Graph, k: int) -> None:
+    """Refuse an instance a value table could not hold (module docstring)."""
     if k < 1:
         raise ValueError("k must be at least 1")
     if g.n == 0:
@@ -420,23 +431,34 @@ def solve(g: Graph, k: int) -> ValueTable:
     if image > IMAGE_CAP:
         raise StateBudgetExceeded(f"{image}-byte sweep images exceed cap {IMAGE_CAP}")
 
+
+def solve(g: Graph, k: int) -> ValueTable:
+    """The value table of k cops on g, its levels not yet settled: its reads
+    run the sweep as far as they need (module docstring)."""
+    _admit(g, k)
     n = g.n
     configs = tuple(itertools.combinations_with_replacement(range(n), k))
     counts = (math.comb(n - v + k - 2, k - 1) for v in range(n))
     first = list(itertools.accumulate(counts, initial=0))
-    return ValueTable(graph=g, k=k, configs=configs, first=first,
-                      sweep=enumerate(_sweep(g, k, configs)))
+    packed = _packer(n, k, configs)
+    levels = ((full, packed(cop), packed(rob)) for full, cop, rob, _, _ in _sweep(g, k))
+    return ValueTable(graph=g, k=k, configs=configs, first=first, sweep=enumerate(levels))
 
 
 def capture_time(g: Graph, k: int) -> int:
-    """Optimal game length with k cops; MAXDIST when k cops cannot win.
+    """Optimal game length with k cops; MAXDIST when k cops cannot win. It
+    runs the sweep only to the capture level and builds no value table.
 
     With k >= n the cops can stand on every vertex, so the answer is 0
-    without building a table.
+    without a sweep.
     """
     if k >= g.n:
         return 0
-    return solve(g, k).capture_time()
+    _admit(g, k)
+    for level, (full, *_) in enumerate(_sweep(g, k)):
+        if full:
+            return level
+    return MAXDIST
 
 
 def cop_number(g: Graph) -> int:
@@ -444,7 +466,7 @@ def cop_number(g: Graph) -> int:
     if g.n == 0:
         raise ValueError("the empty graph has no game to solve")
     for k in range(1, g.n):
-        if solve(g, k).capture_time() < MAXDIST:
+        if capture_time(g, k) < MAXDIST:
             return k
     return g.n
 

@@ -302,6 +302,22 @@ def test_study_solves_only_up_to_the_domination_number(monkeypatch):
     assert any(inst["gamma"] < inst["graph"].n - 1 for inst in study)
 
 
+
+def test_study_runs_one_eccentricity_sweep_per_graph(monkeypatch):
+    """rad_1 is the radius the metrics already hold, so a study graph runs
+    one eccentricity sweep, and k_center only for 2 <= k < gamma."""
+    from copsrobbers import graphs
+
+    sweeps, centers = [], []
+    real_ecc, real_center = graphs.eccentricities, experiments.k_center
+    monkeypatch.setattr(graphs, "eccentricities", lambda g: sweeps.append(id(g)) or real_ecc(g))
+    monkeypatch.setattr(experiments, "k_center",
+                        lambda g, k: centers.append((id(g), k)) or real_center(g, k))
+    study = experiments.random_small_study(2, 9, 10, (0.25, 0.5), 0)
+    assert sweeps == [id(inst["graph"]) for inst in study]
+    assert centers == [(id(inst["graph"]), k) for inst in study for k in range(2, inst["gamma"])]
+    assert centers and any(inst["gamma"] == 2 for inst in study)
+
 def _param_keys(tree, fn_name):
     """Keys a module function reads as params["..."], plus the parameter
     names of each module function it calls with **params."""

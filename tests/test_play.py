@@ -1,10 +1,11 @@
+import importlib
 import json
 
 import pytest
 
 from copsrobbers.errors import IllegalMove
-from copsrobbers.generators import gen_cycle, gen_grid, gen_path
-from copsrobbers.play import CopPolicy, RobberPolicy, play, worst_case_capture_round
+from copsrobbers.generators import gen_cycle, gen_gnp, gen_grid, gen_path
+from copsrobbers.play import CopPolicy, RobberPolicy, _check_cops, play, worst_case_capture_round
 from copsrobbers.solver import extract_policies, solve
 from copsrobbers.strategies import StaticCopPolicy, StayFarRobber
 
@@ -85,6 +86,28 @@ def test_illegal_cop_move_identifies_offender():
     t = play(g, 3, Scripted((True, 3, 5), (False, 2, 5)), FixedRobber(7), 1)
     assert t.rounds == [((False, 2, 5), 7)]
 
+
+
+def test_step_check_bisects_dense_rows(monkeypatch):
+    """On a dense G(60, 0.9) the referee accepts every step within N[a] and
+    refuses every other one, past the row's largest entry too, naming the
+    cop as before, with one bisection per cop that moved; a cop that stays
+    is legal."""
+    referee = importlib.import_module("copsrobbers.play")
+    bisections = []
+    real = referee.bisect_left
+    monkeypatch.setattr(referee, "bisect_left", lambda row, b: bisections.append(b) or real(row, b))
+    g = gen_gnp(60, 0.9, 3)
+    assert min(map(len, g.closed)) > 40 and any(row[-1] < g.n - 1 for row in g.closed)
+    for a in range(g.n):
+        for b in range(g.n):
+            if b in g.closed[a]:
+                _check_cops(g, 2, (a, b), (a, a))
+            else:
+                with pytest.raises(IllegalMove) as exc:
+                    _check_cops(g, 2, (a, b), (a, a))
+                assert str(exc.value) == f"cops (cop 1): {a} -> {b} is not a step in N[{a}]"
+    assert len(bisections) == g.n * (g.n - 1)
 
 def test_illegal_robber_move():
     g, _ = gen_path(5)

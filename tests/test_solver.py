@@ -150,14 +150,16 @@ def test_counter_retrograde_random_graphs(n, p, seed, k):
 
 def assert_images_symmetric(g, k):
     """Every image of the sweep holds in each ordering of a cop tuple the
-    robber bits of its sorted cell, and no bit at or above n."""
+    robber bits of its sorted cell, and no bit at or above n; the yielded
+    full tuple is the first tuple whose cop cell is full, once one is."""
     n = g.n
     cell = (n + 7) // 8
     chunk = n ** (k - 1) * cell
     offsets = {t: sum(c * n ** (k - 1 - i) for i, c in enumerate(t)) * cell
                for t in itertools.product(range(n), repeat=k)}
-    configs = tuple(itertools.combinations_with_replacement(range(n), k))
-    for _, _, *images in _sweep(g, k, configs):
+    full_cell = ((1 << n) - 1).to_bytes(cell, "little")
+    placed = None
+    for full, _, _, *images in _sweep(g, k):
         for chunks in images:
             assert len(chunks) == n
             img = b"".join(x.to_bytes(chunk, "little") for x in chunks)
@@ -165,6 +167,9 @@ def assert_images_symmetric(g, k):
                 s = offsets[tuple(sorted(t))]
                 assert img[o:o + cell] == img[s:s + cell], t
                 assert int.from_bytes(img[o:o + cell], "little") >> n == 0, t
+        cop = b"".join(x.to_bytes(chunk, "little") for x in images[0])
+        placed = placed or next((t for t, o in offsets.items() if cop[o:o + cell] == full_cell), None)
+        assert full == placed
 
 
 # (n, k) shapes of the ordered-tuple layout: k = 4 and 5 rotate through more
@@ -470,32 +475,108 @@ def test_values_read_in_any_order_match_counter_retrograde(case, rnd):
     assert audit_fixed_point(solve(g, k)) == []
 
 
+
+# --- the capture level off the live cop image
+
+
+def cell_width_cases():
+    """(g, k) for n in {1, 7, 8, 9, 16, 17} and k = 1..4: cells of one to
+    three bytes, n = 8 and 16 with no padding bit. A path (cop win), a cycle
+    (a robber win for one cop), and a path beside a cycle with no edge
+    between them (disconnected; a robber win until a cop sits in each
+    piece). With n >= 16 and k = 4, whose oracle is slow, only the last."""
+    out = []
+    for n in (1, 7, 8, 9, 16, 17):
+        path = Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
+        graphs = [path]
+        if n >= 3:
+            graphs.append(gen_cycle(n))
+        if n >= 7:
+            a = n // 2
+            edges = [(v, v + 1) for v in range(a - 1)]
+            edges += [(a + v, a + (v + 1) % (n - a)) for v in range(n - a)]
+            graphs.append(Graph.from_edges(n, edges))
+        out += [(g, k) for g in graphs for k in range(1, 5) if n < 16 or k < 4 or g is graphs[-1]]
+    return out
+
+
+def test_placement_from_the_live_image_matches_the_dense_scan():
+    """best_placement, read off the live cop image by the full-cell word
+    test, is dense_best_placement's on every cell width, robber wins
+    (MAXDIST) included."""
+    wins = set()
+    for g, k in cell_width_cases():
+        table = solve(g, k)
+        val_cop, _, _, _ = counter_retrograde(g, k)
+        want = dense_best_placement(table.configs, g.n, val_cop)
+        assert table.best_placement() == want, (g.n, g.m, k)
+        wins.add(want[1] == MAXDIST)
+    assert wins == {False, True}
+
+
+def test_capture_time_equals_the_tables_below_n():
+    """capture_time(g, k) == solve(g, k).capture_time() for every k < n of
+    the cell-width cases, and cop_number is the least k whose capture time
+    is finite."""
+    for g, k in cell_width_cases():
+        if k < g.n:
+            assert capture_time(g, k) == solve(g, k).capture_time(), (g.n, g.m, k)
+    for g in {id(g): g for g, _ in cell_width_cases()}.values():
+        if g.n <= 9:
+            want = next((k for k in range(1, g.n) if solve(g, k).capture_time() < MAXDIST), g.n)
+            assert cop_number(g) == want, (g.n, g.m)
+
+
+def test_capture_time_and_cop_number_build_no_table(monkeypatch):
+    """The module capture_time and cop_number run the bare sweep: with the
+    packer, the config tuple and ValueTable all raising, they still answer
+    as before."""
+    cases = [(gen_tree(40, 1), 3), (gen_grid_dims([8, 8])[0], 2), (gen_hypercube(4)[0], 2),
+             (gen_cycle(8), 1), (gen_path(17)[0], 4)]
+    want = [capture_time(g, k) for g, k in cases]
+    numbers = [cop_number(g) for g in (gen_cycle(8), gen_hypercube(3)[0], gen_tree(9, 2))]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built for a value table")
+
+    monkeypatch.setattr(solver, "_packer", refuse)
+    monkeypatch.setattr(solver, "ValueTable", refuse)
+    monkeypatch.setattr(solver.itertools, "combinations_with_replacement", refuse)
+    with pytest.raises(AssertionError):
+        solve(gen_path(4)[0], 1)
+    assert [capture_time(g, k) for g, k in cases] == want == [3, 7, MAXDIST, MAXDIST, 2]
+    assert [cop_number(g) for g in (gen_cycle(8), gen_hypercube(3)[0], gen_tree(9, 2))] \
+        == numbers == [2, 2, 1]
+
+
 # --- budgets
 
 
 def test_state_budget(monkeypatch):
-    """solve refuses exactly the instances with more than STATE_CAP states,
-    reading the cap when it is called."""
+    """solve and capture_time refuse exactly the instances with more than
+    STATE_CAP states, reading the cap when they are called."""
     g, _ = gen_grid(2, 4)
     states, _ = estimate_cost(g, 3)
     monkeypatch.setattr(solver, "STATE_CAP", 100)
     with pytest.raises(StateBudgetExceeded, match="states"):
         solve(g, 3)
     monkeypatch.setattr(solver, "STATE_CAP", states - 1)
-    with pytest.raises(StateBudgetExceeded, match="states"):
-        solve(g, 3)
+    for run in (solve, capture_time):
+        with pytest.raises(StateBudgetExceeded, match=f"{states} states exceed cap {states - 1}"):
+            run(g, 3)
     monkeypatch.setattr(solver, "STATE_CAP", states)
     assert solve(g, 3).capture_time() == capture_time(g, 3)
 
 
 def test_image_budget(monkeypatch):
-    """solve refuses exactly the instances whose sweep images exceed
-    IMAGE_CAP bytes, reading the cap when it is called."""
+    """solve and capture_time refuse exactly the instances whose sweep images
+    exceed IMAGE_CAP bytes, reading the cap when they are called."""
     g, _ = gen_path(9)
     image = 9 ** 3 * 2
     monkeypatch.setattr(solver, "IMAGE_CAP", image - 1)
-    with pytest.raises(StateBudgetExceeded, match="image"):
-        solve(g, 3)
+    for run in (solve, capture_time):
+        with pytest.raises(StateBudgetExceeded, match=f"{image}-byte sweep images exceed cap {image - 1}"):
+            run(g, 3)
     monkeypatch.setattr(solver, "IMAGE_CAP", image)
     assert solve(g, 3).capture_time() == k_center(g, 3).radius
 

@@ -247,6 +247,24 @@ def test_solver_keeps_no_move_table():
                       "audit_fixed_point", "extract_policies"}
 
 
+
+def test_capture_level_comes_from_the_live_image():
+    """The capture level is read off the sweep's cop image: no full-byte
+    translate table, no translate or repacking in ValueTable, and the
+    module capture_time and cop_number neither solve nor pack."""
+    from copsrobbers import solver
+
+    assert not hasattr(solver, "_FULL_BYTE")
+    tree = ast.parse((SRC / "solver.py").read_text(encoding="utf-8"))
+    fns = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    table = next(node for node in tree.body
+                 if isinstance(node, ast.ClassDef) and node.name == "ValueTable")
+    assert [c for c in ast.walk(table) if isinstance(c, ast.Call)
+            and getattr(c.func, "attr", None) in ("translate", "reduce")] == []
+    for name in ("capture_time", "cop_number"):
+        called = {getattr(c.func, "id", None) for c in ast.walk(fns[name]) if isinstance(c, ast.Call)}
+        assert not called & {"solve", "_packer", "ValueTable"}, name
+
 def over_configs(it):
     """An iterable that mentions ``configs``, or a ``range`` over config
     indices (one of whose arguments reads ``first`` or ``configs``)."""
