@@ -386,6 +386,10 @@ def k_center(g: Graph, k: int, mode: str = "exact") -> KCenterResult:
     refutes is the optimum. `_first_cover` names the centers there, the
     least id each whose ball leaves a rest that `_least_cover` can cover
     with the centers still to pick.
+
+    One BFS from vertex 0 tests connectivity and is the first distance list
+    of the greedy seeding; exact k >= 2 also orders the packing's candidates
+    by it.
     """
     if not 1 <= k:
         raise ValueError("k must be at least 1")
@@ -395,11 +399,12 @@ def k_center(g: Graph, k: int, mode: str = "exact") -> KCenterResult:
         raise DisconnectedGraph("empty graph")
     if k >= g.n:
         return KCenterResult(tuple(range(g.n)), 0)
-    if not g.is_connected():
+    depth = bfs_distances(g, 0)
+    if MAXDIST in depth:
         raise DisconnectedGraph("k-center requires a connected graph")
 
     if mode == "greedy":
-        return _farthest_points(g, k)
+        return _farthest_points(g, k, depth)
     if math.comb(g.n, k) > SUBSET_CAP:
         raise SearchSpaceTooLarge(
             f"C({g.n},{k}) = {math.comb(g.n, k)} exceeds cap {SUBSET_CAP}"
@@ -408,8 +413,7 @@ def k_center(g: Graph, k: int, mode: str = "exact") -> KCenterResult:
         ecc = eccentricities(g)
         radius = min(ecc)
         return KCenterResult((ecc.index(radius),), radius)
-    top = _farthest_points(g, k).radius
-    depth = bfs_distances(g, 0)
+    top = _farthest_points(g, k, depth).radius
     deepest = sorted(range(g.n), key=depth.__getitem__, reverse=True)
     r = (top + 1) // 2
     balls = _balls(g, r)
@@ -431,15 +435,16 @@ def domination_number(g: Graph) -> int:
     return _least_cover(_balls(g, 1), g.n + 1)
 
 
-def _farthest_points(g: Graph, k: int) -> KCenterResult:
-    """Greedy k-center: farthest-point seeding from vertex 0."""
+def _farthest_points(g: Graph, k: int, dist: list[int]) -> KCenterResult:
+    """Greedy k-center: farthest-point seeding from vertex 0; `dist` holds
+    the BFS distances from vertex 0."""
     centers = [0]
     while True:
-        dist = bfs_distances(g, centers)
         radius = max(dist)
         if len(centers) == k:
             return KCenterResult(tuple(sorted(centers)), radius)
         centers.append(dist.index(radius))
+        dist = bfs_distances(g, centers)
 
 
 # The ball search. balls[c] is the bitmask of the vertices within distance r

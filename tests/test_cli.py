@@ -39,7 +39,10 @@ CASES = {
         ["verify", "grid_scaling", "--set", "sizes=4", "--set", "ks=2,4"], 0),
     # robber-win instances report "inf" capture times
     "verify_lower_bounds_json": (["verify", "lower_bounds", "--set", "count_per_p=2", "--json"], 0),
-    # capt_k for gamma < k < n comes from the theorem, not from the solver
+    # the rows of 12 study graphs, capt_gamma and above from the theorem
+    "verify_lower_bounds": (["verify", "lower_bounds", "--set", "count_per_p=6"], 0),
+    # capt_k for gamma <= k < n comes from the theorem, not from the solver;
+    # capt_gamma_is_1 solves k = gamma to check it
     "verify_monotonicity": (["verify", "monotonicity", "--set", "count_per_p=6"], 0),
     "regime_n20_k100": (["regime", "-n", "20", "--k", "100"], 0),
     # Fraction values: an integral one, a fractional one and None

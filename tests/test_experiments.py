@@ -289,8 +289,9 @@ def test_the_domination_theorem_holds_on_study_graphs():
         assert inst["radk"] == {k: k_center(g, k).radius for k in range(1, g.n)}
 
 
-def test_study_solves_only_up_to_the_domination_number(monkeypatch):
-    """A study solves each graph once for each k = 1..gamma and no other k."""
+def test_study_solves_only_below_the_domination_number(monkeypatch):
+    """A study solves each graph once for each k = 1..gamma-1 and no other
+    k: from gamma on the domination theorem gives capt_k = 1."""
     calls = []
     for name in ("capture_time", "solve"):
         real = getattr(experiments, name)
@@ -298,8 +299,26 @@ def test_study_solves_only_up_to_the_domination_number(monkeypatch):
                             lambda g, k, real=real: calls.append((id(g), k)) or real(g, k))
     study = experiments.random_small_study(2, 5, 8, (0.3, 0.5), 0)
     assert calls == [(id(inst["graph"]), k) for inst in study
-                     for k in range(1, inst["gamma"] + 1)]
+                     for k in range(1, inst["gamma"])]
     assert any(inst["gamma"] < inst["graph"].n - 1 for inst in study)
+
+
+def test_monotonicity_checks_capt_gamma_with_the_solver(monkeypatch):
+    """The study's capts[gamma] is the theorem's 1, so `capt_gamma_is_1`
+    must solve k = gamma itself: a solver that reads 2 there fails every
+    such report, while the study still reads 1."""
+    from copsrobbers.graphs import domination_number
+
+    real = experiments.capture_time
+    monkeypatch.setattr(experiments, "capture_time",
+                        lambda g, k: 2 if k == domination_number(g) else real(g, k))
+    params = {"count_per_p": 2, "n_lo": 5, "n_hi": 8}
+    study = experiments.random_small_study(**{**experiments.STUDY_PARAMS, **params})
+    assert all(inst["capts"][inst["gamma"]] == 1 for inst in study)
+    gamma_reports = [r for r in verify_suite("monotonicity", params)
+                     if r.quantity == "capt_gamma_is_1"]
+    assert len(gamma_reports) == len(study)
+    assert all(r.measured == 2 and not r.passed for r in gamma_reports)
 
 
 

@@ -18,6 +18,7 @@ from copsrobbers.graphs import (
     bfs_distances,
     component_of,
     eccentricities,
+    k_center,
     metrics,
     step_toward,
     walk_toward,
@@ -219,9 +220,13 @@ def test_eccentricities_in_batches(monkeypatch, batch):
     ],
     ids=["two_isolated", "two_edges", "path_plus_isolated"],
 )
-def test_eccentricities_reject_disconnected(g):
+def test_eccentricities_reject_disconnected(g, monkeypatch):
     with pytest.raises(DisconnectedGraph):
         eccentricities(g)
+    monkeypatch.setattr(graphs, "SUBSET_CAP", 0)  # connectivity is refused first
+    for mode in ("exact", "greedy"):
+        with pytest.raises(DisconnectedGraph, match="k-center requires a connected graph"):
+            k_center(g, 1, mode)
     with pytest.raises(DisconnectedGraph, match="metrics require a connected graph"):
         metrics(g)
     with pytest.raises(DisconnectedGraph, match="separator needs a connected graph"):

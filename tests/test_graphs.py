@@ -267,6 +267,30 @@ def test_k_center_cap_checked_before_distances(monkeypatch):
     assert g._masks is None
 
 
+@pytest.mark.parametrize("mode", ["exact", "greedy"])
+def test_k_center_runs_one_bfs_from_vertex_0(monkeypatch, mode):
+    """The BFS from vertex 0 that tests connectivity is also the greedy
+    seeding's first distance list and the packing's order: k_center runs it
+    once, where it ran it three times (exact) or twice (greedy)."""
+    from_0 = []
+    real = graphs.bfs_distances
+
+    def counted(g, sources, allowed=None):
+        if sources == 0 or sources == [0]:
+            from_0.append(sources)
+        return real(g, sources, allowed)
+
+    monkeypatch.setattr(graphs, "bfs_distances", counted)
+    for g, k in ((gen_grid(2, 5)[0], 3), (gen_tree(30, 4), 2), (gen_path(7)[0], 2)):
+        from_0.clear()
+        res = k_center(g, k, mode)
+        assert len(from_0) == 1, (g.n, k)
+        if mode == "exact":
+            assert (res.centers, res.radius) == brute_force_k_center(g, k)
+        else:
+            assert (res.centers, res.radius) == reference_greedy_k_center(g, k, all_pairs(g))
+
+
 @given(st.integers(0, 40), st.sampled_from([0.3, 0.5]))
 def test_greedy_within_twice_exact(seed, p):
     g = gen_gnp(7, p, seed)
