@@ -142,20 +142,21 @@ def gen_tree(n: int, seed) -> Graph:
 def gen_gnp(n: int, p: float, seed) -> Graph:
     """Binomial random graph: each unordered pair is an edge independently
     with probability p. One rng draw per pair regardless of p, so streams
-    stay aligned across parameter choices."""
+    stay aligned across parameter choices.
+
+    The pairs u < v are drawn in lexicographic order, so a seed names one
+    instance. The draws fill an upper-triangular n*n byte matrix, from
+    which Graph checks and builds the adjacency, the closed rows and the
+    masks in one pass."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     draw = make_rng(seed).random
-    adj = [[] for _ in range(n)]
-    for u in range(n):
-        # u is appended to adj[v] before any later vertex, so rows ascend.
-        later = [v for v in range(u + 1, n) if draw() < p]
-        adj[u] += later
-        for v in later:
-            adj[v].append(u)
-    return Graph(n, adj)
+    matrix = b"".join(
+        bytes(u + 1) + bytes([draw() < p for _ in range(u + 1, n)]) for u in range(n)
+    )
+    return Graph(n, matrix)
 
 
 # Seed probes gen_connected_gnp tries before giving up.

@@ -24,6 +24,11 @@ rules, checked before any ball is built.
 
 Reflexivity (players may pass) is a movement rule, never stored loops: the
 closed neighbourhood N[v] = {v} | adj(v) is what game code consumes.
+
+A Graph is built from adjacency lists or from an upper-triangular n*n byte
+matrix, the form `gen_gnp` draws into. Both are checked. The matrix form
+fills `Graph.closed` and `Graph.masks` in the same pass as the adjacency;
+the list form builds them on first use.
 """
 
 from __future__ import annotations
@@ -51,8 +56,18 @@ ECC_BATCH = 1024
 class Graph:
     """Immutable undirected simple graph on vertex ids 0..n-1.
 
-    Adjacency lists are ascending and deduplicated; symmetry is enforced at
-    construction. Instances are safe for concurrent shared reads.
+    `adjacency` takes one of two forms, each checked, with a ValueError
+    naming the first offending vertex:
+    - one iterable of int neighbour ids per vertex, in any order; each pair
+      must be listed from both ends, and `closed` and `masks` are built on
+      first use;
+    - a `bytes` of length n*n, row-major, whose byte v*n + u is 1 when
+      v < u are adjacent and 0 otherwise (every byte at or below the
+      diagonal 0). Only the upper triangle is read, so symmetry holds by
+      construction, and `closed` and `masks` are filled in the same pass.
+
+    Adjacency lists are ascending and deduplicated. Instances are safe for
+    concurrent shared reads.
     """
 
     __slots__ = ("n", "adj", "_closed", "_masks", "m")
@@ -60,41 +75,15 @@ class Graph:
     def __init__(self, n: int, adjacency):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        if len(adjacency) != n:
-            raise ValueError("adjacency must have one entry per vertex")
-        # Checks run on whole rows at C speed; the inner loop only names an offender.
-        adj = []
-        cuts = []  # adj[v][:cuts[v]] is the part of row v below v
-        rev = [[] for _ in range(n)]
-        for v, nbrs in enumerate(adjacency):
-            ns = tuple(nbrs)
-            if not {int}.issuperset(map(type, ns)):
-                raise ValueError(f"neighbour ids of {v} must be ints")
-            ns = tuple(sorted(ns))
-            cut = bisect_left(ns, v)
-            if ns and (ns[0] < 0 or ns[-1] >= n) or ns[cut:cut + 1] == (v,):
-                for u in ns:
-                    if not 0 <= u < n:
-                        raise ValueError(f"neighbour {u} of {v} out of range")
-                    if u == v:
-                        raise ValueError(f"self-loop stored at {v}; reflexivity is implicit")
-            if len(set(ns)) != len(ns):
-                raise ValueError(f"duplicate neighbour entry at {v}")
-            for u in ns[cut:]:
-                rev[u].append(v)
-            adj.append(ns)
-            cuts.append(cut)
-        # rev[u] lists, ascending, every v < u with u in adj[v]. The adjacency
-        # is symmetric exactly when that equals the part of adj[u] below u for
-        # every u: each pair v < u is then listed from both ends or from none.
-        if any(tuple(r) != a[:c] for r, a, c in zip(rev, adj, cuts)):
-            v, u = min((v, u) for v in range(n) for u in adj[v] if v not in adj[u])
-            raise ValueError(f"asymmetric adjacency: {v}->{u} without {u}->{v}")
+        if isinstance(adjacency, bytes):
+            adj, self._closed, self._masks = _matrix_rows(n, adjacency)
+        else:
+            adj = _checked_rows(n, adjacency)
+            self._closed = None
+            self._masks = None
         self.n = n
-        self.adj = tuple(adj)
-        self.m = sum(len(a) for a in adj) // 2
-        self._closed = None
-        self._masks = None
+        self.adj = adj
+        self.m = sum(map(len, adj)) // 2
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -126,6 +115,8 @@ class Graph:
         """Closed neighbourhoods N[v] as bitmasks (bit u of masks[v] set iff
         u = v or u ~ v), computed once."""
         if self._masks is None:
+            # One OR per entry: summing a table of powers of two was slower
+            # on small graphs, which are most of the list-built ones.
             masks = []
             for v, nbrs in enumerate(self.adj):
                 m = 0
@@ -166,6 +157,84 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
+
+
+# Byte table that spells a 0/1 adjacency row as the digits of a base-2 int.
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _checked_rows(n: int, adjacency) -> tuple:
+    """Adjacency lists, one per vertex, as ascending tuples; ValueError naming
+    the first offending vertex for a non-int, out-of-range, duplicate or
+    self-loop entry, or for an asymmetric pair."""
+    if len(adjacency) != n:
+        raise ValueError("adjacency must have one entry per vertex")
+    # Checks run on whole rows at C speed; the inner loop only names an offender.
+    adj = []
+    cuts = []  # adj[v][:cuts[v]] is the part of row v below v
+    rev = [[] for _ in range(n)]
+    for v, nbrs in enumerate(adjacency):
+        ns = tuple(nbrs)
+        if not {int}.issuperset(map(type, ns)):
+            raise ValueError(f"neighbour ids of {v} must be ints")
+        ns = tuple(sorted(ns))
+        cut = bisect_left(ns, v)
+        if ns and (ns[0] < 0 or ns[-1] >= n) or ns[cut:cut + 1] == (v,):
+            for u in ns:
+                if not 0 <= u < n:
+                    raise ValueError(f"neighbour {u} of {v} out of range")
+                if u == v:
+                    raise ValueError(f"self-loop stored at {v}; reflexivity is implicit")
+        if len(set(ns)) != len(ns):
+            raise ValueError(f"duplicate neighbour entry at {v}")
+        for u in ns[cut:]:
+            rev[u].append(v)
+        adj.append(ns)
+        cuts.append(cut)
+    # rev[u] lists, ascending, every v < u with u in adj[v]. The adjacency
+    # is symmetric exactly when that equals the part of adj[u] below u for
+    # every u: each pair v < u is then listed from both ends or from none.
+    if any(tuple(r) != a[:c] for r, a, c in zip(rev, adj, cuts)):
+        v, u = min((v, u) for v in range(n) for u in adj[v] if v not in adj[u])
+        raise ValueError(f"asymmetric adjacency: {v}->{u} without {u}->{v}")
+    return tuple(adj)
+
+
+def _matrix_rows(n: int, matrix: bytes):
+    """(adj, closed, masks) of the graph whose edges are the set bytes of an
+    upper-triangular n*n 0/1 matrix, row-major: byte v*n + u is 1 iff
+    v < u and v ~ u. ValueError naming the first offending row for a wrong
+    length, a byte other than 0 or 1, or a set byte at or below the
+    diagonal. Only the upper triangle is read, so the graph is symmetric.
+
+    Each check runs at C speed. Row v of the closed neighbourhoods is
+    column v above the diagonal, then a set diagonal byte, then row v right
+    of it; one pass turns each such row into N[v], adj(v) and the mask."""
+    size = len(matrix)
+    if size != n * n:
+        v = size // n if n else 0
+        raise ValueError(f"adjacency matrix has {size} bytes, not {n}*{n}: row {v} is "
+                         + ("cut short" if size < n * n else "past the last vertex"))
+    bad = matrix.translate(None, b"\0\1")
+    if bad:
+        at = matrix.index(bad[:1])
+        raise ValueError(f"adjacency matrix byte ({at // n},{at % n}) is {bad[0]}, not 0 or 1")
+    ids = tuple(range(n))  # compress reads a tuple faster than a range
+    adj, closed, masks = [], [], []
+    for v in ids:
+        start = v * n
+        low = matrix.find(1, start, start + v + 1)
+        if low >= 0:
+            raise ValueError(f"adjacency matrix byte ({v},{low - start}) is set at or below "
+                             "the diagonal")
+        above = matrix[v:start:n]  # byte (u, v) for each u < v
+        row = above + b"\1" + matrix[start + v + 1:start + n]
+        near = tuple(itertools.compress(ids, row))
+        cut = above.count(1)
+        closed.append(near)
+        adj.append(near[:cut] + near[cut + 1:])
+        masks.append(int(row[::-1].translate(_DIGITS), 2))
+    return tuple(adj), tuple(closed), tuple(masks)
 
 
 def bfs_distances(g: Graph, sources, allowed=None) -> list[int]:
@@ -374,7 +443,12 @@ def k_center(g: Graph, k: int, mode: str = "exact") -> KCenterResult:
     That is the set an exhaustive scan of k-subsets in lexicographic order
     keeps. More than SUBSET_CAP k-subsets raise SearchSpaceTooLarge before
     any ball is grown. With k = 1 the radius and the smallest-id centre come
-    from one eccentricities() sweep.
+    from one eccentricities() sweep, except on a tree (m = n - 1), where
+    three BFS find them in O(n): from vertex 0 to the farthest vertex a,
+    from a to the far end b of a diameter path of length D, and from b. A
+    tree's centres are the middle one or two vertices of that path, the
+    vertices v with d(a, v) + d(v, b) = D and eccentricity
+    max(d(a, v), d(v, b)) = ceil(D / 2), the radius.
 
     With k >= 2 it searches radius-r balls (Kariv & Hakimi 1979 for the
     p-center problem). The greedy radius r_g is feasible, and its k + 1
@@ -410,6 +484,14 @@ def k_center(g: Graph, k: int, mode: str = "exact") -> KCenterResult:
             f"C({g.n},{k}) = {math.comb(g.n, k)} exceeds cap {SUBSET_CAP}"
         )
     if k == 1:
+        if g.m == g.n - 1:  # a tree: connected, with n - 1 edges
+            da = bfs_distances(g, depth.index(max(depth)))
+            diameter = max(da)
+            db = bfs_distances(g, da.index(diameter))
+            radius = (diameter + 1) // 2
+            centre = next(v for v, (x, y) in enumerate(zip(da, db))
+                          if x + y == diameter and max(x, y) == radius)
+            return KCenterResult((centre,), radius)
         ecc = eccentricities(g)
         radius = min(ecc)
         return KCenterResult((ecc.index(radius),), radius)

@@ -55,8 +55,9 @@ def trap_matching(g: Graph, cops, v: int, d: int, reach: int, mode: str = "hyper
     `Graph.masks` until no cop is outside it or the radius is the admission
     distance (only the last ball may stop part-grown). Routes step inward to
     the smallest-id neighbour in the next smaller ball: `step_toward`'s rule.
-    Memory: the masks (about n^2/16 bytes on a sparse graph) and up to
-    radius + 1 n-bit balls per target.
+    Memory: the masks (about n^2/16 bytes on a sparse graph; a G(n, p)
+    graph has them from its construction, any other graph builds them on
+    first use, here) and up to radius + 1 n-bit balls per target.
     """
     if reach < 1:
         raise ValueError("reach must be at least 1")
@@ -165,6 +166,38 @@ def tighten_step(g: Graph, dist_v, i: int, occupiers):
     return moves
 
 
+def _trap_rounds(g: Graph, cops, centre: int, d: int, mode: str, metadata: dict):
+    """Yield the cops' positions for each round of the depth-d trap around
+    `centre`; record the witness in `metadata` and return at the first
+    failure. It holds no reference to its policy: a policy that held a plan
+    that held the policy would keep its graph alive until the cyclic
+    collector ran."""
+    result = trap_matching(g, cops, centre, d, d + 1, mode=mode)
+    if not isinstance(result, TrapAssignment):
+        metadata["hall_deficient"] = list(result.deficient_targets)
+        return
+    metadata["matching_saturated"] = True
+    metadata["certified_bound"] = 2 * d + 1
+    pos = list(cops)
+    for i in range(1, d + 2):
+        for cid, route in result.routes.items():
+            pos[cid] = route[min(i, len(route) - 1)]
+        yield tuple(pos)
+    dist_v = bfs_distances(g, centre)
+    for layer in range(d, 0, -1):
+        occupiers = [(cid, p) for cid, p in enumerate(pos) if dist_v[p] == layer]
+        try:
+            moves = tighten_step(g, dist_v, layer, occupiers)
+        except LayerHallFailure as exc:
+            metadata["tighten_failure"] = list(exc.witness)
+            return
+        for cid, p in moves.items():
+            pos[cid] = p
+        yield tuple(pos)
+    while True:
+        yield tuple(pos)
+
+
 class SphereTrapPolicy(CopPolicy):
     """Random placement, then trap the robber's starting sphere.
 
@@ -186,7 +219,6 @@ class SphereTrapPolicy(CopPolicy):
         self.d = d
         self.mode = mode
         self.seed = seed
-        self.reach = d + 1
         self.bound = 2 * d + 1
         self._plan = None
         self.metadata = {
@@ -209,38 +241,9 @@ class SphereTrapPolicy(CopPolicy):
             pos = sample_with_replacement(rng, g.n, k)
         return tuple(pos)
 
-    def _trap(self, cops, centre: int):
-        """Yield the cops' positions for each round of the trap around
-        `centre`; record the witness and return at the first failure."""
-        g = self.g
-        result = trap_matching(g, cops, centre, self.d, self.reach, mode=self.mode)
-        if not isinstance(result, TrapAssignment):
-            self.metadata["hall_deficient"] = list(result.deficient_targets)
-            return
-        self.metadata["matching_saturated"] = True
-        self.metadata["certified_bound"] = self.bound
-        pos = list(cops)
-        for i in range(1, self.reach + 1):
-            for cid, route in result.routes.items():
-                pos[cid] = route[min(i, len(route) - 1)]
-            yield tuple(pos)
-        dist_v = bfs_distances(g, centre)
-        for layer in range(self.d, 0, -1):
-            occupiers = [(cid, p) for cid, p in enumerate(pos) if dist_v[p] == layer]
-            try:
-                moves = tighten_step(g, dist_v, layer, occupiers)
-            except LayerHallFailure as exc:
-                self.metadata["tighten_failure"] = list(exc.witness)
-                return
-            for cid, p in moves.items():
-                pos[cid] = p
-            yield tuple(pos)
-        while True:
-            yield tuple(pos)
-
     def move(self, g: Graph, cops, robber: int, rnd: int):
         if self._plan is None:
-            self._plan = self._trap(cops, robber)
+            self._plan = _trap_rounds(self.g, cops, robber, self.d, self.mode, self.metadata)
         planned = next(self._plan, None)
         if planned is not None:
             return planned

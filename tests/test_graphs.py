@@ -140,11 +140,17 @@ def test_constructor_matches_reference(case):
     assert outcome(built, n, adj) == outcome(reference_graph_adj, n, adj)
 
 
-@pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0])
+def fields(g):
+    return g.n, g.adj, g.m, g.closed, g.masks
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0, 0, 1])
 def test_gnp_matches_edge_list_reference(p):
+    """gen_gnp's matrix build gives the edge-list reference's instance, with
+    the same adjacency, edge count, closed rows and masks."""
     for n in range(41):
         for seed in (n, f"s{n}"):
-            assert gen_gnp(n, p, seed).adj == reference_gen_gnp(n, p, seed).adj
+            assert fields(gen_gnp(n, p, seed)) == fields(reference_gen_gnp(n, p, seed))
 
 
 def test_connected_gnp_matches_edge_list_reference():
@@ -154,7 +160,50 @@ def test_connected_gnp_matches_edge_list_reference():
         if reference_gen_gnp(500, 0.5, f"trap-1-0:{a}").is_connected()
     )
     assert probe == first
-    assert g.adj == reference_gen_gnp(500, 0.5, probe).adj
+    assert fields(g) == fields(reference_gen_gnp(500, 0.5, probe))
+
+
+def matrix(n, pairs):
+    """The upper-triangular byte matrix with byte (u, v) = value for each
+    ((u, v), value) of `pairs`."""
+    m = bytearray(n * n)
+    for (u, v), value in pairs:
+        m[u * n + v] = value
+    return bytes(m)
+
+
+@pytest.mark.parametrize("n, adjacency, message", [
+    (3, bytes(8), "row 2 is cut short"),
+    (3, bytes(10), "row 3 is past the last vertex"),
+    (0, bytes(1), "row 0 is past the last vertex"),
+    (3, matrix(3, [((0, 1), 1), ((1, 2), 2)]), r"byte \(1,2\) is 2, not 0 or 1"),
+    (3, matrix(3, [((0, 1), 1), ((2, 2), 255)]), r"byte \(2,2\) is 255, not 0 or 1"),
+    (3, matrix(3, [((0, 2), 1), ((1, 1), 1)]), r"byte \(1,1\) is set at or below the diagonal"),
+    (4, matrix(4, [((0, 1), 1), ((3, 1), 1), ((2, 0), 1)]),
+     r"byte \(2,0\) is set at or below the diagonal"),
+], ids=["short", "long", "long-empty", "byte-2", "byte-255", "diagonal", "lower"])
+def test_matrix_form_refusals(n, adjacency, message):
+    """The byte-matrix form of Graph refuses a wrong length, a byte other
+    than 0 or 1, and a set byte on or below the diagonal, naming the first
+    offending row."""
+    with pytest.raises(ValueError, match=message):
+        Graph(n, adjacency)
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 12).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.booleans(), min_size=n * n, max_size=n * n))))
+def test_matrix_form_matches_list_form(case):
+    """For a random simple graph, the byte matrix and the adjacency lists
+    build equal Graphs, with equal edge counts, closed rows and masks."""
+    n, bits = case
+    pairs = [(u, v) for u, v in itertools.combinations(range(n), 2) if bits[u * n + v]]
+    lists = [[] for _ in range(n)]
+    for u, v in pairs:
+        lists[u].append(v)
+        lists[v].append(u)
+    from_matrix, from_lists = Graph(n, matrix(n, [(pair, 1) for pair in pairs])), Graph(n, lists)
+    assert from_matrix == from_lists and fields(from_matrix) == fields(from_lists)
 
 
 def test_closed_neighbourhoods_sorted_and_reflexive():
@@ -317,18 +366,38 @@ def test_greedy_k_center_matches_the_table_version(n, p, seed, k):
 
 
 def test_exact_k_center_one_center_streams_rows():
-    """With k = 1 one eccentricities() sweep gives the radius: k_center
-    builds no n x n distance table (6.4 MB on path:600 when it did), and
-    still finds the first vertex of least eccentricity."""
-    g, _ = gen_path(600)
-    tracemalloc.start()
-    try:
-        res = k_center(g, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert res == graphs.KCenterResult((299,), 300)
-    assert peak < 1 << 20
+    """With k = 1 k_center builds no n x n distance table (6.4 MB on
+    path:600 when it did): a tree takes three BFS and any other graph, here
+    a cycle, one eccentricities() sweep. Both find the first vertex of least
+    eccentricity."""
+    for g, want in ((gen_path(600)[0], ((299,), 300)), (gen_cycle(400), ((0,), 200))):
+        tracemalloc.start()
+        try:
+            res = k_center(g, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res == graphs.KCenterResult(*want)
+        assert peak < 1 << 20
+
+
+def test_k_center_one_on_a_tree_runs_three_bfs(monkeypatch):
+    """On a tree, exact k_center with k = 1 takes the radius and the least
+    centre from three BFS, not from the eccentricities sweep: it matches the
+    sweep on 20 random trees of each size from 1 to 59 and on paths of 1 to
+    49 vertices."""
+    trees = [gen_tree(n, seed) for n in range(1, 60) for seed in range(20)]
+    trees += [gen_path(q)[0] for q in range(1, 50)]
+    want = []
+    for g in trees:
+        ecc = graphs.eccentricities(g)
+        want.append(graphs.KCenterResult((ecc.index(min(ecc)),), min(ecc)))
+
+    def refuse(g):
+        raise AssertionError("k_center ran the eccentricities sweep on a tree")
+
+    monkeypatch.setattr(graphs, "eccentricities", refuse)
+    assert [k_center(g, 1) for g in trees] == want
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,6 +1,8 @@
+import gc
 import itertools
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -254,6 +256,24 @@ def test_general_mode_on_random_graph():
     meta = t.metadata["cop"]
     if meta["matching_saturated"]:
         assert t.capture_round is not None and t.capture_round <= 3
+
+
+def test_policy_is_freed_without_the_cyclic_collector():
+    """A policy whose trap plan is still running holds no reference cycle:
+    dropping the last reference frees it, and its graph, at once. When the
+    plan held the policy, each game's graph lived until the cyclic collector
+    ran, and the dense_trap benchmark's peak RSS grew from game to game."""
+    g = gen_gnp(60, 0.5, 11)
+    pol = SphereTrapPolicy(g, 40, 1, mode="general", seed=5)
+    t = play(g, 40, pol, StayFarRobber(), 20)
+    assert t.metadata["cop"]["matching_saturated"] and pol._plan is not None
+    freed = weakref.ref(pol)
+    gc.disable()
+    try:
+        del pol
+        assert freed() is None
+    finally:
+        gc.enable()
 
 
 def test_tightening_runs_one_bfs_from_the_centre(monkeypatch):
