@@ -11,14 +11,15 @@ the capture round its proof guarantees on the (g, k) it was built for. The
 suites that check a strategy call one audit, `_audit`, which plays the policy
 against one robber (or, exhaustively, against every robber up to the bound)
 and reports whether capture came within `policy.bound`. The sphere-trap
-suites count certified runs, so they read `policy.bound` directly.
+suites count certified runs: `policy.bound`, and the trap's outcome as the
+transcript records it.
 
 SUITES, COP_POLICIES and ROBBER_POLICIES map each name the command line
 takes to its function and its parameters with defaults; `_lookup` reads all
 three and refuses an undeclared key. `play_config` plays a game of named
 policies for `simulate` and for `mc_run`, which decides once per batch what
 its games depend on: it plays one game per seed, or one in all, and builds
-what no game's seed changes once.
+what no game's seed changes once (`play` carries each game's cop state).
 """
 
 from __future__ import annotations
@@ -669,7 +670,7 @@ COP_POLICIES = {
     "subcube_partition": (lambda g, codec, k, ell, **_: subcube_partition_policy(
         g, _codec(codec, CubeCodec, "cop policy 'subcube_partition'"), k, ell), {"ell": None}),
     "sphere_trap": (lambda g, k, seed, d, mode, **_: SphereTrapPolicy(
-        g, k, int(d), mode=mode, seed=seed), {"d": 1, "mode": "hypercube"}),
+        g, k, d, mode=mode, seed=seed), {"d": 1, "mode": "hypercube"}),
     "separator_sweep": (lambda g, k, **_: SeparatorSweepPolicy(g, k), {}),
     "three_cop_planar": (lambda g, **_: ThreeCopPlanarPolicy(g), {}),
     "static": (lambda positions, **_: StaticCopPolicy(_positions(positions)), {"positions": ()}),
@@ -788,9 +789,9 @@ def mc_run(config: MCConfig) -> MCSummary:
     per distinct ``str(seed)`` when either holds, and otherwise one game in
     all; each row is {"trial", "seed", **that game's fields}. A spec without
     {seed} builds its graph, its value table and each seed-free policy once,
-    in one ``kept`` dict for all the batch's games; placement resets every
-    policy's per-game state. A {seed} spec gets a fresh dict per game. Every
-    row is as if its game were built and played afresh."""
+    in one ``kept`` dict for all the batch's games; `play` carries each
+    game's cop state, and a robber starts afresh at placement. A {seed} spec
+    gets a fresh dict per game. Every row is as if built and played afresh."""
     if config.trials < 1:
         raise ValueError("trials must be at least 1")
     if config.k < 1:

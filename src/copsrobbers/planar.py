@@ -14,12 +14,16 @@ Two cop strategies live here:
   territory. Regions are operationalised as connected components of the
   graph minus guarded vertices; planarity is not checked, but a territory
   that stops shrinking raises ProgressStall.
+
+Each policy builds what every game shares; what a game changes, its phase
+log included, is a hashable state that `move` takes and returns.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .errors import DisconnectedGraph, ProgressStall, TeamBudgetExceeded
 from .graphs import (
@@ -115,19 +119,19 @@ class SeparatorSweepPolicy(CopPolicy):
     each phase walks a fresh team onto a BFS-level separator (see
     `separator`) of the current territory, multiplying it by at most 2/3.
     Cops never leave a separator once placed, and idle cops wait at the
-    lowest-id centre. The bound is 6 * radius * log2(n) rounds."""
+    lowest-id centre. The bound is 6 * radius * log2(n) rounds.
+
+    A game's state is (stationed vertices, walkers as (cop, target,
+    distances) triples, each phase's (territory, separator) sizes)."""
 
     def __init__(self, g: Graph, k: int):
-        self.g = g
         self.k = k
         met = metrics(g)
         ecc = met.eccentricities
         self._first_separator = _level_cut(g, ecc.index(met.diameter)).separator
         self._centre = ecc.index(met.radius)
         self.bound = 6 * met.radius * math.log2(g.n)
-        self.stationed: dict[int, int] = {}
-        self.walkers: list[dict] = []
-        self.metadata = {"policy": "separator-sweep", "phases": []}
+        self.metadata = {"policy": "separator-sweep"}
 
     def placement(self, g: Graph, k: int):
         if k != self.k:
@@ -135,55 +139,49 @@ class SeparatorSweepPolicy(CopPolicy):
         s0 = self._first_separator
         if len(s0) > k:
             raise TeamBudgetExceeded(len(s0), k)
-        pos = list(s0) + [self._centre] * (k - len(s0))
-        self.stationed = {i: s0[i] for i in range(len(s0))}
-        self.walkers = []
-        # a new list: the last game's transcript holds the old one
-        self.metadata["phases"] = [{"territory": g.n, "separator": len(s0)}]
-        return tuple(pos)
+        return s0 + (self._centre,) * (k - len(s0)), (s0, (), ((g.n, len(s0)),))
 
-    def _plan(self, robber: int):
-        g = self.g
-        walls = set(self.stationed.values())
-        territory = component_of(g, robber, blocked=walls)
+    def _plan(self, g: Graph, stationed, robber: int):
+        """The walkers onto a separator of the robber's territory, and the
+        phase's sizes."""
+        territory = component_of(g, robber, blocked=set(stationed))
         sub_g, _, to_global = g.induced(sorted(territory))
         sep = separator(sub_g).separator
         targets = sorted(to_global[v] for v in sep)
-        used = len(self.stationed) + len(self.walkers)
+        used = len(stationed)
         if used + len(targets) > self.k:
             raise TeamBudgetExceeded(used + len(targets), self.k)
-        self.metadata["phases"].append(
-            {"territory": len(territory), "separator": len(targets)}
-        )
-        for j, t in enumerate(targets):
-            self.walkers.append(
-                {"cop": used + j, "target": t, "dist": bfs_distances(g, t)}
-            )
+        walkers = tuple((used + j, t, tuple(bfs_distances(g, t))) for j, t in enumerate(targets))
+        return walkers, (len(territory), len(targets))
 
-    def move(self, g: Graph, cops, robber: int, rnd: int):
-        if not self.walkers:
-            self._plan(robber)
+    def move(self, g: Graph, state, cops, robber: int, rnd: int):
+        stationed, walkers, phases = state
+        if not walkers:
+            walkers, phase = self._plan(g, stationed, robber)
+            phases += (phase,)
         out = list(cops)
-        arrived = []
-        for w in self.walkers:
-            c = w["cop"]
+        moving = []
+        for w in walkers:
+            c, target, dist = w
             pos = cops[c]
-            if pos != w["target"]:
-                pos = step_toward(g, w["dist"], pos)
-                out[c] = pos
-            if pos == w["target"]:
-                arrived.append(w)
-        for w in arrived:
-            self.stationed[w["cop"]] = w["target"]
-            self.walkers.remove(w)
-        return tuple(out)
+            if pos != target:
+                pos = out[c] = step_toward(g, dist, pos)
+            if pos == target:
+                stationed += (target,)
+            else:
+                moving.append(w)
+        return tuple(out), (stationed, tuple(moving), phases)
+
+    def record(self, state) -> dict:
+        return {**self.metadata,
+                "phases": [{"territory": t, "separator": s} for t, s in state[2]]}
 
 
 # ---------------------------------------------------------------------------
 # path guarding
 
 
-@dataclass
+@dataclass(frozen=True)
 class GuardedPath:
     """An isometric path being guarded via its retract shadow.
 
@@ -201,23 +199,19 @@ class GuardedPath:
     def shadow_index(self, robber: int) -> int:
         return min(self.home_dist[robber], len(self.path) - 1)
 
-    def shadow(self, robber: int) -> int:
-        return self.path[self.shadow_index(robber)]
 
-
-def guard_path_moves(guard: GuardedPath, robber: int) -> int:
-    """Next vertex for the guarding cop. Chasing steps along the path toward
-    the shadow and flips to guarding on contact; guarding mirrors the shadow
-    (always a legal step: the shadow moves at most one path vertex per
-    robber move)."""
+def guard_path_moves(guard: GuardedPath, robber: int):
+    """Next vertex for the guarding cop, and the guard after that step.
+    Chasing steps along the path toward the shadow and flips to guarding on
+    contact; guarding mirrors the shadow (always a legal step: the shadow
+    moves at most one path vertex per robber move)."""
     j = guard.shadow_index(robber)
-    if guard.status == "chase" and guard.index == j:
-        guard.status = "guard"
-    if guard.status == "guard":
-        guard.index = j
-        return guard.path[j]
-    guard.index += 1 if j > guard.index else -1
-    return guard.path[guard.index]
+    if guard.status == "chase" and guard.index != j:
+        i = guard.index + (1 if j > guard.index else -1)
+        return guard.path[i], replace(guard, index=i)
+    if guard.status == "chase" or guard.index != j:
+        guard = replace(guard, status="guard", index=j)
+    return guard.path[j], guard
 
 
 def _path(g: Graph, src: int, dst: int, allowed=None) -> list[int]:
@@ -239,6 +233,162 @@ def _join_path(g: Graph, territory, v1: int, v2: int) -> list[int]:
 # three-cop phase machine
 
 
+class _Guarding(NamedTuple):
+    """A three-cop game's state. `plan` is the phase planned and not yet
+    settled: (case, new guard's cop), and for "II-split" also the split
+    guard's cop, the span's ends v1, v2 and the new path's first vertex."""
+
+    guards: tuple
+    pending: tuple | None
+    free: tuple
+    last_progress: int
+    prev_territory: int
+    plan: tuple
+    phases: tuple = ()
+
+
+def _auto_free(g: Graph, guards: tuple, free: tuple, robber: int):
+    """Release guards whose removal leaves the robber's component unchanged.
+    Returns the resulting territory (None if the robber is standing on a
+    wall), guards and free cops."""
+    while True:
+        guarding = [gd for gd in guards if gd.status == "guard"]
+        walls = set()
+        for gd in guarding:
+            walls.update(gd.path)
+        if robber in walls:
+            return None, guards, free
+        territory = component_of(g, robber, blocked=walls)
+        for gd in guarding:
+            rest = set()
+            for other in guarding:
+                if other.cop != gd.cop:
+                    rest.update(other.path)
+            if robber not in rest and component_of(g, robber, blocked=rest) == territory:
+                guards = tuple(other for other in guards if other.cop != gd.cop)
+                free = tuple(sorted(free + (gd.cop,)))
+                break
+        else:
+            return territory, guards, free
+
+
+def _try_extension(g: Graph, guards: tuple, plan: tuple, territory):
+    """After a II-split, graft the split wall's outer segments onto the new
+    guard's path: the guards with the new guard re-chasing on the graft, or
+    None when the graft does not apply."""
+    if not plan or plan[0] != "II-split":
+        return None
+    _, new_cop, split_cop, v1, v2, u1 = plan
+    by_cop = {gd.cop: gd for gd in guards}
+    if split_cop not in by_cop or new_cop not in by_cop:
+        return None
+    new_guard = by_cop[new_cop]
+    p1 = list(by_cop[split_cop].path)
+    i1, i2 = p1.index(v1), p1.index(v2)
+    if i1 > i2:
+        i1, i2 = i2, i1
+    mid = list(new_guard.path)
+    if mid[0] != u1:
+        mid.reverse()
+    pprime = p1[: i1 + 1] + mid + p1[i2:]
+    if len(set(pprime)) != len(pprime):
+        return None
+    for a, b in zip(pprime, pprime[1:]):
+        if b not in g.adj[a]:
+            return None
+    allowed = set(territory) | set(pprime)
+    dist = bfs_distances(g, pprime[0], allowed)
+    if dist[pprime[-1]] != len(pprime) - 1:
+        # asserted shortest path is not isometric here; take a real one
+        pprime = walk_toward(g, dist, pprime[-1])[::-1]
+    cop_v = new_guard.path[new_guard.index]
+    if cop_v not in pprime:
+        return None
+    grafted = replace(new_guard, path=tuple(pprime), home_dist=tuple(dist),
+                      index=pprime.index(cop_v), status="chase")
+    return tuple(grafted if gd.cop == new_cop else gd for gd in guards)
+
+
+def _settle(g: Graph, state: _Guarding, robber: int, rnd: int) -> _Guarding:
+    """Release guards, graft after a II-split, and log the settled phase."""
+    territory, guards, free = _auto_free(g, state.guards, state.free, robber)
+    if territory is not None and sum(gd.status == "guard" for gd in guards) > 2:
+        grafted = _try_extension(g, guards, state.plan, territory)
+        if grafted is not None:
+            territory, guards, free = _auto_free(g, grafted, free, robber)
+    size = len(territory) if territory is not None else 0
+    shrink = state.prev_territory - size
+    case = state.plan[0] if state.plan else "rechase"
+    return state._replace(
+        guards=guards, free=free, plan=(), prev_territory=size,
+        last_progress=rnd if shrink > 0 or territory is None else state.last_progress,
+        phases=state.phases + ((case, shrink, rnd, size),),
+    )
+
+
+def _plan(g: Graph, state: _Guarding, robber: int, cops) -> _Guarding:
+    """Send the first free cop toward a new path that walls off the robber's
+    territory, by the phase rules of ThreeCopPlanarPolicy."""
+    walls = set()
+    for gd in state.guards:
+        walls.update(gd.path)
+    if robber in walls or not state.free:
+        return state
+    territory = component_of(g, robber, blocked=walls)
+    guarding = [gd for gd in state.guards if gd.status == "guard"]
+    atts = {gd.cop: [v for v in gd.path if any(u in territory for u in g.adj[v])]
+            for gd in guarding}
+    all_atts = sorted({v for a in atts.values() for v in a})
+    if not all_atts:
+        # nothing bounds the territory; should not happen after init
+        return state
+    split = ()
+
+    if len(all_atts) == 1:
+        v = all_atts[0]
+        allowed = set(territory) | {v}
+        dist = bfs_distances(g, v, allowed)
+        far = max(dist[u] for u in allowed)
+        u = min(w for w in allowed if dist[w] == far)
+        newpath = _path(g, u, v, allowed)
+        case, home_allowed = "III", allowed
+    elif len(guarding) == 1:
+        att = atts[guarding[0].cop]
+        v1, v2 = att[0], att[-1]
+        u1 = min(u for u in g.adj[v1] if u in territory)
+        u2 = min(u for u in g.adj[v2] if u in territory)
+        newpath = _path(g, u1, u2, territory)
+        case, home_allowed = "I", set(territory)
+    else:
+        a1, a2 = atts[guarding[0].cop], atts[guarding[1].cop]
+        if len(a1) == 1 and len(a2) == 1:
+            v1, v2 = a1[0], a2[0]
+            newpath = _join_path(g, territory, v1, v2)
+            case, home_allowed = "II-join", set(territory) | {v1, v2}
+        else:
+            split_cop = guarding[0].cop if len(a1) >= 2 else guarding[1].cop
+            att = atts[split_cop]
+            v1, v2 = att[0], att[-1]
+            u1 = min(u for u in g.adj[v1] if u in territory)
+            u2 = min(u for u in g.adj[v2] if u in territory)
+            newpath = _path(g, u1, u2, territory)
+            case, home_allowed = "II-split", set(territory)
+            split = (split_cop, v1, v2, newpath[0])
+
+    cop = state.free[0]
+    dist = bfs_distances(g, newpath[0], set(home_allowed) | set(newpath))
+    guard = GuardedPath(
+        path=tuple(newpath),
+        home_dist=tuple(dist),
+        cop=cop,
+        status="chase",
+        index=len(newpath) // 2,
+    )
+    centre = newpath[len(newpath) // 2]
+    route = tuple(_path(g, cops[cop], centre)[1:])
+    return state._replace(pending=(guard, route), free=state.free[1:], plan=(case, cop) + split)
+
+
 class ThreeCopPlanarPolicy(CopPolicy):
     """Guard a diametral shortest path, then repeatedly wall off the robber's
     component with a new guarded path, releasing every guard whose path no
@@ -257,12 +407,14 @@ class ThreeCopPlanarPolicy(CopPolicy):
       shortest path inside Y; if afterwards neither old wall can release,
       graft the split wall's outer segments onto the new path (re-verifying
       isometry, recomputing the path when the check fails) and re-chase.
+
+    The build is the initial path and the state placement starts from; a
+    game's state is a `_Guarding`, whose phase log `record` reports.
     """
 
     def __init__(self, g: Graph):
         if g.n == 0:
             raise DisconnectedGraph("empty graph has no metrics")
-        self.g = g
         # the diametral pair: the first u of largest eccentricity, and the
         # first vertex farthest from it
         try:
@@ -271,216 +423,64 @@ class ThreeCopPlanarPolicy(CopPolicy):
             raise DisconnectedGraph("three-cop policy needs a connected graph") from None
         self.diam = max(ecc)
         self.bound = (self.diam + 1) * g.n
-        du = self._init_dist = bfs_distances(g, ecc.index(self.diam))
+        du = bfs_distances(g, ecc.index(self.diam))
         self.init_path = tuple(walk_toward(g, du, du.index(self.diam))[::-1])
-        self.guards: list[GuardedPath] = []
-        self.pending: dict | None = None
-        self.free: list[int] = []
-        self.last_progress = 0
-        self.prev_territory = g.n
-        self.metadata = {"policy": "three-cop", "phases": []}
-        self._plan_info: dict | None = None
-
-    def _auto_free(self, robber: int):
-        """Release guards whose removal leaves the robber's component
-        unchanged; returns the resulting territory (None if the robber is
-        standing on a wall)."""
-        while True:
-            guarding = [gd for gd in self.guards if gd.status == "guard"]
-            walls = set()
-            for gd in guarding:
-                walls.update(gd.path)
-            if robber in walls:
-                return None
-            territory = component_of(self.g, robber, blocked=walls)
-            dropped = False
-            for gd in guarding:
-                rest = set()
-                for other in guarding:
-                    if other is not gd:
-                        rest.update(other.path)
-                if robber in rest:
-                    continue
-                if component_of(self.g, robber, blocked=rest) == territory:
-                    self.guards.remove(gd)
-                    self.free.append(gd.cop)
-                    self.free.sort()
-                    dropped = True
-                    break
-            if not dropped:
-                return territory
-
-    def _try_extension(self, robber: int, territory):
-        info = self._plan_info
-        if not info or info.get("case") != "II-split":
-            return False
-        old_guard, new_guard = info["split_guard"], info["new_guard"]
-        if old_guard not in self.guards or new_guard not in self.guards:
-            return False
-        p1 = list(old_guard.path)
-        i1, i2 = p1.index(info["v1"]), p1.index(info["v2"])
-        if i1 > i2:
-            i1, i2 = i2, i1
-        mid = list(new_guard.path)
-        if mid[0] != info["u1"]:
-            mid.reverse()
-        pprime = p1[: i1 + 1] + mid + p1[i2:]
-        if len(set(pprime)) != len(pprime):
-            return False
-        for a, b in zip(pprime, pprime[1:]):
-            if b not in self.g.adj[a]:
-                return False
-        allowed = set(territory) | set(pprime)
-        dist = bfs_distances(self.g, pprime[0], allowed)
-        if dist[pprime[-1]] != len(pprime) - 1:
-            # asserted shortest path is not isometric here; take a real one
-            pprime = walk_toward(self.g, dist, pprime[-1])[::-1]
-        cop_v = new_guard.path[new_guard.index]
-        if cop_v not in pprime:
-            return False
-        new_guard.path = tuple(pprime)
-        new_guard.home_dist = tuple(dist)
-        new_guard.index = pprime.index(cop_v)
-        new_guard.status = "chase"
-        return True
-
-    def _settle(self, robber: int, rnd: int):
-        territory = self._auto_free(robber)
-        if (
-            territory is not None
-            and sum(gd.status == "guard" for gd in self.guards) > 2
-        ):
-            if self._try_extension(robber, territory):
-                territory = self._auto_free(robber)
-        size = len(territory) if territory is not None else 0
-        shrink = self.prev_territory - size
-        case = self._plan_info["case"] if self._plan_info else "rechase"
-        self.metadata["phases"].append(
-            {"case": case, "shrink": shrink, "round": rnd, "territory": size}
-        )
-        if shrink > 0 or territory is None:
-            self.last_progress = rnd
-        self.prev_territory = size
-        self._plan_info = None
-
-    def _plan(self, robber: int, cops):
-        walls = set()
-        for gd in self.guards:
-            walls.update(gd.path)
-        if robber in walls or not self.free:
-            return
-        g = self.g
-        territory = component_of(g, robber, blocked=walls)
-        guarding = [gd for gd in self.guards if gd.status == "guard"]
-        atts = {id(gd): [v for v in gd.path if any(u in territory for u in g.adj[v])]
-                for gd in guarding}
-        all_atts = sorted({v for a in atts.values() for v in a})
-        if not all_atts:
-            # nothing bounds the territory; should not happen after init
-            return
-        info: dict = {}
-
-        if len(all_atts) == 1:
-            v = all_atts[0]
-            allowed = set(territory) | {v}
-            dist = bfs_distances(g, v, allowed)
-            far = max(dist[u] for u in allowed)
-            u = min(w for w in allowed if dist[w] == far)
-            newpath = _path(g, u, v, allowed)
-            case, home_allowed = "III", allowed
-        elif len(guarding) == 1:
-            gd = guarding[0]
-            att = atts[id(gd)]
-            v1, v2 = att[0], att[-1]
-            u1 = min(u for u in g.adj[v1] if u in territory)
-            u2 = min(u for u in g.adj[v2] if u in territory)
-            newpath = _path(g, u1, u2, territory)
-            case, home_allowed = "I", set(territory)
-        else:
-            a1, a2 = atts[id(guarding[0])], atts[id(guarding[1])]
-            if len(a1) == 1 and len(a2) == 1:
-                v1, v2 = a1[0], a2[0]
-                newpath = _join_path(g, territory, v1, v2)
-                case, home_allowed = "II-join", set(territory) | {v1, v2}
-            else:
-                split = guarding[0] if len(a1) >= 2 else guarding[1]
-                att = atts[id(split)]
-                v1, v2 = att[0], att[-1]
-                u1 = min(u for u in g.adj[v1] if u in territory)
-                u2 = min(u for u in g.adj[v2] if u in territory)
-                newpath = _path(g, u1, u2, territory)
-                case, home_allowed = "II-split", set(territory)
-                info.update({"split_guard": split, "v1": v1, "v2": v2, "u1": newpath[0]})
-
-        cop = self.free.pop(0)
-        dist = bfs_distances(g, newpath[0], set(home_allowed) | set(newpath))
         guard = GuardedPath(
-            path=tuple(newpath),
-            home_dist=tuple(dist),
-            cop=cop,
+            path=self.init_path,
+            home_dist=tuple(du),
+            cop=0,
             status="chase",
-            index=len(newpath) // 2,
+            index=len(self.init_path) // 2,
         )
-        centre = newpath[len(newpath) // 2]
-        route = _path(g, cops[cop], centre)[1:]
-        self.pending = {"guard": guard, "route": route}
-        info.update({"case": case, "new_guard": guard})
-        self._plan_info = info
+        self._start = _Guarding(guards=(), pending=(guard, ()), free=(1, 2),
+                                last_progress=0, prev_territory=g.n, plan=("init", 0))
+        self.metadata = {"policy": "three-cop"}
 
     def placement(self, g: Graph, k: int):
         if k != 3:
             raise ValueError("three-cop policy needs exactly k = 3")
         centre = self.init_path[len(self.init_path) // 2]
-        guard = GuardedPath(
-            path=self.init_path,
-            home_dist=tuple(self._init_dist),
-            cop=0,
-            status="chase",
-            index=len(self.init_path) // 2,
-        )
-        self.guards = []
-        self.pending = {"guard": guard, "route": []}
-        self._plan_info = {"case": "init", "new_guard": guard}
-        self.metadata["phases"] = []
-        self.free = [1, 2]
-        self.last_progress = 0
-        self.prev_territory = g.n
-        return (centre, centre, centre)
+        return (centre, centre, centre), self._start
 
-    def move(self, g: Graph, cops, robber: int, rnd: int):
-        if rnd - self.last_progress > self.diam + g.n + 2:
+    def move(self, g: Graph, state, cops, robber: int, rnd: int):
+        if rnd - state.last_progress > self.diam + g.n + 2:
             raise ProgressStall(
-                f"territory stuck for {rnd - self.last_progress} rounds"
+                f"territory stuck for {rnd - state.last_progress} rounds"
             )
         out = list(cops)
+        guards = list(state.guards)
+        pending = state.pending
         moved = set()
         settled = False
 
-        if self.pending is not None:
-            pd = self.pending
-            cop = pd["guard"].cop
-            if pd["route"]:
-                out[cop] = pd["route"].pop(0)
+        if pending is not None:
+            gd, route = pending
+            if route:
+                out[gd.cop], route = route[0], route[1:]
             else:
-                gd = pd["guard"]
-                out[cop] = guard_path_moves(gd, robber)
-                if gd.status == "guard":
-                    self.guards.append(gd)
-                    self.pending = None
-                    settled = True
-            moved.add(cop)
+                out[gd.cop], gd = guard_path_moves(gd, robber)
+            pending = (gd, route)
+            if gd.status == "guard":  # a pending guard chases until it settles
+                guards.append(gd)
+                pending = None
+                settled = True
+            moved.add(gd.cop)
 
-        for gd in list(self.guards):
+        for i, gd in enumerate(guards):
             if gd.cop in moved:
                 continue
-            was = gd.status
-            out[gd.cop] = guard_path_moves(gd, robber)
+            out[gd.cop], guards[i] = guard_path_moves(gd, robber)
             moved.add(gd.cop)
-            if was == "chase" and gd.status == "guard":
+            if gd.status == "chase" and guards[i].status == "guard":
                 settled = True
 
+        state = state._replace(guards=tuple(guards), pending=pending)
         if settled:
-            self._settle(robber, rnd)
-        if self.pending is None and not any(gd.status == "chase" for gd in self.guards):
-            self._plan(robber, out)
-        return tuple(out)
+            state = _settle(g, state, robber, rnd)
+        if state.pending is None and not any(gd.status == "chase" for gd in state.guards):
+            state = _plan(g, state, robber, out)
+        return tuple(out), state
+
+    def record(self, state) -> dict:
+        keys = ("case", "shrink", "round", "territory")
+        return {**self.metadata, "phases": [dict(zip(keys, phase)) for phase in state.phases]}

@@ -5,7 +5,8 @@ Policies see the full state (perfect information). Cop policies receive and
 return per-cop position tuples so team identities persist; the referee checks
 each cop's step against its closed neighbourhood and, in the fast-robber
 variant, lets the robber relocate anywhere in its component of the graph
-minus the cops' vertices.
+minus the cops' vertices. A cop policy never changes once built: `play` and
+`worst_case_capture_round` pass a game's hashable state from move to move.
 """
 
 from __future__ import annotations
@@ -19,11 +20,12 @@ from .serialize import stable_json
 
 
 class CopPolicy:
-    """Interface: placement(g, k) -> per-cop positions; move(g, cops, robber,
-    rnd) -> new per-cop positions, each within its closed neighbourhood.
-
-    `bound` is the capture round the policy's proof guarantees on the (g, k)
-    it was built for, or None when it claims none."""
+    """Interface: placement(g, k) -> (per-cop positions, state); move(g,
+    state, cops, robber, rnd) -> (new per-cop positions, state), each cop
+    within its closed neighbourhood; record(state) -> the game's metadata.
+    The state is hashable, None when a policy keeps none, and move is a
+    function of its arguments. `bound` is the capture round the policy's
+    proof guarantees on the (g, k) it was built for, or None."""
 
     metadata: dict = {}
     bound: int | float | None = None
@@ -31,8 +33,11 @@ class CopPolicy:
     def placement(self, g: Graph, k: int):
         raise NotImplementedError
 
-    def move(self, g: Graph, cops, robber: int, rnd: int):
+    def move(self, g: Graph, state, cops, robber: int, rnd: int):
         raise NotImplementedError
+
+    def record(self, state) -> dict:
+        return dict(self.metadata)
 
 
 class RobberPolicy:
@@ -124,7 +129,8 @@ def play(
     if robber_policy.fast_only and not fast_robber:
         raise ValueError(f"robber {type(robber_policy).__name__} relocates, so it plays "
                          "only in the fast-robber variant (fast_robber, --fast-robber)")
-    cops = tuple(cop_policy.placement(g, k))
+    cops, state = cop_policy.placement(g, k)
+    cops = tuple(cops)
     _check_cops(g, k, cops)
     robber = robber_policy.placement(g, cops)
     _check_vertex(g, robber, "robber")
@@ -135,7 +141,8 @@ def play(
         transcript.capture_round = 0
     else:
         for rnd in range(1, max_rounds + 1):
-            new_cops = tuple(cop_policy.move(g, cops, robber, rnd))
+            new_cops, state = cop_policy.move(g, state, cops, robber, rnd)
+            new_cops = tuple(new_cops)
             _check_cops(g, k, new_cops, cops)
             cops = new_cops
             cop_set = set(cops)
@@ -164,10 +171,10 @@ def play(
                 transcript.capture_round = rnd
                 break
 
-    for who, policy in (("cop", cop_policy), ("robber", robber_policy)):
-        meta = getattr(policy, "metadata", None)
-        if meta:
-            transcript.metadata[who] = dict(meta)
+    if meta := cop_policy.record(state):
+        transcript.metadata["cop"] = meta
+    if robber_policy.metadata:
+        transcript.metadata["robber"] = dict(robber_policy.metadata)
     if fast_robber:
         transcript.metadata["fast_robber"] = True
     return transcript
@@ -176,28 +183,30 @@ def play(
 def worst_case_capture_round(
     g: Graph, cop_policy: CopPolicy, k: int, horizon: int
 ) -> int | None:
-    """Exact worst-case capture round of a deterministic, stateless cop policy
-    against every robber behaviour, by exhaustive search of the robber's
-    decision tree (all placements, all move sequences) up to `horizon` cop
-    moves. Returns None if some robber line survives past the horizon.
+    """Exact worst-case capture round of a deterministic cop policy against
+    every robber behaviour, by exhaustive search of the robber's decision
+    tree (all placements, all move sequences) up to `horizon` cop moves.
+    Returns None if some robber line survives past the horizon; starts and
+    a robber's steps ascend, and the search stops at the first such line.
 
-    Only valid for policies whose move() is a pure function of
-    (cops, robber, round). The placement and every move pass the referee's
-    checks, as in `play` (IllegalMove otherwise).
+    The memo keys on (cops, robber, round, state). The placement and every
+    move pass the referee's checks, as in `play` (IllegalMove otherwise).
     """
     closed = g.closed
-    cops0 = tuple(cop_policy.placement(g, k))
+    cops0, state0 = cop_policy.placement(g, k)
+    cops0 = tuple(cops0)
     _check_cops(g, k, cops0)
     memo: dict = {}
 
-    def explore(cops, robber, rnd):
+    def explore(cops, robber, rnd, state):
         # robber alive before the round-`rnd` cop move
         if rnd > horizon:
             return None
-        key = (cops, robber, rnd)
+        key = (cops, robber, rnd, state)
         if key in memo:
             return memo[key]
-        new_cops = tuple(cop_policy.move(g, cops, robber, rnd))
+        new_cops, new_state = cop_policy.move(g, state, cops, robber, rnd)
+        new_cops = tuple(new_cops)
         _check_cops(g, k, new_cops, cops)
         new_set = set(new_cops)
         if robber in new_set:
@@ -208,7 +217,7 @@ def worst_case_capture_round(
             if nr in new_set:
                 res = rnd  # stepping onto a cop: capture at this round
             else:
-                res = explore(new_cops, nr, rnd + 1)
+                res = explore(new_cops, nr, rnd + 1, new_state)
             if res is None:
                 memo[key] = None
                 return None
@@ -220,7 +229,7 @@ def worst_case_capture_round(
     cset = set(cops0)
     worst = 0
     for r0 in range(g.n):
-        res = 0 if r0 in cset else explore(cops0, r0, 1)
+        res = 0 if r0 in cset else explore(cops0, r0, 1, state0)
         if res is None:
             return None
         if res > worst:

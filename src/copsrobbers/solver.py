@@ -515,9 +515,9 @@ class SolverCopPolicy(CopPolicy):
         if k != self.table.k:
             raise ValueError("table was solved for a different k")
         cfg, _ = self.table.best_placement()
-        return tuple(cfg)
+        return tuple(cfg), None
 
-    def move(self, g: Graph, cops, robber: int, rnd: int):
+    def move(self, g: Graph, state, cops, robber: int, rnd: int):
         t = self.table
 
         def key(step):
@@ -525,7 +525,7 @@ class SolverCopPolicy(CopPolicy):
             return t._value(t.config_index[cfg], robber, ROB), cfg
 
         # product ascends, and min keeps the first minimum
-        return min(itertools.product(*(t.graph.closed[c] for c in cops)), key=key)
+        return min(itertools.product(*(t.graph.closed[c] for c in cops)), key=key), None
 
 
 class SolverRobberPolicy(RobberPolicy):

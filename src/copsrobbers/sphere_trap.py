@@ -4,6 +4,8 @@ robber to the ball, then tighten layer by layer. Certified capture within
 2d+1 rounds whenever the matching saturates; a Hall witness is reported (and
 greedy pursuit substituted) otherwise. The cops eligible for each sphere
 vertex, and their routes, come from its distance balls over `Graph.masks`.
+A game's state is its trap, built as the game needs it: a game caught while
+the cops route pays for neither tightening nor a second BFS from the centre.
 
 Also houses the exact threshold formulas governing when the trap (or its
 counting counterpart) applies on hypercubes, and the net radius used for
@@ -15,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DomainError, LayerHallFailure
 from .graphs import Graph, bfs_distances, step_toward
@@ -166,36 +169,15 @@ def tighten_step(g: Graph, dist_v, i: int, occupiers):
     return moves
 
 
-def _trap_rounds(g: Graph, cops, centre: int, d: int, mode: str, metadata: dict):
-    """Yield the cops' positions for each round of the depth-d trap around
-    `centre`; record the witness in `metadata` and return at the first
-    failure. It holds no reference to its policy: a policy that held a plan
-    that held the policy would keep its graph alive until the cyclic
-    collector ran."""
-    result = trap_matching(g, cops, centre, d, d + 1, mode=mode)
-    if not isinstance(result, TrapAssignment):
-        metadata["hall_deficient"] = list(result.deficient_targets)
-        return
-    metadata["matching_saturated"] = True
-    metadata["certified_bound"] = 2 * d + 1
-    pos = list(cops)
-    for i in range(1, d + 2):
-        for cid, route in result.routes.items():
-            pos[cid] = route[min(i, len(route) - 1)]
-        yield tuple(pos)
-    dist_v = bfs_distances(g, centre)
-    for layer in range(d, 0, -1):
-        occupiers = [(cid, p) for cid, p in enumerate(pos) if dist_v[p] == layer]
-        try:
-            moves = tighten_step(g, dist_v, layer, occupiers)
-        except LayerHallFailure as exc:
-            metadata["tighten_failure"] = list(exc.witness)
-            return
-        for cid, p in moves.items():
-            pos[cid] = p
-        yield tuple(pos)
-    while True:
-        yield tuple(pos)
+class _Trap(NamedTuple):
+    """A sphere-trap game's state from its first move on; `failure` is the
+    metadata key and witness of the first failed step."""
+
+    centre: int
+    routes: tuple | None
+    played: int = 0
+    dist: tuple | None = None
+    failure: tuple = ()
 
 
 class SphereTrapPolicy(CopPolicy):
@@ -204,23 +186,23 @@ class SphereTrapPolicy(CopPolicy):
     Placement is a uniform k-subset when k <= n and uniform with replacement
     otherwise (teams may co-locate). The trap is set against the robber's
     first observed position, the trap centre; per-run success is certified
-    by the matching, never assumed. The plan yields one cop tuple per round:
-    d+1 routing rounds, one tightening step per layer, then the last tuple.
-    When the matching or a tightening step fails, the plan records the
-    witness and ends, and the policy falls back to greedy shortest-path
-    pursuit. Its bound, 2d+1, holds only on runs whose matching saturates.
+    by the matching, never assumed. The first move computes the matching,
+    and each move plays one round of the plan: d+1 routing rounds, one
+    tightening step per layer, then the cops stay. When the matching or a
+    tightening step fails, the state keeps the witness and the policy falls
+    back to greedy shortest-path pursuit. Its bound, 2d+1, holds only on
+    runs whose matching saturates.
     """
 
     def __init__(self, g: Graph, k: int, d: int, mode: str = "hypercube", seed=0):
-        if d < 0:
-            raise ValueError("d must be nonnegative")
-        self.g = g
-        self.k = k
+        if type(d) is not int or d < 0:
+            raise ValueError(f"d must be a nonnegative int, got {d!r}")
+        if mode not in ("hypercube", "general"):
+            raise ValueError(f"unknown mode {mode!r}")
         self.d = d
         self.mode = mode
         self.seed = seed
         self.bound = 2 * d + 1
-        self._plan = None
         self.metadata = {
             "policy": "sphere-trap",
             "mode": mode,
@@ -229,26 +211,50 @@ class SphereTrapPolicy(CopPolicy):
         }
 
     def placement(self, g: Graph, k: int):
-        # a new game: drop the last game's plan and what its run recorded
-        self._plan = None
-        for key in ("hall_deficient", "tighten_failure", "certified_bound"):
-            self.metadata.pop(key, None)
-        self.metadata["matching_saturated"] = False
         rng = make_rng(f"sphere-trap:{self.seed}")
         if k <= g.n:
             pos = sample_distinct(rng, g.n, k)
         else:
             pos = sample_with_replacement(rng, g.n, k)
-        return tuple(pos)
+        return tuple(pos), None
 
-    def move(self, g: Graph, cops, robber: int, rnd: int):
-        if self._plan is None:
-            self._plan = _trap_rounds(self.g, cops, robber, self.d, self.mode, self.metadata)
-        planned = next(self._plan, None)
-        if planned is not None:
-            return planned
+    def move(self, g: Graph, state, cops, robber: int, rnd: int):
+        d = self.d
+        if state is None:
+            result = trap_matching(g, cops, robber, d, d + 1, mode=self.mode)
+            if isinstance(result, TrapAssignment):
+                state = _Trap(robber, tuple(result.routes.items()))
+            else:
+                state = _Trap(robber, None, failure=("hall_deficient", result.deficient_targets))
+        if not state.failure:
+            played, pos = state.played + 1, list(cops)
+            if played <= d + 1:  # routing
+                for cid, route in state.routes:
+                    pos[cid] = route[min(played, len(route) - 1)]
+                return tuple(pos), state._replace(played=played)
+            layer = 2 * d + 2 - played
+            if layer < 1:  # every layer tightened: stay
+                return tuple(cops), state
+            dist = state.dist or tuple(bfs_distances(g, state.centre))
+            occupiers = [(cid, p) for cid, p in enumerate(cops) if dist[p] == layer]
+            try:
+                moves = tighten_step(g, dist, layer, occupiers)
+            except LayerHallFailure as exc:
+                state = state._replace(failure=("tighten_failure", exc.witness))
+            else:
+                for cid, p in moves.items():
+                    pos[cid] = p
+                return tuple(pos), state._replace(played=played, dist=dist)
         dist = bfs_distances(g, robber)
-        return tuple(c if dist[c] == 0 else step_toward(g, dist, c) for c in cops)
+        return tuple(c if dist[c] == 0 else step_toward(g, dist, c) for c in cops), state
+
+    def record(self, state) -> dict:
+        meta = dict(self.metadata)
+        if state and state.routes is not None:
+            meta.update(matching_saturated=True, certified_bound=self.bound)
+        if state and state.failure:
+            meta[state.failure[0]] = list(state.failure[1])
+        return meta
 
 
 # ---------------------------------------------------------------------------

@@ -91,13 +91,14 @@ class GreedyFastRobber(StayFarRobber):
 
 class RandomWalkRobber(RobberPolicy):
     """Uniform step within the closed neighbourhood each round; placement is
-    a uniform vertex. Seeded and reproducible."""
+    a uniform vertex and restarts the seeded stream, as a fresh robber would."""
 
     def __init__(self, seed):
-        self.rng = make_rng(seed)
+        self.seed = seed
         self.metadata = {"policy": "random-walk", "seed": str(seed)}
 
     def placement(self, g: Graph, cops) -> int:
+        self.rng = make_rng(self.seed)
         return rand_below(self.rng, g.n)
 
     def move(self, g: Graph, cops, robber: int, rnd: int) -> int:
@@ -157,10 +158,10 @@ class StaticCopPolicy(CopPolicy):
     def placement(self, g: Graph, k: int):
         if len(self.positions) != k:
             raise ValueError("position count mismatch")
-        return self.positions
+        return self.positions, None
 
-    def move(self, g: Graph, cops, robber: int, rnd: int):
-        return tuple(cops)
+    def move(self, g: Graph, state, cops, robber: int, rnd: int):
+        return tuple(cops), None
 
 
 # ---------------------------------------------------------------------------
@@ -194,14 +195,14 @@ class TreePolicy(CopPolicy):
     def placement(self, g: Graph, k: int):
         if k != self.k:
             raise ValueError("policy built for a different k")
-        return self.homes
+        return self.homes, None
 
-    def move(self, g: Graph, cops, robber: int, rnd: int):
+    def move(self, g: Graph, state, cops, robber: int, rnd: int):
         dist = bfs_distances(g, robber)
         return tuple(
             c if dist[c] <= max(0, dist[h] - self.radius) else step_toward(g, dist, c)
             for c, h in zip(cops, self.homes)
-        )
+        ), None
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +222,6 @@ class RetractPartitionPolicy(CopPolicy):
     """
 
     def __init__(self, g: Graph, territories):
-        self.g = g
         covered = set()
         self.teams = []
         sub_policies = {}
@@ -264,12 +264,12 @@ class RetractPartitionPolicy(CopPolicy):
             raise TooFewCops(f"need {self.team_k} cops, given {k}")
         out = []
         for team in self.teams:
-            local = team["policy"].placement(team["sub_g"], team["k"])
+            local, _ = team["policy"].placement(team["sub_g"], team["k"])
             out.extend(team["to_global"][v] for v in local)
         out.extend([0] * (k - self.team_k))  # idle surplus
-        return tuple(out)
+        return tuple(out), None
 
-    def move(self, g: Graph, cops, robber: int, rnd: int):
+    def move(self, g: Graph, state, cops, robber: int, rnd: int):
         out = list(cops)
         base = 0
         for team in self.teams:
@@ -277,13 +277,13 @@ class RetractPartitionPolicy(CopPolicy):
             to_local = team["to_local"]
             local_cops = tuple(to_local[cops[base + i]] for i in range(kk))
             image = team["retract"].apply(robber)
-            local_new = team["policy"].move(
-                team["sub_g"], local_cops, to_local[image], rnd
+            local_new, _ = team["policy"].move(
+                team["sub_g"], None, local_cops, to_local[image], rnd
             )
             for i, v in enumerate(local_new):
                 out[base + i] = team["to_global"][v]
             base += kk
-        return tuple(out)
+        return tuple(out), None
 
 
 def _int_root_floor(t: int, d: int) -> int:

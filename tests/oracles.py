@@ -20,6 +20,8 @@ and the greedy k-center's multi-source BFS against the all-pairs table.
 The k-center ball search is checked against the exhaustive k-subset scan
 over that table, and the domination search against subset enumeration, a
 tree dynamic program and the small-grid closed forms.
+The exhaustive worst-case search is checked against replaying every robber
+line with `play`, a fresh policy per line and no memo.
 """
 
 import itertools
@@ -27,6 +29,7 @@ from collections import deque
 
 from copsrobbers.graphs import MAXDIST, Graph, walk_toward
 from copsrobbers.matching import hall_witness, hopcroft_karp
+from copsrobbers.play import RobberPolicy, play
 from copsrobbers.rng import make_rng
 from copsrobbers.solver import ROB
 from copsrobbers.sphere_trap import HallWitnessResult, TrapAssignment
@@ -614,3 +617,52 @@ def reference_solver_cop_move(table, cops, robber):
         if all(dst in closed[src] for src, dst in zip(cops, perm)):
             return perm
     raise ValueError("target config is not one joint move away")
+
+
+class ScriptedRobber(RobberPolicy):
+    """Places at line[0] and moves to line[rnd] in round rnd; once the line
+    runs out it stays."""
+
+    metadata = {"policy": "scripted"}
+
+    def __init__(self, line):
+        self.line = tuple(line)
+
+    def placement(self, g, cops):
+        return self.line[0]
+
+    def move(self, g, cops, robber, rnd):
+        return self.line[rnd] if rnd < len(self.line) else robber
+
+
+def replayed_worst_case(g, make, k, horizon):
+    """worst_case_capture_round by replay: each robber line is a game that
+    `play` referees from placement, with a fresh cop policy from make() and
+    no memo. Lines go in the search's order (ascending start, then ascending
+    N[robber]) and stop at the first surviving line; an error a game raises
+    propagates."""
+    def value(line):
+        # the robber stands at line[-1] before the cops' move of round len(line)
+        rnd = len(line)
+        if rnd > horizon:
+            return None
+        t = play(g, k, make(), ScriptedRobber(line), max_rounds=rnd)
+        if t.capture_round is not None:
+            return t.capture_round
+        cops = t.rounds[-1][0]
+        worst = 0
+        for nr in g.closed[line[-1]]:
+            res = rnd if nr in cops else value(line + (nr,))
+            if res is None:
+                return None
+            worst = max(worst, res)
+        return worst
+
+    cops0, _ = make().placement(g, k)
+    worst = 0
+    for r0 in range(g.n):
+        res = 0 if r0 in cops0 else value((r0,))
+        if res is None:
+            return None
+        worst = max(worst, res)
+    return worst

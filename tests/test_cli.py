@@ -109,6 +109,14 @@ CASES = {
     "exit1_unknown_cop_param": (
         ["simulate", "--gen", "hypercube:3", "-k", "4", "--cop", "sphere_trap:depth=3",
          "--robber", "greedy"], 1),
+    # sphere-trap parameters are checked when the policy is built, though
+    # these games would end at placement
+    "exit1_sphere_trap_unknown_mode": (
+        ["simulate", "--gen", "hypercube:1", "-k", "16", "--cop", "sphere_trap:mode=foo",
+         "--robber", "stay_far"], 1),
+    "exit1_sphere_trap_d_not_int": (
+        ["simulate", "--gen", "hypercube:1", "-k", "16", "--cop", "sphere_trap:d=1.9",
+         "--robber", "stay_far"], 1),
     "exit1_unknown_robber_param": (
         ["simulate", "--gen", "tree:12,3", "-k", "2", "--cop", "tree", "--robber", "greedy:bar=2"], 1),
     "exit1_grid_cover_on_tree": (

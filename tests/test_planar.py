@@ -79,7 +79,7 @@ def test_separator_sweep_runs_one_eccentricity_sweep(monkeypatch):
     pol = SeparatorSweepPolicy(g, 240)
     assert calls == [400]
     met = graphs.metrics(g)
-    cops = pol.placement(g, 240)
+    cops, _ = pol.placement(g, 240)
     s0 = separator(g).separator
     assert cops == s0 + (met.eccentricities.index(met.radius),) * (240 - len(s0))
 
@@ -91,6 +91,7 @@ def test_three_cop_placement_runs_no_bfs(monkeypatch):
     pol = ThreeCopPlanarPolicy(g)
     calls = []
     monkeypatch.setattr(planar, "bfs_distances", lambda *a: calls.append(a))
-    pol.placement(g, 3)
+    _, state = pol.placement(g, 3)
     assert calls == []
-    assert pol.pending["guard"].home_dist == tuple(graphs.bfs_distances(g, pol.init_path[0]))
+    guard, _ = state.pending
+    assert guard.home_dist == tuple(graphs.bfs_distances(g, pol.init_path[0]))

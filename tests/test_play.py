@@ -5,9 +5,11 @@ import pytest
 
 from copsrobbers.errors import IllegalMove
 from copsrobbers.generators import gen_cycle, gen_gnp, gen_grid, gen_path
+from copsrobbers.graphs import bfs_distances, step_toward
 from copsrobbers.play import CopPolicy, RobberPolicy, _check_cops, play, worst_case_capture_round
 from copsrobbers.solver import extract_policies, solve
 from copsrobbers.strategies import StaticCopPolicy, StayFarRobber
+from oracles import replayed_worst_case
 
 
 class FixedRobber(RobberPolicy):
@@ -24,10 +26,10 @@ class FixedRobber(RobberPolicy):
 
 class TeleportingCops(CopPolicy):
     def placement(self, g, k):
-        return (0,) * k
+        return (0,) * k, None
 
-    def move(self, g, cops, robber, rnd):
-        return (robber,) + tuple(cops[1:])
+    def move(self, g, state, cops, robber, rnd):
+        return (robber,) + tuple(cops[1:]), None
 
 
 def test_capture_at_placement():
@@ -66,10 +68,10 @@ def test_illegal_cop_move_identifies_offender():
             self.start, self.step = start, step
 
         def placement(self, g, k):
-            return self.start
+            return self.start, None
 
-        def move(self, g, cops, robber, rnd):
-            return self.step
+        def move(self, g, state, cops, robber, rnd):
+            return self.step, None
 
     cases = [
         ((0, 3, 5), (0, 4, 0), "cops (cop 2): 5 -> 0 is not a step in N[5]"),
@@ -180,6 +182,28 @@ def test_worst_case_full_cover():
     assert worst_case_capture_round(g, StaticCopPolicy([0, 1, 2]), 3, horizon=1) == 0
 
 
+def test_worst_case_keys_its_memo_on_the_policy_state():
+    """One cop at 0 on the path 0-1-2 waits in round 1, then chases a robber
+    that started at 1 and stays put for one that started at 2. The line
+    from 1 that stays at 1 and the line from 2 that steps to 1 meet at the
+    same cops, robber and round with different states; the second survives,
+    so the worst case is None, not the first line's capture round."""
+    g, _ = gen_path(3)
+
+    class ChaseFromOne(CopPolicy):
+        def placement(self, g_, k):
+            return (0,), None
+
+        def move(self, g_, state, cops, robber, rnd):
+            start = robber if state is None else state
+            if rnd == 1 or start != 1:
+                return cops, start
+            return (step_toward(g_, bfs_distances(g_, robber), cops[0]),), start
+
+    assert worst_case_capture_round(g, ChaseFromOne(), 1, horizon=5) is None
+    assert replayed_worst_case(g, ChaseFromOne, 1, horizon=5) is None
+
+
 def test_worst_case_applies_the_referees_checks():
     """The exhaustive audit rejects what play() rejects: a teleporting move, a
     placement off the graph, and a wrong cop count."""
@@ -192,10 +216,10 @@ def test_worst_case_applies_the_referees_checks():
             self.cops = cops
 
         def placement(self, g, k):
-            return self.cops
+            return self.cops, None
 
-        def move(self, g, cops, robber, rnd):
-            return cops
+        def move(self, g, state, cops, robber, rnd):
+            return cops, None
 
     with pytest.raises(IllegalMove, match="out of range"):
         worst_case_capture_round(g, Placed((8,)), 1, horizon=3)

@@ -7,6 +7,9 @@ domains. The three-cop planar policy is left out of the random part: it still
 stalls on some planar graphs that are not grids, trees or cycles (ROADMAP
 item 1). Its bound, like the separator sweep's, is only checked against the
 formula the suites used, on the suites' own instances.
+
+The exhaustive search is checked against replaying every robber line, and
+the three-cop stalls it finds are pinned as strict expected failures.
 """
 
 import math
@@ -15,9 +18,9 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from copsrobbers.errors import ProgressStall
+from copsrobbers.errors import CopsRobbersError, ProgressStall
 from copsrobbers.experiments import SUITES, tree_instances
-from copsrobbers.generators import from_spec, gen_cycle, gen_grid, gen_grid_dims, gen_hypercube, gen_tree
+from copsrobbers.generators import from_spec, gen_cycle, gen_grid, gen_grid_dims, gen_hypercube, gen_path, gen_tree
 from copsrobbers.graphs import MAXDIST, Graph, metrics
 from copsrobbers.planar import SeparatorSweepPolicy, ThreeCopPlanarPolicy
 from copsrobbers.play import CopPolicy, RobberPolicy, play, worst_case_capture_round
@@ -34,7 +37,7 @@ from copsrobbers.strategies import (
     grid_cover_policy,
     subcube_partition_policy,
 )
-from oracles import brute_force_k_center
+from oracles import ScriptedRobber, brute_force_k_center, replayed_worst_case
 
 
 @given(st.integers(2, 14), st.integers(1, 3), st.integers(0, 10**6))
@@ -123,6 +126,7 @@ ROBBER_REUSE_CASES = {
     "stay-far": StayFarRobber,
     "greedy": GreedyRobber,
     "greedy-fast": GreedyFastRobber,
+    "random-walk": lambda: RandomWalkRobber(3),
 }
 ROBBER_REUSE_COPS = [
     lambda: grid_cover_policy(GRID6, GRID6_CODEC, 4),
@@ -175,3 +179,95 @@ def test_a_policy_reused_after_a_game_that_raised_plays_like_a_fresh_one():
     fresh = play(STACKED8, 3, ThreeCopPlanarPolicy(STACKED8), GreedyRobber(), max_rounds=500)
     assert kept.to_json() == fresh.to_json()
     assert kept.capture_round == 6
+
+
+C5_TABLE = solve(gen_cycle(5), 2)
+P5, P7 = gen_path(5)[0], gen_path(7)[0]
+Q3, Q3_CODEC = gen_hypercube(3)
+GRID34, GRID34_CODEC = gen_grid_dims([3, 4])
+TREE10 = gen_tree(10, 1)
+# graphs on which the three-cop policy stalls (ROADMAP item 1)
+THREE_COP_GRAPHS = {
+    "C5": gen_cycle(5), "C6": gen_cycle(6), "C7": gen_cycle(7), "tree12-3": gen_tree(12, 3),
+    "grid3x3": gen_grid_dims([3, 3])[0], "grid4x4": GRID4,
+}
+# name -> (g, k, policy maker, horizon). The three-cop cases search to the
+# bound, where each meets a stall, but grid 4x4 only to round 14: replaying
+# every line to its stall takes seconds.
+AGREEMENT_CASES = {
+    "static": (gen_cycle(6), 1, lambda: StaticCopPolicy([0]), 4),
+    "static-cover": (P5, 5, lambda: StaticCopPolicy(range(5)), 2),
+    "tree": (TREE10, 2, lambda: TreePolicy(TREE10, 2), TreePolicy(TREE10, 2).bound),
+    "solver": (C5_TABLE.graph, 2, lambda: extract_policies(C5_TABLE)[0], C5_TABLE.capture_time()),
+    "grid-cover": (GRID34, 2, lambda: grid_cover_policy(GRID34, GRID34_CODEC, 2), 3),
+    "subcube-partition": (Q3, 4, lambda: subcube_partition_policy(Q3, Q3_CODEC, 4, 2), 2),
+    **{f"sphere-trap-{seed}": (Q3, 4, lambda seed=seed: SphereTrapPolicy(Q3, 4, 1, seed=seed), 5)
+       for seed in range(6)},
+    "sphere-trap-tightening-failure": (
+        Q3, 2, lambda: SphereTrapPolicy(Q3, 2, 3, mode="general", seed=0), 7),
+    **{f"separator-sweep-P{g.n}-k{k}": (g, k, lambda g=g, k=k: SeparatorSweepPolicy(g, k), 8)
+       for g in (P5, P7) for k in (2, 3)},
+    **{f"three-cop-{name}": (g, 3, lambda g=g: ThreeCopPlanarPolicy(g),
+                             14 if name == "grid4x4" else ThreeCopPlanarPolicy(g).bound)
+       for name, g in THREE_COP_GRAPHS.items()},
+}
+
+
+def _outcome(search):
+    """The value of ``search()``, or the type of the package error it raised."""
+    try:
+        return search()
+    except CopsRobbersError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("name", sorted(AGREEMENT_CASES))
+def test_worst_case_search_agrees_with_replaying_every_line(name):
+    """The search, which memoises on the policy's state, gives the value, or
+    raises the error, that replaying every robber line with `play` and a
+    fresh policy gives. It searches one policy object for all lines."""
+    g, k, make, horizon = AGREEMENT_CASES[name]
+    assert _outcome(lambda: worst_case_capture_round(g, make(), k, horizon)) == _outcome(
+        lambda: replayed_worst_case(g, make, k, horizon))
+
+
+STALL = pytest.mark.xfail(strict=True, raises=ProgressStall,
+                          reason="the three-cop policy stalls (ROADMAP item 1)")
+
+
+@STALL
+def test_three_cop_catches_c5_against_the_solver_robber():
+    g = gen_cycle(5)
+    pol = ThreeCopPlanarPolicy(g)
+    _, robber = extract_policies(solve(g, 3))
+    t = play(g, 3, pol, robber, max_rounds=pol.bound)
+    assert t.capture_round is not None and t.capture_round <= pol.bound
+
+
+@STALL
+@pytest.mark.parametrize("name", sorted(THREE_COP_GRAPHS))
+def test_three_cop_worst_case_within_bound(name):
+    """Searched to its bound, the policy meets a robber line on which play
+    itself stalls: ProgressStall, never the IllegalMove of a policy object
+    shared by the search's branches."""
+    g = THREE_COP_GRAPHS[name]
+    pol = ThreeCopPlanarPolicy(g)
+    worst = worst_case_capture_round(g, pol, 3, horizon=pol.bound)
+    assert worst is not None and worst <= pol.bound
+
+
+# two lines the search finds: on grid 4x4 (a planar_3cop instance) the robber
+# then alternates 8, 9; on C6 it alternates 5, 4 from the start
+STALL_LINES = {
+    "grid4x4": (GRID4, (0, 0, 4, 4, 4) + (8, 9) * 60),
+    "C6": (gen_cycle(6), (5, 4) * 13),
+}
+
+
+@STALL
+@pytest.mark.parametrize("name", sorted(STALL_LINES))
+def test_three_cop_catches_a_scripted_line(name):
+    g, line = STALL_LINES[name]
+    pol = ThreeCopPlanarPolicy(g)
+    t = play(g, 3, pol, ScriptedRobber(line), max_rounds=pol.bound)
+    assert t.capture_round is not None and t.capture_round <= pol.bound

@@ -102,7 +102,7 @@ def assert_choices_match_dense_scans(g, k):
         assert rob_pol.placement(g, cfg) == dense_robber_choice(val_cop, n, ci, range(n)), cfg
         for r in range(n):
             want = configs[dense_cop_move(val_rob, n, moves[ci], r)]
-            assert tuple(sorted(cop_pol.move(g, cfg, r, 1))) == want, (cfg, r)
+            assert tuple(sorted(cop_pol.move(g, None, cfg, r, 1)[0])) == want, (cfg, r)
             want = dense_robber_choice(val_cop, n, ci, g.closed[r])
             assert rob_pol.move(g, cfg, r, 1) == want, (cfg, r)
 
@@ -123,7 +123,7 @@ def test_cop_move_matches_the_permutation_realiser(g, k):
     cop_pol, _ = extract_policies(table)
     for cops in itertools.product(range(g.n), repeat=k):
         for r in range(g.n):
-            assert cop_pol.move(g, cops, r, 1) == reference_solver_cop_move(table, cops, r), (cops, r)
+            assert cop_pol.move(g, None, cops, r, 1)[0] == reference_solver_cop_move(table, cops, r), (cops, r)
 
 
 def robber_win_and_disconnected_cases():
@@ -683,10 +683,10 @@ def test_solver_robber_survives_against_any_cop():
             self.rng = random.Random(seed)
 
         def placement(self, g_, k_):
-            return tuple(self.rng.randrange(g_.n) for _ in range(k_))
+            return tuple(self.rng.randrange(g_.n) for _ in range(k_)), None
 
-        def move(self, g_, cops, robber, rnd):
-            return tuple(self.rng.choice(g_.closed[c]) for c in cops)
+        def move(self, g_, state, cops, robber, rnd):
+            return tuple(self.rng.choice(g_.closed[c]) for c in cops), None
 
     for seed in range(10):
         t = play(g, k, RandomCops(seed), rob_pol, max_rounds=30)

@@ -209,6 +209,17 @@ def test_tighten_hall_failure_witness():
 # --- policy
 
 
+def test_policy_checks_its_parameters_at_build():
+    """A d that is not a nonnegative int, and an unknown mode, are refused
+    when the policy is built, before any game could end at placement."""
+    g, _ = gen_hypercube(3)
+    for d in (1.9, True, -1, "1"):
+        with pytest.raises(ValueError, match=f"d must be a nonnegative int, got {d!r}"):
+            SphereTrapPolicy(g, 4, d)
+    with pytest.raises(ValueError, match="unknown mode 'foo'"):
+        SphereTrapPolicy(g, 4, 1, mode="foo")
+
+
 def test_policy_deterministic_per_seed():
     g, _ = gen_hypercube(3)
     _, rob = extract_policies(solve(g, 4))
@@ -259,14 +270,15 @@ def test_general_mode_on_random_graph():
 
 
 def test_policy_is_freed_without_the_cyclic_collector():
-    """A policy whose trap plan is still running holds no reference cycle:
-    dropping the last reference frees it, and its graph, at once. When the
-    plan held the policy, each game's graph lived until the cyclic collector
-    ran, and the dense_trap benchmark's peak RSS grew from game to game."""
+    """A policy that has played a saturated game holds no reference cycle:
+    dropping the last reference frees it at once. When a policy held its
+    game's plan and the plan held the policy, each game's graph lived until
+    the cyclic collector ran, and the dense_trap benchmark's peak RSS grew
+    from game to game."""
     g = gen_gnp(60, 0.5, 11)
     pol = SphereTrapPolicy(g, 40, 1, mode="general", seed=5)
     t = play(g, 40, pol, StayFarRobber(), 20)
-    assert t.metadata["cop"]["matching_saturated"] and pol._plan is not None
+    assert t.metadata["cop"]["matching_saturated"]
     freed = weakref.ref(pol)
     gc.disable()
     try:
@@ -297,6 +309,27 @@ def test_tightening_runs_one_bfs_from_the_centre(monkeypatch):
             tightened += 1
         assert calls.count(t.robber_start) <= 2, seed
     assert tightened > 0
+
+
+def test_a_game_caught_while_routing_pays_for_no_tightening(monkeypatch):
+    """The trap's state is built as the game needs it: a saturated game
+    caught at round 1 runs only the matching's BFS from the centre, and no
+    tightening step."""
+    calls = []
+
+    def counting_bfs(g_, sources, *args, **kwargs):
+        calls.append(sources)
+        return bfs_distances(g_, sources, *args, **kwargs)
+
+    def no_tightening(*args):
+        raise AssertionError("tightened a game caught while routing")
+
+    monkeypatch.setattr(sphere_trap, "bfs_distances", counting_bfs)
+    monkeypatch.setattr(sphere_trap, "tighten_step", no_tightening)
+    g = gen_gnp(60, 0.5, 11)
+    t = play(g, 40, SphereTrapPolicy(g, 40, 1, mode="general", seed=1), StayFarRobber(), 20)
+    assert t.capture_round == 1 and t.metadata["cop"]["matching_saturated"]
+    assert calls == [t.robber_start]
 
 
 def test_tightening_failure_falls_back_to_greedy_pursuit():

@@ -3,10 +3,11 @@ policy runs a BFS per cop, the exact k-center and domination searches are
 one non-recursive ball search, every Graph goes through its checked
 constructor, game values are read only inside solver.py, the solver's level
 loop does no per-config work, the solver admits instances by its module caps
-alone, the package imports no array library, and every module-level import
-is used."""
+alone, the package imports no array library, every module-level import is
+used, and a cop policy changes nothing of itself once built."""
 
 import ast
+import importlib
 import inspect
 import os
 import subprocess
@@ -321,3 +322,67 @@ def test_solver_caps_are_not_per_call_options():
               if isinstance(node, ast.Call)
               for kw in node.keywords if kw.arg in ("state_cap", "move_cap")]
     assert passed == []
+
+
+MUTATORS = {"append", "extend", "insert", "pop", "popitem", "remove", "clear", "update",
+            "add", "discard", "sort", "reverse", "setdefault", "__setitem__", "__delitem__"}
+
+
+def _rooted_at_self(node):
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        node = node.value
+    return isinstance(node, ast.Name) and node.id == "self"
+
+
+def _stored(target):
+    """The attribute and subscript nodes an assignment target stores into."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return [t for elt in target.elts for t in _stored(elt)]
+    if isinstance(target, ast.Starred):
+        return _stored(target.value)
+    return [target] if isinstance(target, (ast.Attribute, ast.Subscript)) else []
+
+
+def self_mutations(cls):
+    """Where a method of class node `cls`, other than __init__, assigns to,
+    augments, deletes or calls a mutating method on anything rooted at self."""
+    found = []
+    for fn in cls.body:
+        if not isinstance(fn, ast.FunctionDef) or fn.name == "__init__":
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, (ast.Assign, ast.Delete)):
+                hit = any(map(_rooted_at_self, (t for tg in node.targets for t in _stored(tg))))
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                hit = any(map(_rooted_at_self, _stored(node.target)))
+            elif isinstance(node, ast.Call):
+                func = node.func
+                hit = (isinstance(func, ast.Attribute) and func.attr in MUTATORS
+                       and _rooted_at_self(func.value)) or (
+                    getattr(func, "id", None) in ("setattr", "delattr")
+                    and bool(node.args) and _rooted_at_self(node.args[0]))
+            else:
+                continue
+            if hit:
+                found.append(f"{cls.name}.{fn.name}:{node.lineno}")
+    return found
+
+
+def test_cop_policies_keep_no_game_state_on_themselves():
+    """A cop policy is what it built from (g, k): no method but __init__
+    assigns to, augments or mutates anything reached from self. What a game
+    changes is the state that play and worst_case_capture_round thread
+    through placement and move."""
+    from copsrobbers.play import CopPolicy
+
+    checked, found = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(f"copsrobbers.{path.stem}")
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.ClassDef) and issubclass(getattr(module, node.name), CopPolicy):
+                checked.add(node.name)
+                found += self_mutations(node)
+    assert checked >= {"StaticCopPolicy", "TreePolicy", "RetractPartitionPolicy",
+                       "SolverCopPolicy", "SphereTrapPolicy", "SeparatorSweepPolicy",
+                       "ThreeCopPlanarPolicy"}
+    assert found == []
