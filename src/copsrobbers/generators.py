@@ -7,6 +7,7 @@ rng.py for the portability discipline.
 
 from __future__ import annotations
 
+import struct
 import warnings
 from dataclasses import dataclass
 
@@ -139,24 +140,78 @@ def gen_tree(n: int, seed) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+# Pairs per getrandbits call in gen_gnp: 64 KiB of words, so the draw holds
+# little beside the n*n matrix (one call for all 124,750 pairs of G(500, p)
+# raised the benchmark's peak RSS by 3 MB). Sized by memory; the instances do
+# not depend on it.
+_GNP_CHUNK = 8192
+
+# The two 32-bit Mersenne Twister outputs of one random() call, first one first.
+_DRAW_WORDS = struct.Struct("<II")
+
+
 def gen_gnp(n: int, p: float, seed) -> Graph:
     """Binomial random graph: each unordered pair is an edge independently
     with probability p. One rng draw per pair regardless of p, so streams
     stay aligned across parameter choices.
 
-    The pairs u < v are drawn in lexicographic order, so a seed names one
-    instance. The draws fill an upper-triangular n*n byte matrix, from
-    which Graph checks and builds the adjacency, the closed rows and the
-    masks in one pass."""
+    The pairs u < v are drawn in lexicographic order, and a pair is an edge
+    exactly when its rng.random() is below p, so a seed names one instance.
+    The draws fill an upper-triangular n*n byte matrix, from which Graph
+    checks and builds the adjacency, the closed rows and the masks in one
+    pass.
+
+    Each pair is decided from the words behind random(), read at C speed.
+    CPython's random() is x * 2**-53 for the 53-bit
+    x = (w0 >> 5) * 2**26 + (w1 >> 6) of two consecutive 32-bit Mersenne
+    Twister outputs w0, w1, and getrandbits(64 * count) returns the same
+    outputs in the same order, least significant first. So byte 8i + 3 of
+    the little-endian words is w0's top byte: bits 45-52 of x, that is
+    floor(256 * random()) for pair i. With t0 = floor(256 * p), a top byte
+    below t0 makes an edge and one above t0 none, all in one
+    bytes.translate. The pair in about 256 whose top byte equals t0 is
+    settled by random()'s own expression. The words are fetched at most
+    _GNP_CHUNK pairs at a time; the oracle tests pin the result to the
+    random() stream."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    draw = make_rng(seed).random
-    matrix = b"".join(
-        bytes(u + 1) + bytes([draw() < p for _ in range(u + 1, n)]) for u in range(n)
-    )
-    return Graph(n, matrix)
+    return Graph(n, _gnp_matrix(n, p, make_rng(seed).getrandbits))
+
+
+def _gnp_matrix(n: int, p: float, getrandbits) -> bytearray:
+    """gen_gnp's upper-triangular n*n byte matrix. Only the matrix outlives
+    the call, so Graph builds from it with no chunk of words still held."""
+    chunks = _pair_bits(getrandbits, p, n * (n - 1) // 2)
+    matrix = bytearray(n * n)
+    bits, at = b"", 0  # decided pairs; bits[at:] are not in the matrix yet
+    for u in range(n - 1):
+        stop = at + n - u - 1
+        while stop > len(bits):
+            bits, stop, at = bits[at:] + next(chunks), stop - at, 0
+        matrix[u * n + u + 1:u * n + n] = bits[at:stop]
+        at = stop
+    return matrix
+
+
+def _pair_bits(getrandbits, p: float, pairs: int):
+    """Yield, at most _GNP_CHUNK pairs at a time, one byte per pair of the
+    next `pairs` draws: 1 where random() < p, else 0, decided from the top
+    byte of each draw as gen_gnp describes."""
+    t0 = int(256 * p)
+    # Top byte -> 1 (edge), 0 (no edge) or 2 (tie at t0, settled exactly).
+    decide = (b"\1" * t0 + b"\2" + bytes(255))[:256]
+    for first in range(0, pairs, _GNP_CHUNK):
+        count = min(_GNP_CHUNK, pairs - first)
+        words = getrandbits(64 * count).to_bytes(8 * count, "little")
+        bits = bytearray(words[3::8].translate(decide))
+        tie = bits.find(2)
+        while tie >= 0:
+            w0, w1 = _DRAW_WORDS.unpack_from(words, 8 * tie)
+            bits[tie] = ((w0 >> 5) * 67108864.0 + (w1 >> 6)) * (1.0 / 9007199254740992.0) < p
+            tie = bits.find(2, tie + 1)
+        yield bits
 
 
 # Seed probes gen_connected_gnp tries before giving up.

@@ -61,10 +61,11 @@ class Graph:
     - one iterable of int neighbour ids per vertex, in any order; each pair
       must be listed from both ends, and `closed` and `masks` are built on
       first use;
-    - a `bytes` of length n*n, row-major, whose byte v*n + u is 1 when
-      v < u are adjacent and 0 otherwise (every byte at or below the
-      diagonal 0). Only the upper triangle is read, so symmetry holds by
-      construction, and `closed` and `masks` are filled in the same pass.
+    - a `bytes` or `bytearray` of length n*n, row-major, whose byte
+      v*n + u is 1 when v < u are adjacent and 0 otherwise (every byte at
+      or below the diagonal 0). Only the upper triangle is read, so
+      symmetry holds by construction, and `closed` and `masks` are filled
+      in the same pass. The Graph keeps no reference to the matrix.
 
     Adjacency lists are ascending and deduplicated. Instances are safe for
     concurrent shared reads.
@@ -75,7 +76,7 @@ class Graph:
     def __init__(self, n: int, adjacency):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        if isinstance(adjacency, bytes):
+        if isinstance(adjacency, (bytes, bytearray)):
             adj, self._closed, self._masks = _matrix_rows(n, adjacency)
         else:
             adj = _checked_rows(n, adjacency)
@@ -165,8 +166,8 @@ _DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 def _checked_rows(n: int, adjacency) -> tuple:
     """Adjacency lists, one per vertex, as ascending tuples; ValueError naming
-    the first offending vertex for a non-int, out-of-range, duplicate or
-    self-loop entry, or for an asymmetric pair."""
+    the first offending vertex for a row that is not iterable, a non-int,
+    out-of-range, duplicate or self-loop entry, or an asymmetric pair."""
     if len(adjacency) != n:
         raise ValueError("adjacency must have one entry per vertex")
     # Checks run on whole rows at C speed; the inner loop only names an offender.
@@ -174,7 +175,10 @@ def _checked_rows(n: int, adjacency) -> tuple:
     cuts = []  # adj[v][:cuts[v]] is the part of row v below v
     rev = [[] for _ in range(n)]
     for v, nbrs in enumerate(adjacency):
-        ns = tuple(nbrs)
+        try:
+            ns = tuple(nbrs)
+        except TypeError:
+            raise ValueError(f"neighbours of {v} must be an iterable of ints") from None
         if not {int}.issuperset(map(type, ns)):
             raise ValueError(f"neighbour ids of {v} must be ints")
         ns = tuple(sorted(ns))
@@ -200,12 +204,13 @@ def _checked_rows(n: int, adjacency) -> tuple:
     return tuple(adj)
 
 
-def _matrix_rows(n: int, matrix: bytes):
+def _matrix_rows(n: int, matrix):
     """(adj, closed, masks) of the graph whose edges are the set bytes of an
-    upper-triangular n*n 0/1 matrix, row-major: byte v*n + u is 1 iff
-    v < u and v ~ u. ValueError naming the first offending row for a wrong
-    length, a byte other than 0 or 1, or a set byte at or below the
-    diagonal. Only the upper triangle is read, so the graph is symmetric.
+    upper-triangular n*n 0/1 matrix (bytes or bytearray), row-major: byte
+    v*n + u is 1 iff v < u and v ~ u. ValueError naming the first offending
+    row for a wrong length, a byte other than 0 or 1, or a set byte at or
+    below the diagonal. Only the upper triangle is read, so the graph is
+    symmetric.
 
     Each check runs at C speed. Row v of the closed neighbourhoods is
     column v above the diagonal, then a set diagonal byte, then row v right

@@ -1,11 +1,18 @@
 """Portable seeded randomness.
 
 All randomness in the package flows through `random.Random` instances and is
-drawn exclusively via `Random.random()`, the one method whose stream is
-guaranteed stable across Python versions and platforms for a given seed.
-Integer and string seeds are both stable (string seeding hashes through
-SHA-512 internally). Helpers here derive indices and samples from that
-single primitive so every consumer stays reproducible.
+defined by `Random.random()`, the one method whose stream is guaranteed
+stable across Python versions and platforms for a given seed. Integer and
+string seeds are both stable (string seeding hashes through SHA-512
+internally). Helpers here derive indices and samples from that single
+primitive so every consumer stays reproducible.
+
+One consumer reads the same stream faster: `generators.gen_gnp` fetches the
+Mersenne Twister words behind `random()` through `getrandbits`, and decides
+each pair exactly as `random() < p` would. That rests on CPython building
+`random()` from two consecutive 32-bit outputs and `getrandbits` returning
+the same outputs in the same order; the G(n, p) oracle tests in
+`tests/test_graphs.py` pin it on every interpreter that runs them.
 """
 
 from __future__ import annotations

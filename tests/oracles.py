@@ -493,7 +493,10 @@ def reference_graph_adj(n, adjacency):
         raise ValueError("adjacency must have one entry per vertex")
     adj = []
     for v, nbrs in enumerate(adjacency):
-        nbrs = list(nbrs)
+        try:
+            nbrs = list(nbrs)
+        except TypeError:
+            raise ValueError(f"neighbours of {v} must be an iterable of ints") from None
         if any(type(u) is not int for u in nbrs):
             raise ValueError(f"neighbour ids of {v} must be ints")
         ns = tuple(sorted(nbrs))

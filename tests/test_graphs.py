@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from copsrobbers import graphs
+from copsrobbers import generators, graphs
 from copsrobbers.errors import DisconnectedGraph, NotIsometric, SearchSpaceTooLarge
 from copsrobbers.generators import (
     gen_connected_gnp,
@@ -30,6 +30,7 @@ from copsrobbers.graphs import (
     verify_retract,
     RetractMap,
 )
+from copsrobbers.rng import make_rng
 
 from oracles import (
     all_pairs,
@@ -144,13 +145,57 @@ def fields(g):
     return g.n, g.adj, g.m, g.closed, g.masks
 
 
-@pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0, 0, 1])
+@pytest.mark.parametrize("p", [
+    0.0, 0.3, 0.5, 1.0, 0, 1,
+    129.5 / 256, 1 / 3, 0.12, 0.02,
+    2**-60,  # t0 = 0: every top-byte-0 pair is a tie
+    0.999999, math.nextafter(1.0, 0.0),  # t0 = 255
+])
 def test_gnp_matches_edge_list_reference(p):
     """gen_gnp's matrix build gives the edge-list reference's instance, with
-    the same adjacency, edge count, closed rows and masks."""
+    the same adjacency, edge count, closed rows and masks. The values of p
+    take every branch of the top-byte decision: t0 = floor(256 p) from 0 to
+    256, and p off and on a multiple of 1/256."""
     for n in range(41):
         for seed in (n, f"s{n}"):
             assert fields(gen_gnp(n, p, seed)) == fields(reference_gen_gnp(n, p, seed))
+
+
+def test_gnp_settles_tied_pairs_both_ways():
+    """A pair whose top byte equals floor(256 p) is settled by random()'s
+    exact value. At p = 129.5/256 the tie splits in half, and with seed "t"
+    the 76 tied pairs of G(200, p) settle 40 to no edge and 36 to an edge."""
+    n, p = 200, 129.5 / 256
+    rng = make_rng("t")
+    draws = [rng.random() for _ in range(n * (n - 1) // 2)]
+    tied = [x < p for x in draws if int(256 * x) == int(256 * p)]
+    assert (len(tied), tied.count(False), tied.count(True)) == (76, 40, 36)
+    assert fields(gen_gnp(n, p, "t")) == fields(reference_gen_gnp(n, p, "t"))
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7])
+def test_gnp_instance_does_not_depend_on_the_chunk_size(monkeypatch, chunk):
+    """The draw fetches its words a few pairs at a time. Chunks shorter than
+    a row, and chunks that end inside a row, give the same instances."""
+    monkeypatch.setattr(generators, "_GNP_CHUNK", chunk)
+    for n in range(12):
+        for p in (0.3, 0.5):
+            assert fields(gen_gnp(n, p, n)) == fields(reference_gen_gnp(n, p, n))
+
+
+def test_gnp_holds_one_matrix_beyond_its_graph():
+    """gen_gnp(500, 0.5) holds at most the n*n byte matrix and one chunk of
+    words beyond the graph it returns: the rows it drew are not kept while
+    Graph is built from the matrix."""
+    n = 500
+    tracemalloc.start()
+    try:
+        g = gen_gnp(n, 0.5, "trap-1-0:0")
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.n == n
+    assert peak - current <= n * n + 64 * 1024
 
 
 def test_connected_gnp_matches_edge_list_reference():
@@ -188,6 +233,28 @@ def test_matrix_form_refusals(n, adjacency, message):
     offending row."""
     with pytest.raises(ValueError, match=message):
         Graph(n, adjacency)
+
+
+def test_bytearray_matrix_reads_as_bytes():
+    """A bytearray matrix builds the same Graph as the equal bytes, and is
+    refused with the same messages."""
+    for n, pairs in ((1, []), (2, [((0, 1), 1)]), (4, [((0, 1), 1), ((1, 3), 1), ((2, 3), 1)])):
+        m = matrix(n, pairs)
+        assert fields(Graph(n, bytearray(m))) == fields(Graph(n, m))
+    assert Graph(2, bytearray(b"\0\1\0\0")).adj == ((1,), (0,))
+    with pytest.raises(ValueError, match=r"byte \(1,1\) is set at or below the diagonal"):
+        Graph(2, bytearray(b"\0\0\0\1"))
+
+
+@pytest.mark.parametrize("adjacency, v", [
+    ([0], 0), ([[], 1], 1), ((None,), 0), (memoryview(b"\0"), 0),
+], ids=["int-row", "second-row", "none-row", "memoryview"])
+def test_rows_that_are_not_iterable_are_refused(adjacency, v):
+    """In the list form, a row that is not an iterable is refused with a
+    ValueError naming its vertex. A memoryview is read as a list of int
+    rows, not as a matrix."""
+    with pytest.raises(ValueError, match=f"neighbours of {v} must be an iterable of ints"):
+        Graph(len(adjacency), adjacency)
 
 
 @settings(max_examples=200)
