@@ -140,11 +140,13 @@ def gen_tree(n: int, seed) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-# Pairs per getrandbits call in gen_gnp: 64 KiB of words, so the draw holds
-# little beside the n*n matrix (one call for all 124,750 pairs of G(500, p)
-# raised the benchmark's peak RSS by 3 MB). Sized by memory; the instances do
-# not depend on it.
-_GNP_CHUNK = 8192
+# Pairs per getrandbits call in gen_gnp: 32 KiB of words, briefly held twice
+# (as the int and as its bytes), so the draw holds little beside the n*n
+# matrix. One call for all 124,750 pairs of G(500, p) raised the benchmark's
+# peak RSS by 3 MB, and with 8,192 pairs gen_gnp(500, p) held more than the
+# matrix plus 64 KiB beyond its graph. Sized by memory; the instances do not
+# depend on it.
+_GNP_CHUNK = 4096
 
 # The two 32-bit Mersenne Twister outputs of one random() call, first one first.
 _DRAW_WORDS = struct.Struct("<II")
@@ -158,8 +160,7 @@ def gen_gnp(n: int, p: float, seed) -> Graph:
     The pairs u < v are drawn in lexicographic order, and a pair is an edge
     exactly when its rng.random() is below p, so a seed names one instance.
     The draws fill an upper-triangular n*n byte matrix, from which Graph
-    checks and builds the adjacency, the closed rows and the masks in one
-    pass.
+    checks and builds the masks in one pass, and keeps only them.
 
     Each pair is decided from the words behind random(), read at C speed.
     CPython's random() is x * 2**-53 for the 53-bit
@@ -211,6 +212,7 @@ def _pair_bits(getrandbits, p: float, pairs: int):
             w0, w1 = _DRAW_WORDS.unpack_from(words, 8 * tie)
             bits[tie] = ((w0 >> 5) * 67108864.0 + (w1 >> 6)) * (1.0 / 9007199254740992.0) < p
             tie = bits.find(2, tie + 1)
+        del words  # not held while the next chunk's words are fetched
         yield bits
 
 

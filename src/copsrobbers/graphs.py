@@ -3,9 +3,11 @@ metric machinery: BFS distances, eccentricities, radius/diameter, metric
 k-centers, domination numbers, and retract maps.
 
 Every graph walk of the game code goes through four pieces here:
-`bfs_distances` is the one BFS (direction-optimizing: small levels expand
-top-down from a queue, large ones bottom-up; multi-source, optionally
-confined to an allowed vertex set), `eccentricities` the one
+`bfs_distances` is the one BFS (multi-source, optionally confined to an
+allowed vertex set; on a graph built from a byte matrix each level is one OR
+of its vertices' masks, and on one built from lists it is
+direction-optimizing: small levels expand top-down from a queue, large ones
+bottom-up), `eccentricities` the one
 all-vertices sweep (bit-parallel over batches of sources, in place of a BFS
 from every vertex), `step_toward` the one shortest-path step rule (the
 smallest-id neighbour one BFS layer closer, with `walk_toward` as its path
@@ -27,14 +29,17 @@ closed neighbourhood N[v] = {v} | adj(v) is what game code consumes.
 
 A Graph is built from adjacency lists or from an upper-triangular n*n byte
 matrix, the form `gen_gnp` draws into. Both are checked. The matrix form
-fills `Graph.closed` and `Graph.masks` in the same pass as the adjacency;
-the list form builds them on first use.
+keeps only `Graph.masks`, and spells `adj` and `closed` out of them on first
+read; the list form keeps `adj` and builds `closed` and `masks` on first
+use. `Graph.is_step` is the membership test b in N[a] of either form.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -64,27 +69,31 @@ class Graph:
     - a `bytes` or `bytearray` of length n*n, row-major, whose byte
       v*n + u is 1 when v < u are adjacent and 0 otherwise (every byte at
       or below the diagonal 0). Only the upper triangle is read, so
-      symmetry holds by construction, and `closed` and `masks` are filled
-      in the same pass. The Graph keeps no reference to the matrix.
+      symmetry holds by construction. Such a graph keeps only `masks`, built
+      in the checking pass, and no reference to the matrix; `adj` and
+      `closed` are spelled out of the masks on first read, and
+      `bfs_distances` reads the masks whether or not they have been.
 
     Adjacency lists are ascending and deduplicated. Instances are safe for
     concurrent shared reads.
     """
 
-    __slots__ = ("n", "adj", "_closed", "_masks", "m")
+    __slots__ = ("n", "m", "_adj", "_closed", "_masks", "_from_matrix")
 
     def __init__(self, n: int, adjacency):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        if isinstance(adjacency, (bytes, bytearray)):
-            adj, self._closed, self._masks = _matrix_rows(n, adjacency)
+        self._from_matrix = isinstance(adjacency, (bytes, bytearray))
+        if self._from_matrix:
+            self._masks = _matrix_rows(n, adjacency)
+            self._adj = None
+            self.m = (sum(map(int.bit_count, self._masks)) - n) // 2
         else:
-            adj = _checked_rows(n, adjacency)
-            self._closed = None
+            self._adj = _checked_rows(n, adjacency)
             self._masks = None
+            self.m = sum(map(len, self._adj)) // 2
+        self._closed = None
         self.n = n
-        self.adj = adj
-        self.m = sum(map(len, adj)) // 2
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -101,14 +110,25 @@ class Graph:
         return cls(n, adj)
 
     @property
+    def adj(self):
+        """Neighbours of each vertex, ascending; a matrix-built graph spells
+        them out of its masks, with `closed`, on first read."""
+        if self._adj is None:
+            self._spell()
+        return self._adj
+
+    @property
     def closed(self):
         """Closed neighbourhoods N[v], ascending, computed once."""
         if self._closed is None:
-            closed = []
-            for v, row in enumerate(self.adj):
-                cut = bisect_left(row, v)
-                closed.append(row[:cut] + (v,) + row[cut:])
-            self._closed = tuple(closed)
+            if self._from_matrix:
+                self._spell()
+            else:
+                closed = []
+                for v, row in enumerate(self._adj):
+                    cut = bisect_left(row, v)
+                    closed.append(row[:cut] + (v,) + row[cut:])
+                self._closed = tuple(closed)
         return self._closed
 
     @property
@@ -119,13 +139,35 @@ class Graph:
             # One OR per entry: summing a table of powers of two was slower
             # on small graphs, which are most of the list-built ones.
             masks = []
-            for v, nbrs in enumerate(self.adj):
+            for v, nbrs in enumerate(self._adj):
                 m = 0
                 for u in nbrs:
                     m |= 1 << u
                 masks.append(m | 1 << v)
             self._masks = tuple(masks)
         return self._masks
+
+    def _spell(self):
+        """Fill in `adj` and `closed` of a matrix-built graph in one pass
+        over its masks: N[v] is the ids of the set bits of masks[v], and
+        adj(v) is N[v] less v."""
+        ids = tuple(range(self.n))  # compress reads a tuple faster than a range
+        adj, closed = [], []
+        for v, m in enumerate(self._masks):
+            near = tuple(itertools.compress(ids, _digits(m)))
+            cut = near.index(v)
+            closed.append(near)
+            adj.append(near[:cut] + near[cut + 1:])
+        self._adj, self._closed = tuple(adj), tuple(closed)
+
+    def is_step(self, a: int, b: int) -> bool:
+        """Whether b is in N[a], for vertex ids a and b: one bit of the masks
+        once they are built, else a bisection of the row N[a]."""
+        if self._masks is not None:
+            return self._masks[a] >> b & 1 == 1
+        row = (self._closed or self.closed)[a]  # the property call only to build them
+        at = bisect_left(row, b)
+        return at < len(row) and row[at] == b
 
     def edges(self):
         for u in range(self.n):
@@ -160,8 +202,17 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-# Byte table that spells a 0/1 adjacency row as the digits of a base-2 int.
-_DIGITS = bytes.maketrans(b"\0\1", b"01")
+# Byte tables between 0/1 bytes and the digits of a base-2 int. Every byte
+# other than 0 and 1 spells "x", which marks a bad byte of a matrix.
+_DIGITS = b"01" + b"x" * 254
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _digits(mask: int) -> bytes:
+    """The binary digits of `mask` as 0/1 bytes, least significant first:
+    the selectors that pick its set bits' ids, or their rows, out of a
+    sequence indexed by vertex with itertools.compress."""
+    return bin(mask)[:1:-1].encode().translate(_BITS)
 
 
 def _checked_rows(n: int, adjacency) -> tuple:
@@ -204,42 +255,52 @@ def _checked_rows(n: int, adjacency) -> tuple:
     return tuple(adj)
 
 
-def _matrix_rows(n: int, matrix):
-    """(adj, closed, masks) of the graph whose edges are the set bytes of an
-    upper-triangular n*n 0/1 matrix (bytes or bytearray), row-major: byte
-    v*n + u is 1 iff v < u and v ~ u. ValueError naming the first offending
-    row for a wrong length, a byte other than 0 or 1, or a set byte at or
-    below the diagonal. Only the upper triangle is read, so the graph is
-    symmetric.
+def _matrix_rows(n: int, matrix) -> tuple:
+    """The closed-neighbourhood masks of the graph whose edges are the set
+    bytes of an upper-triangular n*n 0/1 matrix (bytes or bytearray),
+    row-major: byte v*n + u is 1 iff v < u and v ~ u. ValueError naming the
+    first offending row for a wrong length, a byte other than 0 or 1, or a
+    set byte at or below the diagonal. Only the upper triangle is read, so
+    the graph is symmetric.
 
-    Each check runs at C speed. Row v of the closed neighbourhoods is
-    column v above the diagonal, then a set diagonal byte, then row v right
-    of it; one pass turns each such row into N[v], adj(v) and the mask."""
+    One pass reads each row at C speed, holding one row's bytes at a time.
+    Row v of the closed neighbourhoods is column v above the diagonal, then
+    a set diagonal byte, then row v right of it; its digits, reversed, are
+    the mask, and a byte other than 0 or 1 spells "x". The bytes of row v
+    up to the diagonal are compared with zeros in place. When a row fails,
+    `_matrix_fault` names the first fault."""
     size = len(matrix)
     if size != n * n:
         v = size // n if n else 0
         raise ValueError(f"adjacency matrix has {size} bytes, not {n}*{n}: row {v} is "
                          + ("cut short" if size < n * n else "past the last vertex"))
+    zeros = memoryview(bytes(n))
+    masks = []
+    for v in range(n):
+        start = v * n
+        row = matrix[v:start:n] + b"\1" + matrix[start + v + 1:start + n]
+        digits = row[::-1].translate(_DIGITS)
+        if b"x" in digits or not matrix.startswith(zeros[:v + 1], start):
+            _matrix_fault(n, matrix)
+        masks.append(int(digits, 2))
+    return tuple(masks)
+
+
+def _matrix_fault(n: int, matrix):
+    """Raise the ValueError for a matrix of the right length that
+    `_matrix_rows` refused: its first byte other than 0 or 1, else its first
+    row with a set byte at or below the diagonal."""
     bad = matrix.translate(None, b"\0\1")
     if bad:
         at = matrix.index(bad[:1])
         raise ValueError(f"adjacency matrix byte ({at // n},{at % n}) is {bad[0]}, not 0 or 1")
-    ids = tuple(range(n))  # compress reads a tuple faster than a range
-    adj, closed, masks = [], [], []
-    for v in ids:
+    for v in range(n):
         start = v * n
         low = matrix.find(1, start, start + v + 1)
         if low >= 0:
             raise ValueError(f"adjacency matrix byte ({v},{low - start}) is set at or below "
                              "the diagonal")
-        above = matrix[v:start:n]  # byte (u, v) for each u < v
-        row = above + b"\1" + matrix[start + v + 1:start + n]
-        near = tuple(itertools.compress(ids, row))
-        cut = above.count(1)
-        closed.append(near)
-        adj.append(near[:cut] + near[cut + 1:])
-        masks.append(int(row[::-1].translate(_DIGITS), 2))
-    return tuple(adj), tuple(closed), tuple(masks)
+    raise AssertionError("a refused matrix has a fault")
 
 
 def bfs_distances(g: Graph, sources, allowed=None) -> list[int]:
@@ -250,22 +311,28 @@ def bfs_distances(g: Graph, sources, allowed=None) -> list[int]:
     `allowed`, the search stays inside that vertex set: sources outside it
     are ignored and every vertex outside it reads MAXDIST.
 
-    Direction-optimizing (Beamer, Asanovic & Patterson, "Direction-Optimizing
-    Breadth-First Search", SC 2012). Each level F is expanded by one of two
-    steps. Top-down reads the row of each vertex of F and claims its
-    unvisited neighbours. Bottom-up reads the row of each unvisited vertex up
-    to its first neighbour in F. An O(1) test per level compares estimated
-    work: top-down reads |F| * 2m/n entries, bottom-up |U| * n/|F|, U being
-    the unvisited vertices (a row meets a random F within about n/|F|
-    entries). Bottom-up runs when |F|^2 * 2m > |U| * n^2. As |U| >= 1, a
-    level of at most sqrt(n^2 / 2m) vertices always goes top-down; such
-    levels run as one queue, with no per-level work but one length check.
-    The search ends once every allowed vertex is reached.
+    On a graph built from a byte matrix the search reads only `Graph.masks`,
+    whether or not `adj` has been spelled out: `_or_levels` takes each level
+    whole, as one OR of its vertices' masks. Its cost is
+    O(n^2/64 + n * levels) per call.
 
-    Time and memory are O(n + m) per call. Top-down reads each row at most
-    once. A bottom-up scan that succeeds does so once per vertex. A scan that
-    fails is charged its row length plus one, and once failed scans have
-    cost more than 2m, every later level goes top-down.
+    On a graph built from lists it is direction-optimizing (Beamer, Asanovic
+    & Patterson, "Direction-Optimizing Breadth-First Search", SC 2012). Each
+    level F is expanded by one of two steps. Top-down reads the row of each
+    vertex of F and claims its unvisited neighbours. Bottom-up reads the row
+    of each unvisited vertex up to its first neighbour in F. An O(1) test
+    per level compares estimated work: top-down reads |F| * 2m/n entries,
+    bottom-up |U| * n/|F|, U being the unvisited vertices (a row meets a
+    random F within about n/|F| entries). Bottom-up runs when
+    |F|^2 * 2m > |U| * n^2. As |U| >= 1, a level of at most sqrt(n^2 / 2m)
+    vertices always goes top-down; such levels run as one queue, with no
+    per-level work but one length check. Either form ends the search once
+    every allowed vertex is reached.
+
+    On the list form time and memory are O(n + m) per call. Top-down reads
+    each row at most once. A bottom-up scan that succeeds does so once per
+    vertex. A scan that fails is charged its row length plus one, and once
+    failed scans have cost more than 2m, every later level goes top-down.
     """
     n = g.n
     if isinstance(sources, int):
@@ -286,6 +353,9 @@ def bfs_distances(g: Graph, sources, allowed=None) -> list[int]:
         if dist[s] == MAXDIST:
             dist[s] = 0
             queue.append(s)
+    if g._from_matrix:
+        _or_levels(g._masks, dist, queue, allowed is not None)
+        return dist if allowed is None else [MAXDIST if d < 0 else d for d in dist]
     adj = g.adj
     total = n if allowed is None else dist.count(MAXDIST) + len(queue)
     two_m, nn = 2 * g.m, n * n
@@ -331,6 +401,36 @@ def bfs_distances(g: Graph, sources, allowed=None) -> list[int]:
     if allowed is not None:
         dist = [MAXDIST if d < 0 else d for d in dist]
     return dist
+
+
+def _or_levels(masks, dist, level, blocked: bool) -> None:
+    """bfs_distances' level step on the masks of a matrix-built graph: fill
+    in `dist` from `level`, the sources, already at distance 0.
+
+    The unseen set starts as every vertex but the sources and, when
+    `blocked`, those whose entry is -1 (outside `allowed`). Level d + 1 is
+    the part of it that the OR of level d's masks covers. The binary digits
+    of a level's set select both its masks and its ids, at C speed, so a
+    level costs O(n/64) words per vertex it holds, plus O(n) for its
+    digits; only the stores into `dist`, and with `allowed` the first
+    unseen set's digits, run one Python step per vertex. The search ends
+    once no vertex is unseen."""
+    ids = tuple(range(len(dist)))
+    unseen = (1 << len(dist)) - 1 ^ functools.reduce(operator.or_, map((1).__lshift__, level), 0)
+    if blocked:  # one digit per vertex, last vertex first: 1 where the entry is -1
+        unseen &= ~int(b"0" + bytes([d < 0 for d in reversed(dist)]).translate(_DIGITS), 2)
+    level_masks = map(masks.__getitem__, level)
+    d = 0
+    while unseen:
+        ring = functools.reduce(operator.or_, level_masks, 0) & unseen
+        if not ring:
+            break
+        unseen ^= ring
+        d += 1
+        digits = _digits(ring)
+        level_masks = itertools.compress(masks, digits)
+        for v in itertools.compress(ids, digits):
+            dist[v] = d
 
 
 def step_toward(g: Graph, dist, v: int) -> int:

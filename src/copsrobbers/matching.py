@@ -7,6 +7,7 @@ no set iteration feeds a tie-sensitive choice.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 
 
@@ -71,14 +72,24 @@ def hopcroft_karp(adj, n_right: int):
 
     # The first phase needs no BFS: every left vertex is free, so all sit on
     # layer 0 and each augmenting path is one edge to a free right vertex.
+    # Left vertices may share one list object (the sphere trap gives every
+    # target within reach of all cops the same list). A matched right vertex
+    # stays matched in this phase, so a shared list's scan resumes past the
+    # prefix the scans before it found matched: `done` maps the list's id to
+    # that prefix's length, and the pairs are those of a scan from the start.
     size = 0
+    done = {}
     for u in range(n_left):
-        for v in adj[u]:
+        nbrs = adj[u]
+        at = done.get(id(nbrs), 0)
+        for v in itertools.islice(nbrs, at, None):
+            at += 1
             if pair_right[v] == -1:
                 pair_left[u] = v
                 pair_right[v] = u
                 size += 1
                 break
+        done[id(nbrs)] = at
     while bfs():
         for u in range(n_left):
             if pair_left[u] == -1 and augment(u):

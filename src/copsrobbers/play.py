@@ -11,7 +11,6 @@ minus the cops' vertices. A cop policy never changes once built: `play` and
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .errors import IllegalMove
@@ -89,14 +88,11 @@ def _check_vertex(g: Graph, v, who: str):
 
 def _legal_cop_step(g: Graph, old, new):
     """Raise IllegalMove for the first cop whose step leaves its closed
-    neighbourhood: a bisection of the sorted row N[a] per cop that moved."""
-    closed = g.closed
+    neighbourhood: one `Graph.is_step` per cop that moved."""
+    is_step = g.is_step
     for i, (a, b) in enumerate(zip(old, new)):
-        if a != b:
-            row = closed[a]
-            at = bisect_left(row, b)
-            if at == len(row) or row[at] != b:
-                raise IllegalMove(f"cops (cop {i})", f"{a} -> {b} is not a step in N[{a}]")
+        if a != b and not is_step(a, b):
+            raise IllegalMove(f"cops (cop {i})", f"{a} -> {b} is not a step in N[{a}]")
 
 
 def _check_cops(g: Graph, k: int, cops, old=None):
@@ -161,7 +157,7 @@ def play(
                         f"{robber} -> {new_robber} leaves the cop-free component",
                     )
             else:
-                if new_robber not in g.closed[robber]:
+                if not g.is_step(robber, new_robber):
                     raise IllegalMove(
                         "robber", f"{robber} -> {new_robber} is not a step in N[{robber}]"
                     )

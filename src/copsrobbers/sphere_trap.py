@@ -58,9 +58,12 @@ def trap_matching(g: Graph, cops, v: int, d: int, reach: int, mode: str = "hyper
     `Graph.masks` until no cop is outside it or the radius is the admission
     distance (only the last ball may stop part-grown). Routes step inward to
     the smallest-id neighbour in the next smaller ball: `step_toward`'s rule.
-    Memory: the masks (about n^2/16 bytes on a sparse graph; a G(n, p)
-    graph has them from its construction, any other graph builds them on
-    first use, here) and up to radius + 1 n-bit balls per target.
+    Memory: the masks, n ints of n bits (about n^2/8 bytes; they are all a
+    G(n, p) graph holds, from its construction, and any other graph builds
+    them on first use, here), and up to radius + 1 n-bit balls per target.
+    Targets whose ball holds every cop share one list of all the cops,
+    which Hopcroft-Karp's first phase scans once in all, not once per
+    target.
     """
     if reach < 1:
         raise ValueError("reach must be at least 1")

@@ -27,6 +27,8 @@ CASES = {
     "solve_path48_k3": (["solve", "--gen", "path:48", "-k", "3"], 0),
     "kcenter_tree12_k2": (["kcenter", "--gen", "tree:12,3", "-k", "2"], 0),
     "verify_trees": (["verify", "trees"], 0),
+    # G(500, 0.5) games: the dense path of gen_gnp, the sphere trap and the referee
+    "verify_random_graphs": (["verify", "random_graphs"], 0),
     "verify_grid_closed_form": (["verify", "grid_closed_form"], 0),
     "verify_regime": (["verify", "regime"], 0),
     "verify_strategy_audits": (["verify", "strategy_audits"], 0),

@@ -1,6 +1,7 @@
 """The one BFS kernel, the eccentricity sweep and the step rule against the
 reference walks in oracles.py."""
 
+import math
 import random
 import sys
 
@@ -25,7 +26,9 @@ from copsrobbers.graphs import (
 )
 from copsrobbers.matching import hopcroft_karp
 from copsrobbers.planar import SeparatorResult, ThreeCopPlanarPolicy, _join_path, _path, separator
-from copsrobbers.sphere_trap import HallWitnessResult, trap_matching
+from copsrobbers.play import play
+from copsrobbers.sphere_trap import HallWitnessResult, SphereTrapPolicy, net_radius, trap_matching
+from copsrobbers.strategies import StayFarRobber
 
 
 def random_graph(seed):
@@ -59,16 +62,18 @@ def test_bfs_kernel_matches_oracles(seed):
 @given(st.integers(1, 30), st.sampled_from([0.03, 0.08, 0.15, 0.3, 0.6]), st.integers(0, 10**6))
 def test_bfs_matches_level_set_reference(n, p, seed):
     """Int and iterable sources, empty sources, sources outside `allowed`,
-    random `allowed` sets; sparse p gives disconnected graphs."""
+    random `allowed` sets; sparse p gives disconnected graphs. Each graph is
+    searched as gen_gnp built it, from a byte matrix, and built from lists."""
     g = gen_gnp(n, p, f"frontier-{seed}")
     rng = random.Random(seed)
     allowed = random_subset(rng, n)
     sources = rng.sample(range(n), rng.randint(0, min(n, 4)))
-    for src in [rng.randrange(n), sources, tuple(sources), set(sources), []]:
-        for allow in [None, allowed, frozenset(), range(n)]:
-            assert bfs_distances(g, src, allow) == oracles.reference_bfs_distances(g, src, allow)
     outside = [v for v in range(n) if v not in allowed]
-    assert bfs_distances(g, outside, allowed) == [MAXDIST] * n
+    for h in (g, rows_copy(g)):
+        for src in [rng.randrange(n), sources, tuple(sources), set(sources), []]:
+            for allow in [None, allowed, frozenset(), range(n)]:
+                assert bfs_distances(h, src, allow) == oracles.reference_bfs_distances(h, src, allow)
+        assert bfs_distances(h, outside, allowed) == [MAXDIST] * n
 
 
 def test_bfs_edge_cases():
@@ -96,8 +101,13 @@ def counting_adj(g):
                 reads[0] += 1
                 yield u
 
-    g.adj = tuple(Row(row) for row in g.adj)
+    g._adj = tuple(Row(row) for row in g.adj)
     return reads
+
+
+def rows_copy(g):
+    """The same graph built from its adjacency lists."""
+    return Graph(g.n, g.adj)
 
 
 def split_gnp(n, p, seed):
@@ -118,8 +128,9 @@ def test_bfs_on_dense_graphs_matches_level_set_reference(n, p, seed, split):
     """Dense graphs, where levels are large enough for bottom-up steps: one
     source, many sources with repeats, random and empty `allowed` sets, and
     graphs in pieces. Every search also reads at most 4 * 2m + n row
-    entries, the O(n + m) bound of the kernel's docstring."""
-    g = split_gnp(n, p, seed) if split else gen_gnp(n, p, f"dense-{seed}")
+    entries, the O(n + m) bound of the kernel's docstring, on the graph
+    built from lists."""
+    g = split_gnp(n, p, seed) if split else rows_copy(gen_gnp(n, p, f"dense-{seed}"))
     rng = random.Random(seed)
     many = [rng.randrange(n) for _ in range(rng.randint(2, n // 2))]
     sourcings = [rng.randrange(n), many + many[:3], [rng.randrange(n)]]
@@ -152,10 +163,10 @@ def test_bfs_after_failed_bottom_up_scans():
 
 
 def test_bfs_work_bound():
-    """On G(500, 0.5) a search reads under 5 % of the 2m row entries, since
-    its second level already goes bottom-up; on paths, grids and trees it
-    reads at most 2m, each row at most once."""
-    dense = gen_gnp(500, 0.5, "work-bound")
+    """On G(500, 0.5) built from lists a search reads under 5 % of the 2m
+    row entries, since its second level already goes bottom-up; on paths,
+    grids and trees it reads at most 2m, each row at most once."""
+    dense = rows_copy(gen_gnp(500, 0.5, "work-bound"))
     sparse = [gen_path(300)[0], gen_grid_dims([20, 20])[0], gen_grid_dims([6, 6, 6])[0],
               gen_tree(300, 1)]
     for g, sourcings, limit in [(dense, [0, 499, list(range(0, 500, 2))], 0.05 * 2 * dense.m)] + [
@@ -166,6 +177,70 @@ def test_bfs_work_bound():
             reads[0] = 0
             assert bfs_distances(g, src) == dist
             assert 0 < reads[0] <= limit
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 120), st.sampled_from([0.02, 0.1, 0.3, 0.5, 0.9]), st.integers(0, 10**6))
+def test_bfs_on_matrix_built_graphs_reads_only_masks(n, p, seed):
+    """A graph straight from gen_gnp is searched level by level over its
+    masks: one source, many sources with repeats, sources outside
+    `allowed`, random, empty and full `allowed` sets, each against the
+    level-set reference. The searches spell out no adjacency list, and the
+    reference reads another instance of the same graph."""
+    g, twin = gen_gnp(n, p, f"masks-{seed}"), gen_gnp(n, p, f"masks-{seed}")
+    rng = random.Random(seed)
+    many = [rng.randrange(n) for _ in range(rng.randint(2, max(2, n // 2)))] if n else []
+    allowed = random_subset(rng, n)
+    sourcings = [many + many[:3], [], list(set(range(n)) - allowed)] + (
+        [rng.randrange(n), 0, n - 1] if n else [])
+    allowings = [None, allowed, frozenset(), range(n)]
+    got = [[bfs_distances(g, src, allow) for allow in allowings] for src in sourcings]
+    assert g._adj is None and g._closed is None
+    assert got == [[oracles.reference_bfs_distances(twin, src, allow) for allow in allowings]
+                   for src in sourcings]
+    # once the rows are spelled out, the search still reads none of them
+    assert g.adj == twin.adj
+    reads = counting_adj(g)
+    assert bfs_distances(g, many, allowed) == got[0][1]
+    assert bfs_distances(g, many) == got[0][0]
+    assert reads[0] == 0
+
+
+def test_dense_trap_game_spells_out_no_rows():
+    """A sphere-trap game on a connected G(200, 0.5), as the random_graphs
+    suite plays it, reads the masks alone: the generator's connectivity
+    test, the robber's placement, the trap and the referee build neither
+    `adj` nor `closed`. The same game on the graph built from lists plays
+    the same transcript."""
+    n, p = 200, 0.5
+    k = math.ceil(10 * math.sqrt(n * math.log(n)))
+    g, probe = gen_connected_gnp(n, p, "masks-game")
+    r = net_radius(n, p * (n - 1), k, 10.0)
+
+    def game(h):
+        policy = SphereTrapPolicy(h, k, r, mode="general", seed=probe)
+        return play(h, k, policy, StayFarRobber(), max_rounds=50)
+
+    transcript = game(g)
+    assert g._adj is None and g._closed is None
+    assert transcript.metadata["cop"]["matching_saturated"]
+    assert game(rows_copy(g)).to_json() == transcript.to_json()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 40), st.sampled_from([0.1, 0.3, 0.7]), st.integers(0, 10**6))
+def test_is_step_on_both_forms(n, p, seed):
+    """Graph.is_step(a, b) is b in N[a] on a matrix-built graph (a mask
+    bit), on a list-built one before its masks exist (a bisection of
+    `closed`) and after (a mask bit again)."""
+    g = gen_gnp(n, p, f"step-{seed}")
+    rows = rows_copy(g)
+    want = [[b == a or b in g.adj[a] for b in range(n)] for a in range(n)]
+    assert [[g.is_step(a, b) for b in range(n)] for a in range(n)] == want
+    assert [[rows.is_step(a, b) for b in range(n)] for a in range(n)] == want
+    assert rows._masks is None
+    rows.masks
+    assert [[rows.is_step(a, b) for b in range(n)] for a in range(n)] == want
 
 
 def star(leaves):

@@ -226,7 +226,16 @@ def matrix(n, pairs):
     (3, matrix(3, [((0, 2), 1), ((1, 1), 1)]), r"byte \(1,1\) is set at or below the diagonal"),
     (4, matrix(4, [((0, 1), 1), ((3, 1), 1), ((2, 0), 1)]),
      r"byte \(2,0\) is set at or below the diagonal"),
-], ids=["short", "long", "long-empty", "byte-2", "byte-255", "diagonal", "lower"])
+    # digits, whitespace and separators int() would read are bytes like any other
+    (3, matrix(3, [((0, 1), ord("1"))]), r"byte \(0,1\) is 49, not 0 or 1"),
+    (3, matrix(3, [((0, 2), ord("0"))]), r"byte \(0,2\) is 48, not 0 or 1"),
+    (3, matrix(3, [((1, 2), ord("_"))]), r"byte \(1,2\) is 95, not 0 or 1"),
+    (3, matrix(3, [((0, 1), ord(" "))]), r"byte \(0,1\) is 32, not 0 or 1"),
+    (3, matrix(3, [((2, 0), 2)]), r"byte \(2,0\) is 2, not 0 or 1"),
+    # a bad byte anywhere is named before a set byte at or below the diagonal
+    (4, matrix(4, [((1, 0), 1), ((3, 2), 7)]), r"byte \(3,2\) is 7, not 0 or 1"),
+], ids=["short", "long", "long-empty", "byte-2", "byte-255", "diagonal", "lower",
+        "ascii-1", "ascii-0", "underscore", "space", "byte-2-lower", "bad-byte-first"])
 def test_matrix_form_refusals(n, adjacency, message):
     """The byte-matrix form of Graph refuses a wrong length, a byte other
     than 0 or 1, and a set byte on or below the diagonal, naming the first

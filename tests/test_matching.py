@@ -1,8 +1,10 @@
 import itertools
+import random
 
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from copsrobbers.matching import hall_witness, hopcroft_karp
 
 
@@ -69,3 +71,32 @@ def test_matches_brute_force(seed):
         for u in W:
             union.update(adj[u])
         assert union == set(NW)
+
+
+@given(st.integers(0, 2000))
+def test_shared_lists_match_as_unshared_copies(seed):
+    """Left vertices that share one list object resume its first-phase scan
+    past the entries found matched. The matching is the one that copies of
+    the lists give, and the recursive oracle's: lists in any order, shared
+    by any number of left vertices, beside unshared ones."""
+    rng = random.Random(seed)
+    n_right = rng.randint(1, 12)
+    pool = [rng.sample(range(n_right), rng.randint(0, n_right)) for _ in range(rng.randint(1, 3))]
+    adj = [rng.choice(pool) if rng.random() < 0.7 else
+           rng.sample(range(n_right), rng.randint(0, n_right))
+           for _ in range(rng.randint(1, 14))]
+    copies = [list(a) for a in adj]
+    assert hopcroft_karp(adj, n_right) == hopcroft_karp(copies, n_right)
+    assert hopcroft_karp(adj, n_right) == oracles.recursive_hopcroft_karp(copies, n_right)
+
+
+def test_one_list_shared_by_every_target():
+    """The sphere trap's case: one list of every cop for most targets, some
+    targets with a list of their own, and more cops than targets."""
+    everyone = list(range(30))
+    adj = [everyone if t % 4 else [29 - t, t] for t in range(24)]
+    copies = [list(a) for a in adj]
+    size, pair_left, pair_right = hopcroft_karp(adj, 30)
+    assert size == 24
+    assert (size, pair_left, pair_right) == hopcroft_karp(copies, 30)
+    assert (size, pair_left, pair_right) == oracles.recursive_hopcroft_karp(copies, 30)

@@ -5,7 +5,7 @@ import pytest
 
 from copsrobbers.errors import IllegalMove
 from copsrobbers.generators import gen_cycle, gen_gnp, gen_grid, gen_path
-from copsrobbers.graphs import bfs_distances, step_toward
+from copsrobbers.graphs import Graph, bfs_distances, step_toward
 from copsrobbers.play import CopPolicy, RobberPolicy, _check_cops, play, worst_case_capture_round
 from copsrobbers.solver import extract_policies, solve
 from copsrobbers.strategies import StaticCopPolicy, StayFarRobber
@@ -93,23 +93,34 @@ def test_illegal_cop_move_identifies_offender():
 def test_step_check_bisects_dense_rows(monkeypatch):
     """On a dense G(60, 0.9) the referee accepts every step within N[a] and
     refuses every other one, past the row's largest entry too, naming the
-    cop as before, with one bisection per cop that moved; a cop that stays
-    is legal."""
-    referee = importlib.import_module("copsrobbers.play")
-    bisections = []
-    real = referee.bisect_left
-    monkeypatch.setattr(referee, "bisect_left", lambda row, b: bisections.append(b) or real(row, b))
-    g = gen_gnp(60, 0.9, 3)
-    assert min(map(len, g.closed)) > 40 and any(row[-1] < g.n - 1 for row in g.closed)
-    for a in range(g.n):
-        for b in range(g.n):
-            if b in g.closed[a]:
-                _check_cops(g, 2, (a, b), (a, a))
-            else:
-                with pytest.raises(IllegalMove) as exc:
+    cop as before, with one Graph.is_step per cop that moved; a cop that
+    stays is legal. Built from lists, the graph answers each with one
+    bisection of N[a]; built from the byte matrix, with one mask bit and no
+    row."""
+    graphs = importlib.import_module("copsrobbers.graphs")
+    bisections, steps = [], []
+    real_bisect, real_step = graphs.bisect_left, Graph.is_step
+    monkeypatch.setattr(graphs, "bisect_left", lambda row, b: bisections.append(b) or real_bisect(row, b))
+    monkeypatch.setattr(Graph, "is_step", lambda g, a, b: steps.append(b) or real_step(g, a, b))
+    dense = gen_gnp(60, 0.9, 3)
+    closed = dense.closed
+    assert min(map(len, closed)) > 40 and any(row[-1] < dense.n - 1 for row in closed)
+    for g, bisected in ((Graph(dense.n, dense.adj), True), (gen_gnp(60, 0.9, 3), False)):
+        assert g.closed == closed if bisected else g._closed is None
+        bisections.clear()
+        steps.clear()
+        for a in range(g.n):
+            for b in range(g.n):
+                if b in closed[a]:
                     _check_cops(g, 2, (a, b), (a, a))
-                assert str(exc.value) == f"cops (cop 1): {a} -> {b} is not a step in N[{a}]"
-    assert len(bisections) == g.n * (g.n - 1)
+                else:
+                    with pytest.raises(IllegalMove) as exc:
+                        _check_cops(g, 2, (a, b), (a, a))
+                    assert str(exc.value) == f"cops (cop 1): {a} -> {b} is not a step in N[{a}]"
+        assert len(steps) == g.n * (g.n - 1)
+        assert len(bisections) == (g.n * (g.n - 1) if bisected else 0)
+        assert g._adj is None or bisected
+
 
 def test_illegal_robber_move():
     g, _ = gen_path(5)

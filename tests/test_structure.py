@@ -171,7 +171,7 @@ def test_module_level_imports_are_used():
     assert unused == []
 
 
-GRAPH_FIELDS = {"adj", "_masks", "_closed"}
+GRAPH_FIELDS = {"adj", "_adj", "_masks", "_closed", "_from_matrix"}
 
 
 def graph_bypasses(path):
@@ -200,6 +200,21 @@ def test_graphs_built_only_by_the_checked_constructor():
     """Every Graph runs the checks of Graph.__init__: no module makes one
     through ``__new__`` or fills in its fields from outside graphs.py."""
     assert [b for path in sorted(SRC.glob("*.py")) for b in graph_bypasses(path)] == []
+
+
+def test_graph_storage_stays_in_graphs():
+    """Only graphs.py reads a Graph's stored rows (`_adj`, `_closed`,
+    `_masks`): other modules go through `adj`, `closed`, `masks` and
+    `is_step`, which build what a graph built from a matrix or from lists
+    lacks, so the referee asks `is_step` and never reads a row it does not
+    need."""
+    readers = [f"{path.name}:{node.lineno} .{node.attr}" for path in sorted(SRC.glob("*.py"))
+               if path.name != "graphs.py"
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Attribute) and node.attr in {"_adj", "_closed", "_masks"}]
+    assert readers == []
+    play = (SRC / "play.py").read_text(encoding="utf-8")
+    assert "is_step" in play and "bisect" not in play
 
 
 def test_value_format_stays_in_the_solver():
