@@ -4,10 +4,10 @@ k-centers, domination numbers, and retract maps.
 
 Every graph walk of the game code goes through four pieces here:
 `bfs_distances` is the one BFS (multi-source, optionally confined to an
-allowed vertex set; on a graph built from a byte matrix each level is one OR
-of its vertices' masks, and on one built from lists it is
-direction-optimizing: small levels expand top-down from a queue, large ones
-bottom-up), `eccentricities` the one
+allowed vertex set) with two kernels, chosen by the form the graph was built
+from: a graph built from lists is searched top-down from a queue, each
+reached row read once, and one built from a byte matrix by `_or_levels`,
+each level one OR of its vertices' masks. `eccentricities` is the one
 all-vertices sweep (bit-parallel over batches of sources, in place of a BFS
 from every vertex), `step_toward` the one shortest-path step rule (the
 smallest-id neighbour one BFS layer closer, with `walk_toward` as its path
@@ -311,28 +311,19 @@ def bfs_distances(g: Graph, sources, allowed=None) -> list[int]:
     `allowed`, the search stays inside that vertex set: sources outside it
     are ignored and every vertex outside it reads MAXDIST.
 
-    On a graph built from a byte matrix the search reads only `Graph.masks`,
-    whether or not `adj` has been spelled out: `_or_levels` takes each level
-    whole, as one OR of its vertices' masks. Its cost is
-    O(n^2/64 + n * levels) per call.
+    The kernel is chosen by the form the graph was built from. On a graph
+    built from a byte matrix the search reads only `Graph.masks`, whether or
+    not `adj` has been spelled out: `_or_levels` takes each level whole, as
+    one OR of its vertices' masks. Its cost is O(n^2/64 + n * levels) per
+    call.
 
-    On a graph built from lists it is direction-optimizing (Beamer, Asanovic
-    & Patterson, "Direction-Optimizing Breadth-First Search", SC 2012). Each
-    level F is expanded by one of two steps. Top-down reads the row of each
-    vertex of F and claims its unvisited neighbours. Bottom-up reads the row
-    of each unvisited vertex up to its first neighbour in F. An O(1) test
-    per level compares estimated work: top-down reads |F| * 2m/n entries,
-    bottom-up |U| * n/|F|, U being the unvisited vertices (a row meets a
-    random F within about n/|F| entries). Bottom-up runs when
-    |F|^2 * 2m > |U| * n^2. As |U| >= 1, a level of at most sqrt(n^2 / 2m)
-    vertices always goes top-down; such levels run as one queue, with no
-    per-level work but one length check. Either form ends the search once
-    every allowed vertex is reached.
-
-    On the list form time and memory are O(n + m) per call. Top-down reads
-    each row at most once. A bottom-up scan that succeeds does so once per
-    vertex. A scan that fails is charged its row length plus one, and once
-    failed scans have cost more than 2m, every later level goes top-down.
+    On a graph built from lists it is a top-down queue search, which reads
+    the row of each reached vertex once: O(n + m) time and O(n) memory per
+    call.
+    A dense graph built from lists, which only an edge file or
+    `Graph(n, lists)` makes, pays that too: a search of G(500, 0.5) reads
+    about 125,000 row entries, some 40 times the time of a search of its
+    masks.
     """
     n = g.n
     if isinstance(sources, int):
@@ -357,43 +348,11 @@ def bfs_distances(g: Graph, sources, allowed=None) -> list[int]:
         _or_levels(g._masks, dist, queue, allowed is not None)
         return dist if allowed is None else [MAXDIST if d < 0 else d for d in dist]
     adj = g.adj
-    total = n if allowed is None else dist.count(MAXDIST) + len(queue)
-    two_m, nn = 2 * g.m, n * n
-    # only a level of more than `thin` vertices can pass the bottom-up test
-    thin = math.isqrt(nn // two_m) if two_m else n
     unseen = MAXDIST  # every unvisited entry is this object: `is` skips a big-int compare
-    unvisited = None  # the failed candidates of the last bottom-up step
-    wasted = 0  # what failed bottom-up scans cost: row entries plus one per row
-    rest = iter(queue)  # the vertices not yet expanded
     nd = 0  # the distance of the next level; its first vertex opens it
-    for v in rest:
+    for v in queue:  # the queue grows as the loop reads it
         if dist[v] == nd:
-            # v opens level nd, which is v and every vertex queued after it
-            # (__length_hint__ counts those in O(1); a second call only when
-            # the level is large keeps the common path short)
             nd += 1
-            if rest.__length_hint__() >= thin:
-                f = rest.__length_hint__() + 1
-                left = total - len(queue)
-                if not left:
-                    break
-                if f * f * two_m > left * nn and wasted <= two_m:
-                    next(itertools.islice(rest, f - 1, f - 1), None)  # no row of this level is read
-                    d = nd - 1
-                    candidates = range(n) if unvisited is None else unvisited
-                    unvisited = []
-                    for w in candidates:
-                        if dist[w] is unseen:
-                            row = adj[w]
-                            for u in row:
-                                if dist[u] == d:
-                                    dist[w] = nd
-                                    queue.append(w)
-                                    break
-                            else:
-                                unvisited.append(w)
-                                wasted += len(row) + 1
-                    continue
         for u in adj[v]:
             if dist[u] is unseen:
                 dist[u] = nd

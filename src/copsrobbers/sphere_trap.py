@@ -154,10 +154,8 @@ def tighten_step(g: Graph, dist_v, i: int, occupiers):
     if set(positions) != layer_outer:
         raise ValueError("occupiers must stand on layer i and cover it")
 
-    adj = []
-    for t in layer_inner:
-        t_nbrs = set(g.adj[t])
-        adj.append([j for j, pos in enumerate(positions) if pos in t_nbrs])
+    # pos != t, so pos in N[t] means pos ~ t
+    adj = [[j for j, pos in enumerate(positions) if g.is_step(t, pos)] for t in layer_inner]
     size, pair_left, pair_right = hopcroft_karp(adj, len(positions))
     if size < len(layer_inner):
         W, _ = hall_witness(adj, pair_left, pair_right)

@@ -1,4 +1,4 @@
-"""The one BFS kernel, the eccentricity sweep and the step rule against the
+"""The two BFS kernels, the eccentricity sweep and the step rule against the
 reference walks in oracles.py."""
 
 import math
@@ -110,6 +110,12 @@ def rows_copy(g):
     return Graph(g.n, g.adj)
 
 
+def reached_degrees(g, dist):
+    """The row entries a search that reads each reached vertex's row once
+    reads: the sum of deg(v) over the vertices `dist` reaches."""
+    return sum(g.degree(v) for v, d in enumerate(dist) if d != MAXDIST)
+
+
 def split_gnp(n, p, seed):
     """Two dense G(n, p) blocks and three isolated vertices under a random
     relabelling: every search leaves most of the graph unreached."""
@@ -125,11 +131,9 @@ def split_gnp(n, p, seed):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(40, 200), st.floats(0.2, 0.95), st.integers(0, 10**6), st.booleans())
 def test_bfs_on_dense_graphs_matches_level_set_reference(n, p, seed, split):
-    """Dense graphs, where levels are large enough for bottom-up steps: one
-    source, many sources with repeats, random and empty `allowed` sets, and
-    graphs in pieces. Every search also reads at most 4 * 2m + n row
-    entries, the O(n + m) bound of the kernel's docstring, on the graph
-    built from lists."""
+    """Dense graphs built from lists: one source, many sources with repeats,
+    random and empty `allowed` sets, and graphs in pieces. Every search
+    also reads exactly the rows of the vertices it reaches, each once."""
     g = split_gnp(n, p, seed) if split else rows_copy(gen_gnp(n, p, f"dense-{seed}"))
     rng = random.Random(seed)
     many = [rng.randrange(n) for _ in range(rng.randint(2, n // 2))]
@@ -142,41 +146,29 @@ def test_bfs_on_dense_graphs_matches_level_set_reference(n, p, seed, split):
         for allow, want in zip(allowings, row):
             reads[0] = 0
             assert bfs_distances(g, src, allow) == want
-            assert reads[0] <= 4 * 2 * g.m + n
+            assert reads[0] == reached_degrees(g, want)
 
 
-def test_bfs_after_failed_bottom_up_scans():
-    """Five levels of 60 vertices, consecutive ones completely joined, beside
-    an unreachable G(200, 0.5). The first two bottom-up steps scan every row
-    of the far block in vain; then failed scans have cost more than 2m, and
-    the last levels go top-down. Had they gone bottom-up too, the far block
-    would be scanned twice more, over 2 * 2m entries in all."""
+def test_bfs_work_bound():
+    """A search of a graph built from lists reads exactly the row entries of
+    the vertices it reaches, each row once: on G(500, 0.5), paths, grids,
+    trees, and five levels of 60 vertices, consecutive ones completely
+    joined, beside an unreachable G(200, 0.5)."""
     far = gen_gnp(200, 0.5, "far-block")
     levels = [[0]] + [list(range(1 + 60 * i, 61 + 60 * i)) for i in range(4)]
     edges = [(u, v) for a, b in zip(levels, levels[1:]) for u in a for v in b]
     edges += [(241 + u, 241 + v) for u, v in far.edges()]
-    g = Graph.from_edges(441, edges)
-    want = oracles.reference_bfs_distances(g, 0)
-    reads = counting_adj(g)
-    assert bfs_distances(g, 0) == want
-    assert reads[0] <= 2 * 2 * g.m
-
-
-def test_bfs_work_bound():
-    """On G(500, 0.5) built from lists a search reads under 5 % of the 2m
-    row entries, since its second level already goes bottom-up; on paths,
-    grids and trees it reads at most 2m, each row at most once."""
-    dense = rows_copy(gen_gnp(500, 0.5, "work-bound"))
-    sparse = [gen_path(300)[0], gen_grid_dims([20, 20])[0], gen_grid_dims([6, 6, 6])[0],
-              gen_tree(300, 1)]
-    for g, sourcings, limit in [(dense, [0, 499, list(range(0, 500, 2))], 0.05 * 2 * dense.m)] + [
-            (g, [0, g.n // 2, list(range(0, g.n, 7))], 2 * g.m) for g in sparse]:
+    beside = Graph.from_edges(441, edges)
+    inputs = [rows_copy(gen_gnp(500, 0.5, "work-bound")), gen_path(300)[0],
+              gen_grid_dims([20, 20])[0], gen_grid_dims([6, 6, 6])[0], gen_tree(300, 1), beside]
+    for g in inputs:
+        sourcings = [0, g.n // 2, list(range(0, g.n, 7))]
         want = [oracles.reference_bfs_distances(g, src) for src in sourcings]
         reads = counting_adj(g)
         for src, dist in zip(sourcings, want):
             reads[0] = 0
             assert bfs_distances(g, src) == dist
-            assert 0 < reads[0] <= limit
+            assert 0 < reads[0] == reached_degrees(g, dist)
 
 
 @settings(max_examples=60, deadline=None)
