@@ -149,18 +149,29 @@ def test_bfs_on_dense_graphs_matches_level_set_reference(n, p, seed, split):
             assert reads[0] == reached_degrees(g, want)
 
 
-def test_bfs_work_bound():
-    """A search of a graph built from lists reads exactly the row entries of
-    the vertices it reaches, each row once: on G(500, 0.5), paths, grids,
-    trees, and five levels of 60 vertices, consecutive ones completely
-    joined, beside an unreachable G(200, 0.5)."""
+def test_bfs_after_failed_bottom_up_scans():
+    """Five levels of 60 vertices, consecutive ones completely joined, beside
+    an unreachable G(200, 0.5): the graph on which a bottom-up step would
+    scan every row of the far block in vain. The queue search reads the
+    rows of the five levels, each once, and no entry of the far block."""
     far = gen_gnp(200, 0.5, "far-block")
     levels = [[0]] + [list(range(1 + 60 * i, 61 + 60 * i)) for i in range(4)]
     edges = [(u, v) for a, b in zip(levels, levels[1:]) for u in a for v in b]
     edges += [(241 + u, 241 + v) for u, v in far.edges()]
-    beside = Graph.from_edges(441, edges)
+    g = Graph.from_edges(441, edges)
+    want = oracles.reference_bfs_distances(g, 0)
+    reads = counting_adj(g)
+    assert bfs_distances(g, 0) == want
+    assert reads[0] == reached_degrees(g, want) == 2 * (g.m - far.m)
+    assert reads[0] <= 2 * 2 * g.m
+
+
+def test_bfs_work_bound():
+    """A search of a graph built from lists reads exactly the row entries of
+    the vertices it reaches, each row once: on G(500, 0.5), paths, grids
+    and trees."""
     inputs = [rows_copy(gen_gnp(500, 0.5, "work-bound")), gen_path(300)[0],
-              gen_grid_dims([20, 20])[0], gen_grid_dims([6, 6, 6])[0], gen_tree(300, 1), beside]
+              gen_grid_dims([20, 20])[0], gen_grid_dims([6, 6, 6])[0], gen_tree(300, 1)]
     for g in inputs:
         sourcings = [0, g.n // 2, list(range(0, g.n, 7))]
         want = [oracles.reference_bfs_distances(g, src) for src in sourcings]
