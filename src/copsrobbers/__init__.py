@@ -56,7 +56,6 @@ from .sphere_trap import (
     SphereTrapPolicy,
     net_radius,
     thresholds,
-    tighten_step,
     trap_matching,
 )
 from .planar import (

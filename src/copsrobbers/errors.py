@@ -77,18 +77,6 @@ class IllegalMove(CopsRobbersError):
         super().__init__(f"{offender}: {message}")
 
 
-class LayerHallFailure(CopsRobbersError):
-    """A layer-to-layer matching does not saturate the inner layer.
-
-    `witness` is a set of inner-layer vertices whose joint neighbourhood in
-    the outer layer is too small (a Hall-condition violation certificate).
-    """
-
-    def __init__(self, witness, message="inner layer cannot be covered"):
-        self.witness = tuple(sorted(witness))
-        super().__init__(f"{message}; deficient set {self.witness}")
-
-
 class DomainError(CopsRobbersError):
     pass
 

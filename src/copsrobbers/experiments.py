@@ -267,7 +267,7 @@ def _suite_trees(params):
     for name, g, seed in tree_instances(params["count"], params["n_max"], params["base_seed"]):
         for k in range(1, params["k_max"] + 1):
             capt = capture_time(g, k)
-            rad = k_center(g, k).radius if k < g.n else 0
+            rad = k_center(g, k).radius
             yield BoundReport(
                 "trees", name, f"capt_{k}_equals_rad_{k}", capt, rad,
                 capt == rad, seed=seed,

@@ -1,4 +1,4 @@
-"""Maximum bipartite matching (Hopcroft-Karp) with Hall-violation witnesses.
+"""Maximum bipartite matching (Hopcroft-Karp) with its Hall-violation witness.
 
 Left vertices are 0..n_left-1 with adjacency lists of right ids. The
 implementation is deterministic: vertices are scanned in ascending order and
@@ -12,7 +12,16 @@ from collections import deque
 
 
 def hopcroft_karp(adj, n_right: int):
-    """Return (size, pair_left, pair_right); unmatched entries are -1."""
+    """Return (size, pair_left, pair_right, deficient); unmatched entries of
+    the pairs are -1.
+
+    deficient lists, ascending, the left vertices that an alternating path
+    reaches from an unmatched left vertex: the layers of the final phase,
+    which finds no augmenting path (Koenig's construction). It is empty when
+    the matching saturates the left side; otherwise its right neighbourhood
+    is matched into it, so it is a Hall violation, and it is the set of left
+    vertices some maximum matching leaves free.
+    """
     n_left = len(adj)
     pair_left = [-1] * n_left
     pair_right = [-1] * n_right
@@ -94,35 +103,4 @@ def hopcroft_karp(adj, n_right: int):
         for u in range(n_left):
             if pair_left[u] == -1 and augment(u):
                 size += 1
-    return size, pair_left, pair_right
-
-
-def hall_witness(adj, pair_left, pair_right):
-    """Deficient left set W with |N(W)| < |W|, from a maximum matching.
-
-    Standard alternating-reachability (Koenig) construction: W is every left
-    vertex reachable from an unmatched left vertex by alternating paths.
-    Returns (W_sorted, neighbourhood_sorted); empty W means the matching
-    saturates the left side.
-    """
-    n_left = len(adj)
-    if all(p != -1 for p in pair_left):
-        return [], []
-    reach_left = [False] * n_left
-    reach_right = set()
-    q = deque()
-    for u in range(n_left):
-        if pair_left[u] == -1:
-            reach_left[u] = True
-            q.append(u)
-    while q:
-        u = q.popleft()
-        for v in adj[u]:
-            if v not in reach_right:
-                reach_right.add(v)
-                w = pair_right[v]
-                if w != -1 and not reach_left[w]:
-                    reach_left[w] = True
-                    q.append(w)
-    W = [u for u in range(n_left) if reach_left[u]]
-    return W, sorted(reach_right)
+    return size, pair_left, pair_right, [u for u in range(n_left) if dist[u] >= 0]

@@ -2,10 +2,13 @@
 start within d+1 rounds via a saturating bipartite matching, confining the
 robber to the ball, then tighten layer by layer. Certified capture within
 2d+1 rounds whenever the matching saturates; a Hall witness is reported (and
-greedy pursuit substituted) otherwise. The cops eligible for each sphere
-vertex, and their routes, come from its distance balls over `Graph.masks`.
-A game's state is its trap, built as the game needs it: a game caught while
-the cops route pays for neither tightening nor a second BFS from the centre.
+greedy pursuit substituted) otherwise. One routine, `trap_matching`, does
+every matching: the sphere's, and each tightening step's, which is the trap
+matching of the next inner layer at reach 1. It takes the centre's
+distances, not the centre, so a game runs one BFS from the centre, at its
+first move. The cops eligible for each target vertex, and their routes,
+come from its distance balls over `Graph.masks`. A game's state is its
+trap, built as the game needs it.
 
 Also houses the exact threshold formulas governing when the trap (or its
 counting counterpart) applies on hypercubes, and the net radius used for
@@ -19,9 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import DomainError, LayerHallFailure
+from .errors import DomainError
 from .graphs import Graph, bfs_distances, step_toward
-from .matching import hall_witness, hopcroft_karp
+from .matching import hopcroft_karp
 from .play import CopPolicy
 from .rng import make_rng, sample_distinct, sample_with_replacement
 
@@ -43,20 +46,23 @@ class HallWitnessResult:
     reachable_cops: tuple
 
 
-def trap_matching(g: Graph, cops, v: int, d: int, reach: int, mode: str = "hypercube"):
+def trap_matching(g: Graph, cops, dist, d: int, reach: int, mode: str = "hypercube"):
     """Match every vertex of the sphere N_d(v) to a distinct cop that can
     reach it in time.
 
-    hypercube mode admits a cop for a target iff the cop stands on the target
-    or at distance exactly d+1 from it; general mode admits any cop within
-    `reach`. Returns a TrapAssignment when the matching saturates the sphere,
+    `dist` is every vertex's distance from the centre v, from the caller's
+    BFS, and the sphere is the vertices at distance d. hypercube mode admits
+    a cop for a target iff the cop stands on the target or at distance
+    exactly d+1 from it; general mode admits any cop within `reach`.
+    Returns a TrapAssignment when the matching saturates the sphere,
     otherwise a HallWitnessResult with a deficient target set. Cop positions
-    must be vertex ids (ValueError otherwise).
+    must be vertex ids (ValueError otherwise). A tightening step is this
+    matching at reach 1: layer i-1 is the sphere, the layer-i cops the cops.
 
-    One BFS from v finds the sphere. For each target t, ball[i] is the
-    bitmask of vertices within distance i of t, grown ring by ring from
-    `Graph.masks` until no cop is outside it or the radius is the admission
-    distance (only the last ball may stop part-grown). Routes step inward to
+    For each target t, ball[i] is the bitmask of vertices within distance i
+    of t, grown ring by ring from `Graph.masks` until no cop is outside it
+    or the radius is the admission distance (only the last ball may stop
+    part-grown). Routes step inward to
     the smallest-id neighbour in the next smaller ball: `step_toward`'s rule.
     Memory: the masks, n ints of n bits (about n^2/8 bytes; they are all a
     G(n, p) graph holds, from its construction, and any other graph builds
@@ -75,8 +81,7 @@ def trap_matching(g: Graph, cops, v: int, d: int, reach: int, mode: str = "hyper
         if not 0 <= pos < g.n:
             raise ValueError(f"cop position {pos} out of range")
         occupied |= 1 << pos
-    dist_v = bfs_distances(g, v)
-    targets = [u for u in range(g.n) if dist_v[u] == d]
+    targets = [u for u in range(g.n) if dist[u] == d]
     if not targets:
         return TrapAssignment({}, {}, reach)
 
@@ -110,11 +115,11 @@ def trap_matching(g: Graph, cops, v: int, d: int, reach: int, mode: str = "hyper
             adj.append(everyone)
 
     # prefer cops already standing on their target, then augment
-    size, pair_left, pair_right = hopcroft_karp(adj, len(cops))
+    size, pair_left, _, deficient = hopcroft_karp(adj, len(cops))
     if size < len(targets):
-        W, NW = hall_witness(adj, pair_left, pair_right)
         return HallWitnessResult(
-            tuple(targets[i] for i in W), tuple(sorted(NW))
+            tuple(targets[i] for i in deficient),
+            tuple(sorted({c for i in deficient for c in adj[i]})),
         )
     matching = {}
     routes = {}
@@ -135,49 +140,14 @@ def trap_matching(g: Graph, cops, v: int, d: int, reach: int, mode: str = "hyper
     return TrapAssignment(matching, routes, reach)
 
 
-def tighten_step(g: Graph, dist_v, i: int, occupiers):
-    """One tightening move: cops covering layer i move so layer i-1 becomes
-    fully covered; surplus cops step to their smallest inward neighbour.
-
-    dist_v: every vertex's distance from the trap centre (layer j is the
-    vertices at distance j), so that a game computes it once. occupiers:
-    (cop id, position) pairs, positions on layer i covering it entirely
-    (ValueError otherwise). Returns {cop id: new position}. Raises
-    LayerHallFailure with a deficient inner set when no saturating matching
-    exists.
-    """
-    if i < 1:
-        raise ValueError("i must be at least 1")
-    layer_inner = [u for u in range(g.n) if dist_v[u] == i - 1]
-    layer_outer = {u for u in range(g.n) if dist_v[u] == i}
-    positions = [pos for _, pos in occupiers]
-    if set(positions) != layer_outer:
-        raise ValueError("occupiers must stand on layer i and cover it")
-
-    # pos != t, so pos in N[t] means pos ~ t
-    adj = [[j for j, pos in enumerate(positions) if g.is_step(t, pos)] for t in layer_inner]
-    size, pair_left, pair_right = hopcroft_karp(adj, len(positions))
-    if size < len(layer_inner):
-        W, _ = hall_witness(adj, pair_left, pair_right)
-        raise LayerHallFailure([layer_inner[w] for w in W])
-
-    moves = {}
-    for t_idx, occ_idx in enumerate(pair_left):
-        moves[occupiers[occ_idx][0]] = layer_inner[t_idx]
-    for cop_id, pos in occupiers:
-        if cop_id not in moves:
-            moves[cop_id] = step_toward(g, dist_v, pos)
-    return moves
-
-
 class _Trap(NamedTuple):
-    """A sphere-trap game's state from its first move on; `failure` is the
-    metadata key and witness of the first failed step."""
+    """A sphere-trap game's state from its first move on: the trap centre's
+    distances, and `failure`, the metadata key and witness of the first
+    failed matching."""
 
-    centre: int
     routes: tuple | None
+    dist: tuple
     played: int = 0
-    dist: tuple | None = None
     failure: tuple = ()
 
 
@@ -187,12 +157,14 @@ class SphereTrapPolicy(CopPolicy):
     Placement is a uniform k-subset when k <= n and uniform with replacement
     otherwise (teams may co-locate). The trap is set against the robber's
     first observed position, the trap centre; per-run success is certified
-    by the matching, never assumed. The first move computes the matching,
-    and each move plays one round of the plan: d+1 routing rounds, one
-    tightening step per layer, then the cops stay. When the matching or a
-    tightening step fails, the state keeps the witness and the policy falls
-    back to greedy shortest-path pursuit. Its bound, 2d+1, holds only on
-    runs whose matching saturates.
+    by the matching, never assumed. The first move runs the game's one BFS
+    from the centre and computes the matching, and each move plays one
+    round of the plan: d+1 routing rounds, one tightening step per layer,
+    then the cops stay. A tightening step from layer i is the trap matching
+    of layer i-1 at reach 1 by the cops on layer i; the cops it leaves
+    unmatched step inward. When a matching fails, the state keeps the
+    witness and the policy falls back to greedy shortest-path pursuit. Its
+    bound, 2d+1, holds only on runs whose matching saturates.
     """
 
     def __init__(self, g: Graph, k: int, d: int, mode: str = "hypercube", seed=0):
@@ -222,11 +194,13 @@ class SphereTrapPolicy(CopPolicy):
     def move(self, g: Graph, state, cops, robber: int, rnd: int):
         d = self.d
         if state is None:
-            result = trap_matching(g, cops, robber, d, d + 1, mode=self.mode)
+            dist = tuple(bfs_distances(g, robber))
+            result = trap_matching(g, cops, dist, d, d + 1, mode=self.mode)
             if isinstance(result, TrapAssignment):
-                state = _Trap(robber, tuple(result.routes.items()))
+                state = _Trap(tuple(result.routes.items()), dist)
             else:
-                state = _Trap(robber, None, failure=("hall_deficient", result.deficient_targets))
+                state = _Trap(None, dist, failure=("hall_deficient", result.deficient_targets))
+        dist = state.dist
         if not state.failure:
             played, pos = state.played + 1, list(cops)
             if played <= d + 1:  # routing
@@ -236,17 +210,19 @@ class SphereTrapPolicy(CopPolicy):
             layer = 2 * d + 2 - played
             if layer < 1:  # every layer tightened: stay
                 return tuple(cops), state
-            dist = state.dist or tuple(bfs_distances(g, state.centre))
-            occupiers = [(cid, p) for cid, p in enumerate(cops) if dist[p] == layer]
-            try:
-                moves = tighten_step(g, dist, layer, occupiers)
-            except LayerHallFailure as exc:
-                state = state._replace(failure=("tighten_failure", exc.witness))
-            else:
-                for cid, p in moves.items():
-                    pos[cid] = p
-                return tuple(pos), state._replace(played=played, dist=dist)
-        dist = bfs_distances(g, robber)
+            occupiers = [cid for cid, p in enumerate(cops) if dist[p] == layer]
+            if len({cops[cid] for cid in occupiers}) != dist.count(layer):
+                raise AssertionError(f"the cops do not cover layer {layer}")
+            result = trap_matching(g, [cops[cid] for cid in occupiers], dist, layer - 1, 1,
+                                   mode="general")
+            if isinstance(result, TrapAssignment):
+                for j, cid in enumerate(occupiers):
+                    route = result.routes.get(j)
+                    pos[cid] = route[1] if route else step_toward(g, dist, cops[cid])
+                return tuple(pos), state._replace(played=played)
+            state = state._replace(failure=("tighten_failure", result.deficient_targets))
+        if dist[robber]:  # pursue from where the robber stands, unless at the centre
+            dist = bfs_distances(g, robber)
         return tuple(c if dist[c] == 0 else step_toward(g, dist, c) for c in cops), state
 
     def record(self, state) -> dict:

@@ -28,7 +28,7 @@ import itertools
 from collections import deque
 
 from copsrobbers.graphs import MAXDIST, Graph, walk_toward
-from copsrobbers.matching import hall_witness, hopcroft_karp
+from copsrobbers.matching import hopcroft_karp
 from copsrobbers.play import RobberPolicy, play
 from copsrobbers.rng import make_rng
 from copsrobbers.solver import ROB
@@ -570,10 +570,10 @@ def reference_trap_matching(g, cops, v, d, reach, mode="hypercube"):
             elif dist_t[pos] <= reach:
                 elig.append(cop_id)
         adj.append(elig)
-    size, pair_left, pair_right = hopcroft_karp(adj, len(cops))
+    size, pair_left, _, deficient = hopcroft_karp(adj, len(cops))
     if size < len(targets):
-        W, NW = hall_witness(adj, pair_left, pair_right)
-        return HallWitnessResult(tuple(targets[i] for i in W), tuple(sorted(NW)))
+        reached = {c for i in deficient for c in adj[i]}
+        return HallWitnessResult(tuple(targets[i] for i in deficient), tuple(sorted(reached)))
     matching = {}
     routes = {}
     for i, t in enumerate(targets):

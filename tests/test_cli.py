@@ -30,6 +30,7 @@ CASES = {
     # G(500, 0.5) games: the dense path of gen_gnp, the sphere trap and the referee
     "verify_random_graphs": (["verify", "random_graphs"], 0),
     "verify_grid_closed_form": (["verify", "grid_closed_form"], 0),
+    "verify_hypercube_small": (["verify", "hypercube_small"], 0),
     "verify_regime": (["verify", "regime"], 0),
     "verify_strategy_audits": (["verify", "strategy_audits"], 0),
     "verify_sphere_trap": (["verify", "sphere_trap"], 0),
@@ -61,6 +62,10 @@ CASES = {
     "simulate_sphere_trap_general_saturated": (
         ["simulate", "--gen", "gnp:40,0.12,0", "-k", "24", "--cop", "sphere_trap:d=2,mode=general",
          "--robber", "stay_far", "--seed", "0"], 0),
+    # the matching saturates and the second tightening step fails
+    "simulate_sphere_trap_tighten_failure": (
+        ["simulate", "--gen", "hypercube:3", "-k", "2", "--cop", "sphere_trap:d=3,mode=general",
+         "--robber", "greedy", "--seed", "0", "--max-rounds", "30"], 0),
     "simulate_sphere_trap_general_hall_failure": (
         ["simulate", "--gen", "gnp:40,0.12,0", "-k", "10", "--cop", "sphere_trap:d=2,mode=general",
          "--robber", "stay_far", "--seed", "0"], 0),

@@ -361,7 +361,7 @@ def test_step_rule_matches_oracles(seed):
         for dst in range(g.n):
             want = oracles.restricted_path(g, everything, src, dst)
             # one cop at dst trapping the radius-0 sphere {src}: its route
-            trap = trap_matching(g, [dst], src, 0, g.n, mode="general")
+            trap = trap_matching(g, [dst], dist, 0, g.n, mode="general")
             if want is None:
                 with pytest.raises(DisconnectedGraph):
                     walk_toward(g, dist, dst)
@@ -426,7 +426,7 @@ def test_iterative_augment_matches_recursive(seed):
     adj = [
         rng.sample(range(n_right), rng.randint(0, n_right)) for _ in range(n_left)
     ]
-    assert hopcroft_karp(adj, n_right) == oracles.recursive_hopcroft_karp(adj, n_right)
+    assert hopcroft_karp(adj, n_right)[:3] == oracles.recursive_hopcroft_karp(adj, n_right)
 
 
 def test_augmenting_chain_deeper_than_recursion_limit():
@@ -436,8 +436,8 @@ def test_augmenting_chain_deeper_than_recursion_limit():
     m = 1500
     adj = [[u, u + 1] for u in range(m)] + [[0]]
     limit = sys.getrecursionlimit()
-    size, pair_left, pair_right = hopcroft_karp(adj, m + 1)
+    size, pair_left, pair_right, deficient = hopcroft_karp(adj, m + 1)
     assert sys.getrecursionlimit() == limit
-    assert size == m + 1
+    assert size == m + 1 and deficient == []
     assert pair_left == [u + 1 for u in range(m)] + [0]
     assert all(pair_left[pair_right[v]] == v for v in range(m + 1))

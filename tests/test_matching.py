@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from copsrobbers.matching import hall_witness, hopcroft_karp
+from copsrobbers.matching import hopcroft_karp
 
 
 def brute_max_matching(adj, n_right):
@@ -21,29 +21,21 @@ def brute_max_matching(adj, n_right):
 
 def test_perfect_matching_triangle_structure():
     adj = [[0, 1], [0, 2], [1, 2]]
-    size, pair_left, _ = hopcroft_karp(adj, 3)
-    assert size == 3
+    size, pair_left, _, deficient = hopcroft_karp(adj, 3)
+    assert size == 3 and deficient == []
     assert sorted(pair_left) == [0, 1, 2]
 
 
 def test_deficient_side():
     adj = [[0], [0], [0, 1]]
-    size, pair_left, pair_right = hopcroft_karp(adj, 2)
-    assert size == 2
-    W, NW = hall_witness(adj, pair_left, pair_right)
-    assert len(NW) < len(W)
-    # the witness is a genuine Hall violation
-    union = set()
-    for u in W:
-        union.update(adj[u])
-    assert union == set(NW)
+    size, pair_left, pair_right, W = hopcroft_karp(adj, 2)
+    assert size == 2 and W == [0, 1]
+    # the witness is a genuine Hall violation: its neighbourhood is {0}
+    assert {v for u in W for v in adj[u]} == {0}
 
 
 def test_empty_adjacency():
-    size, pair_left, _ = hopcroft_karp([[], []], 3)
-    assert size == 0
-    W, NW = hall_witness([[], []], pair_left, [-1, -1, -1])
-    assert W == [0, 1] and NW == []
+    assert hopcroft_karp([[], []], 3) == (0, [-1, -1], [-1, -1, -1], [0, 1])
 
 
 @given(st.integers(0, 500))
@@ -56,21 +48,19 @@ def test_matches_brute_force(seed):
         sorted({rng.randrange(n_right) for _ in range(rng.randint(0, n_right))})
         for _ in range(n_left)
     ]
-    size, pair_left, pair_right = hopcroft_karp([list(a) for a in adj], n_right)
+    size, pair_left, pair_right, W = hopcroft_karp([list(a) for a in adj], n_right)
     assert size == brute_max_matching([list(a) for a in adj], n_right)
     # matching consistency
     for u, v in enumerate(pair_left):
         if v != -1:
             assert v in adj[u] and pair_right[v] == u
-    W, NW = hall_witness([list(a) for a in adj], pair_left, pair_right)
     if size == n_left:
         assert W == []
     else:
+        # a Hall violation: W's neighbours are all matched, into W
+        NW = {v for u in W for v in adj[u]}
         assert len(NW) < len(W)
-        union = set()
-        for u in W:
-            union.update(adj[u])
-        assert union == set(NW)
+        assert all(pair_right[v] in W for v in NW)
 
 
 @given(st.integers(0, 2000))
@@ -87,7 +77,7 @@ def test_shared_lists_match_as_unshared_copies(seed):
            for _ in range(rng.randint(1, 14))]
     copies = [list(a) for a in adj]
     assert hopcroft_karp(adj, n_right) == hopcroft_karp(copies, n_right)
-    assert hopcroft_karp(adj, n_right) == oracles.recursive_hopcroft_karp(copies, n_right)
+    assert hopcroft_karp(adj, n_right)[:3] == oracles.recursive_hopcroft_karp(copies, n_right)
 
 
 def test_one_list_shared_by_every_target():
@@ -96,7 +86,20 @@ def test_one_list_shared_by_every_target():
     everyone = list(range(30))
     adj = [everyone if t % 4 else [29 - t, t] for t in range(24)]
     copies = [list(a) for a in adj]
-    size, pair_left, pair_right = hopcroft_karp(adj, 30)
-    assert size == 24
-    assert (size, pair_left, pair_right) == hopcroft_karp(copies, 30)
-    assert (size, pair_left, pair_right) == oracles.recursive_hopcroft_karp(copies, 30)
+    got = hopcroft_karp(adj, 30)
+    assert got[0] == 24 and got[3] == []
+    assert got == hopcroft_karp(copies, 30)
+    assert got[:3] == oracles.recursive_hopcroft_karp(copies, 30)
+
+
+@given(st.integers(1, 8).flatmap(lambda n_right: st.tuples(
+    st.just(n_right),
+    st.lists(st.lists(st.integers(0, n_right - 1), unique=True), max_size=8))))
+def test_deficient_is_the_gallai_edmonds_set(graph):
+    """deficient holds the left vertices some maximum matching leaves free:
+    those whose removal keeps the matching number."""
+    n_right, adj = graph
+    nu = oracles.recursive_hopcroft_karp(adj, n_right)[0]
+    free = [u for u in range(len(adj))
+            if oracles.recursive_hopcroft_karp(adj[:u] + adj[u + 1:], n_right)[0] == nu]
+    assert hopcroft_karp(adj, n_right)[3] == free

@@ -189,7 +189,20 @@ TREE10 = gen_tree(10, 1)
 # graphs on which the three-cop policy stalls (ROADMAP item 1)
 THREE_COP_GRAPHS = {
     "C5": gen_cycle(5), "C6": gen_cycle(6), "C7": gen_cycle(7), "tree12-3": gen_tree(12, 3),
-    "grid3x3": gen_grid_dims([3, 3])[0], "grid4x4": GRID4,
+    "grid3x3": gen_grid_dims([3, 3])[0], "grid4x4": GRID4, "stacked8": STACKED8,
+    "outerplanar10": Graph.from_edges(10, [
+        (0, 1), (0, 2), (0, 7), (0, 9), (1, 2), (2, 3), (2, 7), (3, 4), (3, 7), (4, 5),
+        (4, 6), (4, 7), (5, 6), (6, 7), (7, 8), (7, 9), (8, 9),
+    ]),
+}
+# planar graphs on which the policy is still free of a stall at its bound, 21,
+# with the robber uncaught (ROADMAP item 1)
+PLANAR7_EDGES = [
+    (0, 1), (0, 3), (0, 4), (1, 2), (1, 5), (2, 3), (2, 4), (3, 4), (4, 5), (4, 6), (5, 6),
+]
+THREE_COP_OVERRUN_GRAPHS = {
+    "planar7": Graph.from_edges(7, PLANAR7_EDGES),
+    "planar7+14": Graph.from_edges(7, PLANAR7_EDGES + [(1, 4)]),
 }
 # name -> (g, k, policy maker, horizon). The three-cop cases search to the
 # bound, where each meets a stall, but grid 4x4 only to round 14: replaying
@@ -254,6 +267,16 @@ def test_three_cop_worst_case_within_bound(name):
     pol = ThreeCopPlanarPolicy(g)
     worst = worst_case_capture_round(g, pol, 3, horizon=pol.bound)
     assert worst is not None and worst <= pol.bound
+
+
+@pytest.mark.xfail(strict=True, reason="the three-cop policy outlives its bound (ROADMAP item 1)")
+@pytest.mark.parametrize("name", sorted(THREE_COP_OVERRUN_GRAPHS))
+def test_three_cop_worst_case_within_bound_without_a_stall(name):
+    """No stall fires on these graphs, yet some robber line is still free
+    after the bound: the search returns None."""
+    g = THREE_COP_OVERRUN_GRAPHS[name]
+    pol = ThreeCopPlanarPolicy(g)
+    assert worst_case_capture_round(g, pol, 3, horizon=pol.bound) is not None
 
 
 # two lines the search finds: on grid 4x4 (a planar_3cop instance) the robber

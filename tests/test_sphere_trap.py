@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from copsrobbers import sphere_trap
-from copsrobbers.errors import DomainError, LayerHallFailure
+from copsrobbers.errors import DomainError
 from copsrobbers.generators import from_spec, gen_gnp, gen_hypercube
 from copsrobbers.graphs import Graph, bfs_distances, walk_toward
 from copsrobbers.matching import hopcroft_karp
@@ -25,7 +25,6 @@ from copsrobbers.sphere_trap import (
     falling_factorial,
     net_radius,
     thresholds,
-    tighten_step,
     trap_cop_threshold,
     trap_matching,
 )
@@ -42,7 +41,7 @@ def star(leaves):
 def test_identity_matching_when_cops_on_sphere():
     g, _ = gen_hypercube(3)
     sphere = [1, 2, 4]
-    res = trap_matching(g, sphere, 0, 1, 2, mode="hypercube")
+    res = trap_matching(g, sphere, bfs_distances(g, 0), 1, 2, mode="hypercube")
     assert isinstance(res, TrapAssignment)
     assert res.matching == {1: 0, 2: 1, 4: 2}
     assert all(len(p) == 1 for p in res.routes.values())
@@ -50,7 +49,7 @@ def test_identity_matching_when_cops_on_sphere():
 
 def test_weight_two_cops_reach_two_general_mode():
     g, _ = gen_hypercube(3)
-    res = trap_matching(g, [3, 5, 6], 0, 1, 2, mode="general")
+    res = trap_matching(g, [3, 5, 6], bfs_distances(g, 0), 1, 2, mode="general")
     assert isinstance(res, TrapAssignment)
     assert sorted(res.matching) == [1, 2, 4]
     assert len(set(res.matching.values())) == 3
@@ -62,14 +61,14 @@ def test_weight_two_cops_reach_two_general_mode():
 
 def test_no_cops_full_sphere_witness():
     g, _ = gen_hypercube(3)
-    res = trap_matching(g, [], 0, 1, 2, mode="general")
+    res = trap_matching(g, [], bfs_distances(g, 0), 1, 2, mode="general")
     assert isinstance(res, HallWitnessResult)
     assert res.deficient_targets == (1, 2, 4)
 
 
 def test_witness_is_genuine_hall_violation():
     g, _ = gen_hypercube(3)
-    res = trap_matching(g, [7, 7], 0, 1, 2, mode="hypercube")
+    res = trap_matching(g, [7, 7], bfs_distances(g, 0), 1, 2, mode="hypercube")
     assert isinstance(res, HallWitnessResult)
     # all cops sit on one vertex: the deficient set outnumbers its cop pool
     assert len(res.deficient_targets) > len(set(res.reachable_cops))
@@ -82,7 +81,7 @@ def test_assignment_injective_with_short_routes(seed):
     rng = random.Random(seed)
     g, _ = gen_hypercube(3)
     cops = [rng.randrange(8) for _ in range(4)]
-    res = trap_matching(g, cops, rng.randrange(8), 1, 2, mode="general")
+    res = trap_matching(g, cops, bfs_distances(g, rng.randrange(8)), 1, 2, mode="general")
     if isinstance(res, TrapAssignment):
         assert len(set(res.matching.values())) == len(res.matching)
         for cid, route in res.routes.items():
@@ -109,7 +108,7 @@ def test_general_reach_two_lists_every_cop_within_two(n, p, seed):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sphere_trap, "hopcroft_karp", recording)
-        trap_matching(g, cops, v, d, 2, mode="general")
+        trap_matching(g, cops, bfs_distances(g, v), d, 2, mode="general")
     targets = [u for u, du in enumerate(oracles.reference_bfs_distances(g, v)) if du == d]
     if not targets:
         assert seen == []
@@ -136,7 +135,7 @@ def test_trap_matching_matches_per_target_bfs_reference(data):
     d = data.draw(st.integers(0, 3))
     reach = data.draw(st.integers(1, 4))
     mode = data.draw(st.sampled_from(["hypercube", "general"]))
-    got = trap_matching(g, cops, v, d, reach, mode)
+    got = trap_matching(g, cops, bfs_distances(g, v), d, reach, mode)
     want = oracles.reference_trap_matching(g, cops, v, d, reach, mode)
     assert got == want
     if isinstance(got, TrapAssignment):
@@ -151,59 +150,69 @@ def test_trap_matching_matches_per_target_bfs_reference(data):
 def test_cop_positions_out_of_range_rejected(mode, bad):
     g, _ = gen_hypercube(3)
     with pytest.raises(ValueError, match=f"cop position {bad} out of range"):
-        trap_matching(g, [1, 2, bad], 0, 1, 2, mode=mode)
+        trap_matching(g, [1, 2, bad], bfs_distances(g, 0), 1, 2, mode=mode)
 
 
-# --- tightening
+# --- tightening: a trap matching of layer i - 1 at reach 1 by the layer-i cops
+
+
+def tighten(g, cops, i):
+    """The tightening step from layer i around vertex 0."""
+    return trap_matching(g, cops, bfs_distances(g, 0), i - 1, 1, mode="general")
 
 
 def test_tighten_q3_layer2_to_layer1():
     g, _ = gen_hypercube(3)
-    occupiers = [(i, v) for i, v in enumerate([3, 5, 6])]
-    moves = tighten_step(g, bfs_distances(g, 0), 2, occupiers)
-    assert sorted(moves.values()) == [1, 2, 4]
+    res = tighten(g, [3, 5, 6], 2)
+    assert isinstance(res, TrapAssignment)
+    assert sorted(res.matching) == [1, 2, 4]
+    assert sorted(route[1] for route in res.routes.values()) == [1, 2, 4]
+    assert all(len(route) == 2 for route in res.routes.values())
 
 
 def test_tighten_layer1_onto_center():
     g, _ = gen_hypercube(3)
-    occupiers = [(i, v) for i, v in enumerate([1, 2, 4])]
-    moves = tighten_step(g, bfs_distances(g, 0), 1, occupiers)
-    assert 0 in moves.values()
-    # surplus cops also step inward, and inward means the centre here
-    assert set(moves.values()) == {0}
+    res = tighten(g, [1, 2, 4], 1)
+    assert res.matching == {0: 0} and res.routes == {0: (1, 0)}
 
 
 def test_tighten_star_leaves_to_center():
-    g = star(4)
-    occupiers = [(i, v) for i, v in enumerate([1, 2, 3, 4])]
-    moves = tighten_step(g, bfs_distances(g, 0), 1, occupiers)
-    assert set(moves.values()) == {0}
-
-
-def test_tighten_requires_cover():
-    g, _ = gen_hypercube(3)
-    with pytest.raises(ValueError):
-        tighten_step(g, bfs_distances(g, 0), 2, [(0, 3)])
-
-
-def test_tighten_rejects_occupier_off_layer():
-    # layer 2 of Q3 around 0 is {3, 5, 6}; the extra cop at 1 sits on layer 1
-    g, _ = gen_hypercube(3)
-    with pytest.raises(ValueError, match="stand on layer i"):
-        tighten_step(g, bfs_distances(g, 0), 2, [(0, 3), (1, 5), (2, 6), (3, 1)])
+    res = tighten(star(4), [1, 2, 3, 4], 1)
+    assert res.matching == {0: 0} and res.routes == {0: (1, 0)}
 
 
 def test_tighten_hall_failure_witness():
     # two leaves hang off a single middle vertex: layer 1 = {1}, layer 2 = {2, 3}
     g = Graph.from_edges(4, [(0, 1), (1, 2), (1, 3)])
-    moves = tighten_step(g, bfs_distances(g, 0), 2, [(0, 2), (1, 3)])
-    assert sorted(moves.values()) == [1, 1]
+    res = tighten(g, [2, 3], 2)
+    assert res.matching == {1: 0} and res.routes == {0: (2, 1)}
     # reversed: on the 4-cycle around centre 0, the 2-vertex layer 1 = {1, 2}
     # cannot be covered from the single occupier of layer 2 = {3}
     g2 = Graph.from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
-    with pytest.raises(LayerHallFailure) as exc:
-        tighten_step(g2, bfs_distances(g2, 0), 2, [(0, 3)])
-    assert exc.value.witness == (1, 2)
+    assert tighten(g2, [3], 2) == HallWitnessResult((1, 2), (0,))
+
+
+class PlacedTrap(SphereTrapPolicy):
+    """The sphere trap from given cop positions in place of a random draw."""
+
+    def __init__(self, g, cops, d):
+        super().__init__(g, len(cops), d, mode="general")
+        self.cops = tuple(cops)
+
+    def placement(self, g, k):
+        return self.cops, None
+
+
+@pytest.mark.parametrize("graph", ["Q3", "star"])
+def test_surplus_cops_step_inward_in_a_game(graph):
+    """The cops already cover the robber's sphere, so they stay for the d + 1
+    routing rounds; tightening layer 1 then sends the matched cop onto the
+    centre and the unmatched ones too, by step_toward."""
+    g, cops = (gen_hypercube(3)[0], (1, 2, 4)) if graph == "Q3" else (star(4), (1, 2, 3, 4))
+    t = play(g, len(cops), PlacedTrap(g, cops, 1), oracles.ScriptedRobber([0]), 10)
+    assert t.metadata["cop"]["matching_saturated"]
+    assert t.capture_round == 3
+    assert t.rounds == [(cops, 0)] * 2 + [((0,) * len(cops), 0)]
 
 
 # --- policy
@@ -289,9 +298,9 @@ def test_policy_is_freed_without_the_cyclic_collector():
 
 
 def test_tightening_runs_one_bfs_from_the_centre(monkeypatch):
-    """A game computes the trap centre's distances at most twice: once in
-    trap_matching and once for the whole tightening phase, not once per
-    tightening round."""
+    """A game computes the trap centre's distances once, at its first move:
+    the sphere's matching, every tightening step and greedy pursuit of a
+    robber still on the centre read them."""
     calls = []
 
     def counting_bfs(g_, sources, *args, **kwargs):
@@ -300,36 +309,37 @@ def test_tightening_runs_one_bfs_from_the_centre(monkeypatch):
 
     monkeypatch.setattr(sphere_trap, "bfs_distances", counting_bfs)
     g, _ = from_spec("gnp:40,0.12,0")
-    tightened = 0
-    for seed in range(30):
+    tightened = deficient = 0
+    for k, seed in itertools.product((10, 24), range(30)):
         calls.clear()
-        pol = SphereTrapPolicy(g, 24, 2, mode="general", seed=seed)
-        t = play(g, 24, pol, StayFarRobber(), 30)
+        pol = SphereTrapPolicy(g, k, 2, mode="general", seed=seed)
+        t = play(g, k, pol, StayFarRobber(), 30)
         if t.capture_round == 5:
             tightened += 1
-        assert calls.count(t.robber_start) <= 2, seed
-    assert tightened > 0
+        deficient += "hall_deficient" in t.metadata["cop"]
+        assert calls.count(t.robber_start) == 1, (k, seed)
+    assert tightened > 0 and deficient > 0
 
 
 def test_a_game_caught_while_routing_pays_for_no_tightening(monkeypatch):
-    """The trap's state is built as the game needs it: a saturated game
-    caught at round 1 runs only the matching's BFS from the centre, and no
-    tightening step."""
+    """A saturated game caught at round 1 runs only the BFS from the centre
+    and the sphere's matching: no tightening step."""
     calls = []
 
     def counting_bfs(g_, sources, *args, **kwargs):
         calls.append(sources)
         return bfs_distances(g_, sources, *args, **kwargs)
 
-    def no_tightening(*args):
-        raise AssertionError("tightened a game caught while routing")
+    def counting_matching(g_, cops, dist, d, reach, mode):
+        calls.append(("trap_matching", d, reach))
+        return trap_matching(g_, cops, dist, d, reach, mode)
 
     monkeypatch.setattr(sphere_trap, "bfs_distances", counting_bfs)
-    monkeypatch.setattr(sphere_trap, "tighten_step", no_tightening)
+    monkeypatch.setattr(sphere_trap, "trap_matching", counting_matching)
     g = gen_gnp(60, 0.5, 11)
     t = play(g, 40, SphereTrapPolicy(g, 40, 1, mode="general", seed=1), StayFarRobber(), 20)
     assert t.capture_round == 1 and t.metadata["cop"]["matching_saturated"]
-    assert calls == [t.robber_start]
+    assert calls == [t.robber_start, ("trap_matching", 1, 2)]
 
 
 def test_tightening_failure_falls_back_to_greedy_pursuit():

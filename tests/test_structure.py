@@ -97,7 +97,6 @@ def test_bfs_loops_only_in_the_kernel_and_matching():
     eccentricities() is for."""
     walks = sorted(w for p in sorted(SRC.glob("*.py")) for w in queue_walks(p))
     assert walks == [("graphs.py", "bfs_distances"),
-                     ("matching.py", "hall_witness"),
                      ("matching.py", "hopcroft_karp.bfs")]
     loops = [hit for p in sorted(SRC.glob("*.py")) for hit in bfs_in_loops(p, over_range)]
     assert loops == []
@@ -231,13 +230,13 @@ def test_value_format_stays_in_the_solver():
 
 
 def test_trap_matching_runs_one_bfs():
-    """trap_matching finds the sphere with one BFS from its centre and reads
-    every target's eligible cops and routes off distance balls: no BFS per
-    target, and no walk_toward route in sphere_trap.py."""
+    """trap_matching reads the sphere off its caller's one BFS from the
+    centre and every target's eligible cops and routes off distance balls:
+    it runs no BFS at all, and sphere_trap.py has no walk_toward route."""
     tree = ast.parse((SRC / "sphere_trap.py").read_text(encoding="utf-8"))
     trap = next(node for node in tree.body
                 if isinstance(node, ast.FunctionDef) and node.name == "trap_matching")
-    assert len(_calls([trap], "bfs_distances")) == 1
+    assert _calls([trap], "bfs_distances") == []
     assert _calls([tree], "walk_toward") == []
 
 
