@@ -1,14 +1,17 @@
 """Golden tests for the command-line surface: byte-stable output and exit codes.
 
 Each case runs ``copsrobbers.cli.main`` in-process and compares what it wrote
-with ``tests/golden/<case>.txt``: stdout, then stderr after a marker line when
-stderr is not empty. Record a golden file again only for an intended output
+with ``tests/golden/<case>.txt``: stdout, then the CSV file the case wrote
+and then stderr, each after a marker line when it is not empty. A case runs
+in its own directory, which holds GRAPH_FILE, with GRAPH_TEXT on stdin. Record a golden file again only for an intended output
 change::
 
     PYTHONPATH=src python tests/test_cli.py CASE [CASE ...]
 """
 
+import io
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -18,6 +21,11 @@ from copsrobbers.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 STDERR_MARK = "--- stderr ---\n"
+CSV_MARK = "--- csv ---\n"
+# the edge-list graph of `--file` and `--stdin`: a 4-cycle with a pendant vertex
+GRAPH_TEXT = "# C4 plus a leaf\n5 5\n0 1\n1 2\n2 3\n0 3\n3 4\n"
+GRAPH_FILE = "graph.txt"
+CSV_FILE = "trials.csv"
 
 # case -> (argv, exit code); "{config}" stands for the MC_CONFIGS file
 CASES = {
@@ -25,6 +33,11 @@ CASES = {
     "solve_q3_k2": (["solve", "--gen", "hypercube:3", "-k", "2"], 0),
     # 24.4 M joint-move pairs but 1.9 M states: admitted; capt_3 = rad_3 = 8
     "solve_path48_k3": (["solve", "--gen", "path:48", "-k", "3"], 0),
+    # k >= n: capture at placement, no search
+    "solve_path3_k3": (["solve", "--gen", "path:3", "-k", "3"], 0),
+    "solve_file_k2": (["solve", "--file", GRAPH_FILE, "-k", "2"], 0),
+    "solve_stdin_k2": (["solve", "--stdin", "-k", "2"], 0),
+    "gen_path4": (["gen", "path:4"], 0),
     "kcenter_tree12_k2": (["kcenter", "--gen", "tree:12,3", "-k", "2"], 0),
     "verify_trees": (["verify", "trees"], 0),
     # G(500, 0.5) games: the dense path of gen_gnp, the sphere trap and the referee
@@ -105,6 +118,8 @@ CASES = {
     "mc_subcube_partition_vs_stay_far": (["mc", "{config}"], 0),
     "mc_separator_sweep_vs_greedy_fast": (["mc", "{config}"], 0),
     "mc_sphere_trap_vs_random_walk": (["mc", "{config}"], 0),
+    # the per-trial rows as CSV, beside the summary on stdout
+    "mc_sphere_trap_vs_random_walk_csv": (["mc", "{config}", "--csv", CSV_FILE], 0),
     "exit1_unknown_suite": (["verify", "nosuch"], 1),
     "exit1_unknown_suite_param": (["verify", "regime", "--set", "epss=0.3"], 1),
     # a suite parameter outside its domain (n_max = 2 divided by zero)
@@ -154,38 +169,49 @@ MC_CONFIGS = {
     "mc_sphere_trap_vs_random_walk": {
         "graph": "hypercube:6", "k": 8, "cop": "sphere_trap", "cop_params": {"d": 1},
         "robber": "random_walk", "trials": 3},
+    "mc_sphere_trap_vs_random_walk_csv": {
+        "graph": "hypercube:6", "k": 8, "cop": "sphere_trap", "cop_params": {"d": 1},
+        "robber": "random_walk", "trials": 3},
     "exit2_mc_errored_trials": {"graph": "path:5", "k": 1, "cop": "nosuch", "trials": 2},
 }
 
 
 def run_case(name, tmp_dir):
-    """Run one case in-process and return its exit code."""
+    """Run one case in-process in `tmp_dir` and return its exit code."""
     argv, _ = CASES[name]
+    (Path(tmp_dir) / GRAPH_FILE).write_text(GRAPH_TEXT, encoding="utf-8")
     if name in MC_CONFIGS:
         config = Path(tmp_dir) / "config.json"
         config.write_text(json.dumps(MC_CONFIGS[name]))
         argv = [str(config) if a == "{config}" else a for a in argv]
+    cwd, stdin = os.getcwd(), sys.stdin
+    os.chdir(tmp_dir)
+    sys.stdin = io.StringIO(GRAPH_TEXT)
     try:
         return main(argv)
     except SystemExit as exc:
         return exc.code
+    finally:
+        os.chdir(cwd)
+        sys.stdin = stdin
 
 
-def transcript(out, err):
-    return out + (STDERR_MARK + err if err else "")
+def transcript(out, err, tmp_dir):
+    csv = Path(tmp_dir) / CSV_FILE
+    csv_text = csv.read_text(encoding="utf-8") if csv.exists() else ""
+    return out + (CSV_MARK + csv_text if csv_text else "") + (STDERR_MARK + err if err else "")
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_golden(name, tmp_path, capsys):
     code = run_case(name, tmp_path)
     assert code == CASES[name][1]
-    text = transcript(*capsys.readouterr())
+    text = transcript(*capsys.readouterr(), tmp_path)
     assert text == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
 
 
 if __name__ == "__main__":
     import contextlib
-    import io
     import tempfile
 
     for case in sys.argv[1:]:
@@ -193,6 +219,6 @@ if __name__ == "__main__":
         with tempfile.TemporaryDirectory() as tmp:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 run_case(case, tmp)
-        text = transcript(out.getvalue(), err.getvalue())
+            text = transcript(out.getvalue(), err.getvalue(), tmp)
         (GOLDEN / f"{case}.txt").write_text(text, encoding="utf-8")
         print(f"recorded {case}")
