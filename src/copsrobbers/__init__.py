@@ -66,10 +66,10 @@ from .planar import (
     verify_separator,
 )
 from .experiments import (
+    REGIME_B,
     MCConfig,
     g_eval,
     mc_run,
     qn_regime,
-    regime_constants,
     verify_suite,
 )

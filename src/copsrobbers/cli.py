@@ -29,6 +29,7 @@ from .errors import (
 )
 from .experiments import (
     COP_POLICIES,
+    REGIME_B,
     ROBBER_POLICIES,
     SUITES,
     MCConfig,
@@ -36,7 +37,6 @@ from .experiments import (
     mc_run,
     play_config,
     qn_regime,
-    regime_constants,
     reports_to_csv,
     reports_to_jsonable,
     verify_suite,
@@ -251,7 +251,6 @@ def _cmd_mc(args) -> int:
 def _cmd_regime(args) -> int:
     k = args.k if args.k is not None else 1 << args.k_pow2
     res = qn_regime(args.n, k, args.eps)
-    consts = regime_constants()
     out = {
         "n": args.n,
         "log2_k": res.log2_k,
@@ -259,7 +258,7 @@ def _cmd_regime(args) -> int:
         "order": res.order,
         "x": res.x,
         "f": res.f,
-        "b": consts.b,
+        "b": REGIME_B,
         "eps": args.eps,
     }
     _emit(stable_json(out, indent=2) + "\n", None)

@@ -46,7 +46,7 @@ from .graphs import MAXDIST, Graph, domination_number, k_center, metrics
 from .planar import SeparatorSweepPolicy, ThreeCopPlanarPolicy
 from .play import play, worst_case_capture_round
 from .solver import capture_time, cop_number, extract_policies, solve
-from .sphere_trap import SphereTrapPolicy, counting_cop_bound, net_radius
+from .sphere_trap import GUARANTEE_SLOPE, SphereTrapPolicy, counting_cop_bound, net_radius
 from .strategies import (
     GreedyFastRobber,
     GreedyRobber,
@@ -76,15 +76,9 @@ def g_eval(x: float) -> float:
     return xlog2(2 * x) + xlog2(1 - 2 * x) - xlog2(x) - xlog2(1 - x)
 
 
-@dataclass(frozen=True)
-class RegimeConstants:
-    c: float
-    b: float
-
-
-def regime_constants() -> RegimeConstants:
-    c = 0.5 - math.sqrt(2) / 4
-    return RegimeConstants(c=c, b=-g_eval(c))
+# The regime classifier's constant b = -g(c) at c = GUARANTEE_SLOPE, about
+# 0.2716: part iii is the band 1 - b + eps < log2(k) / n <= 1 - eps.
+REGIME_B = -g_eval(GUARANTEE_SLOPE)
 
 
 @dataclass(frozen=True)
@@ -126,7 +120,6 @@ def qn_regime(n: int, k: int, eps: float = 0.05) -> RegimeResult:
         raise ValueError(f"k = {k} is below the cube cop number {(n + 2) // 2}")
     if not 0 < eps < 0.5:
         raise ValueError("eps must lie in (0, 1/2)")
-    consts = regime_constants()
     log2k = math.log2(k)
     x = log2k / n
     f = n - log2k
@@ -134,7 +127,7 @@ def qn_regime(n: int, k: int, eps: float = 0.05) -> RegimeResult:
     def near(a, b_):
         return abs(a - b_) <= 1e-9 * max(1.0, abs(a), abs(b_))
 
-    band_lo, band_hi = 1 - consts.b + eps, 1 - eps
+    band_lo, band_hi = 1 - REGIME_B + eps, 1 - eps
     for boundary in (band_lo, band_hi):
         if near(x, boundary):
             raise AmbiguousRegime(f"x = {x} sits on a regime boundary {boundary}")
@@ -489,11 +482,8 @@ def _suite_planar_3cop(params):
     for name, g, seed in tree_instances(params["tree_count"], 12, params["base_seed"]):
         instances.append((name, g))
     for name, g in instances:
-        table = solve(g, 3) if g.n <= params["solver_n_cap"] else None
-        robbers = [("greedy", GreedyRobber())]
-        if table is not None:
-            robbers.append(("optimal", extract_policies(table)[1]))
-        for rname, robber in robbers:
+        table = solve(g, 3)
+        for rname, robber in (("greedy", GreedyRobber()), ("optimal", extract_policies(table)[1])):
             report, t = _audit(
                 "planar_3cop", name, f"capture_within_diam1_n_vs_{rname}",
                 g, 3, ThreeCopPlanarPolicy(g), robber,
@@ -516,10 +506,9 @@ def _suite_planar_3cop(params):
 
 
 def _suite_regime(params):
-    consts = regime_constants()
     yield BoundReport(
         "regime", "constants", "b_matches_reference",
-        consts.b, 0.2716, abs(consts.b - 0.2716) <= 1e-3,
+        REGIME_B, 0.2716, abs(REGIME_B - 0.2716) <= 1e-3,
     )
     cases = [
         ("k_eq_n_squared", 60, 3600, 0.05, "i"),
@@ -571,7 +560,7 @@ SUITES = {
         "n": 500, "p": 0.5, "trials": 100, "C": 10.0, "k": None, "rate": 0.95, "expect_r": 1,
     }),
     "separator_sweep": (_suite_separator_sweep, {"q": 20, "k": 240}),
-    "planar_3cop": (_suite_planar_3cop, {"tree_count": 10, "base_seed": 7, "solver_n_cap": 20}),
+    "planar_3cop": (_suite_planar_3cop, {"tree_count": 10, "base_seed": 7}),
     "regime": (_suite_regime, {"eps": 0.02}),
     "grid_scaling": (_suite_grid_scaling, {"d": 2, "sizes": (4, 6, 8), "ks": (2, 4, 8)}),
 }

@@ -27,13 +27,6 @@ class GridCodec:
 
     dims: tuple
 
-    @property
-    def n(self) -> int:
-        out = 1
-        for d in self.dims:
-            out *= d
-        return out
-
     def id_of(self, coord) -> int:
         if len(coord) != len(self.dims):
             raise ValueError("coordinate arity mismatch")
@@ -243,23 +236,16 @@ def box_retract(g: Graph, codec: GridCodec, lo, hi) -> RetractMap:
     for a, (l, h, d) in enumerate(zip(lo, hi, codec.dims)):
         if not (0 <= l <= h < d):
             raise BadBox(f"axis {a}: need 0 <= {l} <= {h} < {d}")
-    mapping = []
-    image = []
-    for vid in range(g.n):
-        coord = codec.coord_of(vid)
-        clamped = tuple(min(max(c, l), h) for c, l, h in zip(coord, lo, hi))
-        mapping.append(codec.id_of(clamped))
-        if clamped == coord:
-            image.append(vid)
-    return RetractMap(frozenset(image), tuple(mapping))
+    return RetractMap(tuple(
+        codec.id_of(tuple(min(max(c, l), h) for c, l, h in zip(codec.coord_of(vid), lo, hi)))
+        for vid in range(g.n)
+    ))
 
 
 def subcube_retract(g: Graph, codec: CubeCodec, fixed: dict) -> RetractMap:
     """Retract of a hypercube onto the subcube with the given bits fixed,
     by overwriting those coordinates (the projection map)."""
-    mapping = tuple(codec.with_bits(vid, fixed) for vid in range(g.n))
-    image = frozenset(v for v in range(g.n) if mapping[v] == v)
-    return RetractMap(image, mapping)
+    return RetractMap(tuple(codec.with_bits(vid, fixed) for vid in range(g.n)))
 
 
 def subcube_partition(codec: CubeCodec, ell: int):

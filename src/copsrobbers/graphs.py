@@ -701,11 +701,16 @@ def _first_cover(balls, k: int):
 
 @dataclass(frozen=True)
 class RetractMap:
-    """A homomorphism of the whole graph onto an induced subgraph (its image)
-    that fixes the image pointwise."""
+    """A map of the whole graph, vertex v to mapping[v]. Its image is the set
+    of vertices it fixes, built on first read. It is a retract when it maps
+    every vertex into its image (it is idempotent) and every edge to an edge
+    or a vertex: `verify_retract` checks both."""
 
-    image: frozenset
     mapping: tuple
+
+    @functools.cached_property
+    def image(self) -> frozenset:
+        return frozenset(v for v, fv in enumerate(self.mapping) if fv == v)
 
     def apply(self, v: int) -> int:
         return self.mapping[v]
@@ -714,17 +719,15 @@ class RetractMap:
 def verify_retract(g: Graph, r: RetractMap):
     """Check the retract invariants; returns (ok, first_violation).
 
-    Violations: ("identity", v) when v is in the image but not fixed,
-    ("range", v) when the map leaves the image, ("edge", (u, v)) when an
-    edge maps to a non-edge with distinct endpoints.
+    Violations: ("malformed", None) when the map has not one entry per
+    vertex, ("range", v) when v maps outside the image (the map is not
+    idempotent), ("edge", (u, v)) when an edge maps to a non-edge with
+    distinct endpoints.
     """
     if len(r.mapping) != g.n:
         return False, ("malformed", None)
     for v in range(g.n):
-        fv = r.mapping[v]
-        if v in r.image and fv != v:
-            return False, ("identity", v)
-        if fv not in r.image:
+        if r.mapping[v] not in r.image:
             return False, ("range", v)
     for u, v in g.edges():
         fu, fv = r.mapping[u], r.mapping[v]
@@ -757,5 +760,4 @@ def path_retract(g: Graph, path, anchor: int) -> RetractMap:
         raise NotIsometric(
             f"path has length {L} but dist({anchor},{path[-1]}) = {dist[path[-1]]}"
         )
-    mapping = tuple(path[min(dist[u], L)] for u in range(g.n))
-    return RetractMap(frozenset(path), mapping)
+    return RetractMap(tuple(path[min(dist[u], L)] for u in range(g.n)))

@@ -35,9 +35,17 @@ GUARANTEE_SLOPE = 0.5 - math.sqrt(2) / 4
 
 @dataclass(frozen=True)
 class TrapAssignment:
-    matching: dict  # target vertex -> cop id
-    routes: dict  # cop id -> path (cop position .. target), length <= reach
-    reach: int
+    """A saturating trap matching, kept as its routes: cop id -> path from
+    the cop's position to its target, no longer than the admission
+    distance, in target order. A route ends on its target, so the matching
+    is read off the routes."""
+
+    routes: dict
+
+    @property
+    def matching(self) -> dict:
+        """Target vertex -> cop id, in target order."""
+        return {route[-1]: cop_id for cop_id, route in self.routes.items()}
 
 
 @dataclass(frozen=True)
@@ -54,10 +62,11 @@ def trap_matching(g: Graph, cops, dist, d: int, reach: int, mode: str = "hypercu
     BFS, and the sphere is the vertices at distance d. hypercube mode admits
     a cop for a target iff the cop stands on the target or at distance
     exactly d+1 from it; general mode admits any cop within `reach`.
-    Returns a TrapAssignment when the matching saturates the sphere,
-    otherwise a HallWitnessResult with a deficient target set. Cop positions
-    must be vertex ids (ValueError otherwise). A tightening step is this
-    matching at reach 1: layer i-1 is the sphere, the layer-i cops the cops.
+    Returns a TrapAssignment, one route per target, when the matching
+    saturates the sphere, otherwise a HallWitnessResult with a deficient
+    target set. Cop positions must be vertex ids (ValueError otherwise). A
+    tightening step is this matching at reach 1: layer i-1 is the sphere,
+    the layer-i cops the cops.
 
     For each target t, ball[i] is the bitmask of vertices within distance i
     of t, grown ring by ring from `Graph.masks` until no cop is outside it
@@ -83,7 +92,7 @@ def trap_matching(g: Graph, cops, dist, d: int, reach: int, mode: str = "hypercu
         occupied |= 1 << pos
     targets = [u for u in range(g.n) if dist[u] == d]
     if not targets:
-        return TrapAssignment({}, {}, reach)
+        return TrapAssignment({})
 
     need = d + 1 if mode == "hypercube" else reach
     masks = g.masks
@@ -121,12 +130,8 @@ def trap_matching(g: Graph, cops, dist, d: int, reach: int, mode: str = "hypercu
             tuple(targets[i] for i in deficient),
             tuple(sorted({c for i in deficient for c in adj[i]})),
         )
-    matching = {}
     routes = {}
-    for i, t in enumerate(targets):
-        cop_id = pair_left[i]
-        matching[t] = cop_id
-        ball = balls[i]
+    for cop_id, ball in zip(pair_left, balls):
         pos = cops[cop_id]
         level = next(j for j, b in enumerate(ball) if b >> pos & 1)
         route = [pos]
@@ -137,7 +142,7 @@ def trap_matching(g: Graph, cops, dist, d: int, reach: int, mode: str = "hypercu
         routes[cop_id] = tuple(route)
         if level > max(need, reach):
             raise AssertionError("route longer than the admissibility bound")
-    return TrapAssignment(matching, routes, reach)
+    return TrapAssignment(routes)
 
 
 class _Trap(NamedTuple):

@@ -2,7 +2,8 @@
 covers, subcube partitions) and robber counter-strategies.
 
 The territory machinery follows one scheme: split the vertex set into
-territories that are retracts of the whole graph, give each territory a team
+territories that are retracts of the whole graph, each given by its retract
+map alone (the territory is the map's image), give each territory a team
 that plays a winning sub-strategy against the robber's image under the
 retract, and keep shadowing after the image is caught. Once every team holds
 its image, the team owning the robber's actual territory holds the robber.
@@ -213,10 +214,10 @@ class RetractPartitionPolicy(CopPolicy):
     """Territory play: team i runs the solver's optimal policy on territory i
     against the robber's image under the territory's retract.
 
-    territories: iterable of (vertex set, RetractMap, k_i). The sets must
-    cover V(g); each retract must pass verification and have the territory as
-    its image. Surplus cops idle at vertex 0. Territories that induce the
-    same graph with the same team size share one (stateless) sub-policy.
+    territories: iterable of (RetractMap, k_i) pairs. Territory i is the
+    image of retract i; each retract must pass verification, and the images
+    must cover V(g). Surplus cops idle at vertex 0. Territories that induce
+    the same graph with the same team size share one (stateless) sub-policy.
     Every team holds its robber image within its territory's capture time,
     so the largest of these is the policy's bound.
     """
@@ -225,13 +226,11 @@ class RetractPartitionPolicy(CopPolicy):
         covered = set()
         self.teams = []
         sub_policies = {}
-        for verts, retract, k_i in territories:
-            verts = sorted(verts)
+        for retract, k_i in territories:
             ok, violation = verify_retract(g, retract)
             if not ok:
                 raise RetractInvalid(f"territory retract fails: {violation}")
-            if retract.image != frozenset(verts):
-                raise RetractInvalid("retract image differs from territory set")
+            verts = sorted(retract.image)
             sub_g, to_local, to_global = g.induced(verts)
             if (sub_g, k_i) not in sub_policies:
                 sub_policy, _ = extract_policies(solve(sub_g, k_i))
@@ -313,12 +312,9 @@ def grid_cover_policy(g: Graph, codec: GridCodec, k: int) -> RetractPartitionPol
         starts = list(range(0, dim, side))
         axis_boxes.append([(s, min(s + side, dim) - 1) for s in starts])
 
-    territories = []
-    for box in itertools.product(*axis_boxes):
-        lo, hi = zip(*box)
-        retract = box_retract(g, codec, lo, hi)
-        territories.append((sorted(retract.image), retract, c))
-    return RetractPartitionPolicy(g, territories)
+    return RetractPartitionPolicy(g, [
+        (box_retract(g, codec, *zip(*box)), c) for box in itertools.product(*axis_boxes)
+    ])
 
 
 def choose_subcube_dim(n: int, k: int) -> int:
@@ -349,8 +345,6 @@ def subcube_partition_policy(
     teams = 1 << (codec.n_bits - ell)
     if k < teams * c:
         raise TooFewCops(f"need {teams * c} cops for {teams} subcube teams, given {k}")
-    territories = []
-    for fixed, members in subcube_partition(codec, ell):
-        retract = subcube_retract(g, codec, fixed)
-        territories.append((list(members), retract, c))
-    return RetractPartitionPolicy(g, territories)
+    return RetractPartitionPolicy(g, [
+        (subcube_retract(g, codec, fixed), c) for fixed, _ in subcube_partition(codec, ell)
+    ])

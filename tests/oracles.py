@@ -556,7 +556,7 @@ def reference_trap_matching(g, cops, v, d, reach, mode="hypercube"):
     dist_v = reference_bfs_distances(g, v)
     targets = [u for u in range(g.n) if dist_v[u] == d]
     if not targets:
-        return TrapAssignment({}, {}, reach)
+        return TrapAssignment({})
     cops = list(cops)
     need = d + 1 if mode == "hypercube" else reach
     adj = []
@@ -574,15 +574,13 @@ def reference_trap_matching(g, cops, v, d, reach, mode="hypercube"):
     if size < len(targets):
         reached = {c for i in deficient for c in adj[i]}
         return HallWitnessResult(tuple(targets[i] for i in deficient), tuple(sorted(reached)))
-    matching = {}
     routes = {}
     for i, t in enumerate(targets):
         cop_id = pair_left[i]
-        matching[t] = cop_id
         routes[cop_id] = tuple(_reference_route(g, cops[cop_id], t))
         if len(routes[cop_id]) - 1 > max(need, reach):
             raise AssertionError("route longer than the admissibility bound")
-    return TrapAssignment(matching, routes, reach)
+    return TrapAssignment(routes)
 
 
 # ---------------------------------------------------------------------------

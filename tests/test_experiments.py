@@ -7,7 +7,8 @@ from types import SimpleNamespace
 import pytest
 
 from copsrobbers import experiments
-from copsrobbers.experiments import MCConfig, mc_run, verify_suite
+from copsrobbers.errors import AmbiguousRegime
+from copsrobbers.experiments import MCConfig, mc_run, qn_regime, verify_suite
 from copsrobbers.graphs import k_center
 from copsrobbers.solver import capture_time, solve
 
@@ -380,3 +381,16 @@ def test_suite_size_parameters_outside_their_domain(suite, params, message):
     division by zero or a silently different instance set."""
     with pytest.raises(ValueError, match=f"^{message}$"):
         verify_suite(suite, params)
+
+
+@pytest.mark.parametrize("n,log2k,part", [(1000, 720, "ii"), (1000, 955, "iv")])
+def test_qn_regime_parts_the_regime_suite_does_not_reach(n, log2k, part):
+    """log2(k) = 720 n / 1000 is below part iii's band and its alpha is
+    above 1 - eps: part ii. log2(k) = 955 n / 1000 is above the band, and f
+    = 45 is above the polylog cap: part iv."""
+    assert qn_regime(n, 2**log2k).part == part
+
+
+def test_qn_regime_refuses_a_point_on_a_band_edge():
+    with pytest.raises(AmbiguousRegime, match="regime boundary"):
+        qn_regime(20, 2**19)

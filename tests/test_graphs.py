@@ -27,6 +27,7 @@ from copsrobbers.graphs import (
     k_center,
     metrics,
     path_retract,
+    step_toward,
     verify_retract,
     RetractMap,
 )
@@ -335,6 +336,13 @@ def test_metrics_disconnected_raises():
         metrics(Graph.from_edges(3, [(0, 1)]))
 
 
+def test_step_toward_an_unreachable_source_raises():
+    g = Graph.from_edges(4, [(0, 1), (2, 3)])
+    dist = bfs_distances(g, 0)
+    with pytest.raises(DisconnectedGraph, match="^no step from 2 toward the BFS sources$"):
+        step_toward(g, dist, 2)
+
+
 # --- k-center
 
 
@@ -636,23 +644,25 @@ def test_path_retract_rejects_non_shortest():
 
 def test_verify_retract_identity_map():
     g, _ = gen_grid(2, 3)
-    r = RetractMap(frozenset(range(g.n)), tuple(range(g.n)))
+    r = RetractMap(tuple(range(g.n)))
     assert verify_retract(g, r) == (True, None)
 
 
 def test_verify_retract_reports_edge_violation():
     g, _ = gen_path(4)
     # send 0 -> 0 and 1 -> 3: edge (0,1) maps to the non-edge (0,3)
-    r = RetractMap(frozenset({0, 2, 3}), (0, 3, 2, 3))
+    r = RetractMap((0, 3, 2, 3))
     ok, violation = verify_retract(g, r)
     assert not ok and violation == ("edge", (0, 1))
 
 
-def test_verify_retract_reports_identity_violation():
+def test_verify_retract_reports_range_violation():
     g, _ = gen_path(3)
-    r = RetractMap(frozenset({0, 1}), (0, 0, 0))
+    # a homomorphism onto the edge {1, 2} that fixes only 2: 0 -> 1 leaves the image
+    r = RetractMap((1, 2, 2))
+    assert r.image == {2}
     ok, violation = verify_retract(g, r)
-    assert not ok and violation == ("identity", 1)
+    assert not ok and violation == ("range", 0)
 
 
 @given(st.integers(0, 40))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from copsrobbers import graphs, planar
-from copsrobbers.errors import DisconnectedGraph
+from copsrobbers.errors import DisconnectedGraph, TeamBudgetExceeded
 from copsrobbers.generators import gen_connected_gnp, gen_cycle, gen_grid_dims, gen_hypercube, gen_path, gen_tree
 from copsrobbers.graphs import Graph
 from copsrobbers.planar import (
@@ -82,6 +82,13 @@ def test_separator_sweep_runs_one_eccentricity_sweep(monkeypatch):
     cops, _ = pol.placement(g, 240)
     s0 = separator(g).separator
     assert cops == s0 + (met.eccentricities.index(met.radius),) * (240 - len(s0))
+
+
+def test_separator_sweep_placement_refuses_a_team_below_the_separator():
+    """The 5x5 grid's first separator has 4 vertices, one cop each."""
+    g, _ = gen_grid_dims([5, 5])
+    with pytest.raises(TeamBudgetExceeded, match="^needs 4 cops but only 3 available$"):
+        SeparatorSweepPolicy(g, 3).placement(g, 3)
 
 
 def test_three_cop_placement_runs_no_bfs(monkeypatch):

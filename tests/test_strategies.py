@@ -69,6 +69,15 @@ def test_tree_policy_star_captures_in_one():
     assert t.capture_round == 1
 
 
+def test_tree_policy_pads_homes_when_k_exceeds_the_tree():
+    """With more cops than vertices every vertex is a centre, and the extra
+    cops start on the first one: the robber is caught at placement."""
+    g, _ = gen_path(3)
+    pol = TreePolicy(g, 5)
+    assert pol.homes == (0, 1, 2, 0, 0) and pol.bound == 0
+    assert play(g, 5, pol, StayFarRobber(), 5).capture_round == 0
+
+
 def test_tree_policy_rejects_cycles():
     with pytest.raises(NotATree):
         TreePolicy(gen_cycle(4), 1)
@@ -127,8 +136,8 @@ def test_single_territory_behaves_like_sub_policy():
     g, _ = gen_path(5)
     from copsrobbers.graphs import RetractMap
 
-    identity = RetractMap(frozenset(range(5)), tuple(range(5)))
-    pol = RetractPartitionPolicy(g, [(range(5), identity, 1)])
+    identity = RetractMap(tuple(range(5)))
+    pol = RetractPartitionPolicy(g, [(identity, 1)])
     _, rob = extract_policies(solve(g, 1))
     t = play(g, 1, pol, rob, 30)
     assert t.capture_round == capture_time(g, 1)
@@ -138,9 +147,7 @@ def test_two_ball_cover_of_path():
     g, _ = gen_path(7)
     left = path_retract(g, [0, 1, 2, 3, 4], 0)
     right = path_retract(g, [6, 5, 4, 3, 2], 6)
-    pol = RetractPartitionPolicy(
-        g, [(sorted(left.image), left, 1), (sorted(right.image), right, 1)]
-    )
+    pol = RetractPartitionPolicy(g, [(left, 1), (right, 1)])
     worst = worst_case_capture_round(g, pol, 2, horizon=2)
     assert worst is not None and worst <= 2
 
@@ -149,24 +156,34 @@ def test_coverage_gap_detected():
     g, _ = gen_path(7)
     left = path_retract(g, [0, 1, 2, 3], 0)
     with pytest.raises(CoverageGap):
-        RetractPartitionPolicy(g, [(sorted(left.image), left, 1)])
+        RetractPartitionPolicy(g, [(left, 1)])
 
 
 def test_retract_invalid_detected():
     g, _ = gen_path(5)
     from copsrobbers.graphs import RetractMap
 
-    broken = RetractMap(frozenset(range(5)), (0, 0, 0, 0, 0))
+    broken = RetractMap((1, 2, 3, 4, 4))  # fixes only 4, so 0 -> 1 leaves the image
     with pytest.raises(RetractInvalid):
-        RetractPartitionPolicy(g, [(range(5), broken, 1)])
+        RetractPartitionPolicy(g, [(broken, 1)])
+
+
+def test_territory_its_team_cannot_win_is_refused():
+    """One cop cannot win on a 4-cycle, so a whole-graph territory with a
+    team of one is refused when the policy is built."""
+    from copsrobbers.graphs import RetractMap
+
+    g = gen_cycle(4)
+    with pytest.raises(TooFewCops, match="^1 cops cannot win on a 4-vertex territory$"):
+        RetractPartitionPolicy(g, [(RetractMap(tuple(range(4))), 1)])
 
 
 def test_too_few_cops_at_placement():
     g, _ = gen_path(5)
     from copsrobbers.graphs import RetractMap
 
-    identity = RetractMap(frozenset(range(5)), tuple(range(5)))
-    pol = RetractPartitionPolicy(g, [(range(5), identity, 2)])
+    identity = RetractMap(tuple(range(5)))
+    pol = RetractPartitionPolicy(g, [(identity, 2)])
     with pytest.raises(TooFewCops):
         pol.placement(g, 1)
 
