@@ -15,6 +15,7 @@ timing fields are zero unless --timings is passed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import re
 import sys
 import time
@@ -250,17 +251,7 @@ def _cmd_mc(args) -> int:
 
 def _cmd_regime(args) -> int:
     k = args.k if args.k is not None else 1 << args.k_pow2
-    res = qn_regime(args.n, k, args.eps)
-    out = {
-        "n": args.n,
-        "log2_k": res.log2_k,
-        "part": res.part,
-        "order": res.order,
-        "x": res.x,
-        "f": res.f,
-        "b": REGIME_B,
-        "eps": args.eps,
-    }
+    out = {**dataclasses.asdict(qn_regime(args.n, k, args.eps)), "b": REGIME_B, "eps": args.eps}
     _emit(stable_json(out, indent=2) + "\n", None)
     return 0
 

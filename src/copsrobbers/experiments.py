@@ -383,7 +383,8 @@ def _suite_sphere_trap(params):
     seeds = params["seeds"]
     d = params["d"]
     k = params["k"]
-    g, _ = gen_hypercube(params["n"])
+    n = params["n"]
+    g, _ = gen_hypercube(n)
     table = solve(g, k)
     _, robber = extract_policies(table)
     saturated = 0
@@ -403,7 +404,7 @@ def _suite_sphere_trap(params):
         else:
             if "hall_deficient" not in meta:
                 unflagged += 1
-    instance, seed = f"Q3-d{d}-k{k}", f"0..{seeds - 1}"
+    instance, seed = f"Q{n}-d{d}-k{k}", f"0..{seeds - 1}"
     yield BoundReport(
         "sphere_trap", instance, "saturated_capture_within_bound",
         miscertified, 0, miscertified == 0, seed=seed, rounds=worst_saturated,
@@ -725,11 +726,27 @@ def play_config(config: MCConfig, seed, kept: dict):
 
 @dataclass
 class MCSummary:
+    """An mc batch: its config and one row per trial. The capture count,
+    success rate and capture-round quantiles are read off the rows."""
+
     config: MCConfig
     rows: list
-    captured: int
-    success_rate: float
-    quantiles: dict
+
+    @property
+    def captured(self) -> int:
+        return sum(r["capture_round"] is not None for r in self.rows)
+
+    @property
+    def success_rate(self) -> float:
+        return self.captured / self.config.trials
+
+    @property
+    def quantiles(self) -> dict:
+        """The capture rounds at ranks 0, 0.5, 0.9 and 1 of the sorted
+        captured rounds (index rounded), or None when nothing was captured."""
+        rounds = sorted(r["capture_round"] for r in self.rows if r["capture_round"] is not None)
+        return {name: rounds[round(p * (len(rounds) - 1))] if rounds else None
+                for name, p in (("min", 0.0), ("p50", 0.5), ("p90", 0.9), ("max", 1.0))}
 
     def to_jsonable(self) -> dict:
         return {
@@ -801,21 +818,4 @@ def mc_run(config: MCConfig) -> MCSummary:
         if key not in games:
             games[key] = _game(config, seed, kept if fixed else {})
         rows.append({"trial": trial, "seed": str(seed), **games[key]})
-
-    captured_rounds = sorted(
-        r["capture_round"] for r in rows if r["capture_round"] is not None
-    )
-    captured = len(captured_rounds)
-
-    def q(p):
-        if not captured_rounds:
-            return None
-        return captured_rounds[round(p * (len(captured_rounds) - 1))]
-
-    return MCSummary(
-        config=config,
-        rows=rows,
-        captured=captured,
-        success_rate=captured / config.trials,
-        quantiles={"min": q(0.0), "p50": q(0.5), "p90": q(0.9), "max": q(1.0)},
-    )
+    return MCSummary(config, rows)

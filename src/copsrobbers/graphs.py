@@ -29,9 +29,10 @@ closed neighbourhood N[v] = {v} | adj(v) is what game code consumes.
 
 A Graph is built from adjacency lists or from an upper-triangular n*n byte
 matrix, the form `gen_gnp` draws into. Both are checked. The matrix form
-keeps only `Graph.masks`, and spells `adj` and `closed` out of them on first
-read; the list form keeps `adj` and builds `closed` and `masks` on first
-use. `Graph.is_step` is the membership test b in N[a] of either form.
+keeps only `Graph.masks` and spells `adj` out of them on first read; the
+list form keeps `adj` and builds `masks` on first use. In both, `closed` is
+derived from `adj` on first use. `Graph.is_step` is the membership test
+b in N[a] of either form.
 """
 
 from __future__ import annotations
@@ -64,15 +65,17 @@ class Graph:
     `adjacency` takes one of two forms, each checked, with a ValueError
     naming the first offending vertex:
     - one iterable of int neighbour ids per vertex, in any order; each pair
-      must be listed from both ends, and `closed` and `masks` are built on
-      first use;
+      must be listed from both ends, and `masks` is built on first use;
     - a `bytes` or `bytearray` of length n*n, row-major, whose byte
       v*n + u is 1 when v < u are adjacent and 0 otherwise (every byte at
       or below the diagonal 0). Only the upper triangle is read, so
       symmetry holds by construction. Such a graph keeps only `masks`, built
-      in the checking pass, and no reference to the matrix; `adj` and
-      `closed` are spelled out of the masks on first read, and
-      `bfs_distances` reads the masks whether or not they have been.
+      in the checking pass, and no reference to the matrix; `adj` is
+      spelled out of the masks on first read, and `bfs_distances` reads
+      the masks whether or not it has been.
+
+    In both forms `closed` is each `adj` row with v put in its place, built
+    on first read.
 
     Adjacency lists are ascending and deduplicated. Instances are safe for
     concurrent shared reads.
@@ -112,23 +115,21 @@ class Graph:
     @property
     def adj(self):
         """Neighbours of each vertex, ascending; a matrix-built graph spells
-        them out of its masks, with `closed`, on first read."""
+        them out of its masks on first read."""
         if self._adj is None:
             self._spell()
         return self._adj
 
     @property
     def closed(self):
-        """Closed neighbourhoods N[v], ascending, computed once."""
+        """Closed neighbourhoods N[v], ascending: each `adj` row with v put
+        in its place, computed once."""
         if self._closed is None:
-            if self._from_matrix:
-                self._spell()
-            else:
-                closed = []
-                for v, row in enumerate(self._adj):
-                    cut = bisect_left(row, v)
-                    closed.append(row[:cut] + (v,) + row[cut:])
-                self._closed = tuple(closed)
+            closed = []
+            for v, row in enumerate(self.adj):
+                cut = bisect_left(row, v)
+                closed.append(row[:cut] + (v,) + row[cut:])
+            self._closed = tuple(closed)
         return self._closed
 
     @property
@@ -148,17 +149,11 @@ class Graph:
         return self._masks
 
     def _spell(self):
-        """Fill in `adj` and `closed` of a matrix-built graph in one pass
-        over its masks: N[v] is the ids of the set bits of masks[v], and
-        adj(v) is N[v] less v."""
+        """Fill in `adj` of a matrix-built graph from its masks: adj(v) is
+        the ids of the set bits of masks[v] less bit v."""
         ids = tuple(range(self.n))  # compress reads a tuple faster than a range
-        adj, closed = [], []
-        for v, m in enumerate(self._masks):
-            near = tuple(itertools.compress(ids, _digits(m)))
-            cut = near.index(v)
-            closed.append(near)
-            adj.append(near[:cut] + near[cut + 1:])
-        self._adj, self._closed = tuple(adj), tuple(closed)
+        self._adj = tuple(tuple(itertools.compress(ids, _digits(m ^ 1 << v)))
+                          for v, m in enumerate(self._masks))
 
     def is_step(self, a: int, b: int) -> bool:
         """Whether b is in N[a], for vertex ids a and b: one bit of the masks

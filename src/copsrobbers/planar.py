@@ -32,7 +32,6 @@ from .graphs import (
     component_of,
     eccentricities,
     metrics,
-    step_toward,
     walk_toward,
 )
 from .play import CopPolicy
@@ -121,8 +120,11 @@ class SeparatorSweepPolicy(CopPolicy):
     Cops never leave a separator once placed, and idle cops wait at the
     lowest-id centre. The bound is 6 * radius * log2(n) rounds.
 
-    A game's state is (stationed vertices, walkers as (cop, target,
-    distances) triples, each phase's (territory, separator) sizes)."""
+    A game's state is (stationed vertices, walkers as (cop, route) pairs,
+    each phase's (territory, separator) sizes). A walker leaves from the
+    centre, where it idled, and its route is the rest of `walk_toward`'s
+    path from there to its separator vertex; a walker whose route is spent
+    is stationed where it stands."""
 
     def __init__(self, g: Graph, k: int):
         self.k = k
@@ -151,7 +153,8 @@ class SeparatorSweepPolicy(CopPolicy):
         used = len(stationed)
         if used + len(targets) > self.k:
             raise TeamBudgetExceeded(used + len(targets), self.k)
-        walkers = tuple((used + j, t, tuple(bfs_distances(g, t))) for j, t in enumerate(targets))
+        walkers = tuple((used + j, tuple(walk_toward(g, bfs_distances(g, t), self._centre)[1:]))
+                        for j, t in enumerate(targets))
         return walkers, (len(territory), len(targets))
 
     def move(self, g: Graph, state, cops, robber: int, rnd: int):
@@ -161,15 +164,13 @@ class SeparatorSweepPolicy(CopPolicy):
             phases += (phase,)
         out = list(cops)
         moving = []
-        for w in walkers:
-            c, target, dist = w
-            pos = cops[c]
-            if pos != target:
-                pos = out[c] = step_toward(g, dist, pos)
-            if pos == target:
-                stationed += (target,)
+        for c, route in walkers:
+            if route:
+                out[c], route = route[0], route[1:]
+            if route:
+                moving.append((c, route))
             else:
-                moving.append(w)
+                stationed += (out[c],)
         return tuple(out), (stationed, tuple(moving), phases)
 
     def record(self, state) -> dict:

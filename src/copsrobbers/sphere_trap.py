@@ -255,13 +255,15 @@ def falling_factorial(a: int, b: int) -> int:
 
 def trap_cop_threshold(n: int, d: int) -> Fraction:
     """Cop count above which the sphere trap certifies capture within 2d+1
-    on the n-cube: 36 * 2^n * (2d+1)_{d+1} / (n-d)_{d+1}, exact."""
+    on the n-cube: 36 * 2^n * (2d+1)_{d+1} / (n-d)_{d+1}, exact. Every
+    factor n-d, ..., n-2d of the denominator is positive only when
+    n >= 2d + 1, so any other (n, d) is refused."""
     if n < 1 or d < 0:
         raise DomainError("need n >= 1 and d >= 0")
-    denom = falling_factorial(n - d, d + 1)
-    if denom <= 0:
-        raise DomainError(f"(n-d)_(d+1) nonpositive for n={n}, d={d}")
-    return Fraction(36 * (1 << n) * falling_factorial(2 * d + 1, d + 1), denom)
+    if n < 2 * d + 1:
+        raise DomainError(f"need n >= 2d + 1 for a positive (n-d)_(d+1), got n={n}, d={d}")
+    return Fraction(36 * (1 << n) * falling_factorial(2 * d + 1, d + 1),
+                    falling_factorial(n - d, d + 1))
 
 
 def counting_cop_bound(n: int, d: int) -> Fraction:

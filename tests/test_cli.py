@@ -148,6 +148,12 @@ CASES = {
         ["simulate", "--gen", "grid:d=2,q=6", "-k", "20", "--cop", "separator_sweep",
          "--robber", "greedy_fast"], 1),
     "exit1_bad_spec": (["solve", "--gen", "nosuch:3", "-k", "1"], 1),
+    # a --set without "=", and two graph sources at once
+    "exit1_set_without_value": (["verify", "regime", "--set", "eps"], 1),
+    "exit1_two_graph_sources": (["solve", "--gen", "path:3", "--stdin", "-k", "1"], 1),
+    # G(n, 0) on n >= 2 vertices is never connected, so no study graph is found
+    "exit1_lower_bounds_no_connected_graph": (
+        ["verify", "lower_bounds", "--set", "ps=0", "--set", "count_per_p=1"], 1),
     "exit1_usage": (["solve", "--gen", "path:3"], 1),
     "exit2_domain_error": (["regime", "-n", "1", "--k", "2"], 2),
     "exit2_state_cap": (["solve", "--gen", "path:2000", "-k", "2"], 2),

@@ -240,6 +240,23 @@ def test_every_policy_builds_and_reads_each_parameter(side):
         assert "error" not in mc_run(config).rows[0], name
 
 
+@pytest.mark.parametrize(
+    "changes, message",
+    [({"trials": 0}, "trials must be at least 1"),
+     ({"k": 0}, "k must be at least 1 (no zero-cop games)")],
+)
+def test_mc_run_refuses_an_empty_batch_or_no_cops(changes, message):
+    config = MCConfig(**{"graph": "path:3", "k": 1, "cop": "tree", "trials": 1, **changes})
+    with pytest.raises(ValueError) as exc:
+        mc_run(config)
+    assert str(exc.value) == message
+
+
+def test_sphere_trap_suite_names_the_cube_it_plays_on():
+    reports = verify_suite("sphere_trap", {"n": 2, "k": 2, "seeds": 5})
+    assert {r.instance for r in reports} == {"Q2-d1-k2"}
+
+
 def test_verify_suite_rejects_unknown_parameter(monkeypatch):
     """A key the suite does not read stops the run before it starts, naming
     the key and the accepted ones."""

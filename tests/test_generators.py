@@ -203,6 +203,23 @@ def test_negative_vertex_is_a_parse_error_citing_its_line():
     assert exc.value.line_no == 3
 
 
+@pytest.mark.parametrize(
+    "text, message, line_no",
+    [
+        ("3\n", "header must be `n m`", 1),
+        ("a b\n", "header must contain two integers", 1),
+        ("-1 0\n", "header values must be nonnegative", 1),
+        ("3 1\n0 1 2\n", "edge line must be `u v`", 2),
+        ("# only\n", "missing header", 1),
+    ],
+)
+def test_parse_error_names_the_fault_and_its_line(text, message, line_no):
+    with pytest.raises(ParseError) as exc:
+        parse_graph_text(text)
+    assert str(exc.value) == f"line {line_no}: {message}"
+    assert exc.value.line_no == line_no
+
+
 def test_duplicate_edge_warns():
     with pytest.warns(UserWarning):
         g = parse_graph_text("3 2\n0 1\n# comment\n0 1\n1 2\n")
@@ -243,6 +260,21 @@ def test_from_spec_rejects_ambiguous_grid():
 def test_from_spec_cites_bad_token():
     with pytest.raises(ValueError, match="bogus"):
         from_spec("path:bogus")
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("path3", "generator spec needs `kind:args`, got 'path3'"),
+        ("tree:5", "tree spec must be tree:<n>,<seed>, got '5'"),
+        ("gnp:5,0.3", "gnp spec must be gnp:<n>,<p>,<seed>, got '5,0.3'"),
+        ("gnp:5,x,1", "bad probability token 'x' in spec 'gnp:5,x,1'"),
+    ],
+)
+def test_from_spec_refuses_a_malformed_spec(spec, message):
+    with pytest.raises(ValueError) as exc:
+        from_spec(spec)
+    assert str(exc.value) == message
 
 
 def test_cycle():

@@ -396,6 +396,20 @@ def test_fixed_point_audit_detects_corruption():
     assert audit_fixed_point(table) != []
 
 
+def test_fixed_point_audit_reports_a_robber_turn_mismatch():
+    table = solve(gen_path(4)[0], 1)
+    table.settle()
+    # the robber-turn state (cop on 1, robber on 0) has value 1: its moves
+    # lead to cop-turn values 1 (stay) and 0 (onto the cop). Move its bit
+    # from level 1 to level 2 of chunk 1, which holds only the config (1,).
+    found = table.chunk_levels[ROB][1]
+    (level1, cells1), (level2, cells2) = found[1:3]
+    assert (level1, level2) == (1, 2) and cells1[0] & 1
+    found[1:3] = [(1, bytes([cells1[0] & ~1])), (2, bytes([cells2[0] | 1]))]
+    assert table.value((1,), 0, ROB) == 2
+    assert ((1,), 0, ROB, 2, 1) in audit_fixed_point(table)
+
+
 # --- levels settled on demand
 
 

@@ -399,6 +399,16 @@ def test_threshold_domain_errors():
         net_radius(1, 5, 1, 10)
 
 
+@pytest.mark.parametrize("n, d", [(3, 5), (2, 3)])
+def test_trap_threshold_refuses_n_below_2d_plus_1(n, d):
+    """For d > n with d odd, the d + 1 factors of (n-d)_(d+1) are all
+    negative and their product is positive; such an (n, d) is refused like
+    one where a factor is zero, and `thresholds` reports None for it."""
+    with pytest.raises(DomainError, match=r"need n >= 2d \+ 1"):
+        trap_cop_threshold(n, d)
+    assert thresholds(n, d, 1)["qn_upper_k_min"] is None
+
+
 def test_thresholds_dict():
     t = thresholds(10, 1, 3072, 10.0)
     assert t["qn_upper_k_min"] == Fraction(3072)
