@@ -4,9 +4,10 @@ Subcommands: gen, solve, kcenter, simulate, verify, mc, regime, thresholds.
 `simulate` and `mc` take policies by name from experiments.COP_POLICIES and
 ROBBER_POLICIES (`name` or `name:key=value,...`); an undeclared parameter,
 or a graph without the codec a policy needs, is a validation error.
-Exit codes: 0 success, 1 validation/usage error, 2 runtime error (for `mc`:
-some trial row carries an error; the summary is still written in full), 3
-suite failure (some bound report failed).
+Exit codes: 0 success, 1 validation/usage error (a value too large to print
+included, as in `thresholds -n 1100 -d 1`), 2 runtime error (for `mc`: some
+trial row carries an error; the summary is still written in full), 3 suite
+failure (some bound report failed).
 
 Output is deterministic: JSON keys sorted, floats fixed to six decimals, and
 timing fields are zero unless --timings is passed.
@@ -42,7 +43,7 @@ from .experiments import (
     reports_to_jsonable,
     verify_suite,
 )
-from .generators import from_spec, load_graph, parse_graph_text
+from .generators import format_graph_text, from_spec, load_graph, parse_graph_text
 from .graphs import MAXDIST, k_center
 from .serialize import stable_json
 from .solver import cop_number, solve
@@ -179,9 +180,7 @@ def build_parser() -> _Parser:
 
 
 def _cmd_gen(args) -> int:
-    g, _ = from_spec(args.spec)
-    lines = [f"{g.n} {g.m}"] + [f"{u} {v}" for u, v in g.edges()]
-    _emit("\n".join(lines) + "\n", args.output)
+    _emit(format_graph_text(from_spec(args.spec)[0]), args.output)
     return 0
 
 

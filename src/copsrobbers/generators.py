@@ -265,11 +265,14 @@ def subcube_partition(codec: CubeCodec, ell: int):
     return blocks
 
 
+def format_graph_text(g: Graph) -> str:
+    """The text `parse_graph_text` reads: `n m`, then `u v` per edge, u < v."""
+    return f"{g.n} {g.m}\n" + "".join(f"{u} {v}\n" for u, v in g.edges())
+
+
 def save_graph(g: Graph, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{g.n} {g.m}\n")
-        for u, v in g.edges():
-            fh.write(f"{u} {v}\n")
+        fh.write(format_graph_text(g))
 
 
 def load_graph(path) -> Graph:

@@ -16,7 +16,9 @@ Two cop strategies live here:
   that stops shrinking raises ProgressStall.
 
 Each policy builds what every game shares; what a game changes, its phase
-log included, is a hashable state that `move` takes and returns.
+log included, is a hashable state that `move` takes and returns. It keeps
+nothing that `move`'s arguments (the cops' positions, the round) or the
+phase log fix.
 """
 
 from __future__ import annotations
@@ -120,11 +122,13 @@ class SeparatorSweepPolicy(CopPolicy):
     Cops never leave a separator once placed, and idle cops wait at the
     lowest-id centre. The bound is 6 * radius * log2(n) rounds.
 
-    A game's state is (stationed vertices, walkers as (cop, route) pairs,
-    each phase's (territory, separator) sizes). A walker leaves from the
-    centre, where it idled, and its route is the rest of `walk_toward`'s
-    path from there to its separator vertex; a walker whose route is spent
-    is stationed where it stands."""
+    A game's state is (walkers as (cop, route) pairs, each phase's
+    (territory, separator) sizes). A walker leaves from the centre, where
+    it idled, and its route is the rest of `walk_toward`'s path from there
+    to its separator vertex; a walker whose route is spent is stationed
+    where it stands. Cops are stationed in id order, so when no walker is
+    moving the stationed cops are `cops[:used]`, `used` being the sum of
+    the phases' separator sizes."""
 
     def __init__(self, g: Graph, k: int):
         self.k = k
@@ -141,16 +145,16 @@ class SeparatorSweepPolicy(CopPolicy):
         s0 = self._first_separator
         if len(s0) > k:
             raise TeamBudgetExceeded(len(s0), k)
-        return s0 + (self._centre,) * (k - len(s0)), (s0, (), ((g.n, len(s0)),))
+        return s0 + (self._centre,) * (k - len(s0)), ((), ((g.n, len(s0)),))
 
-    def _plan(self, g: Graph, stationed, robber: int):
+    def _plan(self, g: Graph, cops, phases, robber: int):
         """The walkers onto a separator of the robber's territory, and the
-        phase's sizes."""
-        territory = component_of(g, robber, blocked=set(stationed))
+        phase's sizes; every cop the phases placed is stationed."""
+        used = sum(s for _, s in phases)
+        territory = component_of(g, robber, blocked=set(cops[:used]))
         sub_g, _, to_global = g.induced(sorted(territory))
         sep = separator(sub_g).separator
         targets = sorted(to_global[v] for v in sep)
-        used = len(stationed)
         if used + len(targets) > self.k:
             raise TeamBudgetExceeded(used + len(targets), self.k)
         walkers = tuple((used + j, tuple(walk_toward(g, bfs_distances(g, t), self._centre)[1:]))
@@ -158,9 +162,9 @@ class SeparatorSweepPolicy(CopPolicy):
         return walkers, (len(territory), len(targets))
 
     def move(self, g: Graph, state, cops, robber: int, rnd: int):
-        stationed, walkers, phases = state
+        walkers, phases = state
         if not walkers:
-            walkers, phase = self._plan(g, stationed, robber)
+            walkers, phase = self._plan(g, cops, phases, robber)
             phases += (phase,)
         out = list(cops)
         moving = []
@@ -169,13 +173,11 @@ class SeparatorSweepPolicy(CopPolicy):
                 out[c], route = route[0], route[1:]
             if route:
                 moving.append((c, route))
-            else:
-                stationed += (out[c],)
-        return tuple(out), (stationed, tuple(moving), phases)
+        return tuple(out), (tuple(moving), phases)
 
     def record(self, state) -> dict:
         return {**self.metadata,
-                "phases": [{"territory": t, "separator": s} for t, s in state[2]]}
+                "phases": [{"territory": t, "separator": s} for t, s in state[1]]}
 
 
 # ---------------------------------------------------------------------------
@@ -188,30 +190,31 @@ class GuardedPath:
 
     home_dist[u] is the distance from path[0] to u inside the subgraph the
     path is isometric in (MAXDIST outside it); the shadow of a robber at u is
-    the path vertex at index min(home_dist[u], len(path)-1).
+    the path vertex at index min(home_dist[u], len(path)-1). The guard's
+    cop stands on the path whenever it moves by `guard_path_moves`, so its
+    place on the path is read off the cop's vertex, not kept here.
     """
 
     path: tuple
     home_dist: tuple
     cop: int
     status: str = "chase"  # "chase" until the cop reaches the shadow, then "guard"
-    index: int = 0  # cop's current position as a path index
 
     def shadow_index(self, robber: int) -> int:
         return min(self.home_dist[robber], len(self.path) - 1)
 
 
-def guard_path_moves(guard: GuardedPath, robber: int):
-    """Next vertex for the guarding cop, and the guard after that step.
-    Chasing steps along the path toward the shadow and flips to guarding on
-    contact; guarding mirrors the shadow (always a legal step: the shadow
-    moves at most one path vertex per robber move)."""
-    j = guard.shadow_index(robber)
-    if guard.status == "chase" and guard.index != j:
-        i = guard.index + (1 if j > guard.index else -1)
-        return guard.path[i], replace(guard, index=i)
-    if guard.status == "chase" or guard.index != j:
-        guard = replace(guard, status="guard", index=j)
+def guard_path_moves(guard: GuardedPath, at: int, robber: int):
+    """Next vertex for the guarding cop, which stands at path vertex `at`,
+    and the guard after that step. Chasing steps along the path toward the
+    shadow and flips to guarding on contact; guarding mirrors the shadow
+    (always a legal step: the shadow moves at most one path vertex per
+    robber move)."""
+    i, j = guard.path.index(at), guard.shadow_index(robber)
+    if guard.status == "chase" and i != j:
+        return guard.path[i + (1 if j > i else -1)], guard
+    if guard.status == "chase":
+        guard = replace(guard, status="guard")
     return guard.path[j], guard
 
 
@@ -235,30 +238,33 @@ def _join_path(g: Graph, territory, v1: int, v2: int) -> list[int]:
 
 
 class _Guarding(NamedTuple):
-    """A three-cop game's state. `plan` is the phase planned and not yet
-    settled: (case, new guard's cop), and for "II-split" also the split
-    guard's cop, the span's ends v1, v2 and the new path's first vertex."""
+    """A three-cop game's state. `pending` is the guard walking its route to
+    its path, or None. `plan` is the phase planned and not yet settled:
+    (case, new guard's cop), and for "II-split" also the split guard's cop,
+    the span's ends v1, v2 and the new path's first vertex. `phases` logs
+    each settled phase as (case, shrink, round, territory size). Derived,
+    not kept: the free cops (of 0, 1, 2, those neither guarding nor
+    pending), the territory size before a phase (the last phase's, or n)
+    and the last progress round (that of the last phase that shrank the
+    territory or ended on a wall, or 0)."""
 
     guards: tuple
     pending: tuple | None
-    free: tuple
-    last_progress: int
-    prev_territory: int
     plan: tuple
     phases: tuple = ()
 
 
-def _auto_free(g: Graph, guards: tuple, free: tuple, robber: int):
+def _auto_free(g: Graph, guards: tuple, robber: int):
     """Release guards whose removal leaves the robber's component unchanged.
     Returns the resulting territory (None if the robber is standing on a
-    wall), guards and free cops."""
+    wall) and guards."""
     while True:
         guarding = [gd for gd in guards if gd.status == "guard"]
         walls = set()
         for gd in guarding:
             walls.update(gd.path)
         if robber in walls:
-            return None, guards, free
+            return None, guards
         territory = component_of(g, robber, blocked=walls)
         for gd in guarding:
             rest = set()
@@ -267,16 +273,15 @@ def _auto_free(g: Graph, guards: tuple, free: tuple, robber: int):
                     rest.update(other.path)
             if robber not in rest and component_of(g, robber, blocked=rest) == territory:
                 guards = tuple(other for other in guards if other.cop != gd.cop)
-                free = tuple(sorted(free + (gd.cop,)))
                 break
         else:
-            return territory, guards, free
+            return territory, guards
 
 
-def _try_extension(g: Graph, guards: tuple, plan: tuple, territory):
+def _try_extension(g: Graph, guards: tuple, plan: tuple, territory, cops):
     """After a II-split, graft the split wall's outer segments onto the new
     guard's path: the guards with the new guard re-chasing on the graft, or
-    None when the graft does not apply."""
+    None when the graft does not apply or leaves the new guard's cop off it."""
     if not plan or plan[0] != "II-split":
         return None
     _, new_cop, split_cop, v1, v2, u1 = plan
@@ -302,29 +307,24 @@ def _try_extension(g: Graph, guards: tuple, plan: tuple, territory):
     if dist[pprime[-1]] != len(pprime) - 1:
         # asserted shortest path is not isometric here; take a real one
         pprime = walk_toward(g, dist, pprime[-1])[::-1]
-    cop_v = new_guard.path[new_guard.index]
-    if cop_v not in pprime:
+    if cops[new_cop] not in pprime:
         return None
-    grafted = replace(new_guard, path=tuple(pprime), home_dist=tuple(dist),
-                      index=pprime.index(cop_v), status="chase")
+    grafted = replace(new_guard, path=tuple(pprime), home_dist=tuple(dist), status="chase")
     return tuple(grafted if gd.cop == new_cop else gd for gd in guards)
 
 
-def _settle(g: Graph, state: _Guarding, robber: int, rnd: int) -> _Guarding:
+def _settle(g: Graph, state: _Guarding, robber: int, rnd: int, cops) -> _Guarding:
     """Release guards, graft after a II-split, and log the settled phase."""
-    territory, guards, free = _auto_free(g, state.guards, state.free, robber)
+    territory, guards = _auto_free(g, state.guards, robber)
     if territory is not None and sum(gd.status == "guard" for gd in guards) > 2:
-        grafted = _try_extension(g, guards, state.plan, territory)
+        grafted = _try_extension(g, guards, state.plan, territory, cops)
         if grafted is not None:
-            territory, guards, free = _auto_free(g, grafted, free, robber)
+            territory, guards = _auto_free(g, grafted, robber)
     size = len(territory) if territory is not None else 0
-    shrink = state.prev_territory - size
     case = state.plan[0] if state.plan else "rechase"
-    return state._replace(
-        guards=guards, free=free, plan=(), prev_territory=size,
-        last_progress=rnd if shrink > 0 or territory is None else state.last_progress,
-        phases=state.phases + ((case, shrink, rnd, size),),
-    )
+    prev = state.phases[-1][3] if state.phases else g.n
+    phase = (case, prev - size, rnd, size)
+    return state._replace(guards=guards, plan=(), phases=state.phases + (phase,))
 
 
 def _plan(g: Graph, state: _Guarding, robber: int, cops) -> _Guarding:
@@ -333,7 +333,8 @@ def _plan(g: Graph, state: _Guarding, robber: int, cops) -> _Guarding:
     walls = set()
     for gd in state.guards:
         walls.update(gd.path)
-    if robber in walls or not state.free:
+    free = [c for c in range(3) if all(gd.cop != c for gd in state.guards)]  # none is pending
+    if robber in walls or not free:
         return state
     territory = component_of(g, robber, blocked=walls)
     guarding = [gd for gd in state.guards if gd.status == "guard"]
@@ -376,18 +377,12 @@ def _plan(g: Graph, state: _Guarding, robber: int, cops) -> _Guarding:
             case, home_allowed = "II-split", set(territory)
             split = (split_cop, v1, v2, newpath[0])
 
-    cop = state.free[0]
+    cop = free[0]
     dist = bfs_distances(g, newpath[0], set(home_allowed) | set(newpath))
-    guard = GuardedPath(
-        path=tuple(newpath),
-        home_dist=tuple(dist),
-        cop=cop,
-        status="chase",
-        index=len(newpath) // 2,
-    )
+    guard = GuardedPath(path=tuple(newpath), home_dist=tuple(dist), cop=cop, status="chase")
     centre = newpath[len(newpath) // 2]
     route = tuple(_path(g, cops[cop], centre)[1:])
-    return state._replace(pending=(guard, route), free=state.free[1:], plan=(case, cop) + split)
+    return state._replace(pending=(guard, route), plan=(case, cop) + split)
 
 
 class ThreeCopPlanarPolicy(CopPolicy):
@@ -426,15 +421,8 @@ class ThreeCopPlanarPolicy(CopPolicy):
         self.bound = (self.diam + 1) * g.n
         du = bfs_distances(g, ecc.index(self.diam))
         self.init_path = tuple(walk_toward(g, du, du.index(self.diam))[::-1])
-        guard = GuardedPath(
-            path=self.init_path,
-            home_dist=tuple(du),
-            cop=0,
-            status="chase",
-            index=len(self.init_path) // 2,
-        )
-        self._start = _Guarding(guards=(), pending=(guard, ()), free=(1, 2),
-                                last_progress=0, prev_territory=g.n, plan=("init", 0))
+        guard = GuardedPath(path=self.init_path, home_dist=tuple(du), cop=0, status="chase")
+        self._start = _Guarding(guards=(), pending=(guard, ()), plan=("init", 0))
         self.metadata = {"policy": "three-cop"}
 
     def placement(self, g: Graph, k: int):
@@ -444,10 +432,10 @@ class ThreeCopPlanarPolicy(CopPolicy):
         return (centre, centre, centre), self._start
 
     def move(self, g: Graph, state, cops, robber: int, rnd: int):
-        if rnd - state.last_progress > self.diam + g.n + 2:
-            raise ProgressStall(
-                f"territory stuck for {rnd - state.last_progress} rounds"
-            )
+        stuck = rnd - next((r for _, shrink, r, size in reversed(state.phases)
+                            if shrink > 0 or size == 0), 0)
+        if stuck > self.diam + g.n + 2:
+            raise ProgressStall(f"territory stuck for {stuck} rounds")
         out = list(cops)
         guards = list(state.guards)
         pending = state.pending
@@ -459,7 +447,7 @@ class ThreeCopPlanarPolicy(CopPolicy):
             if route:
                 out[gd.cop], route = route[0], route[1:]
             else:
-                out[gd.cop], gd = guard_path_moves(gd, robber)
+                out[gd.cop], gd = guard_path_moves(gd, cops[gd.cop], robber)
             pending = (gd, route)
             if gd.status == "guard":  # a pending guard chases until it settles
                 guards.append(gd)
@@ -470,14 +458,14 @@ class ThreeCopPlanarPolicy(CopPolicy):
         for i, gd in enumerate(guards):
             if gd.cop in moved:
                 continue
-            out[gd.cop], guards[i] = guard_path_moves(gd, robber)
+            out[gd.cop], guards[i] = guard_path_moves(gd, cops[gd.cop], robber)
             moved.add(gd.cop)
             if gd.status == "chase" and guards[i].status == "guard":
                 settled = True
 
         state = state._replace(guards=tuple(guards), pending=pending)
         if settled:
-            state = _settle(g, state, robber, rnd)
+            state = _settle(g, state, robber, rnd, out)
         if state.pending is None and not any(gd.status == "chase" for gd in state.guards):
             state = _plan(g, state, robber, out)
         return tuple(out), state

@@ -3,7 +3,8 @@
 Output identity is part of the contract: the same run configuration must
 produce byte-identical text regardless of thread count or platform. Keys are
 sorted, floats are printed with exactly six decimals, and no volatile fields
-(timestamps, wall-clock) are ever written by these helpers.
+(timestamps, wall-clock) are ever written by these helpers. A fraction too
+large for a float is a ValueError, not a rounded or infinite figure.
 """
 
 from __future__ import annotations
@@ -24,7 +25,10 @@ def _atom(value) -> str:
     if isinstance(value, Fraction):
         if value.denominator == 1:
             return str(value.numerator)
-        return f"{float(value):.{FLOAT_DECIMALS}f}"
+        try:
+            return f"{float(value):.{FLOAT_DECIMALS}f}"
+        except OverflowError:
+            raise ValueError(f"a fraction beyond a float's range has no {FLOAT_DECIMALS}-decimal form") from None
     if isinstance(value, float):
         return f"{value:.{FLOAT_DECIMALS}f}"
     if isinstance(value, str):

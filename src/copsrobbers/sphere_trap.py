@@ -18,6 +18,7 @@ dense random graphs.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -146,13 +147,13 @@ def trap_matching(g: Graph, cops, dist, d: int, reach: int, mode: str = "hypercu
 
 
 class _Trap(NamedTuple):
-    """A sphere-trap game's state from its first move on: the trap centre's
-    distances, and `failure`, the metadata key and witness of the first
-    failed matching."""
+    """A sphere-trap game's state from its first move on: the matching's
+    routes (None if it failed), the trap centre's distances, and `failure`,
+    the metadata key and witness of the first failed matching. The plan's
+    round is the `rnd` that `move` is given, not a count kept here."""
 
     routes: tuple | None
     dist: tuple
-    played: int = 0
     failure: tuple = ()
 
 
@@ -163,13 +164,13 @@ class SphereTrapPolicy(CopPolicy):
     otherwise (teams may co-locate). The trap is set against the robber's
     first observed position, the trap centre; per-run success is certified
     by the matching, never assumed. The first move runs the game's one BFS
-    from the centre and computes the matching, and each move plays one
-    round of the plan: d+1 routing rounds, one tightening step per layer,
-    then the cops stay. A tightening step from layer i is the trap matching
-    of layer i-1 at reach 1 by the cops on layer i; the cops it leaves
-    unmatched step inward. When a matching fails, the state keeps the
-    witness and the policy falls back to greedy shortest-path pursuit. Its
-    bound, 2d+1, holds only on runs whose matching saturates.
+    from the centre and computes the matching, and the move of round `rnd`
+    plays that round of the plan: d+1 routing rounds, one tightening step
+    per layer, then the cops stay. A tightening step from layer i is the
+    trap matching of layer i-1 at reach 1 by the cops on layer i; the cops
+    it leaves unmatched step inward. When a matching fails, the state keeps
+    the witness and the policy falls back to greedy shortest-path pursuit.
+    Its bound, 2d+1, holds only on runs whose matching saturates.
     """
 
     def __init__(self, g: Graph, k: int, d: int, mode: str = "hypercube", seed=0):
@@ -207,12 +208,12 @@ class SphereTrapPolicy(CopPolicy):
                 state = _Trap(None, dist, failure=("hall_deficient", result.deficient_targets))
         dist = state.dist
         if not state.failure:
-            played, pos = state.played + 1, list(cops)
-            if played <= d + 1:  # routing
+            pos = list(cops)
+            if rnd <= d + 1:  # routing
                 for cid, route in state.routes:
-                    pos[cid] = route[min(played, len(route) - 1)]
-                return tuple(pos), state._replace(played=played)
-            layer = 2 * d + 2 - played
+                    pos[cid] = route[min(rnd, len(route) - 1)]
+                return tuple(pos), state
+            layer = 2 * d + 2 - rnd
             if layer < 1:  # every layer tightened: stay
                 return tuple(cops), state
             occupiers = [cid for cid, p in enumerate(cops) if dist[p] == layer]
@@ -224,7 +225,7 @@ class SphereTrapPolicy(CopPolicy):
                 for j, cid in enumerate(occupiers):
                     route = result.routes.get(j)
                     pos[cid] = route[1] if route else step_toward(g, dist, cops[cid])
-                return tuple(pos), state._replace(played=played)
+                return tuple(pos), state
             state = state._replace(failure=("tighten_failure", result.deficient_targets))
         if dist[robber]:  # pursue from where the robber stands, unless at the centre
             dist = bfs_distances(g, robber)
@@ -276,9 +277,10 @@ def counting_cop_bound(n: int, d: int) -> Fraction:
 
 
 def net_radius(n: int, degree: float, k: int, C: float = 10.0) -> int:
-    """Smallest positive integer r with degree^(r+1) >= C n ln(n) / k."""
-    if n < 2 or degree <= 0 or k < 1 or C <= 0:
-        raise DomainError("need n >= 2, degree > 0, k >= 1, C > 0")
+    """Smallest positive integer r with degree^(r+1) >= C n ln(n) / k. An n
+    too large for a float (2^1024 or more) is outside the domain."""
+    if not 2 <= n <= sys.float_info.max or degree <= 0 or k < 1 or C <= 0:
+        raise DomainError("need 2 <= n <= the largest float, degree > 0, k >= 1, C > 0")
     target = C * n * math.log(n) / k
     r = 1
     while degree ** (r + 1) < target:
@@ -293,8 +295,9 @@ def trap_depth_in_guarantee_range(n: int, d: int) -> bool:
 
 
 def thresholds(n: int, d: int, k: int, C: float = 10.0) -> dict:
-    """All threshold quantities for one (n, d, k, C); entries that are out of
-    their formula's domain come back as None."""
+    """All threshold quantities for one (n, d, k, C) on the n-cube, whose
+    net radius `r` is that of 2^n vertices of degree n; entries that are out
+    of their formula's domain come back as None."""
     out = {"n": n, "d": d, "k": k, "C": C}
     try:
         out["qn_upper_k_min"] = trap_cop_threshold(n, d)
@@ -305,7 +308,7 @@ def thresholds(n: int, d: int, k: int, C: float = 10.0) -> dict:
     except DomainError:
         out["qn_lower_k_max"] = None
     try:
-        out["r"] = net_radius(n, float(d), k, C)
+        out["r"] = net_radius(1 << n, float(n), k, C)
     except DomainError:
         out["r"] = None
     out["d_within_guarantee"] = trap_depth_in_guarantee_range(n, d)

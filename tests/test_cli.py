@@ -61,7 +61,8 @@ CASES = {
     # capt_gamma_is_1 solves k = gamma to check it
     "verify_monotonicity": (["verify", "monotonicity", "--set", "count_per_p=6"], 0),
     "regime_n20_k100": (["regime", "-n", "20", "--k", "100"], 0),
-    # Fraction values: an integral one, a fractional one and None
+    # Fraction values, an integral one and a fractional one, and the net
+    # radius of the 10-cube (2^10 vertices of degree 10)
     "thresholds_n10_d1_k50": (["thresholds", "-n", "10", "-d", "1", "-k", "50"], 0),
     "regime_n60_k_pow2_30": (["regime", "-n", "60", "--k-pow2", "30"], 0),
     "simulate_tree": (
@@ -155,6 +156,8 @@ CASES = {
     "exit1_lower_bounds_no_connected_graph": (
         ["verify", "lower_bounds", "--set", "ps=0", "--set", "count_per_p=1"], 1),
     "exit1_usage": (["solve", "--gen", "path:3"], 1),
+    # a fractional threshold beyond a float's range has no six-decimal form
+    "exit1_thresholds_fraction_beyond_a_float": (["thresholds", "-n", "1100", "-d", "1"], 1),
     "exit2_domain_error": (["regime", "-n", "1", "--k", "2"], 2),
     "exit2_state_cap": (["solve", "--gen", "path:2000", "-k", "2"], 2),
     "exit2_mc_errored_trials": (["mc", "{config}"], 2),

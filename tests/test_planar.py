@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from copsrobbers import graphs, planar
-from copsrobbers.errors import DisconnectedGraph, TeamBudgetExceeded
+from copsrobbers.errors import DisconnectedGraph, ProgressStall, TeamBudgetExceeded
 from copsrobbers.generators import gen_connected_gnp, gen_cycle, gen_grid_dims, gen_hypercube, gen_path, gen_tree
 from copsrobbers.graphs import Graph
 from copsrobbers.planar import (
@@ -102,3 +102,22 @@ def test_three_cop_placement_runs_no_bfs(monkeypatch):
     assert calls == []
     guard, _ = state.pending
     assert guard.home_dist == tuple(graphs.bfs_distances(g, pol.init_path[0]))
+
+
+def test_three_cop_stall_counts_from_the_last_progress_round():
+    """`move` raises ProgressStall once the round less the last progress
+    round exceeds diam + n + 2 (4 + 5 + 2 = 11 on P5). Progress is a phase
+    that shrank the territory or ended on a wall (territory 0); a phase
+    that did neither, here one at round 9, does not reset the count."""
+    g, _ = gen_path(5)
+    pol = ThreeCopPlanarPolicy(g)
+    cops, start = pol.placement(g, 3)
+    for phases, last in [
+        ((), 0),
+        ((("init", 0, 3, 5), ("I", 2, 7, 3), ("rechase", -1, 9, 4)), 7),
+        ((("init", 0, 3, 5), ("rechase", 0, 12, 0), ("rechase", 0, 13, 0)), 13),
+    ]:
+        state = start._replace(phases=phases)
+        pol.move(g, state, cops, 0, last + 11)
+        with pytest.raises(ProgressStall, match="^territory stuck for 12 rounds$"):
+            pol.move(g, state, cops, 0, last + 12)

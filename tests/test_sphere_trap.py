@@ -409,6 +409,22 @@ def test_trap_threshold_refuses_n_below_2d_plus_1(n, d):
     assert thresholds(n, d, 1)["qn_upper_k_min"] is None
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_thresholds_net_radius_is_the_cubes(d):
+    """`r` is the net radius of the n-cube, 2^n vertices of degree n,
+    whatever the trap depth d."""
+    assert thresholds(10, d, 50)["r"] == net_radius(1024, 10.0, 50) == 3
+
+
+def test_thresholds_net_radius_beyond_a_float_is_none():
+    """2^n is too large for a float from n = 1024 on: outside net_radius's
+    domain, so `r` is None and nothing overflows."""
+    with pytest.raises(DomainError):
+        net_radius(1 << 1024, 1024.0, 1)
+    assert thresholds(1024, 1, 1)["r"] is None
+    assert thresholds(1023, 1, 1)["r"] is None  # no r <= 64 on the 1023-cube
+
+
 def test_thresholds_dict():
     t = thresholds(10, 1, 3072, 10.0)
     assert t["qn_upper_k_min"] == Fraction(3072)
