@@ -52,13 +52,6 @@ class CubeCodec:
 
     n_bits: int
 
-    @property
-    def n(self) -> int:
-        return 1 << self.n_bits
-
-    def bit(self, vid: int, i: int) -> int:
-        return (vid >> i) & 1
-
     def with_bits(self, vid: int, fixed: dict) -> int:
         for i, b in fixed.items():
             if not 0 <= i < self.n_bits:
@@ -250,19 +243,13 @@ def subcube_retract(g: Graph, codec: CubeCodec, fixed: dict) -> RetractMap:
 
 def subcube_partition(codec: CubeCodec, ell: int):
     """Partition of the cube's vertex set into 2^(n-ell) subcubes obtained by
-    fixing the first n-ell bits (bits 0..n-ell-1) to every pattern. Each
-    block induces a copy of the ell-dimensional cube."""
+    fixing the first n-ell bits (bits 0..n-ell-1) to every pattern, each
+    block given by its fixed bits {bit: value}. A block's vertices are the
+    image of its `subcube_retract`, a copy of the ell-dimensional cube."""
     if not 0 <= ell <= codec.n_bits:
         raise ValueError("ell out of range")
     low = codec.n_bits - ell
-    blocks = []
-    for pattern in range(1 << low):
-        fixed = {i: (pattern >> i) & 1 for i in range(low)}
-        members = tuple(
-            v for v in range(codec.n) if all(codec.bit(v, i) == b for i, b in fixed.items())
-        )
-        blocks.append((fixed, members))
-    return blocks
+    return [{i: (pattern >> i) & 1 for i in range(low)} for pattern in range(1 << low)]
 
 
 def format_graph_text(g: Graph) -> str:

@@ -696,19 +696,16 @@ def _first_cover(balls, k: int):
 
 @dataclass(frozen=True)
 class RetractMap:
-    """A map of the whole graph, vertex v to mapping[v]. Its image is the set
-    of vertices it fixes, built on first read. It is a retract when it maps
-    every vertex into its image (it is idempotent) and every edge to an edge
-    or a vertex: `verify_retract` checks both."""
+    """A map of the whole graph, read as its mapping: v goes to mapping[v].
+    Its image is the set of vertices it fixes, built on first read. It is a
+    retract when it maps every vertex into its image (it is idempotent) and
+    every edge to an edge or a vertex: `verify_retract` checks both."""
 
     mapping: tuple
 
     @functools.cached_property
     def image(self) -> frozenset:
         return frozenset(v for v, fv in enumerate(self.mapping) if fv == v)
-
-    def apply(self, v: int) -> int:
-        return self.mapping[v]
 
 
 def verify_retract(g: Graph, r: RetractMap):

@@ -58,14 +58,20 @@ class RobberPolicy:
 
 @dataclass
 class PlayTranscript:
-    """Full game record. capture_round counts cop moves, with placement as
-    round 0; None means the game timed out uncaptured."""
+    """Full game record. The game ends at capture, so the last position (the
+    last round's, or the start when no round was played) fixes the capture
+    round: len(rounds) when its robber stands on a cop, with placement as
+    round 0, and None when the game timed out uncaptured."""
 
     cops_start: tuple
     robber_start: int
     rounds: list = field(default_factory=list)  # (cops tuple, robber) after each round
-    capture_round: int | None = None
     metadata: dict = field(default_factory=dict)
+
+    @property
+    def capture_round(self) -> int | None:
+        cops, robber = self.rounds[-1] if self.rounds else (self.cops_start, self.robber_start)
+        return len(self.rounds) if robber in cops else None
 
     def to_jsonable(self) -> dict:
         return {
@@ -133,9 +139,7 @@ def play(
 
     transcript = PlayTranscript(cops_start=cops, robber_start=robber)
     cop_set = set(cops)
-    if robber in cop_set:
-        transcript.capture_round = 0
-    else:
+    if robber not in cop_set:
         for rnd in range(1, max_rounds + 1):
             new_cops, state = cop_policy.move(g, state, cops, robber, rnd)
             new_cops = tuple(new_cops)
@@ -144,7 +148,6 @@ def play(
             cop_set = set(cops)
             if robber in cop_set:
                 transcript.rounds.append((cops, robber))
-                transcript.capture_round = rnd
                 break
             new_robber = robber_policy.move(g, cops, robber, rnd)
             _check_vertex(g, new_robber, "robber")
@@ -164,7 +167,6 @@ def play(
             robber = new_robber
             transcript.rounds.append((cops, robber))
             if robber in cop_set:
-                transcript.capture_round = rnd
                 break
 
     if meta := cop_policy.record(state):

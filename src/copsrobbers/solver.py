@@ -276,13 +276,12 @@ def _erosion_tables(g: Graph):
 
 
 def _sweep(g: Graph, k: int):
-    """Yield (full, cop changes, robber changes, cop image, robber image)
-    after each level, in the layout of the module docstring. full is the
-    first config with a full cop-turn cell, from the first level that has
-    one on, and None before. The changes list the (v, new bits) of each
-    chunk v that gained states at the level. An image is the list of its n
-    chunks as little-endian ints; it is updated in place once the next
-    level is asked for."""
+    """Yield (full, cop changes, robber changes) after each level, in the
+    layout of the module docstring. full is the first config with a full
+    cop-turn cell, from the first level that has one on, and None before.
+    The changes list the (v, new bits) of each chunk v that gained states
+    at the level, a chunk's bits as a little-endian int. Level 0 lists every
+    chunk, so the OR of a mover's changes so far is its image."""
     n = g.n
     closed = g.closed
     cell = (n + 7) // 8
@@ -379,7 +378,7 @@ def _sweep(g: Graph, k: int):
     full = None
     while True:
         full = full or first_full(changed)
-        yield full, changed, fresh.items(), wc, wr
+        yield full, changed, fresh.items()
         if not fresh:
             return
         # cop step: a state settles when a joint move reaches a fresh one
@@ -441,7 +440,7 @@ def solve(g: Graph, k: int) -> ValueTable:
     counts = (math.comb(n - v + k - 2, k - 1) for v in range(n))
     first = list(itertools.accumulate(counts, initial=0))
     packed = _packer(n, k, configs)
-    levels = ((full, packed(cop), packed(rob)) for full, cop, rob, _, _ in _sweep(g, k))
+    levels = ((full, packed(cop), packed(rob)) for full, cop, rob in _sweep(g, k))
     return ValueTable(graph=g, k=k, configs=configs, first=first, sweep=enumerate(levels))
 
 

@@ -244,27 +244,16 @@ class SphereTrapPolicy(CopPolicy):
 # threshold formulas
 
 
-def falling_factorial(a: int, b: int) -> int:
-    """(a)_b = a (a-1) ... (a-b+1); b = 0 gives 1."""
-    if b < 0:
-        raise DomainError("falling factorial needs b >= 0")
-    out = 1
-    for i in range(b):
-        out *= a - i
-    return out
-
-
 def trap_cop_threshold(n: int, d: int) -> Fraction:
     """Cop count above which the sphere trap certifies capture within 2d+1
-    on the n-cube: 36 * 2^n * (2d+1)_{d+1} / (n-d)_{d+1}, exact. Every
-    factor n-d, ..., n-2d of the denominator is positive only when
+    on the n-cube: 36 * 2^n * (2d+1)_{d+1} / (n-d)_{d+1} (math.perm), exact.
+    Every factor n-d, ..., n-2d of the denominator is positive only when
     n >= 2d + 1, so any other (n, d) is refused."""
     if n < 1 or d < 0:
         raise DomainError("need n >= 1 and d >= 0")
     if n < 2 * d + 1:
         raise DomainError(f"need n >= 2d + 1 for a positive (n-d)_(d+1), got n={n}, d={d}")
-    return Fraction(36 * (1 << n) * falling_factorial(2 * d + 1, d + 1),
-                    falling_factorial(n - d, d + 1))
+    return Fraction(36 * (1 << n) * math.perm(2 * d + 1, d + 1), math.perm(n - d, d + 1))
 
 
 def counting_cop_bound(n: int, d: int) -> Fraction:
@@ -277,16 +266,29 @@ def counting_cop_bound(n: int, d: int) -> Fraction:
 
 
 def net_radius(n: int, degree: float, k: int, C: float = 10.0) -> int:
-    """Smallest positive integer r with degree^(r+1) >= C n ln(n) / k. An n
-    too large for a float (2^1024 or more) is outside the domain."""
-    if not 2 <= n <= sys.float_info.max or degree <= 0 or k < 1 or C <= 0:
-        raise DomainError("need 2 <= n <= the largest float, degree > 0, k >= 1, C > 0")
+    """Smallest positive integer r with degree^(r+1) >= C n ln(n) / k, found
+    by stepping up from just below the logarithms' estimate; where the power
+    or the target overflows a float, their logarithms are compared. An n of
+    2^1024 or more is outside the domain, and so is a degree <= 1 whose
+    square falls short, as then no r exists."""
+    if not (2 <= n <= sys.float_info.max and degree > 0 and k >= 1 and 0 < C < math.inf):
+        raise DomainError("need 2 <= n <= the largest float, degree > 0, k >= 1, 0 < C < inf")
     target = C * n * math.log(n) / k
-    r = 1
-    while degree ** (r + 1) < target:
+    log_target = math.log(C) + math.log(n) + math.log(math.log(n)) - math.log(k)
+
+    def reaches(r):
+        try:
+            if target < math.inf:
+                return degree ** (r + 1) >= target
+        except OverflowError:
+            pass
+        return (r + 1) * math.log(degree) >= log_target
+
+    if degree <= 1 and not reaches(1):
+        raise DomainError(f"no net radius: degree {degree} <= 1 and degree^2 < C n ln(n) / k")
+    r = 1 if degree <= 1 else max(1, math.ceil(log_target / math.log(degree)) - 2)
+    while not reaches(r):
         r += 1
-        if r > 64:
-            raise DomainError("no net radius up to 64; degree too small")
     return r
 
 

@@ -172,7 +172,7 @@ class StaticCopPolicy(CopPolicy):
 class TreePolicy(CopPolicy):
     """One cop per exact k-center vertex; each cop chases the robber's image
     under the retract onto its radius-rad_k ball. Captures within rad_k
-    rounds, its bound.
+    rounds, its bound. It plays len(homes) cops, one per home.
 
     One BFS from the robber decides every cop's move. On a tree the ball is
     a convex subtree, so the image (the clamp) lies on every path from the
@@ -184,24 +184,23 @@ class TreePolicy(CopPolicy):
     def __init__(self, g: Graph, k: int):
         if not is_tree(g):
             raise NotATree("tree policy needs an acyclic connected graph")
-        self.k = k
         kc = k_center(g, k, mode="exact")
-        self.radius = self.bound = kc.radius
+        self.bound = kc.radius
         homes = list(kc.centers)
         while len(homes) < k:
             homes.append(homes[0])
         self.homes = tuple(homes)
-        self.metadata = {"policy": "tree", "radius": self.radius}
+        self.metadata = {"policy": "tree", "radius": self.bound}
 
     def placement(self, g: Graph, k: int):
-        if k != self.k:
+        if k != len(self.homes):
             raise ValueError("policy built for a different k")
         return self.homes, None
 
     def move(self, g: Graph, state, cops, robber: int, rnd: int):
         dist = bfs_distances(g, robber)
         return tuple(
-            c if dist[c] <= max(0, dist[h] - self.radius) else step_toward(g, dist, c)
+            c if dist[c] <= max(0, dist[h] - self.bound) else step_toward(g, dist, c)
             for c, h in zip(cops, self.homes)
         ), None
 
@@ -220,6 +219,9 @@ class RetractPartitionPolicy(CopPolicy):
     the same graph with the same team size share one (stateless) sub-policy.
     Every team holds its robber image within its territory's capture time,
     so the largest of these is the policy's bound.
+
+    A team is (retract, to_local, to_global, sub_policy): its size is the
+    sub-policy table's k and its territory graph is the table's graph.
     """
 
     def __init__(self, g: Graph, territories):
@@ -237,21 +239,11 @@ class RetractPartitionPolicy(CopPolicy):
                 if sub_policy.bound >= MAXDIST:
                     raise TooFewCops(f"{k_i} cops cannot win on a {sub_g.n}-vertex territory")
                 sub_policies[sub_g, k_i] = sub_policy
-            self.teams.append(
-                {
-                    "retract": retract,
-                    "k": k_i,
-                    "sub_g": sub_g,
-                    "to_local": to_local,
-                    "to_global": to_global,
-                    "policy": sub_policies[sub_g, k_i],
-                }
-            )
+            self.teams.append((retract, to_local, to_global, sub_policies[sub_g, k_i]))
             covered.update(verts)
         if covered != set(range(g.n)):
             missing = sorted(set(range(g.n)) - covered)
             raise CoverageGap(f"territories miss vertices {missing[:10]}")
-        self.team_k = sum(t["k"] for t in self.teams)
         self.bound = max(pol.bound for pol in sub_policies.values())
         self.metadata = {
             "policy": "retract-partition",
@@ -259,28 +251,27 @@ class RetractPartitionPolicy(CopPolicy):
         }
 
     def placement(self, g: Graph, k: int):
-        if k < self.team_k:
-            raise TooFewCops(f"need {self.team_k} cops, given {k}")
+        need = sum(sub.table.k for *_, sub in self.teams)
+        if k < need:
+            raise TooFewCops(f"need {need} cops, given {k}")
         out = []
-        for team in self.teams:
-            local, _ = team["policy"].placement(team["sub_g"], team["k"])
-            out.extend(team["to_global"][v] for v in local)
-        out.extend([0] * (k - self.team_k))  # idle surplus
+        for _, _, to_global, sub in self.teams:
+            local, _ = sub.placement(sub.table.graph, sub.table.k)
+            out.extend(to_global[v] for v in local)
+        out.extend([0] * (k - need))  # idle surplus
         return tuple(out), None
 
     def move(self, g: Graph, state, cops, robber: int, rnd: int):
         out = list(cops)
         base = 0
-        for team in self.teams:
-            kk = team["k"]
-            to_local = team["to_local"]
+        for retract, to_local, to_global, sub in self.teams:
+            kk = sub.table.k
             local_cops = tuple(to_local[cops[base + i]] for i in range(kk))
-            image = team["retract"].apply(robber)
-            local_new, _ = team["policy"].move(
-                team["sub_g"], None, local_cops, to_local[image], rnd
+            local_new, _ = sub.move(
+                sub.table.graph, None, local_cops, to_local[retract.mapping[robber]], rnd
             )
             for i, v in enumerate(local_new):
-                out[base + i] = team["to_global"][v]
+                out[base + i] = to_global[v]
             base += kk
         return tuple(out), None
 
@@ -346,5 +337,5 @@ def subcube_partition_policy(
     if k < teams * c:
         raise TooFewCops(f"need {teams * c} cops for {teams} subcube teams, given {k}")
     return RetractPartitionPolicy(g, [
-        (subcube_retract(g, codec, fixed), c) for fixed, _ in subcube_partition(codec, ell)
+        (subcube_retract(g, codec, fixed), c) for fixed in subcube_partition(codec, ell)
     ])

@@ -64,6 +64,8 @@ CASES = {
     # Fraction values, an integral one and a fractional one, and the net
     # radius of the 10-cube (2^10 vertices of degree 10)
     "thresholds_n10_d1_k50": (["thresholds", "-n", "10", "-d", "1", "-k", "50"], 0),
+    # a net radius above 64: the 600-cube's is 66
+    "thresholds_n600_d1": (["thresholds", "-n", "600", "-d", "1"], 0),
     "regime_n60_k_pow2_30": (["regime", "-n", "60", "--k-pow2", "30"], 0),
     "simulate_tree": (
         ["simulate", "--gen", "tree:12,3", "-k", "2", "--cop", "tree", "--robber", "solver"], 0),

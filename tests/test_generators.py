@@ -143,7 +143,7 @@ def test_subcube_retract_no_fixed_bits_identity():
 def test_subcube_retract_overwrites_bit0():
     g, codec = gen_hypercube(3)
     r = subcube_retract(g, codec, {0: 0})
-    assert r.apply(0b101) == 0b100
+    assert r.mapping[0b101] == 0b100
 
 
 @given(st.integers(1, 4), st.data())
@@ -173,12 +173,15 @@ def test_subcube_image_is_smaller_cube(n, data):
 
 
 def test_subcube_partition_property():
-    _, codec = gen_hypercube(4)
+    """The blocks' retract images are 2^ell-vertex subcubes that partition
+    the cube."""
+    g, codec = gen_hypercube(4)
     for ell in range(0, 5):
         blocks = subcube_partition(codec, ell)
         assert len(blocks) == 1 << (4 - ell)
-        seen = sorted(v for _, members in blocks for v in members)
-        assert seen == list(range(16))
+        images = [subcube_retract(g, codec, fixed).image for fixed in blocks]
+        assert all(len(image) == 1 << ell for image in images)
+        assert sorted(v for image in images for v in image) == list(range(16))
 
 
 # --- file format

@@ -611,15 +611,15 @@ def test_path_retract_identity_on_image():
     g, _ = gen_path(7)
     r = path_retract(g, [0, 1, 2, 3], 0)
     for v in (0, 1, 2, 3):
-        assert r.apply(v) == v
+        assert r.mapping[v] == v
 
 
 def test_path_retract_cycle_clamp():
     g = gen_cycle(6)
     r = path_retract(g, [0, 1, 2, 3], 0)
-    assert r.apply(3) == 3  # opposite vertex is on the path already
-    assert r.apply(4) == 2
-    assert r.apply(5) == 1
+    assert r.mapping[3] == 3  # opposite vertex is on the path already
+    assert r.mapping[4] == 2
+    assert r.mapping[5] == 1
     ok, violation = verify_retract(g, r)
     assert ok, violation
 
@@ -633,7 +633,7 @@ def test_path_retract_whole_path_is_identity():
 def test_path_retract_accepts_far_anchor():
     g, _ = gen_path(5)
     r = path_retract(g, [0, 1, 2], 2)
-    assert r.apply(4) == 0  # distance from anchor 2 clamps at path length
+    assert r.mapping[4] == 0  # distance from anchor 2 clamps at path length
 
 
 def test_path_retract_rejects_non_shortest():

@@ -39,6 +39,16 @@ def test_capture_at_placement():
     assert t.rounds == []
 
 
+def test_capture_when_the_robber_steps_onto_a_cop():
+    """A robber that steps onto a standing cop is caught in the round of
+    that step, which is the last recorded round."""
+    g, _ = gen_path(5)
+    t = play(g, 1, StaticCopPolicy([2]), FixedRobber(0, [1, 2]), 10)
+    assert t.capture_round == 2 == len(t.rounds)
+    assert t.rounds[-1] == ((2,), 2)
+    assert t.to_jsonable()["capture_round"] == 2
+
+
 def test_timeout_when_cops_never_move():
     g, _ = gen_path(5)
     t = play(g, 1, StaticCopPolicy([0]), StayFarRobber(), 7)

@@ -149,9 +149,10 @@ def test_counter_retrograde_random_graphs(n, p, seed, k):
 
 
 def assert_images_symmetric(g, k):
-    """Every image of the sweep holds in each ordering of a cop tuple the
-    robber bits of its sorted cell, and no bit at or above n; the yielded
-    full tuple is the first tuple whose cop cell is full, once one is."""
+    """Every image of the sweep, the OR of its mover's changes so far, holds
+    in each ordering of a cop tuple the robber bits of its sorted cell, and
+    no bit at or above n; the yielded full tuple is the first tuple whose
+    cop cell is full, once one is."""
     n = g.n
     cell = (n + 7) // 8
     chunk = n ** (k - 1) * cell
@@ -159,9 +160,11 @@ def assert_images_symmetric(g, k):
                for t in itertools.product(range(n), repeat=k)}
     full_cell = ((1 << n) - 1).to_bytes(cell, "little")
     placed = None
-    for full, _, _, *images in _sweep(g, k):
-        for chunks in images:
-            assert len(chunks) == n
+    images = [0] * n, [0] * n
+    for full, *changes in _sweep(g, k):
+        for chunks, changed in zip(images, changes):
+            for v, x in changed:
+                chunks[v] |= x
             img = b"".join(x.to_bytes(chunk, "little") for x in chunks)
             for t, o in offsets.items():
                 s = offsets[tuple(sorted(t))]

@@ -22,7 +22,6 @@ from copsrobbers.sphere_trap import (
     SphereTrapPolicy,
     TrapAssignment,
     counting_cop_bound,
-    falling_factorial,
     net_radius,
     thresholds,
     trap_cop_threshold,
@@ -360,18 +359,6 @@ def test_tightening_failure_falls_back_to_greedy_pursuit():
 # --- thresholds
 
 
-def test_falling_factorial_examples():
-    assert falling_factorial(5, 0) == 1
-    assert falling_factorial(5, 2) == 20
-    assert falling_factorial(3, 2) == 6
-
-
-@given(st.integers(1, 30), st.integers(0, 10))
-def test_falling_factorial_vs_factorials(a, b):
-    if b <= a:
-        assert falling_factorial(a, b) == math.factorial(a) // math.factorial(a - b)
-
-
 def test_trap_threshold_example():
     assert trap_cop_threshold(10, 1) == Fraction(3072)
 
@@ -422,7 +409,29 @@ def test_thresholds_net_radius_beyond_a_float_is_none():
     with pytest.raises(DomainError):
         net_radius(1 << 1024, 1024.0, 1)
     assert thresholds(1024, 1, 1)["r"] is None
-    assert thresholds(1023, 1, 1)["r"] is None  # no r <= 64 on the 1023-cube
+
+
+@pytest.mark.parametrize("n, r", [(560, 62), (600, 66), (1023, 103)])
+def test_thresholds_net_radius_has_no_cap(n, r):
+    """The net radius of a large cube exceeds 64; from n = 1012 on, C n ln n
+    overflows a float and the logarithms are compared."""
+    assert thresholds(n, 1, 1)["r"] == r
+
+
+def test_net_radius_past_a_float_power():
+    """degree^2 beyond a float still reaches the target at r = 1."""
+    assert net_radius(10, 1e200, 1) == 1
+
+
+def test_net_radius_refuses_only_where_no_radius_exists():
+    """A degree <= 1 reaches the target only if its square does; a NaN or an
+    infinite C has no radius to search for."""
+    assert net_radius(10, 1.0, 1, 1e-3) == 1
+    for degree, C in [(math.nan, 10.0), (2.0, math.nan), (2.0, math.inf)]:
+        with pytest.raises(DomainError, match="need 2 <= n"):
+            net_radius(10, degree, 1, C)
+    with pytest.raises(DomainError, match=r"no net radius: degree 1.0 <= 1 and degree\^2"):
+        net_radius(10, 1.0, 1)
 
 
 def test_thresholds_dict():

@@ -101,12 +101,12 @@ def test_tree_policy_move_matches_the_clamp_rule(n, seed, k, data):
     g = gen_tree(n, seed)
     pol = TreePolicy(g, k)
     cops = tuple(
-        data.draw(st.sampled_from([v for v, d in enumerate(bfs_distances(g, h)) if d <= pol.radius]))
+        data.draw(st.sampled_from([v for v, d in enumerate(bfs_distances(g, h)) if d <= pol.bound]))
         for h in pol.homes
     )
     for robber in range(g.n):
         assert pol.move(g, None, cops, robber, 1)[0] == oracles.reference_tree_move(
-            g, pol.homes, pol.radius, cops, robber
+            g, pol.homes, pol.bound, cops, robber
         ), robber
 
 
@@ -211,6 +211,23 @@ def test_grid_cover_six_by_six():
     bound = capture_time(gen_grid(2, 3)[0], 2)
     worst = worst_case_capture_round(g, grid_cover_policy(g, codec, 8), 8, horizon=bound)
     assert worst is not None and worst <= bound == 2
+
+
+def test_territory_teams_of_unequal_size_with_a_surplus_cop():
+    """On P8, territory [0, 3] gets 1 cop and [3, 7] gets 2: placement lists
+    each team's cops in team order, then the surplus cop at vertex 0, and
+    the worst case stays within the bound."""
+    g, codec = gen_path(8)
+    pol = RetractPartitionPolicy(g, [
+        (box_retract(g, codec, (0,), (3,)), 1),
+        (box_retract(g, codec, (3,), (7,)), 2),
+    ])
+    assert pol.placement(g, 4) == ((1, 3, 6, 0), None)
+    assert pol.bound == capture_time(gen_path(4)[0], 1) == 2
+    worst = worst_case_capture_round(g, pol, 4, horizon=pol.bound)
+    assert worst is not None and worst <= pol.bound
+    with pytest.raises(TooFewCops, match="need 3 cops, given 2"):
+        pol.placement(g, 2)
 
 
 def test_grid_cover_too_few():
