@@ -526,16 +526,19 @@ def _suite_regime(params):
 
 def _suite_grid_scaling(params):
     """Both sides of capt_k on d-dimensional grids: the k-center lower bound,
-    and the grid cover's bound (the largest capture time over its boxes)."""
+    and the grid cover's bound (the largest capture time over its boxes).
+    A cell the exact solver refuses gets one capt_{k}_refused row with no
+    measured or bound value."""
     d = params["d"]
     for q in params["sizes"]:
         g, codec = gen_grid(d, q)
         for k in params["ks"]:
+            instance = f"grid-d{d}-q{q}-k{k}"
             try:
                 capt = capture_time(g, k)
             except StateBudgetExceeded:
+                yield BoundReport("grid_scaling", instance, f"capt_{k}_refused", None, None, True)
                 continue
-            instance = f"grid-d{d}-q{q}-k{k}"
             rad = k_center(g, k).radius
             yield BoundReport(
                 "grid_scaling", instance, f"capt_{k}_ge_rad_{k}", capt, rad, capt >= rad,

@@ -389,11 +389,21 @@ def _or_levels(masks, dist, level, blocked: bool) -> None:
 
 def step_toward(g: Graph, dist, v: int) -> int:
     """The smallest-id neighbour of v one step closer to the sources of the
-    BFS that produced `dist`."""
+    BFS that produced `dist`. A matrix-built graph scans the set bits of
+    masks[v] upward, so its `adj` is not spelled out."""
     want = dist[v] - 1
-    for u in g.adj[v]:
-        if dist[u] == want:
-            return u
+    if g._from_matrix:
+        rest = g._masks[v]
+        while rest:
+            low = rest & -rest
+            u = low.bit_length() - 1
+            if dist[u] == want:
+                return u
+            rest ^= low
+    else:
+        for u in g.adj[v]:
+            if dist[u] == want:
+                return u
     raise DisconnectedGraph(f"no step from {v} toward the BFS sources")
 
 

@@ -51,6 +51,20 @@ coordinates, so a multiset's state sits in its sorted cell. Each level:
   such chunk is sorted, the first config with a full cell, and its index
   in base n names the cops below the top one.
 
+At its peak the sweep holds wc and wr, the cop and robber images; one
+level's changes, the new cop bits and the fresh robber bits, each up to an
+image, since a chunk's int is as wide as its highest bit; and the
+dilation's two image-sized transients. The consumer reads a level's
+changes before the sweep resumes, which clears them. A rotation drains its
+input dict as it writes the rotated bytes, then holds those and their
+chunk ints; a neighbourhood round holds those ints and its output; the cop
+step pops the result chunk by chunk into the new cop bits. The robber step
+erodes the changed chunks in batches of at most _ERODE_BATCH bytes (or one
+chunk), so its joined input, columns and output stay small. Under
+tracemalloc, on tree:40,1 with k = 3 (a 320,000-byte image), the bare
+sweep peaks at 5.2 images and a table's capture_time, whose stored levels
+add the rest, at 6.6.
+
 The store of game values is one list per mover and chunk of the levels
 that settled states in it, ascending, each with the chunk's newly settled
 states packed to the sorted cells: runs along the last coordinate (for
@@ -58,7 +72,8 @@ k = 2 the one run of cells v..n-1), so one itemgetter of byte slices and
 one join pack a chunk, with no work per config.
 
 The levels are settled on demand. solve returns a table that holds the
-sweep, not yet started and wrapped in the packing, and the table runs it
+sweep, not yet started and wrapped in the packing, and builds no configs
+(the table builds them on first read). The table runs the sweep
 one level further only when a read needs it: best_placement and
 capture_time up to the first level with a full cop-turn cell (the capture
 time), a state's value up to the level that settles it. A state's value is
@@ -96,9 +111,14 @@ STATE_CAP = 2_000_000
 # The largest sweep image, n**k * ceil(n/8) bytes, that solve admits. The
 # state count counts cop multisets, about k! times fewer than the ordered
 # tuples when k is near n, so on graphs with many components or isolated
-# vertices it admits images that do not fit in memory. The sweep holds a
-# few images at once.
+# vertices it admits images that do not fit in memory. At its peak the
+# sweep holds wc, wr, one level's changes and the dilation's two
+# transients: about five images, six and a half for a table (module
+# docstring).
 IMAGE_CAP = 1 << 22
+# The most cell bytes the robber step erodes in one pass, or one chunk when a
+# chunk is larger: its joined input, columns and output stay this small.
+_ERODE_BATCH = 1 << 16
 
 # Byte x of _BYTE_BITS[b] is bit b of x, and every byte of _ALL_BYTES is 1:
 # 256-entry columns that build the erosion tables with big-int ANDs.
@@ -133,7 +153,9 @@ def estimate_cost(g: Graph, k: int):
 @dataclass
 class ValueTable:
     """Game values for every (cop multiset, robber, mover) state, held as the
-    level sweep's newly settled states, settled on demand.
+    level sweep's newly settled states, settled on demand. configs, the
+    sorted cop tuples in order, is built on first read, as config_index is:
+    capture_time and best_placement never read it.
 
     chunk_levels[mover][v] lists, by ascending level L, the (L, cells)
     pairs of chunk v, the configs[first[v]:first[v + 1]] whose top cop is on
@@ -148,11 +170,15 @@ class ValueTable:
 
     graph: Graph
     k: int
-    configs: tuple
     first: list = field(default_factory=list, repr=False)
     chunk_levels: tuple = field(default_factory=lambda: ({}, {}), repr=False)
     placement: tuple = ()
     sweep: object = field(default=None, repr=False, compare=False)
+
+    @functools.cached_property
+    def configs(self) -> tuple:
+        """The sorted cop tuples in lexicographic order, built on first read."""
+        return tuple(itertools.combinations_with_replacement(range(self.graph.n), self.k))
 
     @functools.cached_property
     def config_index(self) -> dict:
@@ -171,12 +197,12 @@ class ValueTable:
         """Settle the next level into chunk_levels, and the best placement
         if this level has a full cop-turn cell; returns the level, or None
         once the sweep has ended (then a placement not found is
-        (configs[0], MAXDIST))."""
+        ((0,) * k, MAXDIST))."""
         step = None if self.sweep is None else next(self.sweep, None)
         if step is None:
             self.sweep = None
             if not self.placement:
-                self.placement = self.configs[0], MAXDIST
+                self.placement = (0,) * self.k, MAXDIST
             return None
         level, (full, cop, rob) = step
         for store, entries in zip(self.chunk_levels, (cop, rob)):
@@ -215,7 +241,8 @@ class ValueTable:
         """Lexicographically smallest cop placement minimising the worst-case
         robber placement value, paired with that value: the first config
         whose cop-to-move states are all settled, at the first level where
-        one is, and (configs[0], MAXDIST) when none ever is."""
+        one is, and ((0,) * k, MAXDIST), the first config's, when none ever
+        is."""
         while not self.placement:
             self._advance()
         return self.placement
@@ -281,7 +308,9 @@ def _sweep(g: Graph, k: int):
     cop-turn cell, from the first level that has one on, and None before.
     The changes list the (v, new bits) of each chunk v that gained states
     at the level, a chunk's bits as a little-endian int. Level 0 lists every
-    chunk, so the OR of a mover's changes so far is its image."""
+    chunk, so the OR of a mover's changes so far is its image. The yielded
+    changes are valid until the next step: the sweep clears them once it
+    resumes."""
     n = g.n
     closed = g.closed
     cell = (n + 7) // 8
@@ -289,7 +318,7 @@ def _sweep(g: Graph, k: int):
     chunk = cells_per_chunk * cell
     size = n * chunk
     little = itertools.repeat("little")
-    chunks = _picker([slice(v * chunk, (v + 1) * chunk) for v in range(n)])
+    chunk_slices = [slice(v * chunk, (v + 1) * chunk) for v in range(n)]
 
     # Rotation moves cells with strided slice assignments, in the widest
     # machine words that divide the cell; a word is copied whole, so the
@@ -300,34 +329,40 @@ def _sweep(g: Graph, k: int):
 
     def rotate(parts):
         """The image whose cell (rest, v) is cell rest of chunk v, given as
-        (v, int) pairs (missing and zero chunks are zero): the top
-        coordinate moved to the end."""
+        a dict {v: int} that it drains as it writes (missing and zero
+        chunks are zero): the top coordinate moved to the end."""
         out = bytearray(size)
         dst = _as_words(out, unit)
-        for v, x in parts:
+        while parts:
+            v, x = parts.popitem()
             if x:
                 src = _as_words(x.to_bytes(chunk, "little"), unit)
                 for j in range(words):
                     dst[v * words + j::stride] = src[j::words]
-        return list(map(int.from_bytes, chunks(out), little))
+        return list(map(int.from_bytes, map(out.__getitem__, chunk_slices), little))
 
     nbr_parts = [_picker(nbrs) for nbrs in closed]
 
+    def spread(parts):
+        """The top cop's step on an image given as its n chunks: chunk v
+        gains the chunks over N[v]."""
+        return {v: functools.reduce(operator.or_, get(parts)) for v, get in enumerate(nbr_parts)}
+
     def dilate(fresh):
         """The joint cop step on an image given as its nonzero chunks
-        {v: int}, returned as {v: int} too: each cop in turn takes the top
-        coordinate, where chunk v gains the chunks over N[v], and all but
-        the last are then rotated to the end. The first round reads the
-        given chunks alone, the later ones every chunk. The result is
-        symmetric, as the input is, so the k - 1 rotations leave it in
-        place."""
+        {v: int}, which it clears once read, returned as {v: int} too: each
+        cop in turn takes the top coordinate, where chunk v gains the chunks
+        over N[v], and all but the last are then rotated to the end. The
+        first round reads the given chunks alone, the later ones every
+        chunk. The result is symmetric, as the input is, so the k - 1
+        rotations leave it in place."""
         out = {}
         for u, x in fresh.items():
             for v in closed[u]:
                 out[v] = out.get(v, 0) | x
+        fresh.clear()
         for _ in range(k - 1):
-            parts = rotate(out.items())
-            out = {v: functools.reduce(operator.or_, get(parts)) for v, get in enumerate(nbr_parts)}
+            out = spread(rotate(out))
         return out
 
     erosion = _erosion_tables(g)
@@ -372,9 +407,12 @@ def _sweep(g: Graph, k: int):
     wr = list(wc)
 
     # changed: the chunks whose cop bits changed, with their new bits, and
-    # fresh: the robber bits settled at the last level, by nonzero chunk
+    # fresh: the robber bits settled at the last level, by nonzero chunk.
+    # Both are yielded; once the sweep resumes, the cop step clears changed
+    # and the dilation fresh, once read, and both refill for the next level.
     changed = list(enumerate(wc))
     fresh = dict(changed)
+    batch = max(1, _ERODE_BATCH // chunk)
     full = None
     while True:
         full = full or first_full(changed)
@@ -382,37 +420,41 @@ def _sweep(g: Graph, k: int):
         if not fresh:
             return
         # cop step: a state settles when a joint move reaches a fresh one
-        changed = []
-        for v, x in sorted(dilate(fresh).items()):
-            new = x & ~wc[v]
+        changed.clear()
+        grown = dilate(fresh)
+        for v in sorted(grown):
+            new = grown.pop(v) & ~wc[v]
             if new:
                 wc[v] |= new
                 changed.append((v, new))
-        # robber step, on the changed chunks gathered end to end: a state
-        # settles when every robber move lands on a settled cop-turn state
-        settled = erode(b"".join(wc[v].to_bytes(chunk, "little") for v, _ in changed))
-        fresh = {}
-        for i, (v, _) in enumerate(changed):
-            x = int.from_bytes(settled[i * chunk:(i + 1) * chunk], "little") & ~wr[v]
-            if x:
-                wr[v] |= x
-                fresh[v] = x
+        # robber step, on batches of the changed chunks gathered end to end:
+        # a state settles when every robber move lands on a settled
+        # cop-turn state
+        for at in range(0, len(changed), batch):
+            group = changed[at:at + batch]
+            settled = erode(b"".join(wc[v].to_bytes(chunk, "little") for v, _ in group))
+            for i, (v, _) in enumerate(group):
+                x = int.from_bytes(settled[i * chunk:(i + 1) * chunk], "little") & ~wr[v]
+                if x:
+                    wr[v] |= x
+                    fresh[v] = x
 
 
-def _packer(n: int, k: int, configs):
+def _packer(n: int, k: int):
     """Packs (v, int) chunk pairs to {v: the sorted cells of chunk v}. They
-    sit in the chunk in config order, as runs along the last coordinate:
-    each starts at a config whose last two coordinates are equal and ends
-    with the row (a chunk is one cell when k = 1)."""
+    sit in the chunk in config order, as runs along the last coordinate,
+    one per sorted (k-1)-tuple (v, ..., c): each starts at the config
+    (v, ..., c, c) and ends with the row (a chunk is one cell when k = 1)."""
     cell = (n + 7) // 8
     chunk = n ** (k - 1) * cell
-    weights = [n ** (k - 2 - i) for i in range(k - 1)]
-    runs = [[] for _ in range(n)]
-    for cfg in configs:
-        if k == 1 or cfg[-2] == cfg[-1]:
-            at = sum(map(operator.mul, cfg[1:], weights))
-            end = at + 1 if k == 1 else at + n - cfg[-1]
-            runs[cfg[0]].append(slice(at * cell, end * cell))
+    if k == 1:
+        runs = [[slice(0, cell)] for _ in range(n)]
+    else:
+        runs = [[] for _ in range(n)]
+        weights = [n ** (k - 2 - i) for i in range(k - 1)]
+        for head in itertools.combinations_with_replacement(range(n), k - 1):
+            at = sum(map(operator.mul, (*head[1:], head[-1]), weights))
+            runs[head[0]].append(slice(at * cell, (at + n - head[-1]) * cell))
     packs = [_picker(r) for r in runs]
     return lambda bits: {v: b"".join(packs[v](x.to_bytes(chunk, "little"))) for v, x in bits}
 
@@ -436,12 +478,11 @@ def solve(g: Graph, k: int) -> ValueTable:
     run the sweep as far as they need (module docstring)."""
     _admit(g, k)
     n = g.n
-    configs = tuple(itertools.combinations_with_replacement(range(n), k))
     counts = (math.comb(n - v + k - 2, k - 1) for v in range(n))
     first = list(itertools.accumulate(counts, initial=0))
-    packed = _packer(n, k, configs)
+    packed = _packer(n, k)
     levels = ((full, packed(cop), packed(rob)) for full, cop, rob in _sweep(g, k))
-    return ValueTable(graph=g, k=k, configs=configs, first=first, sweep=enumerate(levels))
+    return ValueTable(graph=g, k=k, first=first, sweep=enumerate(levels))
 
 
 def capture_time(g: Graph, k: int) -> int:

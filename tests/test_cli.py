@@ -49,6 +49,7 @@ CASES = {
     "verify_sphere_trap": (["verify", "sphere_trap"], 0),
     "verify_separator_sweep": (["verify", "separator_sweep"], 0),
     "verify_planar_3cop": (["verify", "planar_3cop"], 0),
+    # a cell the solver refuses prints one capt_k_refused row with empty values
     "verify_grid_scaling": (["verify", "grid_scaling"], 0),
     # a parameter whose default is a tuple takes one value or a comma list
     "verify_grid_scaling_one_size": (

@@ -439,11 +439,19 @@ def test_capture_time_settles_only_up_to_its_level():
 
 
 def test_capture_time_reads_no_config_index():
-    """config_index is built on first read, and capture_time never reads it."""
-    table = solve(gen_grid_dims([4, 4])[0], 2)
-    assert table.capture_time() == 3
-    assert "config_index" not in vars(table)
-    assert table.config_index == {c: i for i, c in enumerate(table.configs)}
+    """configs and config_index are built on first read: capture_time,
+    best_placement and a cop policy's bound build neither, also when the
+    sweep ends with no full cell and the placement is the first config,
+    (0,) * k."""
+    win = solve(gen_grid_dims([4, 4])[0], 2)
+    assert win.capture_time() == 3
+    loss = solve(gen_hypercube(5)[0], 2)
+    assert extract_policies(loss)[0].bound == MAXDIST
+    assert loss.best_placement() == ((0, 0), MAXDIST) and loss.sweep is None
+    for table in (win, loss):
+        assert "configs" not in vars(table) and "config_index" not in vars(table)
+        assert table.config_index == {c: i for i, c in enumerate(table.configs)}
+        assert table.configs[0] == (0,) * table.k
 
 
 def test_dropped_half_settled_table_frees_its_sweep_at_once():
@@ -615,6 +623,40 @@ def test_image_cap_refuses_before_allocating():
         tracemalloc.stop()
     assert peak < 1 << 20
     assert 64 ** 3 * 8 <= solver.IMAGE_CAP
+
+
+def test_sweep_peak_memory_in_images():
+    """The tracemalloc peak of capture_time(g, 3) on tree:40,1, and of a
+    table's capture_time, as multiples of its 320,000-byte image. The sweep
+    holds wc, wr, one level's changes and the dilation's two transients
+    (5.2 images on Python 3.10-3.13), and a table adds its stored levels
+    (6.6). A sweep that held each buffer through the next level, and a
+    table that built its configs, would fail (10.7 and 14.8 images)."""
+    g = gen_tree(40, 1)
+    g.closed, g.masks  # the graph's, built before the peak is taken
+    image = g.n ** 3 * ((g.n + 7) // 8)
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            assert run() == 3
+            return tracemalloc.get_traced_memory()[1] / image
+        finally:
+            tracemalloc.stop()
+
+    assert peak(lambda: capture_time(g, 3)) <= 6.5
+    assert peak(lambda: solve(g, 3).capture_time()) <= 8.0
+
+
+@pytest.mark.parametrize("batch", [1, 100])
+def test_robber_step_batches_match_counter_retrograde(monkeypatch, batch):
+    """The robber step erodes the changed chunks in batches of at most
+    _ERODE_BATCH bytes and at least one chunk; with one chunk, or a few,
+    per batch, the values are counter_retrograde's."""
+    monkeypatch.setattr(solver, "_ERODE_BATCH", batch)
+    for g, k in robber_win_and_disconnected_cases() + ((gen_path(9)[0], 3), (gen_tree(12, 2), 2)):
+        assert_matches_counter_retrograde(g, k)
+        assert_images_symmetric(g, k)
 
 
 def test_long_path_three_cops_is_admitted():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import oracles
 from copsrobbers import sphere_trap
 from copsrobbers.errors import DomainError
-from copsrobbers.generators import from_spec, gen_gnp, gen_hypercube
+from copsrobbers.generators import from_spec, gen_connected_gnp, gen_gnp, gen_hypercube
 from copsrobbers.graphs import Graph, bfs_distances, walk_toward
 from copsrobbers.matching import hopcroft_karp
 from copsrobbers.play import play
@@ -339,6 +339,18 @@ def test_a_game_caught_while_routing_pays_for_no_tightening(monkeypatch):
     t = play(g, 40, SphereTrapPolicy(g, 40, 1, mode="general", seed=1), StayFarRobber(), 20)
     assert t.capture_round == 1 and t.metadata["cop"]["matching_saturated"]
     assert calls == [t.robber_start, ("trap_matching", 1, 2)]
+
+
+def test_pursuit_on_a_matrix_built_graph_spells_no_rows():
+    """On a connected G(100, 0.5) ten cops with d = 1 meet a Hall failure
+    and fall back to pursuit, which steps by the set bits of the masks:
+    the robber is caught in round 1, and adj is never spelled out."""
+    g, _ = gen_connected_gnp(100, 0.5, "x")
+    t = play(g, 10, SphereTrapPolicy(g, 10, 1, mode="general"), StayFarRobber(), 20)
+    assert t.metadata["cop"]["hall_deficient"][:4] == [1, 2, 3, 4]
+    assert (t.cops_start, t.robber_start) == ((38, 11, 47, 48, 27, 89, 43, 56, 33, 99), 0)
+    assert t.rounds == [((0, 1, 0, 1, 4, 1, 0, 0, 1, 0), 0)] and t.capture_round == 1
+    assert g._adj is None
 
 
 def test_tightening_failure_falls_back_to_greedy_pursuit():

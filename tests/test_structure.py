@@ -243,8 +243,9 @@ def test_trap_matching_runs_one_bfs():
 def test_solver_keeps_no_move_table():
     """The sweep works on images of ordered cop tuples: no joint-move table
     is built or stored, the table keeps its values in one store
-    (chunk_levels) and no other, and the solver's public functions are only
-    these six. perfbench/tracing.py wraps every public function, so a public
+    (chunk_levels) and no other, its configs are no field (they are built
+    on first read), and the solver's public functions are only these six.
+    perfbench/tracing.py wraps every public function, so a public
     per-level helper would add a span per call."""
     from dataclasses import fields
 
@@ -255,7 +256,7 @@ def test_solver_keeps_no_move_table():
              if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert "_move_table" not in names
     assert {f.name for f in fields(solver.ValueTable)} == {
-        "graph", "k", "configs", "first", "chunk_levels", "placement", "sweep"}
+        "graph", "k", "first", "chunk_levels", "placement", "sweep"}
     public = {node.name for node in tree.body
               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
     assert public == {"estimate_cost", "solve", "capture_time", "cop_number",
