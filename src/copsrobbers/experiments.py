@@ -24,6 +24,7 @@ what no game's seed changes once (`play` carries each game's cop state).
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 import time
@@ -217,7 +218,7 @@ def random_small_study(count_per_p: int, n_lo: int, n_hi: int, ps, base_seed):
     capture times and k-center radii for every k < n, and metrics. Only
     k = 1..gamma-1 is solved, the k that no theorem settles; from gamma on
     both values come from the domination theorem, and rad_1 from the
-    metrics' one eccentricity sweep. The `monotonicity` suite checks that
+    eccentricities `metrics` reads once. The `monotonicity` suite checks that
     theorem against the solver at k = gamma."""
     if not 1 <= n_lo <= n_hi:
         raise ValueError(f"need 1 <= n_lo <= n_hi, got n_lo={n_lo}, n_hi={n_hi}")
@@ -682,7 +683,14 @@ ROBBER_POLICIES = {
 def _names_seed(table: dict, name: str) -> bool:
     """Whether the builder of ``name`` in ``table`` takes the seed; an unknown
     name takes nothing, as building it raises."""
-    return name in table and "seed" in inspect.signature(table[name][0]).parameters
+    return name in table and _takes_seed(table[name][0])
+
+
+@functools.cache
+def _takes_seed(build) -> bool:
+    """Whether ``build`` has a ``seed`` parameter: one signature read per
+    builder, not one per game."""
+    return "seed" in inspect.signature(build).parameters
 
 
 def make_cop_policy(name: str, params: dict, g: Graph, codec, k: int, seed, solved):

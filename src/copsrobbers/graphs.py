@@ -2,17 +2,21 @@
 metric machinery: BFS distances, eccentricities, radius/diameter, metric
 k-centers, domination numbers, and retract maps.
 
-Every graph walk of the game code goes through four pieces here:
+Every graph walk of the game code goes through these pieces here:
 `bfs_distances` is the one BFS (multi-source, optionally confined to an
 allowed vertex set) with two kernels, chosen by the form the graph was built
 from: a graph built from lists is searched top-down from a queue, each
 reached row read once, and one built from a byte matrix by `_or_levels`,
-each level one OR of its vertices' masks. `eccentricities` is the one
-all-vertices sweep (bit-parallel over batches of sources, in place of a BFS
-from every vertex), `step_toward` the one shortest-path step rule (the
-smallest-id neighbour one BFS layer closer, with `walk_toward` as its path
-form), and `Graph.masks` the one bitmask adjacency table, which holds the
-closed neighbourhoods N[v].
+each level one OR of its vertices' masks. `eccentricities` gives every
+vertex's eccentricity: three BFS on a tree, and on any other graph
+`_ecc_sweep`, the one all-vertices sweep (bit-parallel over batches of
+sources, in place of a BFS from every vertex). `extremes` gives only the
+radius and the diameter, each with its first vertex, from a few BFS under
+eccentricity bounds, and falls back on the sweep where the bounds would
+take more BFS than the sweep has rounds. `step_toward` is the one
+shortest-path step rule (the smallest-id neighbour one BFS layer closer,
+with `walk_toward` as its path form), and `Graph.masks` the one bitmask
+adjacency table, which holds the closed neighbourhoods N[v].
 
 Exact `k_center` (k >= 2) and `domination_number` are one search over
 radius-r distance balls kept as bitmasks, the radius-1 balls being
@@ -53,10 +57,15 @@ MAXDIST = 2**31 - 1
 SUBSET_CAP = 5_000_000
 DOMINATION_MAX_N = 40
 
-# Sources per eccentricities() batch: one ECC_BATCH-bit set per vertex bounds
+# Sources per `_ecc_sweep` batch: one ECC_BATCH-bit set per vertex bounds
 # the sweep's memory on large graphs, and one batch covers every graph of up
 # to ECC_BATCH vertices.
 ECC_BATCH = 1024
+# `extremes` runs the eccentricity sweep without probing when it has fewer
+# rounds than this, and after _GUARD_PROBES probes when more vertices than it
+# has rounds are undecided.
+_PROBE_MIN_ROUNDS = 16
+_GUARD_PROBES = 5
 
 
 class Graph:
@@ -436,6 +445,25 @@ class Metrics:
 
 
 def eccentricities(g: Graph) -> list[int]:
+    """Eccentricity of every vertex of a connected graph (DisconnectedGraph
+    otherwise).
+
+    A tree (m = n - 1) takes three BFS, in O(n): from vertex 0, from its
+    first farthest vertex a, and from a's first farthest vertex b. Then a
+    and b are the ends of a diameter, and on a tree every vertex's farthest
+    vertex is one of them: ecc(v) = max(d(a, v), d(b, v)). Every other
+    graph takes `_ecc_sweep`.
+    """
+    if g.m != g.n - 1:
+        return _ecc_sweep(g)
+    depth = bfs_distances(g, 0)
+    if MAXDIST in depth:
+        raise DisconnectedGraph("eccentricities require a connected graph")
+    da = bfs_distances(g, depth.index(max(depth)))
+    return list(map(max, da, bfs_distances(g, da.index(max(da)))))
+
+
+def _ecc_sweep(g: Graph) -> list[int]:
     """Eccentricity of every vertex by bit-parallel multi-source BFS (Then et
     al., "The More the Merrier", VLDB 2015), ECC_BATCH sources at a time.
 
@@ -484,6 +512,103 @@ def eccentricities(g: Graph) -> list[int]:
     return ecc
 
 
+def extremes(g: Graph) -> tuple[int, int, int, int]:
+    """(radius, least-id centre, diameter, least-id peripheral vertex) of a
+    connected graph: the least and the largest eccentricity, each with the
+    first vertex that has it, as `eccentricities` gives them. An empty or
+    disconnected graph raises `metrics`' DisconnectedGraph.
+
+    A tree takes the three BFS of `eccentricities`. Any other graph is
+    probed by eccentricity bounds (Takes & Kosters, "Determining the
+    diameter of small world networks", CIKM 2011), from a BFS from vertex 0.
+    A probe p of eccentricity e bounds every v with d = d(p, v) from below
+    by max(d, e - d) and from above by e + d, and fixes ecc(p). The probes
+    take turns, until the largest bounds meet at the diameter D and the
+    smallest at the radius R. One side probes the first vertex of largest
+    lower bound among those whose upper bound is above every lower bound,
+    the other the first vertex of smallest lower bound. (Probing the largest
+    upper bound instead took 6 or 7 probes on L-shaped grid pieces, where
+    this takes 5: the largest lower bounds are the far corners.) The first
+    vertex whose upper bound is D is probed next unless its lower bound is D
+    as well, and likewise the first whose lower bound is R: each probe fixes
+    an undecided vertex, so the answers are the first ids with
+    eccentricities D and R.
+
+    Grids and their pieces need a handful of probes; graphs whose vertices
+    look alike, as cycles and cubes do, need about one per vertex. So a
+    graph whose sweep has fewer than _PROBE_MIN_ROUNDS rounds, e0 *
+    ceil(n / ECC_BATCH) for vertex 0's eccentricity e0, runs the sweep at
+    once, and one that still has more vertices undecided than the sweep has
+    rounds after _GUARD_PROBES probes runs it then. When e0 is 1, vertex 0
+    is a centre of radius 1 and the first vertex of degree below n - 1, if
+    any, a peripheral vertex of eccentricity 2: no probe or sweep is run,
+    since on such dense graphs the one BFS already costs about half the
+    sweep.
+    """
+    n = g.n
+    if n == 0:
+        raise DisconnectedGraph("empty graph has no metrics")
+    try:
+        if g.m == n - 1:
+            ecc = eccentricities(g)
+        else:
+            dist = bfs_distances(g, 0)
+            if MAXDIST in dist:
+                raise DisconnectedGraph
+            if max(dist) == 1:  # vertex 0 is universal: radius 1, diameter 1 or 2
+                far = next((v for v, row in enumerate(g.adj) if len(row) < n - 1), 0)
+                return 1, 0, 1 + (far > 0), far
+            found = _probed(g, dist, max(dist) * -(-n // ECC_BATCH))
+            if found is not None:
+                return found
+            ecc = _ecc_sweep(g)
+    except DisconnectedGraph:
+        raise DisconnectedGraph("metrics require a connected graph") from None
+    radius, diameter = min(ecc), max(ecc)
+    return radius, ecc.index(radius), diameter, ecc.index(diameter)
+
+
+def _probed(g: Graph, dist, rounds: int):
+    """`extremes` of a connected graph by eccentricity bounds, given `dist`,
+    the BFS from vertex 0, and `rounds`, the sweep's round count; None when
+    `rounds` is below _PROBE_MIN_ROUNDS, or below the count of vertices
+    still undecided after _GUARD_PROBES probes. A vertex is undecided while
+    its bounds differ and it may still have the largest eccentricity, its
+    upper bound being at least every lower bound, or the least, its lower
+    bound being at most every upper bound. Each probe fixes an undecided
+    vertex, and none becomes undecided again, so that count bounds the
+    probes still to come, those that settle ties included.
+
+    The bounds are updated by comprehensions: the builtins max and min,
+    mapped over the lists, took three to five times as long."""
+    if rounds < _PROBE_MIN_ROUNDS:
+        return None
+    lo, hi = [0] * g.n, [MAXDIST] * g.n
+    probes, upper = 0, True
+    while True:
+        e = max(dist)
+        lo = [a if a >= x and a + x >= e else (x if x + x >= e else e - x)
+              for a, x in zip(lo, dist)]
+        hi = [a if a <= e + x else e + x for a, x in zip(hi, dist)]
+        probes += 1
+        dlo, dhi, rlo, rhi = max(lo), max(hi), min(lo), min(hi)
+        if probes == _GUARD_PROBES and rounds < sum(
+                a < b and (b >= dlo or a <= rhi) for a, b in zip(lo, hi)):
+            return None
+        if dlo < dhi and (upper or rlo == rhi):
+            far = [a if b > dlo else -1 for a, b in zip(lo, hi)]
+            p = far.index(max(far))
+        elif rlo < rhi:
+            p = lo.index(rlo)
+        else:
+            peripheral, centre = hi.index(dhi), lo.index(rlo)
+            if lo[peripheral] == dhi and hi[centre] == rlo:
+                return rlo, centre, dhi, peripheral
+            p = peripheral if lo[peripheral] < dhi else centre
+        upper = not upper
+        dist = bfs_distances(g, p)
+
+
 def metrics(g: Graph) -> Metrics:
     if g.n == 0:
         raise DisconnectedGraph("empty graph has no metrics")
@@ -511,13 +636,9 @@ def k_center(g: Graph, k: int, mode: str = "exact") -> KCenterResult:
     and the lexicographically smallest k-set of centers that covers at r.
     That is the set an exhaustive scan of k-subsets in lexicographic order
     keeps. More than SUBSET_CAP k-subsets raise SearchSpaceTooLarge before
-    any ball is grown. With k = 1 the radius and the smallest-id centre come
-    from one eccentricities() sweep, except on a tree (m = n - 1), where
-    three BFS find them in O(n): from vertex 0 to the farthest vertex a,
-    from a to the far end b of a diameter path of length D, and from b. A
-    tree's centres are the middle one or two vertices of that path, the
-    vertices v with d(a, v) + d(v, b) = D and eccentricity
-    max(d(a, v), d(v, b)) = ceil(D / 2), the radius.
+    any ball is grown. With k = 1 the radius and the smallest-id centre are
+    read off `eccentricities`: three BFS on a tree, the sweep on any other
+    graph.
 
     With k >= 2 it searches radius-r balls (Kariv & Hakimi 1979 for the
     p-center problem). The greedy radius r_g is feasible, and its k + 1
@@ -553,14 +674,6 @@ def k_center(g: Graph, k: int, mode: str = "exact") -> KCenterResult:
             f"C({g.n},{k}) = {math.comb(g.n, k)} exceeds cap {SUBSET_CAP}"
         )
     if k == 1:
-        if g.m == g.n - 1:  # a tree: connected, with n - 1 edges
-            da = bfs_distances(g, depth.index(max(depth)))
-            diameter = max(da)
-            db = bfs_distances(g, da.index(diameter))
-            radius = (diameter + 1) // 2
-            centre = next(v for v, (x, y) in enumerate(zip(da, db))
-                          if x + y == diameter and max(x, y) == radius)
-            return KCenterResult((centre,), radius)
         ecc = eccentricities(g)
         radius = min(ecc)
         return KCenterResult((ecc.index(radius),), radius)

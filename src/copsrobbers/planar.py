@@ -32,8 +32,7 @@ from .graphs import (
     Graph,
     bfs_distances,
     component_of,
-    eccentricities,
-    metrics,
+    extremes,
     walk_toward,
 )
 from .play import CopPolicy
@@ -67,18 +66,19 @@ def separator(g: Graph) -> SeparatorResult:
     """Balanced vertex separator: S, A, B partition V, no A-B edge, both
     sides at most 2n/3.
 
-    S is the cheapest single BFS level from a vertex of maximum eccentricity
-    (ties: most balanced split, then lowest level); A is every level below
-    it and B every level above. On a connected graph one level always
-    balances, so no wider separator is needed.
+    S is the cheapest single BFS level from the first vertex of maximum
+    eccentricity, which `extremes` finds (ties: most balanced split, then
+    lowest level); A is every level below it and B every level above. On a
+    connected graph one level always balances, so no wider separator is
+    needed.
     """
     if g.n == 0:
         raise DisconnectedGraph("empty graph")
     try:
-        ecc = eccentricities(g)
+        root = extremes(g)[3]
     except DisconnectedGraph:
         raise DisconnectedGraph("separator needs a connected graph") from None
-    return _level_cut(g, ecc.index(max(ecc)))
+    return _level_cut(g, root)
 
 
 def _level_cut(g: Graph, root: int) -> SeparatorResult:
@@ -120,7 +120,10 @@ class SeparatorSweepPolicy(CopPolicy):
     each phase walks a fresh team onto a BFS-level separator (see
     `separator`) of the current territory, multiplying it by at most 2/3.
     Cops never leave a separator once placed, and idle cops wait at the
-    lowest-id centre. The bound is 6 * radius * log2(n) rounds.
+    lowest-id centre. The bound is 6 * radius * log2(n) rounds. The build
+    takes the first separator's root, the centre and the radius from one
+    `extremes` call, which raises `metrics`' errors on an empty or a
+    disconnected graph.
 
     A game's state is (walkers as (cop, route) pairs, each phase's
     (territory, separator) sizes). A walker leaves from the centre, where
@@ -132,11 +135,9 @@ class SeparatorSweepPolicy(CopPolicy):
 
     def __init__(self, g: Graph, k: int):
         self.k = k
-        met = metrics(g)
-        ecc = met.eccentricities
-        self._first_separator = _level_cut(g, ecc.index(met.diameter)).separator
-        self._centre = ecc.index(met.radius)
-        self.bound = 6 * met.radius * math.log2(g.n)
+        radius, self._centre, _, root = extremes(g)
+        self._first_separator = _level_cut(g, root).separator
+        self.bound = 6 * radius * math.log2(g.n)
         self.metadata = {"policy": "separator-sweep"}
 
     def placement(self, g: Graph, k: int):
@@ -404,7 +405,8 @@ class ThreeCopPlanarPolicy(CopPolicy):
       graft the split wall's outer segments onto the new path (re-verifying
       isometry, recomputing the path when the check fails) and re-chase.
 
-    The build is the initial path and the state placement starts from; a
+    The build is the initial path and the state placement starts from; it
+    takes the diameter and the path's first vertex from `extremes`. A
     game's state is a `_Guarding`, whose phase log `record` reports.
     """
 
@@ -414,12 +416,11 @@ class ThreeCopPlanarPolicy(CopPolicy):
         # the diametral pair: the first u of largest eccentricity, and the
         # first vertex farthest from it
         try:
-            ecc = eccentricities(g)
+            _, _, self.diam, u = extremes(g)
         except DisconnectedGraph:
             raise DisconnectedGraph("three-cop policy needs a connected graph") from None
-        self.diam = max(ecc)
         self.bound = (self.diam + 1) * g.n
-        du = bfs_distances(g, ecc.index(self.diam))
+        du = bfs_distances(g, u)
         self.init_path = tuple(walk_toward(g, du, du.index(self.diam))[::-1])
         guard = GuardedPath(path=self.init_path, home_dist=tuple(du), cop=0, status="chase")
         self._start = _Guarding(guards=(), pending=(guard, ()), plan=("init", 0))

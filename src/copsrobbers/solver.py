@@ -120,11 +120,24 @@ IMAGE_CAP = 1 << 22
 # chunk is larger: its joined input, columns and output stay this small.
 _ERODE_BATCH = 1 << 16
 
-# Byte x of _BYTE_BITS[b] is bit b of x, and every byte of _ALL_BYTES is 1:
-# 256-entry columns that build the erosion tables with big-int ANDs.
+# 256-entry byte columns as ints: byte x of _BYTE_BITS[b] is bit b of x, and
+# byte x of _SUPERSETS[m] is 1 exactly when x holds every bit of m, the AND
+# of the columns of m's bits. The erosion tables are ORs of shifted
+# _SUPERSETS columns.
 _BYTE_BITS = tuple(int.from_bytes(bytes(x >> b & 1 for x in range(256)), "little")
                    for b in range(8))
-_ALL_BYTES = int.from_bytes(bytes([1]) * 256, "little")
+
+
+def _superset_columns() -> tuple:
+    """_SUPERSETS: column m is column m less its lowest bit, ANDed with that
+    bit's column."""
+    columns = [int.from_bytes(bytes([1]) * 256, "little")]
+    for m in range(1, 256):
+        columns.append(columns[m & m - 1] & _BYTE_BITS[(m & -m).bit_length() - 1])
+    return tuple(columns)
+
+
+_SUPERSETS = _superset_columns()
 
 
 def estimate_cost(g: Graph, k: int):
@@ -292,11 +305,7 @@ def _erosion_tables(g: Graph):
                 continue
             table = 0
             for i, m in enumerate(need):
-                hit = _ALL_BYTES
-                for bit in range(8):
-                    if m >> bit & 1:
-                        hit &= _BYTE_BITS[bit]
-                table |= hit << i
+                table |= _SUPERSETS[m] << i
             tables.append((b, table.to_bytes(256, "little")))
         erosion.append(tables)
     return erosion

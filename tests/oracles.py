@@ -343,6 +343,29 @@ def reference_eccentricities(g):
     return [max(reference_bfs_distances(g, v)) for v in range(g.n)]
 
 
+def reference_erosion_tables(g):
+    """The solver's erosion tables, byte by byte from Graph.masks: for each
+    robber byte j, the (b, table) pairs for every cop byte b that holds a
+    closed neighbour of a vertex of byte j, and for b = j; bit i of
+    table[x] is 1 when every closed neighbour u of r = 8j + i with
+    u // 8 == b has bit u % 8 set in x."""
+    n = g.n
+    cell = (n + 7) // 8
+    erosion = []
+    for j in range(cell):
+        tables = []
+        for b in range(cell):
+            need = [[u % 8 for u in range(8 * b, min(8 * b + 8, n)) if g.masks[r] >> u & 1]
+                    for r in range(8 * j, min(8 * j + 8, n))]
+            if b != j and not any(need):
+                continue
+            table = bytes(sum(1 << i for i, bits in enumerate(need)
+                              if all(x >> u & 1 for u in bits)) for x in range(256))
+            tables.append((b, table))
+        erosion.append(tables)
+    return erosion
+
+
 def reference_separator(g):
     """(root, separator, side_a, side_b) of the one-level separator: the root
     is the first vertex of largest eccentricity (one BFS per vertex), S the

@@ -184,6 +184,25 @@ def test_mc_run_builds_what_the_seed_does_not_change_once(monkeypatch):
         "TeamBudgetExceeded: needs 9 cops but only 8 available"}
 
 
+def test_mc_run_reads_each_builder_signature_once(monkeypatch):
+    """Whether a builder names `seed` is read off its signature once, not
+    once per game: a 40-trial sphere-trap batch inspects its cop builder and
+    its robber builder at most once each, and its rows are those of games
+    built and played afresh."""
+    import inspect
+
+    reads = []
+    signature = inspect.signature
+    monkeypatch.setattr(inspect, "signature", lambda f, *a, **kw: reads.append(f) or signature(f, *a, **kw))
+    config = MCConfig("hypercube:6", 8, cop="sphere_trap", cop_params={"d": 1, "mode": "hypercube"},
+                      robber="random_walk", trials=40)
+    rows = mc_run(config).rows
+    builders = (experiments.COP_POLICIES["sphere_trap"][0],
+                experiments.ROBBER_POLICIES["random_walk"][0])
+    assert all(reads.count(build) <= 1 for build in builders)
+    assert rows == _fresh_rows(config)
+
+
 # policy name -> (graph spec of its kind, k, {declared parameter: another value})
 POLICY_CASES = {
     "cop": {

@@ -12,7 +12,15 @@ from hypothesis import strategies as st
 import oracles
 from copsrobbers import graphs, planar
 from copsrobbers.errors import DisconnectedGraph
-from copsrobbers.generators import gen_connected_gnp, gen_gnp, gen_grid_dims, gen_hypercube, gen_path, gen_tree
+from copsrobbers.generators import (
+    gen_connected_gnp,
+    gen_cycle,
+    gen_gnp,
+    gen_grid_dims,
+    gen_hypercube,
+    gen_path,
+    gen_tree,
+)
 from copsrobbers.graphs import (
     MAXDIST,
     Graph,
@@ -25,7 +33,14 @@ from copsrobbers.graphs import (
     walk_toward,
 )
 from copsrobbers.matching import hopcroft_karp
-from copsrobbers.planar import SeparatorResult, ThreeCopPlanarPolicy, _join_path, _path, separator
+from copsrobbers.planar import (
+    SeparatorResult,
+    SeparatorSweepPolicy,
+    ThreeCopPlanarPolicy,
+    _join_path,
+    _path,
+    separator,
+)
 from copsrobbers.play import play
 from copsrobbers.sphere_trap import HallWitnessResult, SphereTrapPolicy, net_radius, trap_matching
 from copsrobbers.strategies import StayFarRobber
@@ -278,8 +293,11 @@ def test_eccentricities_on_random_connected_graphs(n, p, seed):
 @pytest.mark.parametrize("batch", [1, 2, 3, 7, 64])
 def test_eccentricities_in_batches(monkeypatch, batch):
     """Graphs larger than one batch of sources: every batch width, including
-    a last batch narrower than the rest, gives the n-BFS eccentricities."""
+    a last batch narrower than the rest, gives the n-BFS eccentricities.
+    Trees take three BFS, so a non-tree family (grid10x10) is the one that
+    sends more vertices than a batch through the sweep."""
     monkeypatch.setattr(graphs, "ECC_BATCH", batch)
+    assert any(g.m != g.n - 1 and g.n > batch for _, g in ECC_FAMILIES)
     for _, g in ECC_FAMILIES:
         assert eccentricities(g) == oracles.reference_eccentricities(g)
     for seed in range(10):
@@ -289,18 +307,101 @@ def test_eccentricities_in_batches(monkeypatch, batch):
         eccentricities(Graph.from_edges(9, [(0, 1), (1, 2), (3, 4), (5, 6), (6, 7)]))
 
 
+def test_tree_eccentricities_match_one_bfs_per_vertex(monkeypatch):
+    """A tree's eccentricities come from three BFS, not the all-sources
+    sweep, and match one BFS per vertex: on three random trees of each size
+    from 1 to 59 and on paths of 1 to 49 vertices."""
+    trees = [gen_tree(n, seed) for n in range(1, 60) for seed in range(3)]
+    trees += [gen_path(q)[0] for q in range(1, 50)]
+    monkeypatch.setattr(graphs, "_ecc_sweep", lambda g: pytest.fail("swept a tree"))
+    for g in trees:
+        assert eccentricities(g) == oracles.reference_eccentricities(g)
+
+
+def test_eccentricities_with_n_minus_one_edges():
+    """m = n - 1 on a disconnected graph, a triangle beside a path, raises
+    the sweep's message; one vertex has eccentricity 0."""
+    g = Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
+    with pytest.raises(DisconnectedGraph, match="^eccentricities require a connected graph$"):
+        eccentricities(g)
+    assert eccentricities(Graph(1, [()])) == [0]
+    assert graphs.extremes(Graph(1, [()])) == (0, 0, 0, 0)
+
+
+def l_piece(a, b):
+    """The a x b grid less its top-right quarter, an L-shaped grid piece."""
+    g, _ = gen_grid_dims([a, b])
+    return g.induced([v for v in range(g.n) if v // b < a // 2 or v % b < b // 2])[0]
+
+
+def complete(n):
+    return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+
+EXTREMES_FAMILIES = (
+    list(ECC_FAMILIES)
+    + [(f"C{q}", gen_cycle(q)) for q in (3, 4, 9, 32, 40, 61)]
+    + [(f"Q{d}", gen_hypercube(d)[0]) for d in (2, 6)]
+    + [(f"K{q}", complete(q)) for q in (2, 5, 12)]
+    + [("K12-e", Graph.from_edges(12, [e for e in complete(12).edges() if e != (3, 7)])),
+       ("wheel9", Graph.from_edges(9, [(0, v) for v in range(1, 9)]
+                                   + [(v, v % 8 + 1) for v in range(1, 9)]))]
+    + [(f"L{a}x{b}", l_piece(a, b)) for a, b in ((4, 4), (6, 9), (12, 12), (20, 7), (21, 30))]
+    + [(f"gnp{n}-{p}-{seed}", gen_connected_gnp(n, p, seed)[0])
+       for n, p in ((12, 0.2), (12, 0.5), (40, 0.08), (40, 0.3), (90, 0.05), (90, 0.2))
+       for seed in range(3)]
+)
+
+
+@pytest.mark.parametrize("batch", [graphs.ECC_BATCH, 1])
+def test_extremes_match_one_bfs_per_vertex(monkeypatch, batch):
+    """extremes() is the least and largest eccentricity, each with its first
+    vertex. With the default batch, grids and their pieces settle by bounds
+    without the sweep; cycles, whose vertices look alike, run it after five
+    probes, and graphs whose sweep has under 16 rounds (Q6) run it after
+    the one BFS from vertex 0. Complete graphs, where that BFS finds vertex
+    0 universal, need nothing more. With one source per batch the sweep has
+    n times as many rounds, so every graph settles by bounds but those whose
+    sweep still has under 16 rounds."""
+    monkeypatch.setattr(graphs, "ECC_BATCH", batch)
+    sweep, bfs = graphs._ecc_sweep, graphs.bfs_distances
+    calls = []
+    monkeypatch.setattr(graphs, "_ecc_sweep", lambda g: calls.append("sweep") or sweep(g))
+    monkeypatch.setattr(graphs, "bfs_distances", lambda *a: calls.append("bfs") or bfs(*a))
+    paths = {}
+    for name, g in EXTREMES_FAMILIES:
+        ecc = oracles.reference_eccentricities(g)
+        calls.clear()
+        radius, diameter = min(ecc), max(ecc)
+        assert graphs.extremes(g) == (radius, ecc.index(radius), diameter, ecc.index(diameter)), name
+        paths[name] = (calls.count("bfs"), "sweep" in calls)
+    assert paths["K12"] == paths["K12-e"] == paths["wheel9"] == (1, False)
+    if batch == 1:
+        assert all(count == 1 for count, swept in paths.values() if swept)
+        assert paths["C40"] == (40, False)
+        return
+    assert not any(paths[name][1] for name in ("grid10x10", "L12x12", "L20x7", "L21x30"))
+    assert paths["C40"] == paths["C61"] == (5, True)
+    assert paths["Q6"] == (1, True)
+
+
 @pytest.mark.parametrize(
     "g",
     [
         Graph.from_edges(2, []),
         Graph.from_edges(4, [(0, 1), (2, 3)]),
         Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4)]),
+        Graph.from_edges(4, [(1, 2), (2, 3), (1, 3)]),
     ],
-    ids=["two_isolated", "two_edges", "path_plus_isolated"],
+    ids=["two_isolated", "two_edges", "path_plus_isolated", "triangle_plus_isolated"],
 )
 def test_eccentricities_reject_disconnected(g, monkeypatch):
     with pytest.raises(DisconnectedGraph):
         eccentricities(g)
+    with pytest.raises(DisconnectedGraph, match="metrics require a connected graph"):
+        graphs.extremes(g)
+    with pytest.raises(DisconnectedGraph, match="metrics require a connected graph"):
+        SeparatorSweepPolicy(g, 4)
     monkeypatch.setattr(graphs, "SUBSET_CAP", 0)  # connectivity is refused first
     for mode in ("exact", "greedy"):
         with pytest.raises(DisconnectedGraph, match="k-center requires a connected graph"):
@@ -311,6 +412,15 @@ def test_eccentricities_reject_disconnected(g, monkeypatch):
         separator(g)
     with pytest.raises(DisconnectedGraph, match="three-cop policy needs a connected graph"):
         ThreeCopPlanarPolicy(g)
+
+
+def test_extremes_refuse_an_empty_graph():
+    """extremes() and the separator sweep's build keep metrics()' message on
+    a graph with no vertex."""
+    g = Graph(0, [])
+    for build in (graphs.metrics, graphs.extremes, lambda g: SeparatorSweepPolicy(g, 1)):
+        with pytest.raises(DisconnectedGraph, match="^empty graph has no metrics$"):
+            build(g)
 
 
 def recorded_bfs_sources(monkeypatch):

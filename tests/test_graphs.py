@@ -467,20 +467,20 @@ def test_exact_k_center_one_center_streams_rows():
 
 def test_k_center_one_on_a_tree_runs_three_bfs(monkeypatch):
     """On a tree, exact k_center with k = 1 takes the radius and the least
-    centre from three BFS, not from the eccentricities sweep: it matches the
-    sweep on 20 random trees of each size from 1 to 59 and on paths of 1 to
-    49 vertices."""
+    centre from the three BFS of eccentricities(), not from the all-sources
+    sweep: it matches the sweep on 20 random trees of each size from 1 to 59
+    and on paths of 1 to 49 vertices."""
     trees = [gen_tree(n, seed) for n in range(1, 60) for seed in range(20)]
     trees += [gen_path(q)[0] for q in range(1, 50)]
     want = []
     for g in trees:
-        ecc = graphs.eccentricities(g)
+        ecc = graphs._ecc_sweep(g)
         want.append(graphs.KCenterResult((ecc.index(min(ecc)),), min(ecc)))
 
     def refuse(g):
         raise AssertionError("k_center ran the eccentricities sweep on a tree")
 
-    monkeypatch.setattr(graphs, "eccentricities", refuse)
+    monkeypatch.setattr(graphs, "_ecc_sweep", refuse)
     assert [k_center(g, 1) for g in trees] == want
 
 

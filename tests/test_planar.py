@@ -1,6 +1,8 @@
 """Separator contract: S, A, B partition V, no A-B edge, both sides at most
 2n/3; and `verify_separator` names each way a candidate can break it."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -63,25 +65,39 @@ def test_verify_separator_failure_kinds(n, res, reason):
     assert verify_separator(g, res) == (False, reason)
 
 
-def test_separator_sweep_runs_one_eccentricity_sweep(monkeypatch):
-    """The first separator, the centre and the bound come from one
-    eccentricity sweep, and agree with separator() and metrics()."""
+def refuse_the_sweep(monkeypatch):
+    def refuse(g):
+        raise AssertionError("ran the all-sources eccentricity sweep")
+
+    monkeypatch.setattr(graphs, "_ecc_sweep", refuse)
+
+
+def test_separator_sweep_runs_no_eccentricity_sweep(monkeypatch):
+    """The first separator, the centre and the bound come from eccentricity
+    bounds, not from the all-sources sweep, and agree with separator() and
+    metrics()."""
     g, _ = gen_grid_dims([20, 20])
-    calls = []
-    sweep = graphs.eccentricities
-
-    def counting(g_):
-        calls.append(g_.n)
-        return sweep(g_)
-
-    monkeypatch.setattr(graphs, "eccentricities", counting)
-    monkeypatch.setattr(planar, "eccentricities", counting)
-    pol = SeparatorSweepPolicy(g, 240)
-    assert calls == [400]
     met = graphs.metrics(g)
+    refuse_the_sweep(monkeypatch)
+    pol = SeparatorSweepPolicy(g, 240)
     cops, _ = pol.placement(g, 240)
     s0 = separator(g).separator
     assert cops == s0 + (met.eccentricities.index(met.radius),) * (240 - len(s0))
+    assert pol.bound == 6 * met.radius * math.log2(g.n)
+
+
+def test_separator_on_a_large_grid_runs_no_eccentricity_sweep(monkeypatch):
+    """On the 100 x 100 grid, separator() and the separator sweep's build
+    find their roots, centre and radius without the all-sources sweep: the
+    root is a corner and the centre (49, 49), of eccentricity 100."""
+    g, _ = gen_grid_dims([100, 100])
+    refuse_the_sweep(monkeypatch)
+    res = separator(g)
+    assert verify_separator(g, res) == (True, None)
+    assert graphs.extremes(g) == (100, 49 * 100 + 49, 198, 0)
+    pol = SeparatorSweepPolicy(g, 5000)
+    cops, _ = pol.placement(g, 5000)
+    assert cops == res.separator + (49 * 100 + 49,) * (5000 - len(res.separator))
 
 
 def test_separator_sweep_placement_refuses_a_team_below_the_separator():

@@ -32,6 +32,7 @@ from oracles import (
     dense_robber_choice,
     naive_capture_time,
     naive_game_values,
+    reference_erosion_tables,
     reference_solver_cop_move,
 )
 
@@ -750,3 +751,20 @@ def test_solver_robber_survives_against_any_cop():
     for seed in range(10):
         t = play(g, k, RandomCops(seed), rob_pol, max_rounds=30)
         assert t.capture_round is None or t.capture_round >= capt
+
+
+def test_superset_columns():
+    """Byte x of _SUPERSETS[m] is 1 exactly when x holds every bit of m."""
+    assert [column.to_bytes(256, "little") for column in solver._SUPERSETS] == [
+        bytes(int(x & m == m) for x in range(256)) for m in range(256)]
+
+
+def test_erosion_tables_match_the_byte_by_byte_reference():
+    """The erosion tables, ORs of _SUPERSETS columns, equal a reference that
+    tests every byte value against every robber vertex's neighbours, on
+    twelve small G(n, p), two trees, the 8 x 8 grid and Q6."""
+    graphs = [gen_gnp(n, p, f"erosion-{n}-{p}") for n in (1, 5, 8, 9, 13, 17)
+              for p in (0.3, 0.7)]
+    graphs += [gen_tree(40, 1), gen_tree(100, 2), gen_grid_dims([8, 8])[0], gen_hypercube(6)[0]]
+    for g in graphs:
+        assert solver._erosion_tables(g) == reference_erosion_tables(g), g
