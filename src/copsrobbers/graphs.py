@@ -4,7 +4,8 @@ k-centers, domination numbers, and retract maps.
 
 Every graph walk of the game code goes through these pieces here:
 `bfs_distances` is the one BFS (multi-source, optionally confined to an
-allowed vertex set) with two kernels, chosen by the form the graph was built
+allowed vertex set or kept out of a blocked one, whose cost is then what it
+reaches) with two kernels, chosen by the form the graph was built
 from: a graph built from lists is searched top-down from a queue, each
 reached row read once, and one built from a byte matrix by `_or_levels`,
 each level one OR of its vertices' masks. `eccentricities` gives every
@@ -307,13 +308,15 @@ def _matrix_fault(n: int, matrix):
     raise AssertionError("a refused matrix has a fault")
 
 
-def bfs_distances(g: Graph, sources, allowed=None) -> list[int]:
+def bfs_distances(g: Graph, sources, allowed=None, blocked=(), reached=None) -> list[int]:
     """BFS distance from each vertex to the nearest source (MAXDIST if none).
 
-    `sources` is one vertex id or an iterable of ids, and `allowed` an
-    optional iterable of ids; every id is range-checked (ValueError). With
-    `allowed`, the search stays inside that vertex set: sources outside it
-    are ignored and every vertex outside it reads MAXDIST.
+    `sources` is one vertex id or an iterable of ids, and `allowed` and
+    `blocked` optional iterables of ids; every id is range-checked
+    (ValueError naming it). The search never enters a vertex outside
+    `allowed`, when it is given, or in `blocked`: such a source is ignored,
+    and every such vertex reads MAXDIST. A `reached` set, when given, is
+    updated with every vertex the search reaches.
 
     The kernel is chosen by the form the graph was built from. On a graph
     built from a byte matrix the search reads only `Graph.masks`, whether or
@@ -323,11 +326,19 @@ def bfs_distances(g: Graph, sources, allowed=None) -> list[int]:
 
     On a graph built from lists it is a top-down queue search, which reads
     the row of each reached vertex once: O(n + m) time and O(n) memory per
-    call.
-    A dense graph built from lists, which only an edge file or
+    call. A dense graph built from lists, which only an edge file or
     `Graph(n, lists)` makes, pays that too: a search of G(500, 0.5) reads
     about 125,000 row entries, some 40 times the time of a search of its
     masks.
+
+    `allowed` costs one O(n) Python pass that marks the vertices outside it
+    and one that unmarks them. `blocked` marks and unmarks only its own
+    entries, so a blocked search of a list-built graph costs O(|blocked|)
+    steps and the rows of the vertices it reaches, beside the list of n
+    distances made at C speed: a search confined to a small part of a large
+    graph costs what it reaches. `reached` adds one C-speed pass over the
+    reached vertices, or over the digits of their mask on a matrix-built
+    graph.
     """
     n = g.n
     if isinstance(sources, int):
@@ -341,6 +352,12 @@ def bfs_distances(g: Graph, sources, allowed=None) -> list[int]:
             if not 0 <= v < n:
                 raise ValueError(f"allowed vertex {v} out of range")
             dist[v] = MAXDIST
+    if blocked:
+        blocked = tuple(blocked)  # read again to unmark
+        for v in blocked:
+            if not 0 <= v < n:
+                raise ValueError(f"blocked vertex {v} out of range")
+            dist[v] = -1
     queue = []  # every reached vertex, in order of distance
     for s in sources:
         if not 0 <= s < n:
@@ -349,39 +366,52 @@ def bfs_distances(g: Graph, sources, allowed=None) -> list[int]:
             dist[s] = 0
             queue.append(s)
     if g._from_matrix:
-        _or_levels(g._masks, dist, queue, allowed is not None)
-        return dist if allowed is None else [MAXDIST if d < 0 else d for d in dist]
-    adj = g.adj
-    unseen = MAXDIST  # every unvisited entry is this object: `is` skips a big-int compare
-    nd = 0  # the distance of the next level; its first vertex opens it
-    for v in queue:  # the queue grows as the loop reads it
-        if dist[v] == nd:
-            nd += 1
-        for u in adj[v]:
-            if dist[u] is unseen:
-                dist[u] = nd
-                queue.append(u)
+        if allowed is not None:  # one digit per vertex, last vertex first: 1 where the entry is -1
+            outside = int(b"0" + bytes([d < 0 for d in reversed(dist)]).translate(_DIGITS), 2)
+        elif blocked:
+            outside = functools.reduce(operator.or_, map((1).__lshift__, blocked))
+        else:
+            outside = 0
+        unseen = _or_levels(g._masks, dist, queue, outside)
+        if reached is not None:
+            left = (1 << n) - 1 ^ (unseen | outside)
+            reached.update(itertools.compress(range(n), _digits(left)))
+    else:
+        adj = g.adj
+        unseen = MAXDIST  # every unvisited entry is this object: `is` skips a big-int compare
+        nd = 0  # the distance of the next level; its first vertex opens it
+        for v in queue:  # the queue grows as the loop reads it
+            if dist[v] == nd:
+                nd += 1
+            for u in adj[v]:
+                if dist[u] is unseen:
+                    dist[u] = nd
+                    queue.append(u)
+        if reached is not None:
+            reached.update(queue)
     if allowed is not None:
         dist = [MAXDIST if d < 0 else d for d in dist]
+    elif blocked:
+        for v in blocked:
+            dist[v] = MAXDIST
     return dist
 
 
-def _or_levels(masks, dist, level, blocked: bool) -> None:
+def _or_levels(masks, dist, level, outside: int) -> int:
     """bfs_distances' level step on the masks of a matrix-built graph: fill
-    in `dist` from `level`, the sources, already at distance 0.
+    in `dist` from `level`, the sources, already at distance 0, and return
+    the vertices left unseen, as a mask.
 
-    The unseen set starts as every vertex but the sources and, when
-    `blocked`, those whose entry is -1 (outside `allowed`). Level d + 1 is
-    the part of it that the OR of level d's masks covers. The binary digits
-    of a level's set select both its masks and its ids, at C speed, so a
-    level costs O(n/64) words per vertex it holds, plus O(n) for its
-    digits; only the stores into `dist`, and with `allowed` the first
-    unseen set's digits, run one Python step per vertex. The search ends
-    once no vertex is unseen."""
+    The unseen set starts as every vertex but the sources and those of the
+    `outside` mask, never to be entered. Level d + 1 is the part of it that
+    the OR of level d's masks covers. The binary digits of a level's set
+    select both its masks and its ids, at C speed, so a level costs O(n/64)
+    words per vertex it holds, plus O(n) for its digits; only the stores
+    into `dist` run one Python step per vertex. The search ends once no
+    vertex is unseen."""
     ids = tuple(range(len(dist)))
     unseen = (1 << len(dist)) - 1 ^ functools.reduce(operator.or_, map((1).__lshift__, level), 0)
-    if blocked:  # one digit per vertex, last vertex first: 1 where the entry is -1
-        unseen &= ~int(b"0" + bytes([d < 0 for d in reversed(dist)]).translate(_DIGITS), 2)
+    unseen &= ~outside
     level_masks = map(masks.__getitem__, level)
     d = 0
     while unseen:
@@ -394,6 +424,7 @@ def _or_levels(masks, dist, level, blocked: bool) -> None:
         level_masks = itertools.compress(masks, digits)
         for v in itertools.compress(ids, digits):
             dist[v] = d
+    return unseen
 
 
 def step_toward(g: Graph, dist, v: int) -> int:
@@ -428,9 +459,12 @@ def walk_toward(g: Graph, dist, v: int) -> list[int]:
 
 
 def component_of(g: Graph, start: int, blocked=frozenset()) -> set[int]:
-    """Vertices reachable from start in g minus the blocked vertex set."""
-    allowed = set(range(g.n)).difference(blocked)
-    return {v for v, d in enumerate(bfs_distances(g, (start,), allowed)) if d != MAXDIST}
+    """Vertices reachable from start in g minus the blocked vertex set (empty
+    when start is blocked): one blocked `bfs_distances`, which on a
+    list-built graph costs O(|blocked|) and the rows of the component."""
+    reached = set()
+    bfs_distances(g, start, blocked=blocked, reached=reached)
+    return reached
 
 
 def is_tree(g: Graph) -> bool:

@@ -66,28 +66,54 @@ class StayFarRobber(RobberPolicy):
         return robber
 
 
+def _territory(g: Graph, cops, robber: int):
+    """The robber's territory, its component of g less the cops' vertices,
+    and a `dist` that is one less than the distance to the nearest cop on
+    each territory vertex (MAXDIST off it). The robber is not on a cop.
+
+    The territory rule: a shortest path from a territory vertex to its
+    nearest cop stays in the territory until its last step, so it leaves
+    from the rim, the territory's vertices adjacent to a cop. Two searches
+    blocked at the cops give both: one from the robber finds the territory,
+    and one from the rim gives `dist`. With the cops' rows, which find the
+    rim, a list-built graph reads at most 2 * |territory| + |set(cops)|
+    rows, however large it is. A territory with no cop next to it reads
+    MAXDIST throughout, as a BFS of the whole graph from the cops would."""
+    cop_set = set(cops)
+    territory = component_of(g, robber, cop_set)
+    rim = territory.intersection(itertools.chain.from_iterable(map(g.adj.__getitem__, cop_set)))
+    return territory, bfs_distances(g, rim, blocked=cop_set)
+
+
 class GreedyRobber(StayFarRobber):
     """Move to the closed-neighbourhood vertex maximising distance to the
     nearest cop: staying on a tie with its own vertex, and otherwise the
-    smallest id among the farthest. Places like the stay-far robber."""
+    smallest id among the farthest. Places like the stay-far robber.
+
+    A move searches only the robber's territory (`_territory`), never the
+    whole graph. Its distances, one less than the true ones there, keep the
+    argmax and its ties, and a neighbour on a cop, at distance 0, is never
+    the farthest, so only the territory's vertices are weighed."""
 
     metadata = {"policy": "greedy"}
 
     def move(self, g: Graph, cops, robber: int, rnd: int) -> int:
-        return _farthest(bfs_distances(g, cops), robber, g.closed[robber])
+        territory, dist = _territory(g, cops, robber)
+        return _farthest(dist, robber, (v for v in g.closed[robber] if v in territory))
 
 
 class GreedyFastRobber(StayFarRobber):
     """Greedy robber for the infinitely-fast variant: relocates anywhere in
     its component of the graph minus the cops' vertices, by the greedy
-    robber's rule."""
+    robber's rule. That component is its territory, and a move searches
+    only it, as the greedy robber's does (`_territory`)."""
 
     metadata = {"policy": "greedy-fast"}
     fast_only = True
 
     def move(self, g: Graph, cops, robber: int, rnd: int) -> int:
-        reachable = component_of(g, robber, blocked=set(cops))
-        return _farthest(bfs_distances(g, cops), robber, sorted(reachable))
+        territory, dist = _territory(g, cops, robber)
+        return _farthest(dist, robber, sorted(territory))
 
 
 class RandomWalkRobber(RobberPolicy):

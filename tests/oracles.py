@@ -22,6 +22,8 @@ over that table, and the domination search against subset enumeration, a
 tree dynamic program and the small-grid closed forms.
 The exhaustive worst-case search is checked against replaying every robber
 line with `play`, a fresh policy per line and no memo.
+The greedy robbers' territory searches are checked against their rule as
+first written: the argmax over a full BFS from the cops.
 """
 
 import itertools
@@ -33,6 +35,7 @@ from copsrobbers.play import RobberPolicy, play
 from copsrobbers.rng import make_rng
 from copsrobbers.solver import ROB
 from copsrobbers.sphere_trap import HallWitnessResult, TrapAssignment
+from copsrobbers.strategies import _farthest
 
 INF = float("inf")
 
@@ -641,6 +644,23 @@ def reference_solver_cop_move(table, cops, robber):
         if all(dst in closed[src] for src, dst in zip(cops, perm)):
             return perm
     raise ValueError("target config is not one joint move away")
+
+
+# ---------------------------------------------------------------------------
+# robber move rules as first written
+
+
+def reference_greedy_move(g, cops, robber):
+    """GreedyRobber's move as first written: the robbers' argmax over a full
+    BFS from the cops, on N[robber]."""
+    return _farthest(reference_bfs_distances(g, cops), robber, g.closed[robber])
+
+
+def reference_greedy_fast_move(g, cops, robber):
+    """GreedyFastRobber's move as first written: the same argmax over the
+    robber's sorted component of g minus the cops' vertices."""
+    dist = reference_bfs_distances(g, cops)
+    return _farthest(dist, robber, sorted(component_of(g, robber, set(cops))))
 
 
 class ScriptedRobber(RobberPolicy):

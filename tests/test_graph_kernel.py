@@ -105,6 +105,73 @@ def test_bfs_edge_cases():
     assert bfs_distances(g, 0, {0, 1, 3}) == [0, 1, MAXDIST, MAXDIST]
 
 
+def blocked_cases(g, rng):
+    """(sources, blocked) pairs for a blocked search of g: int, iterable and
+    empty sources, sources inside the blocked set, and random, duplicated,
+    empty and one-vertex blocked sets."""
+    n = g.n
+    blocked = random_subset(rng, n)
+    sources = rng.sample(range(n), rng.randint(0, min(n, 4)))
+    sourcings = [rng.randrange(n), sources, set(sources), sorted(blocked)[:2],
+                 sources + sorted(blocked)[:1], []]
+    blockings = [blocked, sorted(blocked) * 2, (), frozenset(), [rng.randrange(n)] * 3]
+    return [(src, block) for src in sourcings for block in blockings]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 30), st.sampled_from([0.03, 0.08, 0.15, 0.3, 0.6]), st.integers(0, 10**6))
+def test_blocked_search_matches_the_complement_reference(n, p, seed):
+    """bfs_distances(g, s, blocked=B) is the level-set reference confined to
+    the complement of B, and its `reached` set the vertices at a finite
+    distance; sparse p gives disconnected graphs. The graph is searched as
+    gen_gnp built it, from a byte matrix, without spelling out a row, and
+    built from lists, reading each reached row once. Blocked and allowed
+    together confine the search to allowed less blocked."""
+    g = gen_gnp(n, p, f"blocked-{seed}")
+    rng = random.Random(seed)
+    cases = blocked_cases(g, rng)
+    allowed = random_subset(rng, n)
+    got = []
+    for src, block in cases:
+        reached = set()
+        got.append((bfs_distances(g, src, blocked=block, reached=reached), reached,
+                    bfs_distances(g, src, allowed, blocked=block)))
+    assert g._adj is None and g._closed is None
+    h = rows_copy(g)
+    reads = counting_adj(h)
+    for (src, block), (dist, seen, both) in zip(cases, got):
+        want = oracles.reference_bfs_distances(h, src, set(range(n)).difference(block))
+        assert dist == want
+        assert seen == {v for v, d in enumerate(want) if d != MAXDIST}
+        assert both == oracles.reference_bfs_distances(h, src, allowed.difference(block))
+        reads[0] = 0
+        reached = set()
+        assert bfs_distances(h, src, blocked=block, reached=reached) == want
+        assert reached == seen
+        assert reads[0] == reached_degrees(h, want)
+
+
+def test_blocked_search_edge_cases():
+    """An out-of-range blocked id is a ValueError naming it, on both forms;
+    blocking every vertex, or the only source, reaches nothing; a one-shot
+    iterator blocks as a list does; and component_of is empty from a
+    blocked start."""
+    g, _ = gen_path(4)
+    matrix = gen_gnp(4, 1.0, "blocked-edge")
+    for h in (g, matrix):
+        for bad, name in (({0, 4}, 4), ([-1, 2], -1), ((7,), 7)):
+            with pytest.raises(ValueError, match=f"blocked vertex {name} out of range"):
+                bfs_distances(h, 0, blocked=bad)
+        assert bfs_distances(h, [0, 3], blocked=range(4)) == [MAXDIST] * 4
+        assert bfs_distances(h, 0, blocked={0}) == [MAXDIST] * 4
+        assert component_of(h, 1, blocked={1, 2}) == set()
+    assert bfs_distances(g, 0, blocked=[2, 2]) == [0, 1, MAXDIST, MAXDIST]
+    assert bfs_distances(g, 0, blocked=(v for v in [2, 3])) == [0, 1, MAXDIST, MAXDIST]
+    assert component_of(g, 3, blocked=[1]) == {2, 3}
+    empty = Graph(0, [])
+    assert bfs_distances(empty, [], blocked=()) == []
+
+
 def counting_adj(g):
     """Swap g's rows for tuples that count every entry read through them;
     returns the one-item counter list."""

@@ -1,4 +1,6 @@
+import collections
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -17,13 +19,15 @@ from copsrobbers.errors import (
 from copsrobbers.generators import (
     box_retract,
     gen_cycle,
+    gen_gnp,
     gen_grid,
     gen_grid_dims,
     gen_hypercube,
     gen_path,
     gen_tree,
 )
-from copsrobbers.graphs import Graph, bfs_distances, k_center, path_retract
+from copsrobbers.graphs import Graph, bfs_distances, component_of, k_center, path_retract
+from copsrobbers.planar import SeparatorSweepPolicy
 from copsrobbers.play import play, worst_case_capture_round
 from copsrobbers.solver import capture_time, extract_policies, solve
 from copsrobbers.strategies import (
@@ -341,6 +345,105 @@ def test_greedy_never_decreases_distance():
             for r in range(g.n):
                 chosen = rob.move(g, cops, r, 1)
                 assert dist[chosen] >= dist[r]
+
+
+def greedy_states(seed):
+    """(graph, cops, robber) states with the robber off the cops, on a
+    seeded G(n, p) in both forms: random cops, co-located cops, cops in
+    N[robber], and cops only outside the robber's component, which leaves
+    its territory with no cop next to it."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 25)
+    g = gen_gnp(n, rng.choice([0.05, 0.1, 0.2, 0.4]), f"greedy-{seed}")
+    h = Graph(n, g.adj)
+    robber = rng.randrange(n)
+    others = [v for v in range(n) if v != robber]
+    component = oracles.component_of(g, robber)
+    away = [v for v in others if v not in component]
+    k = rng.randint(1, 5)
+    picks = [rng.choices(others, k=k), rng.choices(others[:2], k=k + 1)]
+    near = [v for v in g.closed[robber] if v != robber]
+    if near:
+        picks.append(rng.choices(near, k=k) + rng.choices(others, k=1))
+    if away:
+        picks.append(rng.choices(away, k=k))
+    return [(form, tuple(cops), robber) for cops in picks for form in (g, h)]
+
+
+def test_greedy_moves_match_the_full_search_rule():
+    """Both greedy robbers' territory searches move as the rule first
+    written, an argmax over one BFS of the whole graph from the cops, on
+    every kind of state that `greedy_states` makes, each kind seen."""
+    seen = collections.Counter()
+    for seed in range(300):
+        for g, cops, robber in greedy_states(seed):
+            assert GreedyRobber().move(g, cops, robber, 1) == \
+                oracles.reference_greedy_move(g, cops, robber)
+            assert GreedyFastRobber().move(g, cops, robber, 1) == \
+                oracles.reference_greedy_fast_move(g, cops, robber)
+            seen["matrix" if g._from_matrix else "lists"] += 1
+            seen["co-located"] += len(set(cops)) < len(cops)
+            seen["next to the robber"] += any(c in g.closed[robber] for c in cops)
+            component = oracles.component_of(g, robber)
+            seen["no cop next to the territory"] += not component.intersection(cops)
+    assert min(seen.values()) >= 50, seen
+
+
+@pytest.mark.parametrize("fast", [False, True])
+def test_greedy_moves_match_the_rule_along_separator_sweep_games(fast):
+    """The separator_sweep suite's games (grid 20x20, k = 240, normal and
+    fast): every robber move equals the full-search rule's on its state."""
+    g, _ = gen_grid(2, 20)
+    base, rule = ((GreedyFastRobber, oracles.reference_greedy_fast_move) if fast
+                  else (GreedyRobber, oracles.reference_greedy_move))
+    moves = []
+
+    class Checked(base):
+        def move(self, g, cops, robber, rnd):
+            got = super().move(g, cops, robber, rnd)
+            moves.append((got, rule(g, cops, robber)))
+            return got
+
+    policy = SeparatorSweepPolicy(g, 240)
+    t = play(g, 240, policy, Checked(), max_rounds=int(policy.bound) + 50, fast_robber=fast)
+    assert t.capture_round is not None
+    assert len(moves) >= 10
+    assert [got for got, _ in moves] == [want for _, want in moves]
+
+
+def test_territory_searches_cost_what_they_reach():
+    """On grid 100x100, built from lists, cops wall a 5x5 box around the
+    robber (some co-located). One move of each greedy robber, and one
+    component_of, each read at most 2 * |territory| + |set(cops)| rows of
+    adj, where one BFS of the whole graph would read 10^4, and no move
+    builds Graph.masks. The moves are the full-search rule's."""
+    g, codec = gen_grid_dims([100, 100])
+    box = [codec.id_of((r, c)) for r in range(48, 53) for c in range(48, 53)]
+    wall = [codec.id_of(rc) for i in range(48, 53)
+            for rc in ((47, i), (53, i), (i, 47), (i, 53))]
+    cops = tuple(wall + wall[:4])
+    robber = codec.id_of((49, 51))
+    bound = 2 * len(box) + len(set(cops))
+    reads = [0]
+
+    class Rows(tuple):
+        def __getitem__(self, v):
+            reads[0] += 1
+            return tuple.__getitem__(self, v)
+
+    g.closed
+    g._adj = Rows(g._adj)
+    moves = []
+    for search in (lambda: GreedyRobber().move(g, cops, robber, 1),
+                   lambda: GreedyFastRobber().move(g, cops, robber, 1),
+                   lambda: component_of(g, robber, set(cops))):
+        reads[0] = 0
+        moves.append(search())
+        assert 0 < reads[0] <= bound
+    assert g._masks is None
+    assert moves[2] == set(box)
+    assert moves[:2] == [oracles.reference_greedy_move(g, cops, robber),
+                         oracles.reference_greedy_fast_move(g, cops, robber)]
 
 
 def test_random_walk_reproducible():
